@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from .device import (
     MtjDevice,
     MtjParams,
@@ -44,7 +46,7 @@ from .device import (
     reference_params,
 )
 from .errors import ParameterError
-from .network import CrossbarNetwork, DeviceBranch
+from .network import CrossbarNetwork, NodalCore
 
 __all__ = ["CrossbarArray", "REF_ROWS"]
 
@@ -68,6 +70,9 @@ class CrossbarArray:
 
     The array owns the junction states; :mod:`xpointsim.ops` mutates them
     through :meth:`device_at` / :meth:`set_device` while running protocols.
+    Rows, segments and cells never change, so the nodal core is compiled
+    once; ``resistances`` and ``critical_currents`` follow the cells in
+    ``cell_keys`` order, which is also the network's branch order.
     """
 
     def __init__(
@@ -138,6 +143,17 @@ class CrossbarArray:
                 self._cells[("ref_o", f"b{j}e")] = MtjDevice(
                     params=self.ref_params, state=MtjState.P
                 )
+        self.cell_keys = list(self._cells)
+        self._index = {key: k for k, key in enumerate(self.cell_keys)}
+        self._kinds = {}
+        per_cell = [self._electrical(dev) for dev in self._cells.values()]
+        self.resistances = np.array([r for r, _ in per_cell])
+        self.critical_currents = np.array([i_c for _, i_c in per_cell])
+        tags = [self.tag(*key) for key in self.cell_keys]
+        self._core = NodalCore(
+            self.word_rows + self.ref_rows, self.segments, self.cell_keys, tags,
+            line_resistance, self.resistances,
+        )
 
     # -- addressing ----------------------------------------------------
 
@@ -197,9 +213,18 @@ class CrossbarArray:
         return self._cells[(row, segment)]
 
     def set_device(self, row, segment, device):
-        if (row, segment) not in self._cells:
+        k = self._index.get((row, segment))
+        if k is None:
             raise ParameterError(f"no cell at ({row!r}, {segment!r})")
         self._cells[(row, segment)] = device
+        self.resistances[k], self.critical_currents[k] = self._electrical(device)
+
+    def _electrical(self, device):
+        """(resistance, critical current), evaluated once per params and state."""
+        key = (device.params, device.state)
+        if key not in self._kinds:
+            self._kinds[key] = (device.resistance, critical_current(device.params))
+        return self._kinds[key]
 
     def cells(self):
         """Iterate (row, segment, device) over every cell including references."""
@@ -222,34 +247,17 @@ class CrossbarArray:
             )
         for j, ch in enumerate(data):
             key = (self.word_row(word), self.host_segment(word, j))
-            self._cells[key] = dataclasses.replace(
-                self._cells[key], state=_bits_to_state(ch), progress=0.0
+            self.set_device(
+                *key,
+                dataclasses.replace(self._cells[key], state=_bits_to_state(ch), progress=0.0),
             )
-
-    def critical_current_of(self, row, segment):
-        return critical_current(self._cells[(row, segment)].params)
 
     # -- network extraction ---------------------------------------------
 
     def to_network(self, bias, drivers):
         """Snapshot the present device states into a solvable network."""
-        branches = [
-            DeviceBranch(
-                row=row,
-                col=segment,
-                resistance=dev.resistance,
-                tag=self.tag(row, segment),
-            )
-            for (row, segment), dev in self._cells.items()
-        ]
-        return CrossbarNetwork(
-            rows=self.word_rows + self.ref_rows,
-            cols=list(self.segments),
-            branches=branches,
-            drivers=drivers,
-            bias=bias,
-            v_dd=self.v_dd,
-            line_resistance=self.line_resistance,
+        return CrossbarNetwork.on_core(
+            self._core, self.resistances.copy(), drivers, bias, self.v_dd
         )
 
     def ideal_branch_resistance(self, state):

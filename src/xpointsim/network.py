@@ -2,16 +2,27 @@
 
 The array is described as a bipartite mesh: word lines (rows) and bit lines
 (columns) joined by two-terminal device branches at the crossings. Lines
-can be driven by ideal voltage sources, ideal current sources, grounded,
-left floating, or (rows only) tied to the rails through a pull-up/pull-down
-transistor pair. Nodal analysis gives every line voltage and every branch
-current at once, which is exactly what is needed to see where sneak
-currents go: no path enumeration, the mesh is solved as a whole.
+can be driven by ideal voltage sources, ideal or regulated current sources,
+grounded, left floating, or (rows only) tied to the rails through a
+pull-up/pull-down transistor pair. Nodal analysis (Ho, Ruehli & Brennan,
+IEEE TCAS 1975) gives every line voltage and every branch current at once,
+which is exactly what is needed to see where sneak currents go.
+
+The topology is compiled once into integer index arrays, a
+:class:`NodalCore`; between solves only conductances, biases and drivers
+change. A solve scatters branch conductances into a dense nodal matrix,
+imposes fixed potentials as Dirichlet rows and factors it once.
 
 Transistor saturation makes the system piecewise linear. The solver
 iterates on the set of saturated switches: solve, clamp any switch whose
 ohmic current exceeds its saturation limit, replace it with a fixed
 injection, and repeat until the saturated set is stable.
+
+A regulated source injects whatever current makes one named device branch
+carry a target current. For a fixed saturated set the network is affine in
+the source currents, so unit injections at the k regulated lines, solved
+as extra right-hand-side columns of the same factorisation, give the exact
+transfer resistances; a k x k solve then places the operating point.
 
 With ``line_resistance > 0`` every line is expanded into a chain of nodes,
 one per crossing, joined by the per-segment wire resistance. Crossing
@@ -26,7 +37,8 @@ source current is positive out of the source into the line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +54,7 @@ __all__ = [
     "DeviceBranch",
     "LineBias",
     "NetworkSolution",
+    "NodalCore",
     "RowDriver",
     "SingularNetworkError",
     "SneakReport",
@@ -54,20 +67,28 @@ __all__ = [
 _CLAMP_SLACK = 1.0 + 1e-12
 _MAX_CLAMP_ITERATIONS = 100
 _KCL_LIMIT = 1e-9
+_REG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class LineBias:
-    """How one line is driven externally."""
+    """How one line is driven externally.
 
-    kind: str  # "voltage" | "current" | "ground" | "float"
+    A regulated source supplies whatever current makes the device branch
+    tagged ``cell`` carry ``value`` amperes.
+    """
+
+    kind: str  # "voltage" | "current" | "regulated" | "ground" | "float"
     value: float = 0.0
+    cell: str | None = None
 
-    _KINDS = ("voltage", "current", "ground", "float")
+    _KINDS = ("voltage", "current", "regulated", "ground", "float")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ParameterError(f"bias kind: unknown value {self.kind!r}")
+        if (self.kind == "regulated") != (self.cell is not None):
+            raise ParameterError("bias cell: names the branch of a regulated source only")
 
     @classmethod
     def voltage(cls, volts):
@@ -76,6 +97,10 @@ class LineBias:
     @classmethod
     def current(cls, amps):
         return cls(kind="current", value=float(amps))
+
+    @classmethod
+    def regulated(cls, cell, amps):
+        return cls(kind="regulated", value=float(amps), cell=cell)
 
     @classmethod
     def ground(cls):
@@ -105,324 +130,351 @@ class RowDriver:
     nmos_on: bool = False
 
 
-@dataclass
-class CrossbarNetwork:
-    rows: list
-    cols: list
-    branches: list
-    drivers: dict = field(default_factory=dict)
-    bias: dict = field(default_factory=dict)
-    v_dd: float = 1.2
-    line_resistance: float = 0.0
+def _component_labels(n_nodes, a, b):
+    """Smallest node index of each node's connected component."""
+    labels = np.arange(n_nodes)
+    while True:
+        lower = labels.copy()
+        np.minimum.at(lower, a, labels[b])
+        np.minimum.at(lower, b, labels[a])
+        lower = lower[lower]
+        if np.array_equal(lower, labels):
+            return labels
+        labels = lower
 
-    def __post_init__(self):
-        lines = set(self.rows) | set(self.cols)
-        if len(lines) != len(self.rows) + len(self.cols):
+
+class NodalCore:
+    """Integer-indexed topology of one mesh; independent of any drive.
+
+    Line ``l`` (rows first, then columns) owns the nodes ``terminal[l]``
+    onwards and is driven at ``terminal[l]``. Branch ``k`` joins node
+    ``cell_col[k]`` on its column to node ``cell_row[k]`` on its row. Mesh
+    edges are the branches followed by the wire segments. Branches of
+    infinite resistance are open for the lifetime of the core.
+    """
+
+    def __init__(self, rows, cols, crossings, tags, line_resistance, resistance):
+        self.rows, self.cols = list(rows), list(cols)
+        self.lines = self.rows + self.cols
+        self.line_index = {line: k for k, line in enumerate(self.lines)}
+        self.crossings = list(crossings)
+        self.tags = list(tags)
+        self.tag_index = {tag: k for k, tag in enumerate(self.tags)}
+        self.line_resistance = line_resistance
+        n_lines = len(self.lines)
+        row_of = np.array([self.line_index[r] for r, _ in self.crossings], dtype=np.intp)
+        col_of = np.array([self.line_index[c] for _, c in self.crossings], dtype=np.intp)
+        if line_resistance > 0.0:
+            # one node per crossing, numbered along the line in branch order
+            ends = np.concatenate([row_of, col_of])
+            counts = np.bincount(ends, minlength=n_lines)
+            order = np.argsort(ends, kind="stable")
+            position = np.empty_like(ends)
+            position[order] = np.arange(len(ends)) - (np.cumsum(counts) - counts)[ends[order]]
+            row_pos, col_pos = np.split(position, 2)
+            sizes = np.maximum(counts, 1)
+        else:
+            row_pos = col_pos = 0
+            sizes = np.ones(n_lines, dtype=np.intp)
+        self.terminal = np.cumsum(sizes) - sizes
+        self.n_nodes = n = int(sizes.sum())
+        self.node_line = np.repeat(np.arange(n_lines), sizes)
+        self.cell_col = self.terminal[col_of] + col_pos
+        self.cell_row = self.terminal[row_of] + row_pos
+        # a wire segment joins each pair of consecutive nodes on one line
+        wire = np.flatnonzero(np.diff(self.node_line) == 0)
+        self.wire_r = np.full(len(wire), float(line_resistance))
+        a = self.edge_a = np.concatenate([self.cell_col, wire])
+        b = self.edge_b = np.concatenate([self.cell_row, wire + 1])
+        diagonal = np.arange(n) * (n + 1)
+        self._scatter = np.concatenate([a * n + a, b * n + b, a * n + b, b * n + a, diagonal])
+        live = np.isfinite(np.concatenate([resistance, self.wire_r]))
+        self.labels = _component_labels(n, a[live], b[live])
+
+    def nodal_matrix(self, g, shunt):
+        """Dense nodal matrix of edge conductances ``g`` plus a shunt at each node."""
+        n = self.n_nodes
+        weights = np.concatenate([g, g, -g, -g, shunt])
+        return np.bincount(self._scatter, weights, n * n).reshape(n, n)
+
+
+class CrossbarNetwork:
+    """Lines, device branches, drivers and bias of one mesh.
+
+    :meth:`on_core` binds resistances (in branch order), drivers and bias
+    to a core compiled earlier instead of compiling one from branches.
+    """
+
+    def __init__(
+        self, rows, cols, branches, drivers=None, bias=None, v_dd=1.2, line_resistance=0.0
+    ):
+        rows, cols, branches = list(rows), list(cols), list(branches)
+        row_set, col_set = set(rows), set(cols)
+        if len(row_set | col_set) != len(rows) + len(cols):
             raise ParameterError("line names: rows and cols must be distinct")
         tags = set()
-        for b in self.branches:
-            if b.row not in self.rows:
+        for b in branches:
+            if b.row not in row_set:
                 raise ParameterError(f"branch {b.tag}: unknown row {b.row!r}")
-            if b.col not in self.cols:
+            if b.col not in col_set:
                 raise ParameterError(f"branch {b.tag}: unknown col {b.col!r}")
             if not b.resistance > 0.0:
                 raise ParameterError(f"branch {b.tag}: resistance must be positive")
             if b.tag in tags:
                 raise ParameterError(f"branch tag {b.tag!r} appears twice")
             tags.add(b.tag)
-        for line in self.bias:
-            if line not in lines:
-                raise ParameterError(f"bias: unknown line {line!r}")
-        for row in self.drivers:
-            if row not in self.rows:
-                raise ParameterError(f"driver: {row!r} is not a row")
-        if self.line_resistance < 0.0:
+        if line_resistance < 0.0:
             raise ParameterError("line_resistance: must be non-negative")
+        resistance = np.array([b.resistance for b in branches], dtype=float)
+        core = NodalCore(
+            rows, cols, [(b.row, b.col) for b in branches], [b.tag for b in branches],
+            line_resistance, resistance,
+        )
+        self._bind(core, resistance, drivers or {}, bias or {}, v_dd)
+        self._branches = branches
 
+    @classmethod
+    def on_core(cls, core, resistance, drivers, bias, v_dd):
+        net = cls.__new__(cls)
+        net._bind(core, resistance, drivers, bias, v_dd)
+        return net
 
-@dataclass(frozen=True)
-class _RailBranch:
-    node: object
-    rail_volts: float
-    resistance: float
-    key: tuple  # (row, "vdd" | "gnd")
-    row: str
+    def _bind(self, core, resistance, drivers, bias, v_dd):
+        for line, lb in bias.items():
+            if line not in core.line_index:
+                raise ParameterError(f"bias: unknown line {line!r}")
+            if lb.kind == "regulated" and lb.cell not in core.tag_index:
+                raise ParameterError(f"bias {line!r}: unknown cell {lb.cell!r}")
+        for row in drivers:
+            if core.line_index.get(row, len(core.rows)) >= len(core.rows):
+                raise ParameterError(f"driver: {row!r} is not a row")
+        self.core = core
+        self.resistance = resistance
+        self.drivers = drivers
+        self.bias = bias
+        self.v_dd = v_dd
+        self._branches = None
 
-
-@dataclass
-class AssembledNetwork:
-    """Node-level view of a CrossbarNetwork, ready to solve."""
-
-    net: CrossbarNetwork
-    nodes: list
-    terminals: dict  # line -> node
-    fixed: dict  # node -> volts
-    injections: dict  # node -> amps
-    mesh_branches: list  # (node_a, node_b, resistance, tag-or-None)
-    rail_branches: list
+    rows = property(lambda self: self.core.rows)
+    cols = property(lambda self: self.core.cols)
+    line_resistance = property(lambda self: self.core.line_resistance)
 
     @property
-    def unknown_count(self):
-        return len(self.nodes) - len(self.fixed)
+    def branches(self):
+        if self._branches is None:
+            values = zip(self.core.crossings, self.resistance.tolist(), self.core.tags)
+            self._branches = [DeviceBranch(row, col, r, tag) for (row, col), r, tag in values]
+        return self._branches
+
+
+class AssembledNetwork:
+    """A network's bias and drivers bound to node indices, ready to solve.
+
+    Rails come in pairs per driver row, pull-up first.
+    """
+
+    def __init__(self, net):
+        core = self.core = net.core
+        self.net = net
+        fixed, volts, self.regulated, cells, targets = [], [], [], [], []
+        self.injection = np.zeros(core.n_nodes)  # amps from plain current sources
+        for line, lb in net.bias.items():
+            node = core.terminal[core.line_index[line]]
+            if lb.kind in ("voltage", "ground"):
+                fixed.append(node)
+                volts.append(lb.value if lb.kind == "voltage" else 0.0)
+            elif lb.kind == "current":
+                self.injection[node] += lb.value
+            elif lb.kind == "regulated":
+                self.regulated.append(line)
+                cells.append(core.tag_index[lb.cell])
+                targets.append(lb.value)
+        self.fixed = np.array(fixed, dtype=np.intp)
+        self.fixed_volts = np.array(volts)
+        self.reg_nodes = core.terminal[[core.line_index[line] for line in self.regulated]]
+        self.reg_cells = np.array(cells, dtype=np.intp)
+        self.reg_targets = np.array(targets)
+        self.driver_rows = list(net.drivers)
+        drivers = net.drivers.values()
+        gates = [(d.model, on) for d in drivers for on in (d.pmos_on, d.nmos_on)]
+        self.rail_r = np.array([m.r_on if on else m.r_off for m, on in gates], dtype=float)
+        self.rail_isat = np.array([m.i_sat for m, _ in gates], dtype=float)
+        rows = [core.line_index[r] for r in self.driver_rows]
+        self.rail_node = np.repeat(core.terminal[rows], 2)
+        self.rail_volts = np.tile([net.v_dd, 0.0], len(rows))
+        self.unknown_count = core.n_nodes - len(self.fixed)
 
 
 def build_network(net):
-    """Expand lines into nodes and collect every conducting element."""
-    crossings = {line: [] for line in list(net.rows) + list(net.cols)}
-    for b in net.branches:
-        crossings[b.row].append(b.col)
-        crossings[b.col].append(b.row)
-
-    expand = net.line_resistance > 0.0
-    nodes = []
-    terminals = {}
-    positions = {}
-    for line, others in crossings.items():
-        if not expand:
-            terminals[line] = line
-            nodes.append(line)
-            continue
-        count = max(1, len(others))
-        chain = [(line, k) for k in range(count)]
-        nodes.extend(chain)
-        terminals[line] = chain[0]
-        positions[line] = {}
-        for k, other in enumerate(others):
-            positions[line][other] = k
-
-    mesh = []
-    if expand:
-        for line, others in crossings.items():
-            for k in range(len(others) - 1):
-                mesh.append(((line, k), (line, k + 1), net.line_resistance, None))
-
-    def crossing_node(line, other):
-        if not expand:
-            return line
-        return (line, positions[line][other])
-
-    for b in net.branches:
-        mesh.append(
-            (crossing_node(b.col, b.row), crossing_node(b.row, b.col), b.resistance, b.tag)
-        )
-
-    fixed = {}
-    injections = {}
-    for line, lb in net.bias.items():
-        t = terminals[line]
-        if lb.kind == "voltage":
-            fixed[t] = lb.value
-        elif lb.kind == "ground":
-            fixed[t] = 0.0
-        elif lb.kind == "current":
-            injections[t] = injections.get(t, 0.0) + lb.value
-
-    rails = []
-    for row, drv in net.drivers.items():
-        t = terminals[row]
-        m = drv.model
-        rails.append(
-            _RailBranch(t, net.v_dd, m.r_on if drv.pmos_on else m.r_off, (row, "vdd"), row)
-        )
-        rails.append(
-            _RailBranch(t, 0.0, m.r_on if drv.nmos_on else m.r_off, (row, "gnd"), row)
-        )
-
-    return AssembledNetwork(
-        net=net,
-        nodes=nodes,
-        terminals=terminals,
-        fixed=fixed,
-        injections=injections,
-        mesh_branches=mesh,
-        rail_branches=rails,
-    )
+    """Bind a network's bias and drivers to the node indices of its core."""
+    return AssembledNetwork(net)
 
 
 def _check_anchored(asm):
     """Every unknown node must conduct to some fixed potential."""
-    anchored = set(asm.fixed)
-    for rb in asm.rail_branches:
-        if math.isfinite(rb.resistance):
-            anchored.add(rb.node)
-    adjacency = {n: [] for n in asm.nodes}
-    for a, b, r, _tag in asm.mesh_branches:
-        if math.isfinite(r):
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-    seen = set()
-    stack = [n for n in asm.nodes if n in anchored]
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        stack.extend(adjacency[n])
-    stranded = [n for n in asm.nodes if n not in seen]
-    if stranded:
-        lines = sorted({n if isinstance(n, str) else n[0] for n in stranded})
+    core = asm.core
+    anchors = np.concatenate([asm.fixed, asm.rail_node[np.isfinite(asm.rail_r)]])
+    anchored = np.zeros(core.n_nodes, dtype=bool)
+    anchored[core.labels[anchors]] = True
+    stranded = ~anchored[core.labels]
+    if stranded.any():
+        lines = sorted({core.lines[line] for line in core.node_line[stranded].tolist()})
         raise SingularNetworkError(
             "no conduction path to a fixed potential from: " + ", ".join(lines)
         )
 
 
-def _solve_linear(asm, clamped):
-    """One nodal solve with the given set of saturated switches."""
-    unknowns = [n for n in asm.nodes if n not in asm.fixed]
-    index = {n: k for k, n in enumerate(unknowns)}
-    n_unknown = len(unknowns)
-    g_matrix = np.zeros((n_unknown, n_unknown))
-    rhs = np.zeros(n_unknown)
+def _solve_dirichlet(matrix, rhs, fixed, volts):
+    """Solve in place, fixed nodes pinned at ``volts`` in the first rhs column, 0 V in the rest."""
+    matrix[fixed] = 0.0
+    matrix[fixed, fixed] = 1.0
+    rhs[fixed] = 0.0
+    rhs[fixed, 0] = volts
+    try:
+        return np.linalg.solve(matrix, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
 
-    def stamp(a, b_node, volts_b, g):
-        # conductance between node a and either node b_node or potential volts_b
-        if a in index:
-            i = index[a]
-            g_matrix[i, i] += g
-            if b_node is not None and b_node in index:
-                g_matrix[i, index[b_node]] -= g
-            else:
-                vb = asm.fixed[b_node] if b_node is not None else volts_b
-                rhs[i] += g * vb
 
-    for a, b, r, _tag in asm.mesh_branches:
-        if not math.isfinite(r):
-            continue
-        g = 1.0 / r
-        stamp(a, b, None, g)
-        stamp(b, a, None, g)
-    for rb in asm.rail_branches:
-        if rb.key in clamped:
-            continue
-        if not math.isfinite(rb.resistance):
-            continue
-        stamp(rb.node, None, rb.rail_volts, 1.0 / rb.resistance)
-    for node, amps in asm.injections.items():
-        if node in index:
-            rhs[index[node]] += amps
-    for key, amps in clamped.items():
-        node = next(rb.node for rb in asm.rail_branches if rb.key == key)
-        if node in index:
-            rhs[index[node]] += amps
-
-    if n_unknown:
-        try:
-            solution = np.linalg.solve(g_matrix, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
-    else:
-        solution = np.zeros(0)
-
-    volts = dict(asm.fixed)
-    for n, k in index.items():
-        volts[n] = float(solution[k])
-    return volts
+def _solve_linear(asm, g, clamp, rail_g):
+    """Node potentials and regulated source currents for one saturated set."""
+    core = asm.core
+    n, k = core.n_nodes, len(asm.regulated)
+    ohmic_g = np.where(clamp == 0.0, rail_g, 0.0)
+    matrix = core.nodal_matrix(g, np.bincount(asm.rail_node, ohmic_g, n))
+    rhs = np.zeros((n, 1 + k))
+    rhs[:, 0] = asm.injection + np.bincount(asm.rail_node, ohmic_g * asm.rail_volts + clamp, n)
+    rhs[asm.reg_nodes, 1 + np.arange(k)] = 1.0
+    x = _solve_dirichlet(matrix, rhs, asm.fixed, asm.fixed_volts)
+    if not k:
+        return x[:, 0], np.zeros(0)
+    # columns: target-cell currents at the base drive, then per unit injection
+    cells, r = asm.reg_cells, asm.net.resistance[asm.reg_cells, None]
+    per_cell = (x[core.cell_col[cells]] - x[core.cell_row[cells]]) / r
+    try:
+        sources = np.linalg.solve(per_cell[:, 1:], asm.reg_targets - per_cell[:, 0])
+    except np.linalg.LinAlgError:
+        raise ConvergenceError(
+            "write-drive regulation lost authority over an addressed cell"
+        ) from None
+    return x[:, 0] + x[:, 1:] @ sources, sources
 
 
 def solve_network(net):
     """Solve a CrossbarNetwork, iterating transistor saturation to a fixed point."""
     asm = build_network(net)
     _check_anchored(asm)
-
-    clamped = {}
+    g = 1.0 / np.concatenate([net.resistance, net.core.wire_r])  # per mesh edge
+    rail_g = 1.0 / asm.rail_r  # 0.0 for an open rail, which never saturates
+    clamp = np.zeros(len(rail_g))  # clamped rail currents; 0.0 where ohmic
     seen_sets = set()
-    volts = {}
     for _ in range(_MAX_CLAMP_ITERATIONS):
-        volts = _solve_linear(asm, clamped)
-        proposal = {}
-        for rb in asm.rail_branches:
-            if not math.isfinite(rb.resistance):
-                continue
-            i_lin = (rb.rail_volts - volts[rb.node]) / rb.resistance
-            i_sat = net.drivers[rb.row].model.i_sat
-            if abs(i_lin) > i_sat * _CLAMP_SLACK:
-                proposal[rb.key] = math.copysign(i_sat, i_lin)
-        if proposal == clamped:
+        volts, sources = _solve_linear(asm, g, clamp, rail_g)
+        i_lin = (asm.rail_volts - volts[asm.rail_node]) * rail_g
+        over = np.abs(i_lin) > asm.rail_isat * _CLAMP_SLACK
+        proposal = np.where(over, np.copysign(asm.rail_isat, i_lin), 0.0)
+        if np.array_equal(proposal, clamp):
             break
-        marker = frozenset(proposal.items())
+        marker = proposal.tobytes()
         if marker in seen_sets:
             raise ConvergenceError(
                 "saturation assignment oscillates; no consistent operating point"
             )
         seen_sets.add(marker)
-        clamped = proposal
+        clamp = proposal
     else:
         raise ConvergenceError("saturation iteration exceeded the step limit")
 
-    return _finish_solution(net, asm, volts, clamped)
+    return _finish_solution(asm, volts, sources, g, clamp, rail_g)
 
 
-def _finish_solution(net, asm, volts, clamped):
-    device_currents = {}
-    flow = {n: 0.0 for n in asm.nodes}  # net current into each node
+def _finish_solution(asm, volts, sources, g, clamp, rail_g):
+    net, core = asm.net, asm.core
+    n = core.n_nodes
+    va, vb = volts[core.edge_a], volts[core.edge_b]
+    edge_i = (va - vb) * g
+    ohmic = clamp == 0.0
+    rail_v = volts[asm.rail_node]
+    rail_i = np.where(ohmic, (asm.rail_volts - rail_v) * rail_g, clamp)
+    injection = asm.injection.copy()
+    injection[asm.reg_nodes] += sources
+    # net current into each node
+    flow = (
+        np.bincount(core.edge_b, edge_i, n)
+        - np.bincount(core.edge_a, edge_i, n)
+        + np.bincount(asm.rail_node, rail_i, n)
+        + injection
+    )
     # the conservation check is normalised by the gross magnitude of the
     # stamped terms, not the (possibly cancelled) net branch currents
-    gross = 0.0
-    for a, b, r, tag in asm.mesh_branches:
-        i = 0.0 if not math.isfinite(r) else (volts[a] - volts[b]) / r
-        if tag is not None:
-            device_currents[tag] = i
-        flow[a] -= i
-        flow[b] += i
-        if math.isfinite(r):
-            gross = max(gross, (abs(volts[a]) + abs(volts[b])) / r)
-
-    transistor_currents = {row: 0.0 for row in net.drivers}
-    for rb in asm.rail_branches:
-        if rb.key in clamped:
-            i = clamped[rb.key]
-        elif math.isfinite(rb.resistance):
-            i = (rb.rail_volts - volts[rb.node]) / rb.resistance
-            gross = max(gross, (abs(rb.rail_volts) + abs(volts[rb.node])) / rb.resistance)
-        else:
-            i = 0.0
-        transistor_currents[rb.row] += i
-        flow[rb.node] += i
-        gross = max(gross, abs(i))
-
-    for node, amps in asm.injections.items():
-        flow[node] += amps
-        gross = max(gross, abs(amps))
-
-    source_currents = {}
-    for line, lb in net.bias.items():
-        if lb.kind == "current":
-            source_currents[line] = lb.value
-        elif lb.kind in ("voltage", "ground"):
-            # an ideal source supplies whatever the node fails to balance
-            source_currents[line] = -flow[asm.terminals[line]]
-
-    scale = max(gross, 1e-12)
-    residual = max(
-        (abs(flow[n]) for n in asm.nodes if n not in asm.fixed), default=0.0
+    gross = max(
+        np.max((np.abs(va) + np.abs(vb)) * g, initial=0.0),
+        np.max(((np.abs(asm.rail_volts) + np.abs(rail_v)) * rail_g)[ohmic], initial=0.0),
+        np.max(np.abs(rail_i), initial=0.0),
+        np.max(np.abs(injection), initial=0.0),
     )
-    kcl_residual = residual / scale
+    free = np.ones(n, dtype=bool)
+    free[asm.fixed] = False
+    kcl_residual = float(np.max(np.abs(flow[free]), initial=0.0) / max(gross, 1e-12))
     if kcl_residual > _KCL_LIMIT:
         raise InvariantError(
             f"current conservation violated: relative residual {kcl_residual:.3e}"
         )
 
-    line_voltages = {line: volts[t] for line, t in asm.terminals.items()}
+    currents = edge_i[: len(core.tags)]
+    miss = np.abs(currents[asm.reg_cells] - asm.reg_targets)
+    if np.any(miss > _REG_TOL * np.abs(asm.reg_targets)):
+        raise ConvergenceError("write-drive regulation did not settle")
+
+    source_currents = dict(zip(asm.regulated, sources.tolist()))
+    for line, lb in net.bias.items():
+        if lb.kind == "current":
+            source_currents[line] = lb.value
+        elif lb.kind in ("voltage", "ground"):
+            # an ideal source supplies whatever the node fails to balance
+            source_currents[line] = -float(flow[core.terminal[core.line_index[line]]])
+
+    per_row = rail_i.reshape(-1, 2).sum(axis=1)  # pull-up plus pull-down
     return NetworkSolution(
-        line_voltages=line_voltages,
-        node_voltages=volts,
-        device_currents=device_currents,
-        transistor_currents=transistor_currents,
+        core=core,
+        volts=volts,
+        currents=currents,
+        transistor_currents=dict(zip(asm.driver_rows, per_row.tolist())),
         source_currents=source_currents,
-        clamped=frozenset(row for row, _rail in clamped),
+        clamped=frozenset(asm.driver_rows[r // 2] for r in np.flatnonzero(~ohmic)),
         kcl_residual=kcl_residual,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSolution:
-    line_voltages: dict
-    node_voltages: dict
-    device_currents: dict
+    """Operating point: node potentials and device currents in core order."""
+
+    core: NodalCore
+    volts: np.ndarray
+    currents: np.ndarray
     transistor_currents: dict
     source_currents: dict
     clamped: frozenset
     kcl_residual: float
+
+    @cached_property
+    def device_currents(self):
+        return dict(zip(self.core.tags, self.currents.tolist()))
+
+    @cached_property
+    def line_voltages(self):
+        return dict(zip(self.core.lines, self.volts[self.core.terminal].tolist()))
+
+    @cached_property
+    def node_voltages(self):
+        """Keyed by line, or by (line, crossing position) with wire resistance."""
+        core = self.core
+        if core.line_resistance == 0.0:
+            return dict(zip(core.lines, self.volts.tolist()))
+        position = (np.arange(core.n_nodes) - core.terminal[core.node_line]).tolist()
+        lines = [core.lines[line] for line in core.node_line.tolist()]
+        return dict(zip(zip(lines, position), self.volts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -465,37 +517,14 @@ def equivalent_resistance(net, line_a, line_b):
     """
     if line_a == line_b:
         return 0.0
-    asm = build_network(net)
-    a = asm.terminals[line_a]
-    b = asm.terminals[line_b]
-
-    adjacency = {n: [] for n in asm.nodes}
-    for u, v, r, _tag in asm.mesh_branches:
-        if math.isfinite(r):
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-    seen = {a}
-    stack = [a]
-    while stack:
-        n = stack.pop()
-        for other in adjacency[n]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    if b not in seen:
+    core = net.core
+    a, b = (core.terminal[core.line_index[line]] for line in (line_a, line_b))
+    if core.labels[a] != core.labels[b]:
         return math.inf
-
-    component = [n for n in asm.nodes if n in seen]
-    probe = AssembledNetwork(
-        net=net,
-        nodes=component,
-        terminals=asm.terminals,
-        fixed={b: 0.0},
-        injections={a: 1.0},
-        mesh_branches=[
-            br for br in asm.mesh_branches if br[0] in seen and br[1] in seen
-        ],
-        rail_branches=[],
-    )
-    volts = _solve_linear(probe, {})
-    return volts[a]
+    g = 1.0 / np.concatenate([net.resistance, core.wire_r])
+    matrix = core.nodal_matrix(g, np.zeros(core.n_nodes))
+    rhs = np.zeros((core.n_nodes, 1))
+    rhs[a, 0] = 1.0
+    # nodes off the shared component carry no current: pin them with b
+    pinned = np.flatnonzero((core.labels != core.labels[a]) | (np.arange(core.n_nodes) == b))
+    return float(_solve_dirichlet(matrix, rhs, pinned, 0.0)[a, 0])

@@ -44,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .device import MtjState, critical_current, switching_delay, switching_step
+from .device import MtjState, switching_delay, switching_step
 from .errors import (
     ConvergenceError,
     IndeterminateReadError,
@@ -79,8 +79,6 @@ __all__ = [
     "write_self_enable",
 ]
 
-_REG_TOL = 1e-10
-_MAX_REG_ITERATIONS = 60
 _TIE_REL = 1e-6
 LN2 = math.log(2.0)
 
@@ -228,48 +226,17 @@ def select_word(array, word_addr, phase):
 # -- regulated solving -----------------------------------------------------
 
 
-def _regulated_solve(array, bias, drivers, targets):
-    """Adjust source magnitudes until each addressed cell carries its target.
+def _regulated_solve(array, drivers, targets):
+    """Drive each addressed cell at its target through a regulated source.
 
-    ``targets`` maps segment -> (cell tag, target current). ``bias`` holds
-    everything else; the segments in ``targets`` get current sources.
-
-    For a fixed set of clamped selectors the network is affine in the
-    injected currents, so a probed-Jacobian Newton step lands on the
-    solution exactly; extra iterations only happen when a step moves a
-    selector across its saturation boundary.
+    ``targets`` maps segment -> (cell tag, target current); every other
+    line floats. The solver forms the exact transfer resistances from its
+    own factorisation (see :mod:`xpointsim.network`), re-solving only when
+    a selector saturates, and checks each cell within 1e-10 relative.
     """
-    segs = list(targets)
-    i_t = np.array([targets[seg][1] for seg in segs])
-
-    def solve_with(vec):
-        full_bias = dict(bias)
-        for seg, amps in zip(segs, vec):
-            full_bias[seg] = LineBias.current(float(amps))
-        sol = solve_network(array.to_network(full_bias, drivers))
-        cells = np.array([sol.device_currents[targets[seg][0]] for seg in segs])
-        return sol, cells
-
-    probe_step = 1e-4 * float(np.max(np.abs(i_t)))
-    s = i_t.copy()
-    sol, cells = solve_with(s)
-    for _ in range(_MAX_REG_ITERATIONS):
-        if np.all(np.abs(cells - i_t) <= _REG_TOL * np.abs(i_t)):
-            return sol, {seg: float(v) for seg, v in zip(segs, s)}
-        jac = np.empty((len(segs), len(segs)))
-        for k in range(len(segs)):
-            nudged = s.copy()
-            nudged[k] += probe_step
-            _, probed = solve_with(nudged)
-            jac[:, k] = (probed - cells) / probe_step
-        try:
-            s = s + np.linalg.solve(jac, i_t - cells)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(
-                "write-drive regulation lost authority over an addressed cell"
-            ) from None
-        sol, cells = solve_with(s)
-    raise ConvergenceError("write-drive regulation did not settle")
+    bias = {seg: LineBias.regulated(tag, amps) for seg, (tag, amps) in targets.items()}
+    sol = solve_network(array.to_network(bias, drivers))
+    return sol, {seg: sol.source_currents[seg] for seg in targets}
 
 
 # -- trace assembly --------------------------------------------------------
@@ -377,35 +344,31 @@ def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s=Non
     ideal_drive = len(pending) * array.write_current
     phase_sources = {}
     phase_supply = 0.0
-    first_solve = True
     reported_disturb = set()
     guard = 0
     while pending:
         guard += 1
         if guard > 4 * array.n_bits + 16:
             raise ConvergenceError(f"{label}: switching cascade did not terminate")
-        sol, sources = _regulated_solve(
-            array, {}, selected.drivers, targets_for(pending)
-        )
-        if first_solve:
+        sol, sources = _regulated_solve(array, selected.drivers, targets_for(pending))
+        supply = sum(abs(v) for v in sources.values())
+        if not phase_sources:
             # reported phase numbers: captured with every pending source on
-            phase_sources = dict(sources)
-            phase_supply = sum(abs(v) for v in sources.values())
-            first_solve = False
-        trace.sample(sol.source_currents, sum(abs(v) for v in sources.values()))
+            phase_sources, phase_supply = dict(sources), supply
+        trace.sample(sol.source_currents, supply)
 
+        # only supra-threshold cells can switch or make progress
+        over = np.flatnonzero(np.abs(sol.currents) > array.critical_currents)
+        hot = [(array.cell_keys[k], float(sol.currents[k])) for k in over]
         # schedule the next flip among destabilised junctions
         flips = []
-        for cell_row, seg, dev in array.cells():
-            tag = array.tag(cell_row, seg)
-            i = sol.device_currents[tag]
-            i_c = critical_current(dev.params)
-            if abs(i) <= i_c:
-                continue
+        for (cell_row, seg), i in hot:
+            dev = array.device_at(cell_row, seg)
             drives_flip = (i > 0.0) == (dev.state is MtjState.P)
             if not drives_flip:
                 continue
             if array.is_reference_row(cell_row):
+                tag = array.tag(cell_row, seg)
                 if tag not in reported_disturb:
                     reported_disturb.add(tag)
                     trace.event("disturb", tag, i)
@@ -421,12 +384,11 @@ def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s=Non
             )
 
         dt = min(f[0] for f in flips) * (1.0 + 1e-12)
-        supply_now = sum(abs(v) for v in sources.values())
-        trace.densify(trace.t + dt, sol.source_currents, supply_now, drive.sample_dt_s)
-        for cell_row, seg, dev in list(array.cells()):
+        trace.densify(trace.t + dt, sol.source_currents, supply, drive.sample_dt_s)
+        for (cell_row, seg), i in hot:
             if array.is_reference_row(cell_row):
                 continue
-            i = sol.device_currents[array.tag(cell_row, seg)]
+            dev = array.device_at(cell_row, seg)
             stepped = switching_step(dev, i, dt, array.dynamics)
             if stepped is not dev:
                 array.set_device(cell_row, seg, stepped)
@@ -610,13 +572,13 @@ def _read_solution(array, word_addr, drive, driven_bits=None):
 
 
 def _assert_no_read_disturb(array, sol):
-    for row, seg, dev in array.cells():
-        i = sol.device_currents[array.tag(row, seg)]
-        if abs(i) >= critical_current(dev.params):
-            raise ReadDisturbError(
-                f"read current {abs(i) * 1e6:.1f} uA reaches the switching "
-                f"threshold of {array.tag(row, seg)}"
-            )
+    over = np.flatnonzero(np.abs(sol.currents) >= array.critical_currents)
+    if over.size:
+        i = float(sol.currents[over[0]])
+        raise ReadDisturbError(
+            f"read current {abs(i) * 1e6:.1f} uA reaches the switching "
+            f"threshold of {array.tag(*array.cell_keys[over[0]])}"
+        )
 
 
 def _read_currents_by_segment(array, word_addr, sense):
@@ -775,7 +737,7 @@ def serial_sneak_profile(array, word_addr, bit, bit_value="1", drive=None):
         for j in others[n_floating:]:
             s = array.host_segment(word_addr, j)
             targets[s] = (array.tag(row, s), sign * array.write_current)
-        _sol, sources = _regulated_solve(array, {}, selected.drivers, targets)
+        _sol, sources = _regulated_solve(array, selected.drivers, targets)
         profile.append((n_floating, abs(sources[seg])))
     return profile
 

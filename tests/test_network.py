@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from oracle import branch_current, solve_nodes
+from xpointsim.array import CrossbarArray
 from xpointsim.device import MtjParams, MtjState, TransistorModel, mtj_resistance
 from xpointsim.network import (
     CrossbarNetwork,
@@ -26,6 +27,7 @@ from xpointsim.network import (
     sneak_decomposition,
     solve_network,
 )
+from xpointsim.ops import select_word
 
 PARAMS = MtjParams()
 R_P = mtj_resistance(MtjState.P, PARAMS)
@@ -214,6 +216,24 @@ class TestOracleEquivalence:
                 assert b.device_currents[tag] == pytest.approx(2.0 * i, rel=1e-9, abs=1e-15)
 
 
+# the single connectivity check, with and without line expansion, and with
+# every row tied to the rails through switches that are off and truly open
+OPEN_DRIVER = RowDriver(model=TransistorModel(r_on=1e3, r_off=math.inf, i_sat=1e-3))
+connectivity_cases = pytest.mark.parametrize(
+    "line_resistance, open_drivers",
+    [(0.0, False), (5.0, False), (0.0, True), (5.0, True)],
+    ids=["bare", "wired", "bare-open-drivers", "wired-open-drivers"],
+)
+
+
+def connectivity_network(bias, line_resistance, open_drivers, skip=()):
+    drivers = {f"w{i}": OPEN_DRIVER for i in range(2)} if open_drivers else None
+    return grid_network(
+        [["P", "P"], ["P", "P"]], bias, drivers=drivers,
+        line_resistance=line_resistance, skip=skip,
+    )
+
+
 class TestAssembly:
     def test_parallel_read_unknown_count(self):
         # 4x4, selected word grounded, every bit line driven: 3 floating words
@@ -228,18 +248,21 @@ class TestAssembly:
         net = grid_network([["P"] * 4 for _ in range(4)], bias)
         assert build_network(net).unknown_count == 6
 
-    def test_all_floating_is_singular(self):
-        net = grid_network([["P", "P"], ["P", "P"]], {})
+    @connectivity_cases
+    def test_all_floating_is_singular(self, line_resistance, open_drivers):
+        net = connectivity_network({}, line_resistance, open_drivers)
         with pytest.raises(SingularNetworkError):
             solve_network(net)
 
-    def test_isolated_line_named_in_error(self):
-        net = grid_network(
-            [["P", "P"], ["P", "P"]],
+    @connectivity_cases
+    def test_isolated_line_named_in_error(self, line_resistance, open_drivers):
+        net = connectivity_network(
             {"b0": LineBias.voltage(0.3)},
+            line_resistance,
+            open_drivers,
             skip={(0, 1), (1, 1)},
         )
-        with pytest.raises(SingularNetworkError, match="b1"):
+        with pytest.raises(SingularNetworkError, match="no conduction path .* from: b1$"):
             solve_network(net)
 
 
@@ -310,8 +333,9 @@ class TestSneakStructure:
         net = grid_network([["AP"]], {})
         assert equivalent_resistance(net, "b0", "w0") == pytest.approx(R_AP, rel=1e-12)
 
-    def test_disconnected_is_infinite(self):
-        net = grid_network([["P", "P"], ["P", "P"]], {}, skip={(0, 1), (1, 1)})
+    @connectivity_cases
+    def test_disconnected_is_infinite(self, line_resistance, open_drivers):
+        net = connectivity_network({}, line_resistance, open_drivers, skip={(0, 1), (1, 1)})
         assert equivalent_resistance(net, "b1", "w0") == math.inf
 
     def test_reciprocity(self):
@@ -369,6 +393,35 @@ class TestSneakStructure:
         rep = sneak_decomposition(net, sol, "w0", "b0")
         values = list(rep.per_path.values())
         assert all(v == pytest.approx(values[0], rel=1e-9) for v in values)
+
+
+class TestRegulatedSources:
+    def test_regulated_write_drive_matches_oracle(self):
+        # a parallel '1' write on a wired balanced array: at the source
+        # currents the solver returns, the independent elimination must see
+        # every addressed cell carry the write current
+        arr = CrossbarArray(4, 4, line_resistance=1.0)
+        arr.set_word(0, "0110")
+        arr.set_word(2, "1011")
+        drivers = select_word(arr, 1, "1").drivers
+        cells = {arr.host_segment(1, j): arr.tag("w1", arr.host_segment(1, j)) for j in range(4)}
+        bias = {seg: LineBias.regulated(tag, arr.write_current) for seg, tag in cells.items()}
+        sol = solve_network(arr.to_network(bias, drivers))
+        fixed_drive = {seg: LineBias.current(sol.source_currents[seg]) for seg in cells}
+        net = arr.to_network(fixed_drive, drivers)
+        resistors, fixed, injected = oracle_description(net)
+        volts = solve_nodes(resistors, fixed, injected)
+        crossings = {line: [] for line in net.rows + net.cols}
+        for b in net.branches:
+            crossings[b.row].append(b.col)
+            crossings[b.col].append(b.row)
+        for b in net.branches:
+            if b.tag not in cells.values():
+                continue
+            col_node = (b.col, crossings[b.col].index(b.row))
+            row_node = (b.row, crossings[b.row].index(b.col))
+            current = branch_current(volts, col_node, row_node, b.resistance)
+            assert current == pytest.approx(arr.write_current, rel=1e-10, abs=0.0), b.tag
 
 
 class TestSourceBookkeeping:

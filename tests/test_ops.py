@@ -43,6 +43,17 @@ def fresh(n_bits=4, m_words=4, **kw):
     return CrossbarArray(n_bits, m_words, **kw)
 
 
+def complement(vector):
+    return "".join("1" if c == "0" else "0" for c in vector)
+
+
+# every write mode, with and without 1 ohm of wire per segment; the ids of
+# the cases without wire resistance are the bare mode names
+MODES_AND_WIRES = [pytest.param(m, 0.0, id=str(m)) for m in WriteMode] + [
+    pytest.param(m, 1.0, id=f"{m}-1ohm") for m in WriteMode
+]
+
+
 # -- request validation ------------------------------------------------------
 
 
@@ -66,13 +77,10 @@ def test_select_word_rejects_unknown_phase():
 # -- round trips -------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "mode",
-    [WriteMode.PARALLEL, WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL],
-)
-def test_round_trip_all_vectors(mode):
+@pytest.mark.parametrize("mode, line_resistance", MODES_AND_WIRES)
+def test_round_trip_all_vectors(mode, line_resistance):
     for vector in ALL_VECTORS:
-        arr = fresh()
+        arr = fresh(line_resistance=line_resistance)
         write_word(arr, WriteRequest(1, vector, mode), DriveConfig())
         assert read_word(arr, 1).bits == vector
         # neighbours keep their reset state: no write disturb at this size
@@ -80,16 +88,12 @@ def test_round_trip_all_vectors(mode):
             assert arr.get_word(other) == "0000"
 
 
-@pytest.mark.parametrize(
-    "mode",
-    [WriteMode.PARALLEL, WriteMode.SERIAL, WriteMode.SELF_ENABLE_PARALLEL],
-)
-def test_round_trip_overwriting_complement(mode):
+@pytest.mark.parametrize("mode, line_resistance", MODES_AND_WIRES)
+def test_round_trip_overwriting_complement(mode, line_resistance):
     drive = DriveConfig()
     for vector in ALL_VECTORS:
-        arr = fresh()
-        complement = "".join("1" if c == "0" else "0" for c in vector)
-        arr.set_word(2, complement)
+        arr = fresh(line_resistance=line_resistance)
+        arr.set_word(2, complement(vector))
         write_word(arr, WriteRequest(2, vector, mode), drive)
         assert arr.get_word(2) == vector
         assert read_word(arr, 2).bits == vector
@@ -156,6 +160,26 @@ def test_switch_events_name_the_written_cells():
     flipped = {e.device for e in trace.events if e.kind == "switch"}
     assert flipped == {"w0:b0e", "w0:b3e"}
     assert not [e for e in trace.events if e.kind == "disturb-switch"]
+
+
+def test_wired_parallel_phase_flips_its_cells_in_one_step():
+    # the regulated sources hold every addressed cell at exactly the write
+    # current, so the cells of one phase share one switching delay and flip
+    # together; a regulation error of 1e-10 relative would already split a
+    # phase into several flips ~1e-19 s apart, each with its own solve
+    drive = DriveConfig()
+    for vector in ALL_VECTORS:
+        arr = fresh(line_resistance=1.0)
+        arr.set_word(1, complement(vector))
+        trace = write_word_parallel(arr, WriteRequest(1, vector, WriteMode.PARALLEL), drive)
+        for phase in trace.phases:
+            stamps = {
+                e.t for e in trace.events
+                if e.kind == "switch" and phase.t_start < e.t <= phase.t_end
+            }
+            assert len(stamps) == 1, (vector, phase.label)
+        ideal_end = drive.setup_time_s + TAU
+        assert trace.phases[0].t_end == pytest.approx(ideal_end, rel=1e-12, abs=0.0), vector
 
 
 def test_trace_has_balanced_phase_markers():
