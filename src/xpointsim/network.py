@@ -10,8 +10,15 @@ which is exactly what is needed to see where sneak currents go.
 
 The topology is compiled once into integer index arrays, a
 :class:`NodalCore`; between solves only conductances, biases and drivers
-change. A solve scatters branch conductances into a dense nodal matrix,
-imposes fixed potentials as Dirichlet rows and factors it once.
+change. Row nodes at even positions along their chain (every row node
+without wire resistance) touch only column nodes and the odd nodes of
+their own row, so they form an independent set and their block of the
+nodal matrix is diagonal. A solve eliminates them first: it scatters the
+Schur complement ``S = G_KK - W^T diag(1/D) W`` over the kept nodes only,
+imposes fixed kept potentials as Dirichlet rows, factors ``S`` once and
+back-substitutes the eliminated potentials ``x_E = (b_E + W x_K) / D``. A
+pinned eliminated node keeps its potential, adds no fill and moves its
+branch currents to the right-hand side.
 
 Transistor saturation makes the system piecewise linear. The solver
 iterates on the set of saturated switches: solve, clamp any switch whose
@@ -68,6 +75,8 @@ _CLAMP_SLACK = 1.0 + 1e-12
 _MAX_CLAMP_ITERATIONS = 100
 _KCL_LIMIT = 1e-9
 _REG_TOL = 1e-10
+# fill products formed at once; an eliminated row of a w-bit word has w * w
+_FILL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,6 +96,8 @@ class LineBias:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ParameterError(f"bias kind: unknown value {self.kind!r}")
+        if not math.isfinite(self.value):
+            raise ParameterError(f"bias value: must be finite, got {self.value!r}")
         if (self.kind == "regulated") != (self.cell is not None):
             raise ParameterError("bias cell: names the branch of a regulated source only")
 
@@ -143,6 +154,11 @@ def _component_labels(n_nodes, a, b):
         labels = lower
 
 
+def _pair_index(lane_k, nk):
+    """Flat targets in an nk x nk matrix of every pair of lanes of each row of ``lane_k``."""
+    return (lane_k[:, :, None] * nk + lane_k[:, None, :]).ravel()
+
+
 class NodalCore:
     """Integer-indexed topology of one mesh; independent of any drive.
 
@@ -151,10 +167,15 @@ class NodalCore:
     ``cell_col[k]`` on its column to node ``cell_row[k]`` on its row. Mesh
     edges are the branches followed by the wire segments. Branches of
     infinite resistance are open for the lifetime of the core.
+
+    Nodes split into the eliminated block E (``elim``) and the kept block K
+    (``kept``); ``slot`` numbers each node within its block. Each E node's
+    edges, all to K nodes, sit in one row of the ``lane_*`` arrays.
     """
 
     def __init__(self, rows, cols, crossings, tags, line_resistance, resistance):
         self.rows, self.cols = list(rows), list(cols)
+        self.row_set = frozenset(self.rows)
         self.lines = self.rows + self.cols
         self.line_index = {line: k for k, line in enumerate(self.lines)}
         self.crossings = list(crossings)
@@ -186,16 +207,110 @@ class NodalCore:
         self.wire_r = np.full(len(wire), float(line_resistance))
         a = self.edge_a = np.concatenate([self.cell_col, wire])
         b = self.edge_b = np.concatenate([self.cell_row, wire + 1])
-        diagonal = np.arange(n) * (n + 1)
-        self._scatter = np.concatenate([a * n + a, b * n + b, a * n + b, b * n + a, diagonal])
         live = np.isfinite(np.concatenate([resistance, self.wire_r]))
         self.labels = _component_labels(n, a[live], b[live])
 
-    def nodal_matrix(self, g, shunt):
-        """Dense nodal matrix of edge conductances ``g`` plus a shunt at each node."""
-        n = self.n_nodes
-        weights = np.concatenate([g, g, -g, -g, shunt])
-        return np.bincount(self._scatter, weights, n * n).reshape(n, n)
+        # E: row nodes at even chain positions, an independent set, so
+        # every edge has at most one end in E
+        position = np.arange(n) - self.terminal[self.node_line]
+        self.is_elim = (self.node_line < len(self.rows)) & (position % 2 == 0)
+        self.elim, self.kept = np.flatnonzero(self.is_elim), np.flatnonzero(~self.is_elim)
+        ne, nk = len(self.elim), len(self.kept)
+        self.slot = np.empty(n, dtype=np.intp)
+        self.slot[self.elim] = np.arange(ne)
+        self.slot[self.kept] = np.arange(nk)
+        a_elim = self.is_elim[a]
+        cross = a_elim | self.is_elim[b]
+        self.inner = np.flatnonzero(~cross)
+        # the cross edges of each eliminated node, one lane each, padded to
+        # the largest degree with lanes of zero weight that point at slot 0
+        cross_e = self.slot[np.where(a_elim, a, b)[cross]]
+        cross_k = self.slot[np.where(a_elim, b, a)[cross]]
+        degree = np.bincount(cross_e, minlength=ne)
+        order = np.argsort(cross_e, kind="stable")
+        e_of = cross_e[order]
+        lane = np.arange(len(order)) - (np.cumsum(degree) - degree)[e_of]
+        width = int(degree.max(initial=0))
+        self.lane_edge = np.zeros((ne, width), dtype=np.intp)
+        self.lane_k = np.zeros((ne, width), dtype=np.intp)
+        self.lane_live = np.zeros((ne, width))
+        self.lane_edge[e_of, lane] = np.flatnonzero(cross)[order]
+        self.lane_k[e_of, lane] = cross_k[order]
+        self.lane_live[e_of, lane] = 1.0
+        # targets in the flattened S: edges within K stamp as usual, each
+        # lane adds its conductance to the diagonal of its K node, and each
+        # pair of lanes of one E node adds its fill; the fill goes in blocks
+        # of E nodes, and only the first block's targets are kept here
+        ia, ib, k = self.slot[a[~cross]], self.slot[b[~cross]], self.lane_k
+        self._fill_rows = max(1, _FILL_BLOCK // max(width * width, 1))
+        self._schur_index = np.concatenate([
+            ia * nk + ia, ib * nk + ib, ia * nk + ib, ib * nk + ia,
+            (k * (nk + 1)).ravel(), _pair_index(k[: self._fill_rows], nk),
+        ])
+        self._flat = {}
+
+    def pins(self, nodes, volts):
+        """Split pinned ``nodes`` and their ``volts`` into the E and K blocks."""
+        in_e = self.is_elim[nodes]
+        return (
+            self.slot[nodes[in_e]], volts[in_e], self.slot[nodes[~in_e]], volts[~in_e]
+        )
+
+    def solve(self, g, shunt, rhs_e, rhs_k, pins):
+        """Potentials of every node, one column per right-hand side.
+
+        ``g`` holds the edge conductances, ``shunt`` a conductance to 0 V
+        at each eliminated node, ``rhs_e`` and ``rhs_k`` the currents
+        injected at the eliminated and kept nodes. Pinned nodes (from
+        :meth:`pins`) sit at their volts in column 0 and at 0 V in the rest.
+        """
+        ne, nk = len(self.elim), len(self.kept)
+        pin_e, volts_e, pin_k, volts_k = pins
+        lanes = g[self.lane_edge] * self.lane_live
+        d = lanes.sum(axis=1) + shunt
+        d[pin_e] = 1.0  # a pinned node: 1/D = 0 below, so it adds no fill
+        if not (d.min(initial=math.inf) > 0.0 and d.max(initial=0.0) < math.inf):
+            raise SingularNetworkError("nodal matrix is singular: a row pivot is zero or not finite")
+        inv_d = 1.0 / d
+        inv_d[pin_e] = 0.0
+        # S = G_KK - W^T diag(1/D) W; the fill of one eliminated node is
+        # the outer product of its lane conductances over D, formed a block
+        # of nodes at a time so that wide words never hold all of it at once
+        scaled, step = lanes * -inv_d[:, None], self._fill_rows
+        fill = scaled[:step, :, None] * lanes[:step, None, :]
+        g_i = g[self.inner]
+        neg_i = -g_i
+        weights = np.concatenate((g_i, g_i, neg_i, neg_i, lanes.ravel(), fill.ravel()))
+        schur = np.bincount(self._schur_index, weights, nk * nk)
+        for lo in range(step, ne, step):
+            block = slice(lo, lo + step)
+            fill = scaled[block, :, None] * lanes[block, None, :]
+            np.add.at(schur, _pair_index(self.lane_k[block], nk), fill.ravel())
+        schur = schur.reshape(nk, nk)
+        # y = b_E / D, or a pinned node's volts; the kept nodes see b_K + W^T y
+        y = rhs_e * inv_d[:, None]
+        y[pin_e, 0] = volts_e
+        cols = y.shape[1]
+        pushed = (lanes[:, :, None] * y[:, None, :]).ravel()
+        rhs = rhs_k + np.bincount(self._flat_index(cols), pushed, nk * cols).reshape(nk, cols)
+        schur[pin_k] = 0.0
+        schur[pin_k, pin_k] = 1.0
+        rhs[pin_k] = 0.0
+        rhs[pin_k, 0] = volts_k
+        try:
+            x_k = np.linalg.solve(schur, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
+        x = np.empty((self.n_nodes, cols))  # x_E = y + (W x_K) / D
+        x[self.elim] = y + inv_d[:, None] * np.matmul(lanes[:, None, :], x_k[self.lane_k])[:, 0]
+        x[self.kept] = x_k
+        return x
+
+    def _flat_index(self, cols):
+        """Kept-node slot of every lane and column, flattened, built once per column count."""
+        if cols not in self._flat:
+            self._flat[cols] = (self.lane_k[:, :, None] * cols + np.arange(cols)).ravel()
+        return self._flat[cols]
 
 
 class CrossbarNetwork:
@@ -245,9 +360,9 @@ class CrossbarNetwork:
                 raise ParameterError(f"bias: unknown line {line!r}")
             if lb.kind == "regulated" and lb.cell not in core.tag_index:
                 raise ParameterError(f"bias {line!r}: unknown cell {lb.cell!r}")
-        for row in drivers:
-            if core.line_index.get(row, len(core.rows)) >= len(core.rows):
-                raise ParameterError(f"driver: {row!r} is not a row")
+        if not core.row_set.issuperset(drivers):
+            row = next(row for row in drivers if row not in core.row_set)
+            raise ParameterError(f"driver: {row!r} is not a row")
         self.core = core
         self.resistance = resistance
         self.drivers = drivers
@@ -270,17 +385,20 @@ class CrossbarNetwork:
 class AssembledNetwork:
     """A network's bias and drivers bound to node indices, ready to solve.
 
-    Rails come in pairs per driver row, pull-up first.
+    Rails come in pairs per driver row, pull-up first; they attach at row
+    terminals, which are always eliminated nodes.
     """
 
     def __init__(self, net):
         core = self.core = net.core
         self.net = net
         fixed, volts, self.regulated, cells, targets = [], [], [], [], []
+        self.fixed_lines = []  # the line of each entry of self.fixed
         self.injection = np.zeros(core.n_nodes)  # amps from plain current sources
         for line, lb in net.bias.items():
             node = core.terminal[core.line_index[line]]
             if lb.kind in ("voltage", "ground"):
+                self.fixed_lines.append(line)
                 fixed.append(node)
                 volts.append(lb.value if lb.kind == "voltage" else 0.0)
             elif lb.kind == "current":
@@ -289,19 +407,34 @@ class AssembledNetwork:
                 self.regulated.append(line)
                 cells.append(core.tag_index[lb.cell])
                 targets.append(lb.value)
+        k = len(self.regulated)
         self.fixed = np.array(fixed, dtype=np.intp)
-        self.fixed_volts = np.array(volts)
+        self.pins = core.pins(self.fixed, np.array(volts))
         self.reg_nodes = core.terminal[[core.line_index[line] for line in self.regulated]]
         self.reg_cells = np.array(cells, dtype=np.intp)
         self.reg_targets = np.array(targets)
+        # column 0 is the base drive, column 1 + j a unit injection at regulated line j
+        rhs = np.zeros((core.n_nodes, 1 + k))
+        rhs[:, 0] = self.injection
+        rhs[self.reg_nodes, 1 + np.arange(k)] = 1.0
+        self.rhs_e, self.rhs_k = rhs[core.elim], rhs[core.kept]
+
+        # one table entry per distinct driver object, which rows mostly share
         self.driver_rows = list(net.drivers)
-        drivers = net.drivers.values()
-        gates = [(d.model, on) for d in drivers for on in (d.pmos_on, d.nmos_on)]
-        self.rail_r = np.array([m.r_on if on else m.r_off for m, on in gates], dtype=float)
-        self.rail_isat = np.array([m.i_sat for m, _ in gates], dtype=float)
-        rows = [core.line_index[r] for r in self.driver_rows]
+        drivers = list(net.drivers.values())
+        ids = list(map(id, drivers))
+        kinds = dict(zip(ids, drivers))
+        table = np.array([
+            [(d.model.r_on if on else d.model.r_off, d.model.i_sat, rail)
+             for on, rail in ((d.pmos_on, net.v_dd), (d.nmos_on, 0.0))]
+            for d in kinds.values()
+        ]).reshape(-1, 2, 3)
+        kind_of = {key: j for j, key in enumerate(kinds)}
+        which = np.fromiter(map(kind_of.__getitem__, ids), np.intp, len(ids))
+        self.rail_r, self.rail_isat, self.rail_volts = table[which].reshape(-1, 3).T
+        rows = np.fromiter(map(core.line_index.__getitem__, self.driver_rows), np.intp)
         self.rail_node = np.repeat(core.terminal[rows], 2)
-        self.rail_volts = np.tile([net.v_dd, 0.0], len(rows))
+        self.rail_slot = core.slot[self.rail_node]
         self.unknown_count = core.n_nodes - len(self.fixed)
 
 
@@ -324,29 +457,16 @@ def _check_anchored(asm):
         )
 
 
-def _solve_dirichlet(matrix, rhs, fixed, volts):
-    """Solve in place, fixed nodes pinned at ``volts`` in the first rhs column, 0 V in the rest."""
-    matrix[fixed] = 0.0
-    matrix[fixed, fixed] = 1.0
-    rhs[fixed] = 0.0
-    rhs[fixed, 0] = volts
-    try:
-        return np.linalg.solve(matrix, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
-
-
 def _solve_linear(asm, g, clamp, rail_g):
     """Node potentials and regulated source currents for one saturated set."""
     core = asm.core
-    n, k = core.n_nodes, len(asm.regulated)
+    ne = len(core.elim)
     ohmic_g = np.where(clamp == 0.0, rail_g, 0.0)
-    matrix = core.nodal_matrix(g, np.bincount(asm.rail_node, ohmic_g, n))
-    rhs = np.zeros((n, 1 + k))
-    rhs[:, 0] = asm.injection + np.bincount(asm.rail_node, ohmic_g * asm.rail_volts + clamp, n)
-    rhs[asm.reg_nodes, 1 + np.arange(k)] = 1.0
-    x = _solve_dirichlet(matrix, rhs, asm.fixed, asm.fixed_volts)
-    if not k:
+    rhs_e = asm.rhs_e.copy()
+    rhs_e[:, 0] += np.bincount(asm.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
+    shunt = np.bincount(asm.rail_slot, ohmic_g, ne)
+    x = core.solve(g, shunt, rhs_e, asm.rhs_k, asm.pins)
+    if not asm.regulated:
         return x[:, 0], np.zeros(0)
     # columns: target-cell currents at the base drive, then per unit injection
     cells, r = asm.reg_cells, asm.net.resistance[asm.reg_cells, None]
@@ -398,7 +518,8 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     rail_i = np.where(ohmic, (asm.rail_volts - rail_v) * rail_g, clamp)
     injection = asm.injection.copy()
     injection[asm.reg_nodes] += sources
-    # net current into each node
+    # net current into each node, over the full edge set, so the check is
+    # independent of the elimination
     flow = (
         np.bincount(core.edge_b, edge_i, n)
         - np.bincount(core.edge_a, edge_i, n)
@@ -408,38 +529,36 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     # the conservation check is normalised by the gross magnitude of the
     # stamped terms, not the (possibly cancelled) net branch currents
     gross = max(
-        np.max((np.abs(va) + np.abs(vb)) * g, initial=0.0),
-        np.max(((np.abs(asm.rail_volts) + np.abs(rail_v)) * rail_g)[ohmic], initial=0.0),
-        np.max(np.abs(rail_i), initial=0.0),
-        np.max(np.abs(injection), initial=0.0),
+        ((np.abs(va) + np.abs(vb)) * g).max(initial=0.0),
+        ((np.abs(asm.rail_volts) + np.abs(rail_v)) * rail_g)[ohmic].max(initial=0.0),
+        np.abs(rail_i).max(initial=0.0),
+        np.abs(injection).max(initial=0.0),
     )
-    free = np.ones(n, dtype=bool)
-    free[asm.fixed] = False
-    kcl_residual = float(np.max(np.abs(flow[free]), initial=0.0) / max(gross, 1e-12))
-    if kcl_residual > _KCL_LIMIT:
+    source_flow = flow[asm.fixed]
+    flow[asm.fixed] = 0.0
+    kcl_residual = float(np.abs(flow).max(initial=0.0) / max(gross, 1e-12))
+    # written so that a NaN fails every check
+    if not kcl_residual <= _KCL_LIMIT:
         raise InvariantError(
             f"current conservation violated: relative residual {kcl_residual:.3e}"
         )
 
     currents = edge_i[: len(core.tags)]
     miss = np.abs(currents[asm.reg_cells] - asm.reg_targets)
-    if np.any(miss > _REG_TOL * np.abs(asm.reg_targets)):
+    if not np.all(miss <= _REG_TOL * np.abs(asm.reg_targets)):
         raise ConvergenceError("write-drive regulation did not settle")
 
     source_currents = dict(zip(asm.regulated, sources.tolist()))
-    for line, lb in net.bias.items():
-        if lb.kind == "current":
-            source_currents[line] = lb.value
-        elif lb.kind in ("voltage", "ground"):
-            # an ideal source supplies whatever the node fails to balance
-            source_currents[line] = -float(flow[core.terminal[core.line_index[line]]])
+    source_currents.update((line, lb.value) for line, lb in net.bias.items() if lb.kind == "current")
+    # an ideal source supplies whatever the node fails to balance
+    source_currents.update(zip(asm.fixed_lines, (-source_flow).tolist()))
 
-    per_row = rail_i.reshape(-1, 2).sum(axis=1)  # pull-up plus pull-down
     return NetworkSolution(
         core=core,
         volts=volts,
         currents=currents,
-        transistor_currents=dict(zip(asm.driver_rows, per_row.tolist())),
+        driver_rows=asm.driver_rows,
+        rail_currents=rail_i,
         source_currents=source_currents,
         clamped=frozenset(asm.driver_rows[r // 2] for r in np.flatnonzero(~ohmic)),
         kcl_residual=kcl_residual,
@@ -448,12 +567,16 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
 
 @dataclass(frozen=True, eq=False)
 class NetworkSolution:
-    """Operating point: node potentials and device currents in core order."""
+    """Operating point: node potentials and device currents in core order.
+
+    ``rail_currents`` holds each driver row's pull-up then pull-down current.
+    """
 
     core: NodalCore
     volts: np.ndarray
     currents: np.ndarray
-    transistor_currents: dict
+    driver_rows: list
+    rail_currents: np.ndarray
     source_currents: dict
     clamped: frozenset
     kcl_residual: float
@@ -461,6 +584,11 @@ class NetworkSolution:
     @cached_property
     def device_currents(self):
         return dict(zip(self.core.tags, self.currents.tolist()))
+
+    @cached_property
+    def transistor_currents(self):
+        per_row = self.rail_currents.reshape(-1, 2).sum(axis=1)  # pull-up plus pull-down
+        return dict(zip(self.driver_rows, per_row.tolist()))
 
     @cached_property
     def line_voltages(self):
@@ -522,9 +650,10 @@ def equivalent_resistance(net, line_a, line_b):
     if core.labels[a] != core.labels[b]:
         return math.inf
     g = 1.0 / np.concatenate([net.resistance, core.wire_r])
-    matrix = core.nodal_matrix(g, np.zeros(core.n_nodes))
     rhs = np.zeros((core.n_nodes, 1))
     rhs[a, 0] = 1.0
     # nodes off the shared component carry no current: pin them with b
     pinned = np.flatnonzero((core.labels != core.labels[a]) | (np.arange(core.n_nodes) == b))
-    return float(_solve_dirichlet(matrix, rhs, pinned, 0.0)[a, 0])
+    pins = core.pins(pinned, np.zeros(len(pinned)))
+    x = core.solve(g, 0.0, rhs[core.elim], rhs[core.kept], pins)
+    return float(x[a, 0])

@@ -210,14 +210,12 @@ def select_word(array, word_addr, phase):
     if phase not in ("0", "1", "read"):
         raise ParameterError(f"phase: expected '0', '1' or 'read', got {phase!r}")
     row = array.word_row(word_addr)
-    drivers = {}
-    for r in array.word_rows + array.ref_rows:
-        pmos_on = r == row and phase == "0"
-        nmos_on = r == row and phase in ("1", "read")
-        drivers[r] = RowDriver(array.row_driver_model, pmos_on=pmos_on, nmos_on=nmos_on)
+    model = array.row_driver_model
+    # every unselected row shares one idle driver
+    drivers = dict.fromkeys(array.word_rows + array.ref_rows, RowDriver(model))
+    drivers[row] = RowDriver(model, pmos_on=phase == "0", nmos_on=phase != "0")
     if phase == "read" and array.balanced:
-        ref = array.serving_ref_row(word_addr)
-        drivers[ref] = RowDriver(array.row_driver_model, pmos_on=False, nmos_on=True)
+        drivers[array.serving_ref_row(word_addr)] = RowDriver(model, nmos_on=True)
     return BiasCondition(bias={}, drivers=drivers)
 
 
@@ -268,8 +266,10 @@ class _TraceBuilder:
         self.samples.append(TraceSample(self.t, dict(currents), supply))
 
     def densify(self, t_until, currents, supply, dt_max):
+        # no padding sample within float noise of t_until, where the step's
+        # closing sample lands: it would print as a second row at that time
         t = self.samples[-1].t if self.samples else self.t
-        while t + dt_max < t_until:
+        while t + dt_max < t_until - 1e-6 * dt_max:
             t += dt_max
             self.samples.append(TraceSample(t, dict(currents), supply))
 
@@ -319,6 +319,7 @@ def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s=Non
     leak paths from every driven segment into the rail.
     """
     t_start = trace.t
+    first_sample = len(trace.samples)  # earlier samples all end by t_start
     trace.event("phase-start", label, 0.0)
     trace.sample({}, 0.0)
     trace.t += drive.setup_time_s if setup_s is None else setup_s
@@ -415,7 +416,7 @@ def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s=Non
                 if phase_sources and ideal_drive
                 else 0.0
             ),
-            energy_j=_phase_energy(trace.samples, t_start, trace.t, array.v_dd),
+            energy_j=_phase_energy(trace.samples[first_sample:], t_start, trace.t, array.v_dd),
         )
     )
 
@@ -561,13 +562,12 @@ def read_cycle_time(array, drive=None):
 def _read_solution(array, word_addr, drive, driven_bits=None):
     """Solve the read bias; optionally drive only some bits (serial sensing)."""
     selected = select_word(array, word_addr, "read")
+    on, off = LineBias.voltage(drive.v_read), LineBias.floating()
     bias = {}
     for j in range(array.n_bits):
         driven = driven_bits is None or j in driven_bits
         for seg in array.segments_for_bit(j):
-            bias[seg] = (
-                LineBias.voltage(drive.v_read) if driven else LineBias.floating()
-            )
+            bias[seg] = on if driven else off
     return solve_network(array.to_network(bias, selected.drivers))
 
 

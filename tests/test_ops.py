@@ -8,6 +8,7 @@ adds to push accumulated progress over 1.0).
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from xpointsim.ops import (
     DriveConfig,
     WriteMode,
     WriteRequest,
+    _TraceBuilder,
     compare_sensing_power,
     read_cycle_time,
     read_word,
@@ -371,6 +373,34 @@ def test_read_matches_isolated_branch_prediction():
         assert read_word(arr, w, drive).bits == arr.get_word(w)
 
 
+def test_read_scan_allocates_no_dense_nodal_matrix():
+    # a read of 4x1024 has 1034 nodes; its 1026 rows are eliminated before
+    # the factorisation, so no 1034 x 1034 matrix (8.6 MB) is ever built
+    arr = fresh(m_words=1024)
+    read_word(arr, 0)
+    tracemalloc.start()
+    try:
+        read_word(arr, 511)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+
+
+def test_wide_word_read_forms_its_fill_in_bounded_blocks():
+    # each of the 258 eliminated rows of a 64-bit read adds 64 x 64 fill
+    # products; formed all at once they would take 8.5 MB per array
+    arr = fresh(64, 256)
+    read_word(arr, 0)
+    tracemalloc.start()
+    try:
+        read_word(arr, 129)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 def test_overdriven_read_raises_disturb():
     arr = fresh()
     hot = DriveConfig(v_read=1.2)
@@ -453,6 +483,15 @@ def test_trace_csv_shape():
     for row in lines[1:-1]:
         assert len(row.split(",")) == len(header)
         float(row.split(",")[0])  # parses
+
+
+def test_densify_pads_nothing_within_float_noise_of_the_step_end():
+    # a padding step landing a few ulps short of the flip would print as a
+    # second waveform row at the time of the flip
+    trace = _TraceBuilder(v_dd=1.2)
+    dt = 5e-10
+    trace.densify(math.nextafter(2 * dt, math.inf), {"b0e": 1e-4}, 1e-4, dt)
+    assert [s.t for s in trace.samples] == [dt]
 
 
 def test_trace_csv_is_deterministic():
