@@ -74,9 +74,6 @@ from .ops import (
     serial_sneak_profile,
     trace_to_csv,
     write_word,
-    write_word_parallel,
-    write_word_serial,
-    write_self_enable,
 )
 from .perf import (
     ArchitectureConfig,

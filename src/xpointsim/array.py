@@ -48,9 +48,21 @@ from .device import (
 from .errors import ParameterError
 from .network import CrossbarNetwork, NodalCore
 
-__all__ = ["CrossbarArray", "REF_ROWS"]
+__all__ = ["CrossbarArray", "REF_ROWS", "reference_branch_resistance"]
 
 REF_ROWS = ("ref_e", "ref_o")
+
+
+def reference_branch_resistance(ref_params, cell_r_on, n_bits):
+    """Series resistance of the ideal reference sense branch.
+
+    The reference junction (``ref_params``, see
+    :func:`~xpointsim.device.reference_params`) sits in P behind the word
+    selector, which is ``n_bits`` cell switches wide. This is the branch
+    that fixes the read cycle.
+    """
+    device = MtjDevice(params=ref_params, state=MtjState.P)
+    return device.resistance + cell_r_on / n_bits
 
 
 def _bits_to_state(ch):
@@ -266,5 +278,6 @@ class CrossbarArray:
         return device.resistance + self.row_driver_model.r_on
 
     def ideal_reference_resistance(self):
-        device = MtjDevice(params=self.ref_params, state=MtjState.P)
-        return device.resistance + self.row_driver_model.r_on
+        return reference_branch_resistance(
+            self.ref_params, self.cell_transistor.r_on, self.n_bits
+        )

@@ -41,6 +41,7 @@ from .config import (
     build_array,
     build_drive,
     build_dynamics,
+    build_transistor,
     default_config,
     parse_config,
 )
@@ -223,6 +224,7 @@ def _run_sweep(cfg, args):
         dynamics=build_dynamics(cfg),
         drive=build_drive(cfg),
         overdrive=cfg.drive.write_overdrive,
+        transistor=build_transistor(cfg),
     )
     wall = time.perf_counter() - t0
     summary = summarize_sweep(perf_report) + "\n"
@@ -261,6 +263,7 @@ def _cmd_analyze(cfg, args):
         dynamics=dynamics,
         drive=drive,
         overdrive=cfg.drive.write_overdrive,
+        transistor=build_transistor(cfg),
     ).rows
     setup = drive.setup_time_s
     lines = (

@@ -1,9 +1,15 @@
 """Write and read protocols, simulated against the nodal solver.
 
+:func:`write_word` is the one write entry point and :func:`read_word` the
+one read entry point; both return what the operation did (an
+:class:`OperationTrace` or a :class:`SenseResult`).
+
 Writes
 ------
 A write runs as one or two phases (parallel) or as one sub-operation per
-bit (serial). Within a phase the addressed cells are driven by regulated
+bit (serial). The self-enable modes first read the word and then drive
+only the bits that differ, on the same parallel or serial schedule.
+Within a phase the addressed cells are driven by regulated
 bit-line current sources: the source magnitude is iterated until the
 addressed junction carries exactly the programmed write current, so the
 source supplies the write current plus whatever the sneak paths steal.
@@ -28,7 +34,9 @@ every column segment is driven at the read voltage. Each bit's sense
 amplifier races the discharge of its two segments; the balanced layout
 guarantees both segments collect the same sneak current, so the comparison
 reduces to data resistance versus reference resistance. The cycle time is
-fixed by the slowest deciding branch, the reference branch.
+fixed by the slowest deciding branch, the reference branch. The plain
+layout has no reference rows: it compares against the ideal reference
+branch resistance instead and spends a second cycle on the compare.
 
 Energy bookkeeping: the supply current of an interval is the summed
 magnitude of the regulated source currents (writes) or of the driven
@@ -55,7 +63,6 @@ from .errors import (
 from .network import LineBias, RowDriver, solve_network
 
 __all__ = [
-    "BiasCondition",
     "BitDecision",
     "DriveConfig",
     "OperationTrace",
@@ -74,9 +81,6 @@ __all__ = [
     "serial_sneak_profile",
     "trace_to_csv",
     "write_word",
-    "write_word_parallel",
-    "write_word_serial",
-    "write_self_enable",
 ]
 
 _TIE_REL = 1e-6
@@ -125,14 +129,6 @@ class WriteRequest:
         for ch in self.data:
             if ch not in "01":
                 raise ParameterError(f"data: invalid bit character {ch!r}")
-
-
-@dataclass(frozen=True)
-class BiasCondition:
-    """Complete boundary condition of the array for one protocol step."""
-
-    bias: dict
-    drivers: dict
 
 
 @dataclass(frozen=True)
@@ -201,7 +197,7 @@ class SensingPowerReport:
 
 
 def select_word(array, word_addr, phase):
-    """Gate settings for one selected word; every other selector is off.
+    """Row drivers for one selected word; every other selector is off.
 
     Phase '0' pulls the word line to the positive rail (pull-up on), phase
     '1' and reads ground it (pull-down on). Reads additionally ground the
@@ -216,9 +212,7 @@ def select_word(array, word_addr, phase):
     drivers[row] = RowDriver(model, pmos_on=phase == "0", nmos_on=phase != "0")
     if phase == "read" and array.balanced:
         drivers[array.serving_ref_row(word_addr)] = RowDriver(model, nmos_on=True)
-    return BiasCondition(bias={}, drivers=drivers)
-
-
+    return drivers
 
 
 # -- regulated solving -----------------------------------------------------
@@ -247,6 +241,7 @@ class _TraceBuilder:
         self.events = []
         self.samples = []
         self.phases = []
+        self._phase = None  # (label, t_start, first sample) of the open phase
 
     def event(self, kind, device, current):
         self.events.append(TraceEvent(self.t, kind, device, current))
@@ -254,12 +249,14 @@ class _TraceBuilder:
     def sample(self, currents, supply):
         # close the previous step with a sample at the new timestamp, so
         # the waveform is an explicit staircase: rectangle and trapezoid
-        # integration then agree exactly
+        # integration then agree exactly; a repeat of the last sample at
+        # its own time is a zero-width step and is dropped
         if self.samples:
             last = self.samples[-1]
-            if self.t > last.t and (
-                last.supply_a != supply or last.source_currents != currents
-            ):
+            same = last.supply_a == supply and last.source_currents == currents
+            if same and self.t == last.t:
+                return
+            if self.t > last.t and not same:
                 self.samples.append(
                     TraceSample(self.t, dict(last.source_currents), last.supply_a)
                 )
@@ -273,34 +270,54 @@ class _TraceBuilder:
             t += dt_max
             self.samples.append(TraceSample(t, dict(currents), supply))
 
+    def open_phase(self, label, setup_s):
+        """Start a phase with the supply off, then charge its setup time."""
+        self.event("phase-start", label, 0.0)
+        self.sample({}, 0.0)
+        # the last sample is at t_start: appended here, or the previous
+        # phase's closing sample when this one repeated it
+        self._phase = (label, self.t, len(self.samples) - 1)
+        self.t += setup_s
+
+    def close_phase(self, source_currents, supply_a, sneak_overhead):
+        label, t_start, first_sample = self._phase
+        self.event("phase-end", label, 0.0)
+        self.sample({}, 0.0)
+        self.phases.append(
+            PhaseSummary(
+                label=label,
+                t_start=t_start,
+                t_end=self.t,
+                source_currents=source_currents,
+                supply_a=supply_a,
+                sneak_overhead=sneak_overhead,
+                energy_j=self.energy(first_sample),
+            )
+        )
+
+    def energy(self, first_sample):
+        """V_dd times the supply, summed exactly over the staircase steps."""
+        samples = self.samples[first_sample:]
+        energy = 0.0
+        for here, there in zip(samples, samples[1:]):
+            energy += self.v_dd * here.supply_a * (there.t - here.t)
+        return energy
+
     def finish(self):
         self.sample({}, 0.0)
-        energy = 0.0
-        for here, there in zip(self.samples, self.samples[1:]):
-            energy += self.v_dd * here.supply_a * (there.t - here.t)
         return OperationTrace(
             events=tuple(self.events),
             samples=tuple(self.samples),
             phases=tuple(self.phases),
             total_time=self.t,
-            total_energy=energy,
+            total_energy=self.energy(0),
         )
-
-
-def _phase_energy(samples, t_start, t_end, v_dd):
-    energy = 0.0
-    for here, there in zip(samples, samples[1:]):
-        lo = max(here.t, t_start)
-        hi = min(there.t, t_end)
-        if hi > lo:
-            energy += v_dd * here.supply_a * (hi - lo)
-    return energy
 
 
 # -- the phase engine ------------------------------------------------------
 
 
-def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s=None):
+def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s):
     """Drive ``active`` bits of one word until they hold their targets.
 
     ``active`` maps bit index -> target MtjState. ``phase`` is '0' or '1';
@@ -318,13 +335,9 @@ def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s=Non
     without a source float; tying them to a rail would open two-junction
     leak paths from every driven segment into the rail.
     """
-    t_start = trace.t
-    first_sample = len(trace.samples)  # earlier samples all end by t_start
-    trace.event("phase-start", label, 0.0)
-    trace.sample({}, 0.0)
-    trace.t += drive.setup_time_s if setup_s is None else setup_s
+    trace.open_phase(label, setup_s)
 
-    selected = select_word(array, word_addr, phase)
+    drivers = select_word(array, word_addr, phase)
     row = array.word_row(word_addr)
 
     def pending_bits():
@@ -351,7 +364,7 @@ def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s=Non
         guard += 1
         if guard > 4 * array.n_bits + 16:
             raise ConvergenceError(f"{label}: switching cascade did not terminate")
-        sol, sources = _regulated_solve(array, selected.drivers, targets_for(pending))
+        sol, sources = _regulated_solve(array, drivers, targets_for(pending))
         supply = sum(abs(v) for v in sources.values())
         if not phase_sources:
             # reported phase numbers: captured with every pending source on
@@ -402,22 +415,12 @@ def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s=Non
                 trace.event(kind, array.tag(cell_row, seg), i)
         pending = pending_bits()
 
-    trace.event("phase-end", label, 0.0)
-    trace.sample({}, 0.0)
-    trace.phases.append(
-        PhaseSummary(
-            label=label,
-            t_start=t_start,
-            t_end=trace.t,
-            source_currents=phase_sources,
-            supply_a=phase_supply,
-            sneak_overhead=(
-                (phase_supply - ideal_drive) / ideal_drive
-                if phase_sources and ideal_drive
-                else 0.0
-            ),
-            energy_j=_phase_energy(trace.samples[first_sample:], t_start, trace.t, array.v_dd),
-        )
+    trace.close_phase(
+        phase_sources,
+        phase_supply,
+        (phase_supply - ideal_drive) / ideal_drive
+        if phase_sources and ideal_drive
+        else 0.0,
     )
 
 
@@ -432,101 +435,58 @@ def _verify_written(array, req):
         )
 
 
-def _phase_partition(data, bits):
-    zeros = {j: MtjState.P for j in bits if data[j] == "0"}
-    ones = {j: MtjState.AP for j in bits if data[j] == "1"}
-    return zeros, ones
+_TARGET_STATE = {"0": MtjState.P, "1": MtjState.AP}
 
 
-def write_word_parallel(array, req, drive=None):
-    """Two-phase parallel write: all '0' targets first, then all '1' targets.
+def _read_before_write(array, drive, trace, word_addr):
+    """Sense the stored word as the first phase of a self-enable write."""
+    trace.open_phase("read-before-write", drive.setup_time_s)
+    sense = read_word(array, word_addr, drive)
+    currents = _read_currents_by_segment(array, word_addr, sense)
+    supply = sum(a + b for a, b in sense.branch_currents)
+    trace.sample(currents, supply)
+    trace.t += sense.sense_delay
+    trace.close_phase(currents, supply, 0.0)
+    return sense.bits
 
-    Both phases reuse the same word selection, so decode setup is charged
-    once and the whole write fits in one setup plus two switching times.
+
+def write_word(array, req, drive=None):
+    """Write one word with the protocol ``req.mode`` names.
+
+    The self-enable modes read the word first and drive only the bits
+    that differ. The serial modes then run one sub-phase per driven bit,
+    each with its own setup, while every other bit line floats. The
+    parallel modes run all '0' targets, then all '1' targets, under one
+    word selection, so decode setup is charged once and the whole write
+    fits in one setup plus two switching times.
     """
     drive = drive or DriveConfig()
     req.validate(array)
     trace = _TraceBuilder(array.v_dd)
-    zeros, ones = _phase_partition(req.data, range(array.n_bits))
-    setup = drive.setup_time_s
-    if zeros:
-        _run_phase(array, drive, trace, "phase-0", req.word_addr, "0", zeros, setup)
-        setup = 0.0
-    if ones:
-        _run_phase(array, drive, trace, "phase-1", req.word_addr, "1", ones, setup)
-    _verify_written(array, req)
-    return trace.finish()
-
-
-def write_word_serial(array, req, drive=None):
-    """Bit-at-a-time write; every other bit line floats during each sub-step."""
-    drive = drive or DriveConfig()
-    req.validate(array)
-    trace = _TraceBuilder(array.v_dd)
-    for j in range(array.n_bits):
-        phase = req.data[j]
-        target = {j: MtjState.AP if phase == "1" else MtjState.P}
-        _run_phase(
-            array, drive, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, target
-        )
-    _verify_written(array, req)
-    return trace.finish()
-
-
-def write_self_enable(array, req, drive=None):
-    """Read-modify-write: only the bits that differ are driven at all."""
-    drive = drive or DriveConfig()
-    req.validate(array)
-    trace = _TraceBuilder(array.v_dd)
-
-    t_start = trace.t
-    trace.event("phase-start", "read-before-write", 0.0)
-    sense = read_word(array, req.word_addr, drive)
-    supply = sum(a + b for a, b in sense.branch_currents)
-    trace.sample({}, 0.0)
-    trace.t += drive.setup_time_s
-    trace.sample(_read_currents_by_segment(array, req.word_addr, sense), supply)
-    trace.t += sense.sense_delay
-    trace.event("phase-end", "read-before-write", 0.0)
-    trace.sample({}, 0.0)
-    trace.phases.append(
-        PhaseSummary(
-            label="read-before-write",
-            t_start=t_start,
-            t_end=trace.t,
-            source_currents=_read_currents_by_segment(array, req.word_addr, sense),
-            supply_a=supply,
-            sneak_overhead=0.0,
-            energy_j=_phase_energy(trace.samples, t_start, trace.t, array.v_dd),
-        )
-    )
-
-    differing = [j for j in range(array.n_bits) if sense.bits[j] != req.data[j]]
-    if req.mode is WriteMode.SELF_ENABLE_SERIAL:
-        for j in differing:
+    bits = range(array.n_bits)
+    if req.mode in (WriteMode.SELF_ENABLE_SERIAL, WriteMode.SELF_ENABLE_PARALLEL):
+        stored = _read_before_write(array, drive, trace, req.word_addr)
+        bits = [j for j in bits if stored[j] != req.data[j]]
+    if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
+        for j in bits:
             phase = req.data[j]
-            target = {j: MtjState.AP if phase == "1" else MtjState.P}
+            target = {j: _TARGET_STATE[phase]}
             _run_phase(
-                array, drive, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, target
+                array, drive, trace, f"bit{j}-phase-{phase}", req.word_addr, phase,
+                target, drive.setup_time_s,
             )
     else:
-        zeros, ones = _phase_partition(req.data, differing)
         setup = drive.setup_time_s
-        if zeros:
-            _run_phase(array, drive, trace, "phase-0", req.word_addr, "0", zeros, setup)
-            setup = 0.0
-        if ones:
-            _run_phase(array, drive, trace, "phase-1", req.word_addr, "1", ones, setup)
+        for phase in "01":
+            active = {j: _TARGET_STATE[phase] for j in bits if req.data[j] == phase}
+            if active:
+                _run_phase(
+                    array, drive, trace, f"phase-{phase}", req.word_addr, phase,
+                    active, setup,
+                )
+                setup = 0.0  # phase-1 reuses the word selection of phase-0
     _verify_written(array, req)
     return trace.finish()
-
-
-def write_word(array, req, drive=None):
-    if req.mode is WriteMode.PARALLEL:
-        return write_word_parallel(array, req, drive)
-    if req.mode is WriteMode.SERIAL:
-        return write_word_serial(array, req, drive)
-    return write_self_enable(array, req, drive)
 
 
 # -- reading ---------------------------------------------------------------
@@ -561,14 +521,14 @@ def read_cycle_time(array, drive=None):
 
 def _read_solution(array, word_addr, drive, driven_bits=None):
     """Solve the read bias; optionally drive only some bits (serial sensing)."""
-    selected = select_word(array, word_addr, "read")
+    drivers = select_word(array, word_addr, "read")
     on, off = LineBias.voltage(drive.v_read), LineBias.floating()
     bias = {}
     for j in range(array.n_bits):
         driven = driven_bits is None or j in driven_bits
         for seg in array.segments_for_bit(j):
             bias[seg] = on if driven else off
-    return solve_network(array.to_network(bias, selected.drivers))
+    return solve_network(array.to_network(bias, drivers))
 
 
 def _assert_no_read_disturb(array, sol):
@@ -592,18 +552,24 @@ def _read_currents_by_segment(array, word_addr, sense):
 
 
 def read_word(array, word_addr, drive=None):
-    """Sense all bits of one word in a single balanced cycle.
+    """Sense all bits of one word.
 
     The decision for each bit uses the effective branch resistances seen
     by the sense amplifier, v_read over the segment source currents, so
-    whatever sneak current the mesh adds is included; the balanced layout
-    adds it to both branches equally.
+    whatever sneak current the mesh adds is included. In the balanced
+    layout the reference branch is the sibling segment, which picks up
+    the same sneak current, and one cycle decides. The plain layout has
+    no reference rows: each bit is compared against the ideal reference
+    branch resistance, and the compare step costs a second cycle.
     """
     drive = drive or DriveConfig()
-    if not array.balanced:
-        return _read_word_plain(array, word_addr, drive)
     sol = _read_solution(array, word_addr, drive)
     _assert_no_read_disturb(array, sol)
+    if array.balanced:
+        cycles = 1
+    else:
+        cycles = 2
+        r_ideal = array.ideal_reference_resistance()
 
     bits = []
     margins = []
@@ -611,40 +577,12 @@ def read_word(array, word_addr, drive=None):
     delays = []
     for j in range(array.n_bits):
         i_data = sol.source_currents[array.host_segment(word_addr, j)]
-        i_ref = sol.source_currents[array.sibling_segment(word_addr, j)]
-        r_data = drive.v_read / i_data
-        r_ref = drive.v_read / i_ref
-        decision = sense_bit(r_data, r_ref, drive.c_load_f, array.v_dd)
-        bits.append(decision.bit)
-        margins.append(r_ref - r_data)
-        currents.append((i_data, i_ref))
-        delays.append(decision.delay)
-    return SenseResult(
-        bits="".join(bits),
-        per_bit_margin=tuple(margins),
-        sense_delay=read_cycle_time(array, drive),
-        branch_currents=tuple(currents),
-        per_bit_delay=tuple(delays),
-    )
-
-
-def _read_word_plain(array, word_addr, drive):
-    """Unbalanced layout: two behavioural cycles against an ideal midpoint.
-
-    Without reference rows the comparison resistance cannot come from the
-    mesh, so the sampled branch is compared against the ideal reference
-    branch value. Costs a second cycle for the compare step.
-    """
-    sol = _read_solution(array, word_addr, drive)
-    _assert_no_read_disturb(array, sol)
-    r_ref = array.ideal_reference_resistance()
-    i_ref = drive.v_read / r_ref
-    bits = []
-    margins = []
-    currents = []
-    delays = []
-    for j in range(array.n_bits):
-        i_data = sol.source_currents[array.host_segment(word_addr, j)]
+        if array.balanced:
+            i_ref = sol.source_currents[array.sibling_segment(word_addr, j)]
+            r_ref = drive.v_read / i_ref
+        else:
+            r_ref = r_ideal
+            i_ref = drive.v_read / r_ref
         r_data = drive.v_read / i_data
         decision = sense_bit(r_data, r_ref, drive.c_load_f, array.v_dd)
         bits.append(decision.bit)
@@ -654,7 +592,7 @@ def _read_word_plain(array, word_addr, drive):
     return SenseResult(
         bits="".join(bits),
         per_bit_margin=tuple(margins),
-        sense_delay=2.0 * read_cycle_time(array, drive),
+        sense_delay=cycles * read_cycle_time(array, drive),
         branch_currents=tuple(currents),
         per_bit_delay=tuple(delays),
     )
@@ -728,7 +666,7 @@ def serial_sneak_profile(array, word_addr, bit, bit_value="1", drive=None):
     row = array.word_row(word_addr)
     seg = array.host_segment(word_addr, bit)
     sign = 1.0 if bit_value == "1" else -1.0
-    selected = select_word(array, word_addr, phase)
+    drivers = select_word(array, word_addr, phase)
     others = [j for j in range(array.n_bits) if j != bit]
 
     profile = []
@@ -737,7 +675,7 @@ def serial_sneak_profile(array, word_addr, bit, bit_value="1", drive=None):
         for j in others[n_floating:]:
             s = array.host_segment(word_addr, j)
             targets[s] = (array.tag(row, s), sign * array.write_current)
-        _sol, sources = _regulated_solve(array, selected.drivers, targets)
+        _sol, sources = _regulated_solve(array, drivers, targets)
         profile.append((n_floating, abs(sources[seg])))
     return profile
 

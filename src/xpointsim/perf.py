@@ -18,15 +18,13 @@ sense cycle. The circuit-level numbers including sneak overhead come from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .array import reference_branch_resistance
 from .device import (
     MtjParams,
-    MtjState,
-    MtjDevice,
     SwitchingParams,
     TransistorModel,
     critical_current,
@@ -34,7 +32,7 @@ from .device import (
     switching_delay,
 )
 from .errors import ParameterError
-from .ops import DriveConfig
+from .ops import LN2, DriveConfig
 
 __all__ = [
     "ArchitectureConfig",
@@ -224,15 +222,11 @@ def parse_sweep_csv(text):
     return out
 
 
-def _sweep_point(cfg, n, m, params, dynamics, drive, overdrive):
+def _sweep_point(cfg, n, m, params, dynamics, drive, overdrive, r_cell_on):
     i_write = overdrive * critical_current(params)
     tau = switching_delay(i_write, params, dynamics)
-    r_cell_on = TransistorModel.default_for(params, v_dd=cfg.v_dd, overdrive=overdrive).r_on
-    r_ref_branch = (
-        MtjDevice(params=reference_params(params), state=MtjState.P).resistance
-        + r_cell_on / n
-    )
-    t_read = r_ref_branch * drive.c_load_f * math.log(2)
+    r_ref_branch = reference_branch_resistance(reference_params(params), r_cell_on, n)
+    t_read = r_ref_branch * drive.c_load_f * LN2
     point = replace(cfg, n_bits=n, m_words=m)
     return PerfRow(
         n_bits=n,
@@ -250,12 +244,14 @@ def _sweep_point(cfg, n, m, params, dynamics, drive, overdrive):
 
 
 def sweep_area(cfg, n_range, m_range, params=None, dynamics=None, drive=None,
-               overdrive=1.3):
+               overdrive=1.3, transistor=None):
     """Evaluate the closed-form models over a grid of word widths/counts.
 
     Points are independent pure evaluations; rows come back sorted by
     (n_bits, m_words) so the report is order-deterministic regardless of
-    the ranges' own ordering.
+    the ranges' own ordering. ``transistor`` is the cell access switch;
+    without one it is sized for the drive point, as
+    :class:`~xpointsim.array.CrossbarArray` does.
     """
     n_list = sorted(set(int(n) for n in n_range))
     m_list = sorted(set(int(m) for m in m_range))
@@ -264,8 +260,10 @@ def sweep_area(cfg, n_range, m_range, params=None, dynamics=None, drive=None,
     params = params if params is not None else MtjParams()
     dynamics = dynamics if dynamics is not None else SwitchingParams.lumped_fit(params)
     drive = drive or DriveConfig()
+    if transistor is None:
+        transistor = TransistorModel.default_for(params, v_dd=cfg.v_dd, overdrive=overdrive)
     rows = tuple(
-        _sweep_point(cfg, n, m, params, dynamics, drive, overdrive)
+        _sweep_point(cfg, n, m, params, dynamics, drive, overdrive, transistor.r_on)
         for n in n_list
         for m in m_list
     )

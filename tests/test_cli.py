@@ -1,10 +1,12 @@
 """End-to-end runs of the command-line driver, all in-process."""
 
 import hashlib
+import re
 
 import pytest
 
 from xpointsim.cli import CONFIG_ENV, main
+from xpointsim.config import default_config
 from xpointsim.perf import parse_sweep_csv
 
 
@@ -142,6 +144,21 @@ def test_analyze_prints_figures_and_writes_nothing(tmp_path, capsys):
     assert "switching delay 10 ns" in out
     assert "2.95064 pJ/bit" in out
     assert not (tmp_path / "out").exists()
+
+
+def test_analyze_read_cycle_follows_the_configured_transistor(tmp_path, capsys):
+    # the closed-form read cycle and the simulated one share the reference
+    # branch, selector included, so a configured r_on moves both alike
+    cfg = tmp_path / "ron.ini"
+    cfg.write_text("[transistor]\nr_on = 2000\n")
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    analyzed_ns = float(re.search(r"read: cycle (\S+) ns", capsys.readouterr().out)[1])
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 0
+    out = capsys.readouterr().out
+    simulated_ns = float(re.search(r"read cycles: \d+ x (\S+) ns", out)[1])
+    setup_ns = default_config().drive.setup_time_s * 1e9
+    # both figures are printed to 6 significant digits
+    assert analyzed_ns + setup_ns == pytest.approx(simulated_ns, abs=1e-5)
 
 
 def test_validate_accepts_good_and_rejects_bad(tmp_path, capsys):

@@ -444,7 +444,7 @@ class TestRegulatedSources:
         arr = CrossbarArray(4, 4, line_resistance=1.0)
         arr.set_word(0, "0110")
         arr.set_word(2, "1011")
-        drivers = select_word(arr, 1, "1").drivers
+        drivers = select_word(arr, 1, "1")
         cells = {arr.host_segment(1, j): arr.tag("w1", arr.host_segment(1, j)) for j in range(4)}
         bias = {seg: LineBias.regulated(tag, arr.write_current) for seg, tag in cells.items()}
         sol = solve_network(arr.to_network(bias, drivers))

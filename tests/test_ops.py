@@ -32,9 +32,6 @@ from xpointsim.ops import (
     serial_sneak_profile,
     trace_to_csv,
     write_word,
-    write_word_parallel,
-    write_word_serial,
-    write_self_enable,
 )
 
 TAU = 10e-9
@@ -119,7 +116,7 @@ def test_parallel_write_uses_at_most_two_phases():
     for vector in ALL_VECTORS:
         arr = fresh()
         arr.set_word(0, "".join("1" if c == "0" else "0" for c in vector))
-        trace = write_word_parallel(arr, WriteRequest(0, vector, WriteMode.PARALLEL), drive)
+        trace = write_word(arr, WriteRequest(0, vector, WriteMode.PARALLEL), drive)
         assert len(trace.phases) <= 2
         bound = 2 * TAU + drive.setup_time_s
         assert trace.total_time <= bound * (1 + 1e-9)
@@ -128,7 +125,7 @@ def test_parallel_write_uses_at_most_two_phases():
 def test_parallel_phase_zero_runs_before_phase_one():
     arr = fresh()
     arr.set_word(0, "0101")
-    trace = write_word_parallel(arr, WriteRequest(0, "1010", WriteMode.PARALLEL))
+    trace = write_word(arr, WriteRequest(0, "1010", WriteMode.PARALLEL))
     assert [p.label for p in trace.phases] == ["phase-0", "phase-1"]
     assert trace.phases[0].t_end <= trace.phases[1].t_start
 
@@ -136,7 +133,7 @@ def test_parallel_phase_zero_runs_before_phase_one():
 def test_single_polarity_write_is_one_phase_of_tau():
     drive = DriveConfig()
     arr = fresh()
-    trace = write_word_parallel(arr, WriteRequest(0, "1111", WriteMode.PARALLEL), drive)
+    trace = write_word(arr, WriteRequest(0, "1111", WriteMode.PARALLEL), drive)
     assert [p.label for p in trace.phases] == ["phase-1"]
     assert trace.switch_count() == 4
     assert trace.total_time == pytest.approx(TAU + drive.setup_time_s, rel=1e-9)
@@ -148,9 +145,9 @@ def test_write_is_self_timed_by_the_pending_flips():
     drive = DriveConfig()
     arr = fresh()
     arr.set_word(0, "0011")
-    trace = write_word_parallel(arr, WriteRequest(0, "1011", WriteMode.PARALLEL), drive)
+    trace = write_word(arr, WriteRequest(0, "1011", WriteMode.PARALLEL), drive)
     assert trace.switch_count() == 1
-    again = write_word_parallel(arr, WriteRequest(0, "1011", WriteMode.PARALLEL), drive)
+    again = write_word(arr, WriteRequest(0, "1011", WriteMode.PARALLEL), drive)
     assert again.switch_count() == 0
     assert again.total_energy == 0.0
     assert again.total_time == pytest.approx(drive.setup_time_s, rel=1e-9)
@@ -158,7 +155,7 @@ def test_write_is_self_timed_by_the_pending_flips():
 
 def test_switch_events_name_the_written_cells():
     arr = fresh()
-    trace = write_word_parallel(arr, WriteRequest(0, "1001", WriteMode.PARALLEL))
+    trace = write_word(arr, WriteRequest(0, "1001", WriteMode.PARALLEL))
     flipped = {e.device for e in trace.events if e.kind == "switch"}
     assert flipped == {"w0:b0e", "w0:b3e"}
     assert not [e for e in trace.events if e.kind == "disturb-switch"]
@@ -173,7 +170,7 @@ def test_wired_parallel_phase_flips_its_cells_in_one_step():
     for vector in ALL_VECTORS:
         arr = fresh(line_resistance=1.0)
         arr.set_word(1, complement(vector))
-        trace = write_word_parallel(arr, WriteRequest(1, vector, WriteMode.PARALLEL), drive)
+        trace = write_word(arr, WriteRequest(1, vector, WriteMode.PARALLEL), drive)
         for phase in trace.phases:
             stamps = {
                 e.t for e in trace.events
@@ -186,7 +183,7 @@ def test_wired_parallel_phase_flips_its_cells_in_one_step():
 
 def test_trace_has_balanced_phase_markers():
     arr = fresh()
-    trace = write_word_parallel(arr, WriteRequest(1, "1010", WriteMode.PARALLEL))
+    trace = write_word(arr, WriteRequest(1, "1010", WriteMode.PARALLEL))
     kinds = [e.kind for e in trace.events]
     assert kinds.count("phase-start") == kinds.count("phase-end") == len(trace.phases)
     times = [s.t for s in trace.samples]
@@ -199,7 +196,7 @@ def test_trace_has_balanced_phase_markers():
 def test_serial_write_runs_one_subphase_per_bit():
     drive = DriveConfig()
     arr = fresh()
-    trace = write_word_serial(arr, WriteRequest(0, "0110", WriteMode.SERIAL), drive)
+    trace = write_word(arr, WriteRequest(0, "0110", WriteMode.SERIAL), drive)
     assert [p.label for p in trace.phases] == [
         "bit0-phase-0", "bit1-phase-1", "bit2-phase-1", "bit3-phase-0",
     ]
@@ -214,8 +211,8 @@ def test_serial_write_is_slower_than_parallel_for_same_data():
     drive = DriveConfig()
     a1 = fresh()
     a2 = fresh()
-    tp = write_word_parallel(a1, WriteRequest(0, "1110", WriteMode.PARALLEL), drive)
-    ts = write_word_serial(a2, WriteRequest(0, "1110", WriteMode.SERIAL), drive)
+    tp = write_word(a1, WriteRequest(0, "1110", WriteMode.PARALLEL), drive)
+    ts = write_word(a2, WriteRequest(0, "1110", WriteMode.SERIAL), drive)
     assert ts.total_time > tp.total_time
     assert a1.get_word(0) == a2.get_word(0) == "1110"
 
@@ -224,8 +221,8 @@ def test_single_bit_word_serial_equals_parallel():
     drive = DriveConfig()
     a1 = fresh(1, 2)
     a2 = fresh(1, 2)
-    tp = write_word_parallel(a1, WriteRequest(0, "1", WriteMode.PARALLEL), drive)
-    ts = write_word_serial(a2, WriteRequest(0, "1", WriteMode.SERIAL), drive)
+    tp = write_word(a1, WriteRequest(0, "1", WriteMode.PARALLEL), drive)
+    ts = write_word(a2, WriteRequest(0, "1", WriteMode.SERIAL), drive)
     assert tp.total_time == pytest.approx(ts.total_time, rel=1e-9)
     assert tp.total_energy == pytest.approx(ts.total_energy, rel=1e-6)
 
@@ -268,7 +265,7 @@ def test_self_enable_identical_data_is_read_only():
 def test_underdriven_write_raises_write_failure():
     arr = fresh(4, 4, write_overdrive=0.9)  # below the switching threshold
     with pytest.raises(WriteFailureError, match="w0"):
-        write_word_parallel(arr, WriteRequest(0, "1111", WriteMode.PARALLEL))
+        write_word(arr, WriteRequest(0, "1111", WriteMode.PARALLEL))
 
 
 # -- sensing primitive -------------------------------------------------------
@@ -432,19 +429,20 @@ def test_four_word_readout_fits_the_nominal_cycle_budget():
 # -- energy accounting -------------------------------------------------------
 
 
-def test_trace_energy_is_sum_of_phase_energies():
+@pytest.mark.parametrize("mode", list(WriteMode), ids=str)
+def test_trace_energy_is_sum_of_phase_energies(mode):
     arr = fresh()
     arr.set_word(0, "0101")
-    trace = write_word_parallel(arr, WriteRequest(0, "1010", WriteMode.PARALLEL))
+    trace = write_word(arr, WriteRequest(0, "1010", mode))
     assert trace.total_energy == pytest.approx(
-        sum(p.energy_j for p in trace.phases), rel=1e-9
+        sum(p.energy_j for p in trace.phases), rel=1e-12
     )
     assert trace.total_energy > 0.0
 
 
 def test_full_word_write_energy_is_about_three_picojoule_per_cell():
     arr = fresh()
-    trace = write_word_parallel(arr, WriteRequest(0, "1111", WriteMode.PARALLEL))
+    trace = write_word(arr, WriteRequest(0, "1111", WriteMode.PARALLEL))
     per_cell = trace.total_energy / 4
     assert per_cell == pytest.approx(1.2 * arr.write_current * TAU, rel=0.05)
 
@@ -453,14 +451,14 @@ def test_parallel_write_energy_beats_serial():
     drive = DriveConfig()
     a1 = fresh()
     a2 = fresh()
-    ep = write_word_parallel(a1, WriteRequest(0, "1111", WriteMode.PARALLEL), drive).total_energy
-    es = write_word_serial(a2, WriteRequest(0, "1111", WriteMode.SERIAL), drive).total_energy
+    ep = write_word(a1, WriteRequest(0, "1111", WriteMode.PARALLEL), drive).total_energy
+    es = write_word(a2, WriteRequest(0, "1111", WriteMode.SERIAL), drive).total_energy
     assert ep < es
 
 
 def test_parallel_phase_sneak_overhead_is_small_for_full_words():
     arr = fresh()
-    trace = write_word_parallel(arr, WriteRequest(0, "1111", WriteMode.PARALLEL))
+    trace = write_word(arr, WriteRequest(0, "1111", WriteMode.PARALLEL))
     (phase,) = trace.phases
     assert phase.supply_a == pytest.approx(4 * arr.write_current, rel=0.01)
     assert abs(phase.sneak_overhead) < 0.01
@@ -471,7 +469,7 @@ def test_parallel_phase_sneak_overhead_is_small_for_full_words():
 
 def test_trace_csv_shape():
     arr = fresh()
-    trace = write_word_parallel(arr, WriteRequest(0, "1100", WriteMode.PARALLEL))
+    trace = write_word(arr, WriteRequest(0, "1100", WriteMode.PARALLEL))
     csv = trace_to_csv(trace)
     lines = csv.split("\n")
     assert csv.endswith("\n")
@@ -483,6 +481,19 @@ def test_trace_csv_shape():
     for row in lines[1:-1]:
         assert len(row.split(",")) == len(header)
         float(row.split(",")[0])  # parses
+
+
+@pytest.mark.parametrize("mode, line_resistance", MODES_AND_WIRES)
+def test_waveform_repeats_no_row(mode, line_resistance):
+    # a phase end, the next phase start and the end of the trace each take
+    # a zero sample at one time; the waveform keeps only the first of them
+    drive = DriveConfig()
+    for vector in ALL_VECTORS:
+        arr = fresh(line_resistance=line_resistance)
+        arr.set_word(1, "0110")
+        trace = write_word(arr, WriteRequest(1, vector, mode), drive)
+        rows = trace_to_csv(trace).split("\n")
+        assert all(here != there for here, there in zip(rows, rows[1:])), vector
 
 
 def test_densify_pads_nothing_within_float_noise_of_the_step_end():
