@@ -126,90 +126,56 @@ def _with_context(context, exc):
     return type(exc)(f"{context}: {exc}")
 
 
-def _run_demo(cfg, args):
-    arr, _ = _prepare_array(cfg, args)
-    drive = build_drive(cfg)
-    target = arr.m_words - 1
-    data = "1" * arr.n_bits
-    t0 = time.perf_counter()
-    try:
-        trace = write_word(arr, WriteRequest(target, data, cfg.operation.mode), drive)
-        reads = [(w, read_word(arr, w, drive)) for w in range(arr.m_words)]
-    except SimulationError as exc:
-        raise _with_context(f"demo scenario, word {target}", exc) from exc
-    wall = time.perf_counter() - t0
-    cycle = drive.setup_time_s + read_cycle_time(arr, drive)
-    summary = "\n".join(
-        (
-            f"scenario: demo ({arr.n_bits} bits x {arr.m_words} words)",
-            summarize_architecture(build_architecture(cfg)),
-            summarize_write(
-                f"write word {target} <- '{data}' ({cfg.operation.mode.value}), "
-                f"{len(trace.phases)} phase(s)",
-                trace,
-            ),
-            summarize_reads(reads, cycle),
-        )
-    ) + "\n"
-    outputs = {
-        "waveform.csv": trace_to_csv(trace),
-        "phases.csv": phases_to_csv(trace),
-        "reads.csv": reads_to_csv(reads),
-        "summary.txt": summary,
-    }
-    return _finish(cfg, args, outputs, wall, summary)
+def _run_array(cfg, args):
+    """Demo, write or read: an optional write, then an optional scan.
 
-
-def _run_write(cfg, args):
+    The demo writes all ones to the last word and then reads every word
+    back; the write scenario runs the configured write alone and the read
+    scenario the scan alone.
+    """
+    op = cfg.operation
     arr, rng = _prepare_array(cfg, args)
     drive = build_drive(cfg)
-    data = cfg.operation.data
-    if data == "random":
-        data = "".join("01"[rng.getrandbits(1)] for _ in range(arr.n_bits))
-    addr = cfg.operation.word_addr
+    if op.scenario == "demo":
+        addr, data = arr.m_words - 1, "1" * arr.n_bits
+    elif op.scenario == "write":
+        addr, data = op.word_addr, op.data
+        if data == "random":
+            data = "".join("01"[rng.getrandbits(1)] for _ in range(arr.n_bits))
+    else:
+        addr = data = None
+    context = f"{op.scenario} scenario" + ("" if data is None else f", word {addr}")
+    trace = reads = None
     t0 = time.perf_counter()
     try:
-        trace = write_word(arr, WriteRequest(addr, data, cfg.operation.mode), drive)
+        if data is not None:
+            trace = write_word(arr, WriteRequest(addr, data, op.mode), drive)
+        if op.scenario != "write":
+            reads = [(w, read_word(arr, w, drive)) for w in range(arr.m_words)]
     except SimulationError as exc:
-        raise _with_context(f"write scenario, word {addr}", exc) from exc
+        raise _with_context(context, exc) from exc
     wall = time.perf_counter() - t0
-    summary = "\n".join(
-        (
-            f"scenario: write ({arr.n_bits} bits x {arr.m_words} words)",
-            summarize_architecture(build_architecture(cfg)),
+    blocks = [
+        f"scenario: {op.scenario} ({arr.n_bits} bits x {arr.m_words} words)",
+        summarize_architecture(build_architecture(cfg)),
+    ]
+    outputs = {}
+    if trace is not None:
+        blocks.append(
             summarize_write(
-                f"write word {addr} <- '{data}' ({cfg.operation.mode.value}), "
+                f"write word {addr} <- '{data}' ({op.mode.value}), "
                 f"{len(trace.phases)} phase(s)",
                 trace,
-            ),
+            )
         )
-    ) + "\n"
-    outputs = {
-        "waveform.csv": trace_to_csv(trace),
-        "phases.csv": phases_to_csv(trace),
-        "summary.txt": summary,
-    }
-    return _finish(cfg, args, outputs, wall, summary)
-
-
-def _run_read(cfg, args):
-    arr, _ = _prepare_array(cfg, args)
-    drive = build_drive(cfg)
-    t0 = time.perf_counter()
-    try:
-        reads = [(w, read_word(arr, w, drive)) for w in range(arr.m_words)]
-    except SimulationError as exc:
-        raise _with_context("read scenario", exc) from exc
-    wall = time.perf_counter() - t0
-    cycle = drive.setup_time_s + read_cycle_time(arr, drive)
-    summary = "\n".join(
-        (
-            f"scenario: read ({arr.n_bits} bits x {arr.m_words} words)",
-            summarize_architecture(build_architecture(cfg)),
-            summarize_reads(reads, cycle),
-        )
-    ) + "\n"
-    outputs = {"reads.csv": reads_to_csv(reads), "summary.txt": summary}
+        outputs["waveform.csv"] = trace_to_csv(trace)
+        outputs["phases.csv"] = phases_to_csv(trace)
+    if reads is not None:
+        cycle = drive.setup_time_s + read_cycle_time(arr, drive)
+        blocks.append(summarize_reads(reads, cycle))
+        outputs["reads.csv"] = reads_to_csv(reads)
+    summary = "\n".join(blocks) + "\n"
+    outputs["summary.txt"] = summary
     return _finish(cfg, args, outputs, wall, summary)
 
 
@@ -232,20 +198,10 @@ def _run_sweep(cfg, args):
     return _finish(cfg, args, outputs, wall, summary)
 
 
-_SCENARIO_RUNNERS = {
-    "demo": _run_demo,
-    "write": _run_write,
-    "read": _run_read,
-    "sweep": _run_sweep,
-}
-
-
 def _cmd_simulate(cfg, args):
-    return _SCENARIO_RUNNERS[cfg.operation.scenario](cfg, args)
-
-
-def _cmd_sweep(cfg, args):
-    return _run_sweep(cfg, args)
+    if cfg.operation.scenario == "sweep":
+        return _run_sweep(cfg, args)
+    return _run_array(cfg, args)
 
 
 def _cmd_analyze(cfg, args):
@@ -318,7 +274,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, text in (
         ("simulate", _cmd_simulate, "run the configured scenario"),
-        ("sweep", _cmd_sweep, "run the design-space sweep"),
+        ("sweep", _run_sweep, "run the design-space sweep"),
         ("analyze", _cmd_analyze, "print closed-form figures, write nothing"),
         ("validate", _cmd_validate, "check the configuration and stop"),
     ):

@@ -147,9 +147,12 @@ def default_config():
 
 def _float(raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _int(raw):

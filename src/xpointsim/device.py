@@ -25,7 +25,6 @@ __all__ = [
     "MtjDevice",
     "MtjParams",
     "MtjState",
-    "ParameterError",
     "SwitchingParams",
     "TransistorModel",
     "brinkman_resistance",

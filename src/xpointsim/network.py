@@ -63,7 +63,6 @@ __all__ = [
     "NetworkSolution",
     "NodalCore",
     "RowDriver",
-    "SingularNetworkError",
     "SneakReport",
     "build_network",
     "equivalent_resistance",
@@ -181,6 +180,8 @@ class NodalCore:
         self.crossings = list(crossings)
         self.tags = list(tags)
         self.tag_index = {tag: k for k, tag in enumerate(self.tags)}
+        if not 0.0 <= line_resistance < math.inf:
+            raise ParameterError("line_resistance: must be finite and non-negative")
         self.line_resistance = line_resistance
         n_lines = len(self.lines)
         row_of = np.array([self.line_index[r] for r, _ in self.crossings], dtype=np.intp)
@@ -338,8 +339,6 @@ class CrossbarNetwork:
             if b.tag in tags:
                 raise ParameterError(f"branch tag {b.tag!r} appears twice")
             tags.add(b.tag)
-        if line_resistance < 0.0:
-            raise ParameterError("line_resistance: must be non-negative")
         resistance = np.array([b.resistance for b in branches], dtype=float)
         core = NodalCore(
             rows, cols, [(b.row, b.col) for b in branches], [b.tag for b in branches],
@@ -593,16 +592,6 @@ class NetworkSolution:
     @cached_property
     def line_voltages(self):
         return dict(zip(self.core.lines, self.volts[self.core.terminal].tolist()))
-
-    @cached_property
-    def node_voltages(self):
-        """Keyed by line, or by (line, crossing position) with wire resistance."""
-        core = self.core
-        if core.line_resistance == 0.0:
-            return dict(zip(core.lines, self.volts.tolist()))
-        position = (np.arange(core.n_nodes) - core.terminal[core.node_line]).tolist()
-        lines = [core.lines[line] for line in core.node_line.tolist()]
-        return dict(zip(zip(lines, position), self.volts.tolist()))
 
 
 @dataclass(frozen=True)

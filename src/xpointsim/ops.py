@@ -615,17 +615,15 @@ def compare_sensing_power(array, word_addr, drive=None):
     t_cycle = read_cycle_time(array, drive)
     v_dd = array.v_dd
 
-    full = _read_solution(array, word_addr, drive)
-    bits = read_word(array, word_addr, drive).bits
+    sense = read_word(array, word_addr, drive)
     e_parallel = []
     e_serial = []
-    for j in range(array.n_bits):
+    for j, (i_data, i_ref) in enumerate(sense.branch_currents):
         host = array.host_segment(word_addr, j)
         sibling = array.sibling_segment(word_addr, j)
-        i_par = full.source_currents[host] + full.source_currents[sibling]
         solo = _read_solution(array, word_addr, drive, driven_bits={j})
         i_ser = solo.source_currents[host] + solo.source_currents[sibling]
-        e_parallel.append(v_dd * i_par * t_cycle)
+        e_parallel.append(v_dd * (i_data + i_ref) * t_cycle)
         e_serial.append(v_dd * i_ser * t_cycle)
     parallel_j = sum(e_parallel)
     serial_j = sum(e_serial)
@@ -637,7 +635,7 @@ def compare_sensing_power(array, word_addr, drive=None):
         serial_j=serial_j,
         saving_ratio=1.0 - parallel_j / serial_j if serial_j > 0.0 else 0.0,
         per_bit_saving=savings,
-        bits=bits,
+        bits=sense.bits,
     )
 
 

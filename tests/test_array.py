@@ -96,6 +96,12 @@ def test_construction_validation():
         CrossbarArray(4, 0)
 
 
+@pytest.mark.parametrize("line_resistance", [-1.0, math.nan, math.inf])
+def test_line_resistance_must_be_finite_and_non_negative(line_resistance):
+    with pytest.raises(ParameterError, match="line_resistance"):
+        CrossbarArray(4, 4, line_resistance=line_resistance)
+
+
 def test_address_validation():
     arr = CrossbarArray(4, 4)
     with pytest.raises(ParameterError, match="word_addr"):

@@ -14,6 +14,10 @@ from xpointsim.config import (
     OperationSection,
     ScenarioConfig,
     TransistorSection,
+    _SCHEMA,
+    _auto_float,
+    _float,
+    _rate,
     build_architecture,
     build_array,
     build_drive,
@@ -124,6 +128,22 @@ def test_all_errors_reported_at_once():
     assert any(e.startswith("device.bogus:") and "unknown key" in e for e in errs)
     assert any(e.startswith("nope:") and "unknown section" in e for e in errs)
     assert any(e.startswith("drive.v_read:") and "number" in e for e in errs)
+
+
+_FLOAT_KEYS = [
+    f"{section}.{key}"
+    for section, schema in _SCHEMA.items()
+    for key, convert in schema.items()
+    if convert in (_float, _rate, _auto_float)
+]
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", _FLOAT_KEYS)
+def test_non_finite_numbers_are_rejected(name, raw):
+    section, key = name.split(".")
+    errs = errors_of(f"[{section}]\n{key} = {raw}\n")
+    assert f"{name}: expected a finite number, got {raw!r}" in errs
 
 
 def test_keys_before_any_section_are_rejected():

@@ -23,7 +23,6 @@ from xpointsim.device import (
     MtjDevice,
     MtjParams,
     MtjState,
-    ParameterError,
     SwitchingParams,
     TransistorModel,
     brinkman_resistance,
@@ -35,6 +34,7 @@ from xpointsim.device import (
     switching_step,
     transistor_current,
 )
+from xpointsim.errors import ParameterError
 
 SURFACE = math.pi / 4.0 * 65.0**2
 R_P = 1e7 / SURFACE

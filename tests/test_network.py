@@ -17,13 +17,12 @@ from oracle import branch_current, solve_nodes
 from xpointsim.array import CrossbarArray
 from xpointsim.device import MtjParams, MtjState, TransistorModel, mtj_resistance
 from xpointsim import network
-from xpointsim.errors import InvariantError, ParameterError
+from xpointsim.errors import InvariantError, ParameterError, SingularNetworkError
 from xpointsim.network import (
     CrossbarNetwork,
     DeviceBranch,
     LineBias,
     RowDriver,
-    SingularNetworkError,
     build_network,
     equivalent_resistance,
     sneak_decomposition,

@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+from xpointsim import ops
 from xpointsim.array import CrossbarArray
 from xpointsim.device import MtjState, critical_current
 from xpointsim.errors import (
@@ -20,6 +21,7 @@ from xpointsim.errors import (
     ReadDisturbError,
     WriteFailureError,
 )
+from xpointsim.network import solve_network
 from xpointsim.ops import (
     DriveConfig,
     WriteMode,
@@ -539,6 +541,21 @@ def test_antiparallel_bits_save_more_than_parallel_bits():
         ap = [s for s, b in zip(report.per_bit_saving, vector) if b == "1"]
         p = [s for s, b in zip(report.per_bit_saving, vector) if b == "0"]
         assert min(ap) > max(p)
+
+
+def test_sensing_power_solves_the_full_read_once(monkeypatch):
+    solves = []
+
+    def counting(net):
+        solves.append(net)
+        return solve_network(net)
+
+    arr = fresh()
+    arr.set_word(0, "0110")
+    monkeypatch.setattr(ops, "solve_network", counting)
+    compare_sensing_power(arr, 0)
+    # one whole-word read plus one serial sub-cycle per bit
+    assert len(solves) == arr.n_bits + 1
 
 
 def test_single_bit_word_has_no_serial_saving():
