@@ -179,19 +179,24 @@ def _run_array(cfg, args):
     return _finish(cfg, args, outputs, wall, summary)
 
 
-def _run_sweep(cfg, args):
-    op = cfg.operation
-    t0 = time.perf_counter()
-    perf_report = sweep_area(
+def _sweep(cfg, n_range, m_range):
+    """The closed-form models of the configured design over a grid of shapes."""
+    return sweep_area(
         build_architecture(cfg),
-        op.sweep_n_bits,
-        op.sweep_m_words,
+        n_range,
+        m_range,
         params=cfg.device,
         dynamics=build_dynamics(cfg),
         drive=build_drive(cfg),
         overdrive=cfg.drive.write_overdrive,
         transistor=build_transistor(cfg),
     )
+
+
+def _run_sweep(cfg, args):
+    op = cfg.operation
+    t0 = time.perf_counter()
+    perf_report = _sweep(cfg, op.sweep_n_bits, op.sweep_m_words)
     wall = time.perf_counter() - t0
     summary = summarize_sweep(perf_report) + "\n"
     outputs = {"sweep.csv": perf_report.to_csv(), "summary.txt": summary}
@@ -211,16 +216,7 @@ def _cmd_analyze(cfg, args):
     n, m = cfg.array.n_bits, cfg.array.m_words
     i_write = cfg.drive.write_overdrive * critical_current(params)
     tau = switching_delay(i_write, params, dynamics)
-    (row,) = sweep_area(
-        build_architecture(cfg),
-        [n],
-        [m],
-        params=params,
-        dynamics=dynamics,
-        drive=drive,
-        overdrive=cfg.drive.write_overdrive,
-        transistor=build_transistor(cfg),
-    ).rows
+    (row,) = _sweep(cfg, [n], [m]).rows
     setup = drive.setup_time_s
     lines = (
         f"device: R_P {fmt6(mtj_resistance(MtjState.P, params))} ohm, "

@@ -7,6 +7,13 @@ the default 4x4 demonstration scenario. Unknown sections or keys are
 rejected, and validation reports *all* problems at once, each one naming
 the offending ``section.key``.
 
+Each key is declared once, as a field of its section dataclass made by
+``_key``: the field holds the default, the converter from INI text and
+the range check of that key alone. ``[device]`` is
+:class:`~xpointsim.device.MtjParams` itself, whose keys are numbers and
+which checks its own ranges. Conversion problems are reported first, then
+range problems in section and key order, then the problems that span keys.
+
 Sections and keys, with defaults:
 
 ``[device]``
@@ -67,79 +74,6 @@ from .ops import DriveConfig, WriteMode
 from .perf import ArchitectureConfig
 
 _SCENARIOS = ("demo", "write", "read", "sweep")
-
-
-@dataclass(frozen=True)
-class DynamicsSection:
-    xi: float = 40.0
-    polarization: float = 0.62
-    moment_a_m2: float = 456e3 * (math.pi / 4.0 * 65.0**2 * 1e-18) * 1.3e-9
-    rate_per_amp: float | str = "auto"
-
-
-@dataclass(frozen=True)
-class TransistorSection:
-    r_on: float | str = "auto"
-    r_off: float | str = "auto"
-    i_sat: float | str = "auto"
-
-
-@dataclass(frozen=True)
-class ArraySection:
-    n_bits: int = 4
-    m_words: int = 4
-    balanced: bool = True
-    line_resistance: float = 0.0
-
-
-@dataclass(frozen=True)
-class DriveSection:
-    v_dd: float = 1.2
-    v_read: float = 0.3
-    write_overdrive: float = 1.3
-    setup_time_s: float = 1e-10
-    sample_dt_s: float = 5e-10
-    c_load_f: float = 300e-15
-
-
-@dataclass(frozen=True)
-class ArchitectureSection:
-    a_sense_f2: float = 40.0
-    a_write_f2: float = 112.0
-    a_select_f2: float = 112.0
-    f_feature_nm: float = 65.0
-    f_memory_nm: float = 40.0
-    f_data_hz: float = 100e6
-
-
-@dataclass(frozen=True)
-class OperationSection:
-    scenario: str = "demo"
-    word_addr: int = 0
-    data: str = "1111"
-    mode: WriteMode = WriteMode.PARALLEL
-    sweep_n_bits: tuple = (2, 4, 8, 16, 32, 64)
-    sweep_m_words: tuple = (1024,)
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    device: MtjParams = dataclasses.field(default_factory=MtjParams)
-    dynamics: DynamicsSection = dataclasses.field(default_factory=DynamicsSection)
-    transistor: TransistorSection = dataclasses.field(
-        default_factory=TransistorSection
-    )
-    array: ArraySection = dataclasses.field(default_factory=ArraySection)
-    drive: DriveSection = dataclasses.field(default_factory=DriveSection)
-    architecture: ArchitectureSection = dataclasses.field(
-        default_factory=ArchitectureSection
-    )
-    operation: OperationSection = dataclasses.field(default_factory=OperationSection)
-
-
-def default_config():
-    """The scenario an empty file describes."""
-    return ScenarioConfig()
 
 
 # -- value converters --------------------------------------------------------
@@ -230,62 +164,108 @@ def _int_list(raw):
     return tuple(out)
 
 
-_SCHEMA = {
-    "device": {
-        "tmr": _float,
-        "surface_nm2": _float,
-        "tox_nm": _float,
-        "ra_ohm_um2": _float,
-        "jc0_a_cm2": _float,
-        "barrier_ev": _float,
-    },
-    "dynamics": {
-        "xi": _float,
-        "polarization": _float,
-        "moment_a_m2": _float,
-        "rate_per_amp": _rate,
-    },
-    "transistor": {"r_on": _auto_float, "r_off": _auto_float, "i_sat": _auto_float},
-    "array": {
-        "n_bits": _int,
-        "m_words": _int,
-        "balanced": _bool,
-        "line_resistance": _float,
-    },
-    "drive": {
-        "v_dd": _float,
-        "v_read": _float,
-        "write_overdrive": _float,
-        "setup_time_s": _float,
-        "sample_dt_s": _float,
-        "c_load_f": _float,
-    },
-    "architecture": {
-        "a_sense_f2": _float,
-        "a_write_f2": _float,
-        "a_select_f2": _float,
-        "f_feature_nm": _float,
-        "f_memory_nm": _float,
-        "f_data_hz": _float,
-    },
-    "operation": {
-        "scenario": _scenario,
-        "word_addr": _int,
-        "data": _data,
-        "mode": _mode,
-        "sweep_n_bits": _int_list,
-        "sweep_m_words": _int_list,
-    },
-}
+# -- single-key range checks -------------------------------------------------
 
-_SECTION_TYPES = {
-    "device": MtjParams,
-    "dynamics": DynamicsSection,
-    "transistor": TransistorSection,
-    "array": ArraySection,
-    "drive": DriveSection,
-    "architecture": ArchitectureSection,
-    "operation": OperationSection,
+
+def _check(test, problem):
+    """Range check of one value; sentinel strings such as ``auto`` are exempt."""
+    return lambda value: None if isinstance(value, str) or test(value) else problem
+
+
+_positive = _check(lambda v: v > 0.0, "must be positive")
+_non_negative = _check(lambda v: v >= 0.0, "must be non-negative")
+_at_least_1 = _check(lambda v: v >= 1, "must be at least 1")
+_entries_at_least_1 = _check(lambda v: min(v) >= 1, "entries must be at least 1")
+
+
+def _key(default, parse=_float, check=None):
+    """A section field: the key's default, INI converter and range check."""
+    return dataclasses.field(default=default, metadata={"parse": parse, "check": check})
+
+
+# -- sections ----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DynamicsSection:
+    xi: float = _key(SwitchingParams.xi, check=_positive)
+    polarization: float = _key(
+        SwitchingParams.polarization,
+        check=_check(lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+    )
+    moment_a_m2: float = _key(SwitchingParams.moment_a_m2, check=_positive)
+    rate_per_amp: float | str = _key("auto", _rate, _positive)
+
+
+@dataclass(frozen=True)
+class TransistorSection:
+    r_on: float | str = _key("auto", _auto_float, _positive)
+    r_off: float | str = _key("auto", _auto_float, _positive)
+    i_sat: float | str = _key("auto", _auto_float, _positive)
+
+
+@dataclass(frozen=True)
+class ArraySection:
+    n_bits: int = _key(4, _int, _at_least_1)
+    m_words: int = _key(4, _int, _at_least_1)
+    balanced: bool = _key(True, _bool)
+    line_resistance: float = _key(0.0, check=_non_negative)
+
+
+@dataclass(frozen=True)
+class DriveSection:
+    v_dd: float = _key(1.2, check=_positive)
+    v_read: float = _key(DriveConfig.v_read, check=_positive)
+    write_overdrive: float = _key(1.3, check=_positive)
+    setup_time_s: float = _key(DriveConfig.setup_time_s, check=_non_negative)
+    sample_dt_s: float = _key(DriveConfig.sample_dt_s, check=_positive)
+    c_load_f: float = _key(DriveConfig.c_load_f, check=_positive)
+
+
+@dataclass(frozen=True)
+class ArchitectureSection:
+    a_sense_f2: float = _key(ArchitectureConfig.a_sense_f2, check=_positive)
+    a_write_f2: float = _key(ArchitectureConfig.a_write_f2, check=_positive)
+    a_select_f2: float = _key(ArchitectureConfig.a_select_f2, check=_positive)
+    f_feature_nm: float = _key(ArchitectureConfig.f_feature_nm, check=_positive)
+    f_memory_nm: float = _key(ArchitectureConfig.f_memory_nm, check=_positive)
+    f_data_hz: float = _key(ArchitectureConfig.f_data_hz, check=_positive)
+
+
+@dataclass(frozen=True)
+class OperationSection:
+    scenario: str = _key("demo", _scenario)
+    word_addr: int = _key(0, _int)
+    data: str = _key("1111", _data)
+    mode: WriteMode = _key(WriteMode.PARALLEL, _mode)
+    sweep_n_bits: tuple = _key((2, 4, 8, 16, 32, 64), _int_list, _entries_at_least_1)
+    sweep_m_words: tuple = _key((1024,), _int_list, _entries_at_least_1)
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    device: MtjParams = dataclasses.field(default_factory=MtjParams)
+    dynamics: DynamicsSection = dataclasses.field(default_factory=DynamicsSection)
+    transistor: TransistorSection = dataclasses.field(
+        default_factory=TransistorSection
+    )
+    array: ArraySection = dataclasses.field(default_factory=ArraySection)
+    drive: DriveSection = dataclasses.field(default_factory=DriveSection)
+    architecture: ArchitectureSection = dataclasses.field(
+        default_factory=ArchitectureSection
+    )
+    operation: OperationSection = dataclasses.field(default_factory=OperationSection)
+
+
+def default_config():
+    """The scenario an empty file describes."""
+    return ScenarioConfig()
+
+
+_SECTION_TYPES = {f.name: f.default_factory for f in dataclasses.fields(ScenarioConfig)}
+_SCHEMA = {
+    section: {f.name: f.metadata.get("parse", _float) for f in dataclasses.fields(cls)}
+    for section, cls in _SECTION_TYPES.items()
 }
 
 
@@ -322,103 +302,58 @@ def parse_config(text):
             except ValueError as exc:
                 errors.append(f"{section}.{key}: {exc}")
 
-    sections = {}
+    sections, flagged = {}, set()
     for name, cls in _SECTION_TYPES.items():
         try:
-            sections[name] = cls(**values.get(name, {}))
+            section = cls(**values.get(name, {}))
         except ParameterError as exc:
+            # a failed section falls back to defaults so the checks that
+            # span keys can still inspect everything else
             errors.append(f"{name}.{exc}")
-            sections[name] = None
-
-    # a failed section falls back to defaults so the cross-field checks can
-    # still inspect everything else; the config is only returned error-free
-    cfg = ScenarioConfig(
-        **{
-            name: section if section is not None else cls()
-            for (name, cls), section in zip(
-                _SECTION_TYPES.items(), sections.values()
-            )
-        }
-    )
-    errors.extend(_cross_validate(cfg))
+            flagged.add(name)
+            section = cls()
+        for field in dataclasses.fields(section):
+            check = field.metadata.get("check")
+            problem = check and check(getattr(section, field.name))
+            if problem:
+                errors.append(f"{name}.{field.name}: {problem}")
+                flagged.add(name)
+        sections[name] = section
+    cfg = ScenarioConfig(**sections)
+    errors.extend(_cross_validate(cfg, flagged))
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
-def _positive(errors, section, mapping):
-    for key, value in mapping.items():
-        if not value > 0.0:
-            errors.append(f"{section}.{key}: must be positive")
-
-
-def _cross_validate(cfg):
-    """Range and consistency checks spanning more than one key."""
+def _cross_validate(cfg, flagged):
+    """Checks that span keys; ``flagged`` names the sections with a range problem."""
     errors = []
-    arr, drv, op = cfg.array, cfg.drive, cfg.operation
-
-    if arr.n_bits < 1:
-        errors.append("array.n_bits: must be at least 1")
-    if arr.m_words < 1:
-        errors.append("array.m_words: must be at least 1")
-    elif arr.balanced and arr.m_words % 2 != 0:
+    arr, tr, op = cfg.array, cfg.transistor, cfg.operation
+    if arr.balanced and arr.m_words >= 1 and arr.m_words % 2 != 0:
         errors.append(
             "array.m_words: the balanced layout needs an even word count"
         )
-    if arr.line_resistance < 0.0:
-        errors.append("array.line_resistance: must be non-negative")
-
-    _positive(
-        errors,
-        "drive",
-        {
-            "v_dd": drv.v_dd,
-            "v_read": drv.v_read,
-            "write_overdrive": drv.write_overdrive,
-            "sample_dt_s": drv.sample_dt_s,
-            "c_load_f": drv.c_load_f,
-        },
-    )
-    if drv.setup_time_s < 0.0:
-        errors.append("drive.setup_time_s: must be non-negative")
-
-    _positive(
-        errors,
-        "architecture",
-        {k: getattr(cfg.architecture, k) for k in _SCHEMA["architecture"]},
-    )
-
-    dyn = cfg.dynamics
-    if not dyn.xi > 0.0:
-        errors.append("dynamics.xi: must be positive")
-    if not 0.0 < dyn.polarization < 1.0:
-        errors.append("dynamics.polarization: must be in (0, 1)")
-    if not dyn.moment_a_m2 > 0.0:
-        errors.append("dynamics.moment_a_m2: must be positive")
-    if isinstance(dyn.rate_per_amp, float) and not dyn.rate_per_amp > 0.0:
-        errors.append("dynamics.rate_per_amp: must be positive")
-
-    tr = cfg.transistor
-    for key in ("r_on", "r_off", "i_sat"):
-        value = getattr(tr, key)
-        if isinstance(value, float) and not value > 0.0:
-            errors.append(f"transistor.{key}: must be positive")
     if (
         isinstance(tr.r_on, float)
         and isinstance(tr.r_off, float)
         and tr.r_off <= tr.r_on
     ):
         errors.append("transistor.r_off: must exceed r_on")
-    if not errors:
-        # the derived switch sizing can fail (no voltage headroom at the
-        # requested operating point), surface that at parse time
-        try:
-            if build_transistor(cfg) is None:
-                TransistorModel.default_for(
-                    cfg.device, v_dd=drv.v_dd, overdrive=drv.write_overdrive
-                )
-        except ParameterError as exc:
-            errors.append(f"transistor.{exc}")
+    # the derived models can fail (no voltage headroom at the requested
+    # operating point, a threshold current the rate fit cannot use): surface
+    # that at parse time, but only for an array, drive and switch that are
+    # otherwise valid, so that one bad value is not reported twice
+    if not errors and flagged.isdisjoint(
+        ("array", "drive", "architecture", "dynamics", "transistor")
+    ):
+        builds = (("transistor", _cell_switch), ("dynamics", build_dynamics))
+        for section, build in builds:
+            try:
+                build(cfg)
+            except ParameterError as exc:
+                errors.append(f"{section}.{exc}")
+                break
 
     if op.word_addr < 0 or (arr.m_words >= 1 and op.word_addr >= arr.m_words):
         errors.append(
@@ -435,9 +370,6 @@ def _cross_validate(cfg):
             f"operation.data: expected {arr.n_bits} bits for the "
             f"configured array, got {len(op.data)}"
         )
-    for key in ("sweep_n_bits", "sweep_m_words"):
-        if any(v < 1 for v in getattr(op, key)):
-            errors.append(f"operation.{key}: entries must be at least 1")
     return errors
 
 
@@ -492,25 +424,22 @@ def build_dynamics(cfg):
 
 def build_transistor(cfg):
     """Access switch model, or None when fully derived from the drive point."""
-    tr = cfg.transistor
-    explicit = {
-        key: getattr(tr, key)
-        for key in ("r_on", "r_off", "i_sat")
-        if not isinstance(getattr(tr, key), str)
-    }
+    given = dataclasses.asdict(cfg.transistor)
+    explicit = {key: v for key, v in given.items() if not isinstance(v, str)}
     if not explicit:
         return None
-    if len(explicit) < 3:
+    if len(explicit) < len(given):
         base = TransistorModel.default_for(
             cfg.device, v_dd=cfg.drive.v_dd, overdrive=cfg.drive.write_overdrive
         )
-        filled = {
-            key: explicit.get(key, getattr(base, key))
-            for key in ("r_on", "r_off", "i_sat")
-        }
-    else:
-        filled = explicit
-    return TransistorModel(**filled)
+        explicit = {key: explicit.get(key, getattr(base, key)) for key in given}
+    return TransistorModel(**explicit)
+
+
+def _cell_switch(cfg):
+    return build_transistor(cfg) or TransistorModel.default_for(
+        cfg.device, v_dd=cfg.drive.v_dd, overdrive=cfg.drive.write_overdrive
+    )
 
 
 def build_array(cfg):
@@ -539,15 +468,9 @@ def build_drive(cfg):
 
 def build_architecture(cfg, n_bits=None, m_words=None):
     """Periphery model for the configured (or an overridden) array shape."""
-    arch = cfg.architecture
     return ArchitectureConfig(
         n_bits=cfg.array.n_bits if n_bits is None else n_bits,
         m_words=cfg.array.m_words if m_words is None else m_words,
-        a_sense_f2=arch.a_sense_f2,
-        a_write_f2=arch.a_write_f2,
-        a_select_f2=arch.a_select_f2,
-        f_feature_nm=arch.f_feature_nm,
-        f_memory_nm=arch.f_memory_nm,
         v_dd=cfg.drive.v_dd,
-        f_data_hz=arch.f_data_hz,
+        **dataclasses.asdict(cfg.architecture),
     )

@@ -169,8 +169,13 @@ class SwitchingParams:
         _require(overdrive > 1.0, "overdrive", "fit point must exceed threshold")
         _require(tau_s > 0.0, "tau_s", "must be positive")
         i_c = critical_current(params)
-        rate = 1.0 / (tau_s * (overdrive - 1.0) * i_c)
-        return cls(rate_per_amp=rate)
+        scale = tau_s * (overdrive - 1.0) * i_c
+        _require(
+            0.0 < scale < math.inf,
+            "rate_per_amp",
+            f"cannot be fitted to a threshold current of {i_c:g} A",
+        )
+        return cls(rate_per_amp=1.0 / scale)
 
     def rate(self):
         """Switching rate per ampere of overdrive, 1/(A*s)."""
@@ -274,6 +279,9 @@ class TransistorModel:
         current so normal operation stays in the ohmic region.
         """
         i_write = overdrive * critical_current(params)
+        _require(
+            i_write > 0.0, "r_on", f"no write current: {overdrive:g}x threshold is 0 A"
+        )
         r_on = v_dd / i_write - mtj_resistance(MtjState.P, params)
         _require(
             r_on > 0.0,

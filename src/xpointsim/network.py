@@ -44,6 +44,7 @@ source current is positive out of the source into the line.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -182,6 +183,14 @@ class NodalCore:
         self.tag_index = {tag: k for k, tag in enumerate(self.tags)}
         if not 0.0 <= line_resistance < math.inf:
             raise ParameterError("line_resistance: must be finite and non-negative")
+        # a wire conductance below the float resolution of the branch
+        # conductances is rounded away in the nodal sums: the lines are open
+        r_min = np.min(resistance, initial=math.inf)
+        if line_resistance * sys.float_info.epsilon > r_min:
+            raise ParameterError(
+                f"line_resistance: {line_resistance:g} ohm per segment leaves "
+                f"the lines open next to {r_min:g} ohm branches"
+            )
         self.line_resistance = line_resistance
         n_lines = len(self.lines)
         row_of = np.array([self.line_index[r] for r, _ in self.crossings], dtype=np.intp)

@@ -74,6 +74,7 @@ __all__ = [
     "WriteMode",
     "WriteRequest",
     "compare_sensing_power",
+    "halving_time",
     "read_cycle_time",
     "read_word",
     "select_word",
@@ -84,6 +85,7 @@ __all__ = [
 ]
 
 _TIE_REL = 1e-6
+_STEP_SAMPLES = 100_000
 LN2 = math.log(2.0)
 
 
@@ -263,9 +265,16 @@ class _TraceBuilder:
         self.samples.append(TraceSample(self.t, dict(currents), supply))
 
     def densify(self, t_until, currents, supply, dt_max):
+        t = self.samples[-1].t if self.samples else self.t
+        # a step gets at most _STEP_SAMPLES padding samples, and a sample
+        # step no wider than the float spacing at t_until never advances t
+        if (t_until - t) / dt_max > _STEP_SAMPLES or dt_max <= math.ulp(t_until):
+            raise ParameterError(
+                f"sample_dt_s: {dt_max:g} s would pad a {t_until - t:g} s "
+                f"step with more than {_STEP_SAMPLES} samples"
+            )
         # no padding sample within float noise of t_until, where the step's
         # closing sample lands: it would print as a second row at that time
-        t = self.samples[-1].t if self.samples else self.t
         while t + dt_max < t_until - 1e-6 * dt_max:
             t += dt_max
             self.samples.append(TraceSample(t, dict(currents), supply))
@@ -510,13 +519,19 @@ def sense_bit(r_data_branch, r_ref_branch, c_load, v_dd):
             f"{r_ref_branch:.6g} Ohm"
         )
     bit = "1" if r_data_branch > r_ref_branch else "0"
-    return BitDecision(bit=bit, delay=min(r_data_branch, r_ref_branch) * c_load * LN2)
+    delay = halving_time(min(r_data_branch, r_ref_branch), c_load)
+    return BitDecision(bit=bit, delay=delay)
+
+
+def halving_time(r_ohm, c_f):
+    """Time for a branch of ``r_ohm`` to discharge ``c_f`` to half its voltage."""
+    return r_ohm * c_f * LN2
 
 
 def read_cycle_time(array, drive=None):
     """Fixed sense clock: the halving time of the reference branch."""
     drive = drive or DriveConfig()
-    return array.ideal_reference_resistance() * drive.c_load_f * LN2
+    return halving_time(array.ideal_reference_resistance(), drive.c_load_f)
 
 
 def _read_solution(array, word_addr, drive, driven_bits=None):

@@ -32,7 +32,7 @@ from .device import (
     switching_delay,
 )
 from .errors import ParameterError
-from .ops import LN2, DriveConfig
+from .ops import DriveConfig, halving_time
 
 __all__ = [
     "ArchitectureConfig",
@@ -226,7 +226,7 @@ def _sweep_point(cfg, n, m, params, dynamics, drive, overdrive, r_cell_on):
     i_write = overdrive * critical_current(params)
     tau = switching_delay(i_write, params, dynamics)
     r_ref_branch = reference_branch_resistance(reference_params(params), r_cell_on, n)
-    t_read = r_ref_branch * drive.c_load_f * LN2
+    t_read = halving_time(r_ref_branch, drive.c_load_f)
     point = replace(cfg, n_bits=n, m_words=m)
     return PerfRow(
         n_bits=n,

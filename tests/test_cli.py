@@ -1,10 +1,16 @@
-"""End-to-end runs of the command-line driver, all in-process."""
+"""End-to-end runs of the command-line driver, in-process except where a
+run could hang."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import xpointsim
 from xpointsim.cli import CONFIG_ENV, main
 from xpointsim.config import default_config
 from xpointsim.perf import parse_sweep_csv
@@ -187,6 +193,29 @@ def test_simulation_failure_maps_to_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "simulation error" in err
     assert "demo scenario" in err
+
+
+@pytest.mark.parametrize("dt", ["1e-300", "1e-15"])
+def test_tiny_sample_step_exits_1_instead_of_hanging(tmp_path, dt):
+    # 1e-300 s rounds away (t + dt == t); 1e-15 s asks for ~1e7 samples a step
+    cfg = tmp_path / "dt.ini"
+    cfg.write_text(f"[drive]\nsample_dt_s = {dt}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(xpointsim.__file__).parents[1]))
+    command = ["simulate", "--config", str(cfg), "--out", "run"]
+    run = subprocess.run(
+        [sys.executable, "-m", "xpointsim", *command],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert run.returncode == 1
+    assert "parameter error: sample_dt_s:" in run.stderr
+
+
+@pytest.mark.parametrize("ohms", ["1e20", "1e300"])
+def test_huge_line_resistance_names_the_key(tmp_path, capsys, ohms):
+    cfg = tmp_path / "open.ini"
+    cfg.write_text(f"[array]\nline_resistance = {ohms}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 1
+    assert "parameter error: line_resistance:" in capsys.readouterr().err
 
 
 def test_env_search_path_supplies_default_config(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,13 @@
 """Scenario file parsing, validation, and canonical serialization."""
 
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xpointsim.array import CrossbarArray
 from xpointsim.config import (
     ArchitectureSection,
     ArraySection,
@@ -17,6 +19,8 @@ from xpointsim.config import (
     _SCHEMA,
     _auto_float,
     _float,
+    _format_value,
+    _int_list,
     _rate,
     build_architecture,
     build_array,
@@ -28,9 +32,9 @@ from xpointsim.config import (
     serialize_config,
 )
 from xpointsim.device import MtjParams, SwitchingParams, TransistorModel
-from xpointsim.errors import ConfigError
-from xpointsim.ops import WriteMode
-from xpointsim.perf import cell_area
+from xpointsim.errors import ConfigError, ParameterError
+from xpointsim.ops import DriveConfig, WriteMode
+from xpointsim.perf import ArchitectureConfig, cell_area
 
 
 def errors_of(text):
@@ -108,6 +112,110 @@ def test_round_trip_property(tmr, tox, v_read, overdrive, line_r, n_bits, rate):
         operation=OperationSection(data="1" * n_bits, scenario="write"),
     )
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+_KEYS = [(section, key) for section, schema in _SCHEMA.items() for key in schema]
+_KNOWN = {f"{section}.{key}" for section, key in _KEYS} | set(_SCHEMA) | {"DEFAULT"}
+_JUNK = st.one_of(
+    st.sampled_from(["auto", "physics", "random", "true", "off", "demo", "serial", ""]),
+    st.text("01aex.,-+ ", max_size=6),
+)
+
+
+def _wild_value(section, key, default):
+    """INI text for one key: a rescaled default, any number, sentinel or junk."""
+    if key in ("n_bits", "m_words"):  # arrays stay at 8x8 or smaller
+        return st.one_of(
+            st.integers(-2, 8).map(str), st.sampled_from(["", "x", "1.5", "nan", "auto"])
+        )
+    if _SCHEMA[section][key] is _int_list:
+        ints = st.lists(st.integers(-2, 9), max_size=3)
+        return st.one_of(ints.map(lambda v: ",".join(map(str, v))), _JUNK)
+    extremes = st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 1e300, 1.8e308])
+    values = [
+        st.floats().map(repr), extremes.map(repr), st.integers(-10, 10).map(str), _JUNK
+    ]
+    if isinstance(default, float):
+        values.append(st.integers(-6, 6).map(lambda k: repr(default * 10.0**k)))
+    return st.one_of(values)
+
+
+@st.composite
+def _scenario_texts(draw):
+    # every key is written; most keep their default, so many draws parse
+    wild = draw(st.sets(st.sampled_from(_KEYS), max_size=3))
+    defaults = default_config()
+    text = ""
+    for section, schema in _SCHEMA.items():
+        text += f"[{section}]\n"
+        for key in schema:
+            default = getattr(getattr(defaults, section), key)
+            value = _format_value(default)
+            if (section, key) in wild:
+                value = draw(_wild_value(section, key, default))
+            text += f"{key} = {value}\n"
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_scenario_texts())
+def test_every_key_declaration_rejects_by_name_or_builds(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        for entry in exc.errors:
+            assert entry.split(":")[0] in _KNOWN, entry
+        return
+    build_dynamics(cfg)
+    build_transistor(cfg)
+    build_drive(cfg)
+    build_architecture(cfg)
+    try:
+        build_array(cfg)
+    except ParameterError as exc:
+        # checks only the compiled array makes: a line resistance the
+        # solver cannot resolve, or a word selector or reference cell whose
+        # derived value underflows
+        allowed = (
+            "line_resistance:", "r_on: must be positive", "surface_nm2: must be positive"
+        )
+        assert str(exc).startswith(allowed), exc
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_section_defaults_are_the_models_defaults():
+    cfg = default_config()
+    assert build_drive(cfg) == DriveConfig()
+    assert build_dynamics(cfg) == SwitchingParams.lumped_fit(cfg.device)
+    assert build_architecture(
+        cfg, n_bits=ArchitectureConfig.n_bits, m_words=ArchitectureConfig.m_words
+    ) == ArchitectureConfig()
+    array_defaults = inspect.signature(CrossbarArray).parameters
+    for section, key in (
+        ("drive", "v_dd"),
+        ("drive", "write_overdrive"),
+        ("array", "balanced"),
+        ("array", "line_resistance"),
+    ):
+        assert getattr(getattr(cfg, section), key) == array_defaults[key].default, key
+
+
+@pytest.mark.parametrize(
+    "text, first",
+    [
+        ("[device]\nsurface_nm2 = 5e-324\n", "transistor.r_on: "),
+        ("[drive]\nwrite_overdrive = 5e-324\n", "transistor.r_on: "),
+        (
+            "[device]\nsurface_nm2 = 1e-310\n"
+            "[transistor]\nr_on = 1000\nr_off = 1e9\ni_sat = 1e-3\n",
+            "dynamics.rate_per_amp: ",
+        ),
+    ],
+)
+def test_underflowing_write_current_is_a_config_error(text, first):
+    # the write current, or the product the rate fit divides by, is 0
+    (err,) = errors_of(text)
+    assert err.startswith(first)
 
 
 # -- error collection --------------------------------------------------------
@@ -202,6 +310,8 @@ def test_random_data_is_accepted_for_writes():
 def test_sweep_lists_reject_nonpositive_entries():
     errs = errors_of("[operation]\nsweep_n_bits = 0,4\n")
     assert any(e.startswith("operation.sweep_n_bits:") for e in errs)
+    errs = errors_of("[operation]\nsweep_m_words = 16,-1\n")
+    assert errs == ["operation.sweep_m_words: entries must be at least 1"]
 
 
 def test_sweep_range_syntax():
