@@ -46,7 +46,7 @@ from .device import (
     reference_params,
 )
 from .errors import ParameterError
-from .network import CrossbarNetwork, NodalCore
+from .network import CrossbarNetwork, NodalCore, RowDriver
 
 __all__ = ["CrossbarArray", "REF_ROWS", "reference_branch_resistance"]
 
@@ -166,6 +166,7 @@ class CrossbarArray:
             self.word_rows + self.ref_rows, self.segments, self.cell_keys, tags,
             line_resistance, self.resistances,
         )
+        self._idle = None  # (selector model, every row -> one idle driver)
 
     # -- addressing ----------------------------------------------------
 
@@ -271,6 +272,19 @@ class CrossbarArray:
         return CrossbarNetwork.on_core(
             self._core, self.resistances.copy(), drivers, bias, self.v_dd
         )
+
+    def idle_drivers(self):
+        """Every row tied to one shared driver with both switches off.
+
+        Built once per word-selector model; callers copy it and replace
+        the rows they select, so the rows they leave idle keep sharing one
+        driver object.
+        """
+        model = self.row_driver_model
+        if self._idle is None or self._idle[0] is not model:
+            rows = self.word_rows + self.ref_rows
+            self._idle = (model, dict.fromkeys(rows, RowDriver(model)))
+        return self._idle[1]
 
     def ideal_branch_resistance(self, state):
         """Series resistance of one isolated sense branch in a given state."""

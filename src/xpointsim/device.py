@@ -162,6 +162,18 @@ class SwitchingParams:
         _require(self.moment_a_m2 > 0.0, "moment_a_m2", "must be positive")
         if self.rate_per_amp is not None:
             _require(self.rate_per_amp > 0.0, "rate_per_amp", "must be positive")
+        else:
+            # a moment so small that q * m underflows leaves the physics
+            # rate without a finite value
+            scale = self._moment_scale()
+            _require(
+                scale > 0.0 and BOHR_MAGNETON * self.polarization / scale < math.inf,
+                "moment_a_m2",
+                f"{self.moment_a_m2:g} A*m^2 gives no finite physics rate",
+            )
+
+    def _moment_scale(self):
+        return ELEMENTARY_CHARGE * self.moment_a_m2 * (1.0 + self.polarization**2)
 
     @classmethod
     def lumped_fit(cls, params, tau_s=10e-9, overdrive=1.3):
@@ -187,16 +199,7 @@ class SwitchingParams:
             "xi",
             "too small: the thermal-activation bracket is not positive",
         )
-        return (
-            (2.0 / bracket)
-            * BOHR_MAGNETON
-            * self.polarization
-            / (
-                ELEMENTARY_CHARGE
-                * self.moment_a_m2
-                * (1.0 + self.polarization**2)
-            )
-        )
+        return (2.0 / bracket) * BOHR_MAGNETON * self.polarization / self._moment_scale()
 
 
 def switching_delay(current_a, params, dyn):

@@ -12,13 +12,28 @@ The topology is compiled once into integer index arrays, a
 :class:`NodalCore`; between solves only conductances, biases and drivers
 change. Row nodes at even positions along their chain (every row node
 without wire resistance) touch only column nodes and the odd nodes of
-their own row, so they form an independent set and their block of the
-nodal matrix is diagonal. A solve eliminates them first: it scatters the
-Schur complement ``S = G_KK - W^T diag(1/D) W`` over the kept nodes only,
-imposes fixed kept potentials as Dirichlet rows, factors ``S`` once and
-back-substitutes the eliminated potentials ``x_E = (b_E + W x_K) / D``. A
-pinned eliminated node keeps its potential, adds no fill and moves its
-branch currents to the right-hand side.
+their own row, so they form an independent set E and their block of the
+nodal matrix is diagonal. A solve eliminates them first. A pinned
+eliminated node keeps its potential, adds no fill and moves its branch
+currents to the right-hand side.
+
+The kept nodes K split into the pinned nodes P, held by a voltage or
+ground bias, and the free nodes F. Only F is solved for: the solve forms
+the Schur complement ``S_FF = G_FF - W_F^T diag(1/D) W_F`` from the inner
+edges and eliminated-node lanes that touch F, and moves the pinned
+potentials to the right-hand side, through ``G_FP`` and through the
+eliminated nodes that reach both blocks, ``W_F^T diag(1/D) W_P x_P``. It
+factors ``S_FF`` once and back-substitutes the eliminated potentials
+``x_E = (b_E + W x_K) / D``. The scatter targets of ``S_FF`` are compiled
+once per pin pattern on the core. A read without wire resistance drives
+every bit-line segment, so every kept node is pinned: F is empty, the
+solve is 0 x 0 and forms no fill. A write pins none, and ``S_FF`` is the
+whole Schur complement.
+
+Drivers bind through tables kept on the core as well: the rail nodes of a
+tuple of driver rows are mapped once, and a solve builds the rail
+resistances from the runs of consecutive rows that share one driver
+object (a read's idle word selectors are one run), never row by row.
 
 Transistor saturation makes the system piecewise linear. The solver
 iterates on the set of saturated switches: solve, clamp any switch whose
@@ -43,6 +58,7 @@ source current is positive out of the source into the line.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -77,6 +93,10 @@ _KCL_LIMIT = 1e-9
 _REG_TOL = 1e-10
 # fill products formed at once; an eliminated row of a w-bit word has w * w
 _FILL_BLOCK = 1 << 16
+# pin patterns whose free block a core keeps compiled; a read and a write
+# are two, and the oldest is dropped first, so a sweep over bit-serial
+# reads of a wide array holds a bounded number of lane tables
+_FREE_BLOCKS_KEPT = 4
 
 
 @dataclass(frozen=True)
@@ -247,24 +267,14 @@ class NodalCore:
         self.lane_edge[e_of, lane] = np.flatnonzero(cross)[order]
         self.lane_k[e_of, lane] = cross_k[order]
         self.lane_live[e_of, lane] = 1.0
-        # targets in the flattened S: edges within K stamp as usual, each
-        # lane adds its conductance to the diagonal of its K node, and each
-        # pair of lanes of one E node adds its fill; the fill goes in blocks
-        # of E nodes, and only the first block's targets are kept here
-        ia, ib, k = self.slot[a[~cross]], self.slot[b[~cross]], self.lane_k
-        self._fill_rows = max(1, _FILL_BLOCK // max(width * width, 1))
-        self._schur_index = np.concatenate([
-            ia * nk + ia, ib * nk + ib, ia * nk + ib, ib * nk + ia,
-            (k * (nk + 1)).ravel(), _pair_index(k[: self._fill_rows], nk),
-        ])
-        self._flat = {}
+        self.lane_node = self.kept[self.lane_k]
+        self._free_blocks = {}  # pinned kept nodes -> _FreeBlock
+        self._rails = None  # (driver rows, their rail nodes, their rail slots)
 
     def pins(self, nodes, volts):
-        """Split pinned ``nodes`` and their ``volts`` into the E and K blocks."""
+        """Split pinned ``nodes`` and their ``volts`` into E slots and kept nodes."""
         in_e = self.is_elim[nodes]
-        return (
-            self.slot[nodes[in_e]], volts[in_e], self.slot[nodes[~in_e]], volts[~in_e]
-        )
+        return self.slot[nodes[in_e]], volts[in_e], nodes[~in_e], volts[~in_e]
 
     def solve(self, g, shunt, rhs_e, rhs_k, pins):
         """Potentials of every node, one column per right-hand side.
@@ -274,7 +284,6 @@ class NodalCore:
         injected at the eliminated and kept nodes. Pinned nodes (from
         :meth:`pins`) sit at their volts in column 0 and at 0 V in the rest.
         """
-        ne, nk = len(self.elim), len(self.kept)
         pin_e, volts_e, pin_k, volts_k = pins
         lanes = g[self.lane_edge] * self.lane_live
         d = lanes.sum(axis=1) + shunt
@@ -283,44 +292,175 @@ class NodalCore:
             raise SingularNetworkError("nodal matrix is singular: a row pivot is zero or not finite")
         inv_d = 1.0 / d
         inv_d[pin_e] = 0.0
-        # S = G_KK - W^T diag(1/D) W; the fill of one eliminated node is
-        # the outer product of its lane conductances over D, formed a block
-        # of nodes at a time so that wide words never hold all of it at once
-        scaled, step = lanes * -inv_d[:, None], self._fill_rows
-        fill = scaled[:step, :, None] * lanes[:step, None, :]
-        g_i = g[self.inner]
-        neg_i = -g_i
-        weights = np.concatenate((g_i, g_i, neg_i, neg_i, lanes.ravel(), fill.ravel()))
-        schur = np.bincount(self._schur_index, weights, nk * nk)
-        for lo in range(step, ne, step):
-            block = slice(lo, lo + step)
-            fill = scaled[block, :, None] * lanes[block, None, :]
-            np.add.at(schur, _pair_index(self.lane_k[block], nk), fill.ravel())
-        schur = schur.reshape(nk, nk)
-        # y = b_E / D, or a pinned node's volts; the kept nodes see b_K + W^T y
+        # y = b_E / D, or a pinned node's volts
         y = rhs_e * inv_d[:, None]
         y[pin_e, 0] = volts_e
-        cols = y.shape[1]
-        pushed = (lanes[:, :, None] * y[:, None, :]).ravel()
-        rhs = rhs_k + np.bincount(self._flat_index(cols), pushed, nk * cols).reshape(nk, cols)
-        schur[pin_k] = 0.0
-        schur[pin_k, pin_k] = 1.0
-        rhs[pin_k] = 0.0
-        rhs[pin_k, 0] = volts_k
-        try:
-            x_k = np.linalg.solve(schur, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
-        x = np.empty((self.n_nodes, cols))  # x_E = y + (W x_K) / D
-        x[self.elim] = y + inv_d[:, None] * np.matmul(lanes[:, None, :], x_k[self.lane_k])[:, 0]
-        x[self.kept] = x_k
+        x = np.zeros((self.n_nodes, y.shape[1]))
+        x[pin_k, 0] = volts_k
+        free = self._free_block(pin_k)
+        x[free.nodes] = free.solve(g, inv_d, y, rhs_k, x[:, 0])
+        # x_E = y + (W x_K) / D
+        x[self.elim] = y + inv_d[:, None] * np.matmul(lanes[:, None, :], x[self.lane_node])[:, 0]
         return x
 
-    def _flat_index(self, cols):
-        """Kept-node slot of every lane and column, flattened, built once per column count."""
-        if cols not in self._flat:
-            self._flat[cols] = (self.lane_k[:, :, None] * cols + np.arange(cols)).ravel()
-        return self._flat[cols]
+    def _free_block(self, pin_k):
+        """The compiled free block for the pinned kept nodes ``pin_k``, kept for the latest patterns."""
+        key = np.sort(pin_k).tobytes()
+        block = self._free_blocks.get(key)
+        if block is None:
+            if len(self._free_blocks) >= _FREE_BLOCKS_KEPT:
+                del self._free_blocks[next(iter(self._free_blocks))]
+            block = self._free_blocks[key] = _FreeBlock(self, pin_k)
+        return block
+
+    def rail_nodes(self, rows):
+        """``rows`` with the node and eliminated slot of both rails of each, pull-up first.
+
+        Checked and built once for a tuple of driver rows and reused while
+        the rows stay the same, so binding a network maps no row to its node.
+        """
+        if self._rails is None or self._rails[0] != rows:
+            if not self.row_set.issuperset(rows):
+                row = next(row for row in rows if row not in self.row_set)
+                raise ParameterError(f"driver: {row!r} is not a row")
+            lines = np.fromiter(map(self.line_index.__getitem__, rows), np.intp, len(rows))
+            node = np.repeat(self.terminal[lines], 2)
+            slot = self.slot[node]
+            node.flags.writeable = slot.flags.writeable = False
+            self._rails = (rows, node, slot)
+        return self._rails
+
+
+def _pack(mask, *tables):
+    """Entries of each table where ``mask`` holds, packed to the left of their row.
+
+    Rows are padded with zeros to the longest; the last value returned is
+    1.0 at each packed entry and 0.0 at the padding.
+    """
+    count = mask.sum(axis=1)
+    r, c = np.nonzero(mask)
+    at = np.arange(len(r)) - (np.cumsum(count) - count)[r]
+    shape = (len(mask), int(count.max(initial=0)))
+    packed = []
+    for table in tables:
+        out = np.zeros(shape, dtype=table.dtype)
+        out[r, at] = table[r, c]
+        packed.append(out)
+    live = np.zeros(shape)
+    live[r, at] = 1.0
+    return (*packed, live)
+
+
+class _FreeBlock:
+    """Scatter targets of ``S_FF`` for one set of pinned kept nodes.
+
+    The kept nodes K split into the pinned nodes P and the free nodes F,
+    numbered in ``free`` order. Only what touches F is stamped:
+
+    * an inner edge adds its conductance to the diagonal of each free end,
+      and its off-diagonal pair when both ends are free (``stamp``); a
+      pinned end drives the free one from the right-hand side instead
+      (``half``);
+    * the lanes of the eliminated nodes that reach F (``rows``, packed
+      with their F index in ``lane_f``) add to the diagonal and form the
+      fill ``-W_F^T D^-1 W_F``; their lanes to P (``p_*``, by position
+      in ``rows``) pass the pinned potentials on to F through the
+      eliminated node: ``W_F^T D^-1 W_P x_P``.
+
+    With every kept node pinned F is empty and so is every table here:
+    the solve is 0 x 0 and forms no fill. With none pinned there are no
+    ``half`` edges and no lanes to P, and ``S_FF`` is all of ``S``.
+    """
+
+    def __init__(self, core, pin_k):
+        nk = len(core.kept)
+        is_free = np.ones(nk, dtype=bool)
+        is_free[core.slot[pin_k]] = False
+        self.free = np.flatnonzero(is_free)
+        self.nodes = core.kept[self.free]
+        self.nf = nf = len(self.free)
+        f_of = np.full(nk, -1)  # F index of each kept slot, -1 when pinned
+        f_of[self.free] = np.arange(nf)
+        inner = core.inner
+        ka, kb = core.slot[core.edge_a[inner]], core.slot[core.edge_b[inner]]
+        fa, fb = f_of[ka], f_of[kb]
+        a_free, b_free = fa >= 0, fb >= 0
+        both, half = a_free & b_free, a_free != b_free
+        pair = inner[both]
+        stamp = np.concatenate([inner[a_free], inner[b_free], pair, pair])
+        sign = np.repeat([1.0, -1.0], [len(stamp) - 2 * len(pair), 2 * len(pair)])
+        self.half = inner[half]
+        self.half_f = np.where(a_free, fa, fb)[half]
+        self.half_p = core.kept[np.where(a_free, kb, ka)[half]]
+        lane_f = f_of[core.lane_k]
+        live = core.lane_live > 0.0
+        to_f, to_p = live & (lane_f >= 0), live & (lane_f < 0)
+        self.rows = rows = np.flatnonzero(to_f.any(axis=1))
+        edge, self.lane_f, live_f = _pack(to_f[rows], core.lane_edge[rows], lane_f[rows])
+        # one gather weighs the inner-edge stamps, then the packed lanes
+        self.stamps = len(stamp)
+        self.gather = np.concatenate([stamp, edge.ravel()])
+        self.weight = np.concatenate([sign, live_f.ravel()])
+        self.p_row, at = np.nonzero(to_p[rows])
+        self.p_edge = core.lane_edge[rows][self.p_row, at]
+        self.p_node = core.lane_node[rows][self.p_row, at]
+        # targets in the flattened S_FF: the inner edges, then each lane's
+        # diagonal, then the pairs of lanes of the first block of rows; the
+        # fill goes in blocks of rows so wide words never hold all of it
+        width = edge.shape[1]
+        self.fill_rows = max(1, _FILL_BLOCK // max(width * width, 1))
+        f = self.lane_f
+        self.index = np.concatenate([
+            fa[a_free] * (nf + 1), fb[b_free] * (nf + 1),
+            fa[both] * nf + fb[both], fb[both] * nf + fa[both],
+            (f * (nf + 1)).ravel(), _pair_index(f[: self.fill_rows], nf),
+        ])
+        self._rhs = {}
+
+    def solve(self, g, inv_d, y, rhs_k, x_pinned):
+        """Free potentials, one column per column of ``y``.
+
+        ``y`` holds ``b_E / D`` (a pinned eliminated node's volts), and
+        ``x_pinned`` the potential of every node at the base drive: the
+        volts of the pinned kept nodes, 0 V elsewhere.
+        """
+        nf, rows, step = self.nf, self.rows, self.fill_rows
+        # S_FF = G_FF - W_F^T diag(1/D) W_F; the fill of one eliminated node
+        # is the outer product of its lane conductances over D
+        stamped = g[self.gather] * self.weight
+        lanes = stamped[self.stamps:].reshape(self.lane_f.shape)
+        inv_rows = inv_d[rows]
+        scaled = lanes * -inv_rows[:, None]
+        fill = scaled[:step, :, None] * lanes[:step, None, :]
+        weights = np.concatenate((stamped, fill.ravel()))
+        s_ff = np.bincount(self.index, weights, nf * nf)
+        for lo in range(step, len(rows), step):
+            block = slice(lo, lo + step)
+            fill = scaled[block, :, None] * lanes[block, None, :]
+            np.add.at(s_ff, _pair_index(self.lane_f[block], nf), fill.ravel())
+        # the free nodes see b_F + W_F^T (y + D^-1 W_P x_P) - G_FP x_P
+        y = y[rows]
+        to_p = np.bincount(self.p_row, g[self.p_edge] * x_pinned[self.p_node], len(rows))
+        y[:, 0] += inv_rows * to_p
+        cols = y.shape[1]
+        pushed = lanes[:, :, None] * y[:, None, :]
+        weights = np.concatenate((pushed.ravel(), g[self.half] * x_pinned[self.half_p]))
+        rhs = rhs_k[self.free] + np.bincount(
+            self._rhs_index(cols), weights, nf * cols
+        ).reshape(nf, cols)
+        try:
+            return np.linalg.solve(s_ff.reshape(nf, nf), rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
+
+    def _rhs_index(self, cols):
+        """Flat targets in the free right-hand side of every packed lane and
+        column, then of each pinned end of an inner edge; built once per
+        column count."""
+        if cols not in self._rhs:
+            lanes = (self.lane_f[:, :, None] * cols + np.arange(cols)).ravel()
+            self._rhs[cols] = np.concatenate([lanes, self.half_f * cols])
+        return self._rhs[cols]
 
 
 class CrossbarNetwork:
@@ -328,6 +468,8 @@ class CrossbarNetwork:
 
     :meth:`on_core` binds resistances (in branch order), drivers and bias
     to a core compiled earlier instead of compiling one from branches.
+    Binding reads the drivers once: a solve uses their rows and runs as
+    they were bound.
     """
 
     def __init__(
@@ -368,9 +510,12 @@ class CrossbarNetwork:
                 raise ParameterError(f"bias: unknown line {line!r}")
             if lb.kind == "regulated" and lb.cell not in core.tag_index:
                 raise ParameterError(f"bias {line!r}: unknown cell {lb.cell!r}")
-        if not core.row_set.issuperset(drivers):
-            row = next(row for row in drivers if row not in core.row_set)
-            raise ParameterError(f"driver: {row!r} is not a row")
+        # the drivers as bound: their rows with the rows' rail nodes, mapped
+        # once per core, and the runs of consecutive rows that share one
+        # driver; a read's idle word selectors are one object, so it has
+        # five runs
+        self._rails = core.rail_nodes(tuple(drivers))
+        self._runs = [(d, len(list(rows))) for d, rows in itertools.groupby(drivers.values())]
         self.core = core
         self.resistance = resistance
         self.drivers = drivers
@@ -427,22 +572,15 @@ class AssembledNetwork:
         rhs[self.reg_nodes, 1 + np.arange(k)] = 1.0
         self.rhs_e, self.rhs_k = rhs[core.elim], rhs[core.kept]
 
-        # one table entry per distinct driver object, which rows mostly share
-        self.driver_rows = list(net.drivers)
-        drivers = list(net.drivers.values())
-        ids = list(map(id, drivers))
-        kinds = dict(zip(ids, drivers))
+        self.driver_rows, self.rail_node, self.rail_slot = net._rails
+        # one table entry per run of rows with one driver
         table = np.array([
             [(d.model.r_on if on else d.model.r_off, d.model.i_sat, rail)
              for on, rail in ((d.pmos_on, net.v_dd), (d.nmos_on, 0.0))]
-            for d in kinds.values()
+            for d, _ in net._runs
         ]).reshape(-1, 2, 3)
-        kind_of = {key: j for j, key in enumerate(kinds)}
-        which = np.fromiter(map(kind_of.__getitem__, ids), np.intp, len(ids))
-        self.rail_r, self.rail_isat, self.rail_volts = table[which].reshape(-1, 3).T
-        rows = np.fromiter(map(core.line_index.__getitem__, self.driver_rows), np.intp)
-        self.rail_node = np.repeat(core.terminal[rows], 2)
-        self.rail_slot = core.slot[self.rail_node]
+        table = np.repeat(table, [n for _, n in net._runs], axis=0)
+        self.rail_r, self.rail_isat, self.rail_volts = table.reshape(-1, 3).T
         self.unknown_count = core.n_nodes - len(self.fixed)
 
 

@@ -209,8 +209,7 @@ def select_word(array, word_addr, phase):
         raise ParameterError(f"phase: expected '0', '1' or 'read', got {phase!r}")
     row = array.word_row(word_addr)
     model = array.row_driver_model
-    # every unselected row shares one idle driver
-    drivers = dict.fromkeys(array.word_rows + array.ref_rows, RowDriver(model))
+    drivers = array.idle_drivers().copy()
     drivers[row] = RowDriver(model, pmos_on=phase == "0", nmos_on=phase != "0")
     if phase == "read" and array.balanced:
         drivers[array.serving_ref_row(word_addr)] = RowDriver(model, nmos_on=True)

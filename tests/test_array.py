@@ -5,7 +5,7 @@ import math
 import pytest
 
 from xpointsim.array import CrossbarArray, REF_ROWS
-from xpointsim.device import MtjState, critical_current
+from xpointsim.device import MtjState, TransistorModel, critical_current
 from xpointsim.errors import ParameterError
 from xpointsim.network import LineBias, RowDriver, solve_network
 
@@ -164,6 +164,17 @@ def test_word_selector_is_bitwidth_scaled():
 
     wide = CrossbarArray(8, 4)
     assert wide.row_driver_model.r_on == pytest.approx(cell.r_on / 8, rel=1e-12)
+
+
+def test_idle_drivers_share_one_driver_and_follow_the_selector_model():
+    arr = CrossbarArray(4, 4)
+    idle = arr.idle_drivers()
+    assert list(idle) == arr.word_rows + arr.ref_rows
+    assert len({id(d) for d in idle.values()}) == 1
+    assert next(iter(idle.values())) == RowDriver(arr.row_driver_model)
+    assert arr.idle_drivers() is idle  # bound once per array
+    arr.row_driver_model = TransistorModel(r_on=500.0, r_off=1e8, i_sat=1e-3)
+    assert set(arr.idle_drivers().values()) == {RowDriver(arr.row_driver_model)}
 
 
 def test_reference_cells_sit_at_the_midpoint():

@@ -218,6 +218,14 @@ def test_huge_line_resistance_names_the_key(tmp_path, capsys, ohms):
     assert "parameter error: line_resistance:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_underflowing_physics_rate_names_the_moment(tmp_path, capsys, command):
+    cfg = tmp_path / "moment.ini"
+    cfg.write_text("[dynamics]\nrate_per_amp = physics\nmoment_a_m2 = 5e-324\n")
+    assert main([command, "--config", str(cfg), "--out", "run"]) == 1
+    assert "dynamics.moment_a_m2:" in capsys.readouterr().err
+
+
 def test_env_search_path_supplies_default_config(tmp_path, monkeypatch, capsys):
     cfgdir = tmp_path / "cfgs"
     cfgdir.mkdir()

@@ -191,6 +191,13 @@ class TestSwitchingDelay:
         with pytest.raises(ParameterError, match="xi"):
             switching_delay(2 * I_C0, params, bad)
 
+    def test_underflowing_moment_rejected_at_construction(self):
+        # q * 5e-324 underflows to 0: the rate would divide by zero
+        with pytest.raises(ParameterError, match="moment_a_m2"):
+            SwitchingParams(moment_a_m2=5e-324)
+        # a fitted rate never uses the moment
+        assert SwitchingParams(moment_a_m2=5e-324, rate_per_amp=1e9).rate() == 1e9
+
 
 class TestSwitchingStep:
     def test_flip_after_exactly_tau(self, params, dyn):

@@ -28,7 +28,8 @@ from xpointsim.network import (
     sneak_decomposition,
     solve_network,
 )
-from xpointsim.ops import select_word
+from xpointsim import ops
+from xpointsim.ops import DriveConfig, read_word, select_word
 
 PARAMS = MtjParams()
 R_P = mtj_resistance(MtjState.P, PARAMS)
@@ -233,6 +234,126 @@ class TestOracleEquivalence:
             b = solve_network(doubled)
             for tag, i in a.device_currents.items():
                 assert b.device_currents[tag] == pytest.approx(2.0 * i, rel=1e-9, abs=1e-15)
+
+
+def captured_read_network(monkeypatch, arr, word, driven_bits=None):
+    """The network ``ops._read_solution`` solves for one read, and its solution."""
+    seen = []
+    monkeypatch.setattr(ops, "solve_network", lambda net: seen.append(net) or solve_network(net))
+    sol = ops._read_solution(arr, word, DriveConfig(), driven_bits)
+    monkeypatch.undo()
+    return seen[0], sol
+
+
+def stored_array(n_bits, m_words, line_resistance, seed):
+    arr = CrossbarArray(n_bits, m_words, line_resistance=line_resistance)
+    rng = random.Random(seed)
+    for w in range(m_words):
+        arr.set_word(w, "".join(rng.choice("01") for _ in range(n_bits)))
+    return arr
+
+
+class TestPartialPinning:
+    """Solves whose kept nodes are partly pinned and partly free.
+
+    A read pins the terminal of every bit-line segment. Without wire
+    resistance that is every kept node; with it the other column chain
+    nodes and the odd row nodes stay free. A bit-serial read floats the
+    other bits' segments, which stay free at any wire resistance.
+    """
+
+    @pytest.mark.parametrize("line_resistance", [0.0, 2.0], ids=["bare", "wired"])
+    def test_parallel_read_matches_oracle(self, monkeypatch, line_resistance):
+        arr = stored_array(4, 8, line_resistance, seed=11)
+        for word in (0, 5):
+            net, sol = captured_read_network(monkeypatch, arr, word)
+            assert_matches_oracle(net).volts.tolist() == sol.volts.tolist()
+
+    @pytest.mark.parametrize("line_resistance", [0.0, 2.0], ids=["bare", "wired"])
+    def test_bit_serial_read_matches_oracle(self, monkeypatch, line_resistance):
+        arr = stored_array(4, 8, line_resistance, seed=12)
+        for word, bit in ((0, 0), (3, 2), (6, 3)):
+            net, _ = captured_read_network(monkeypatch, arr, word, driven_bits={bit})
+            assert_matches_oracle(net)
+
+    def test_wired_equivalent_resistance_matches_oracle(self):
+        rng = random.Random(13)
+        for _ in range(10):
+            m, n = rng.randint(2, 4), rng.randint(2, 4)
+            states = [[rng.choice(["P", "AP"]) for _ in range(n)] for _ in range(m)]
+            net = grid_network(states, {}, line_resistance=rng.uniform(1.0, 50.0))
+            a, b = f"b{rng.randrange(n)}", f"w{rng.randrange(m)}"
+            resistors, _, _ = oracle_description(net)
+            volts = solve_nodes(resistors, {(b, 0): 0.0}, {(a, 0): 1.0})
+            assert equivalent_resistance(net, a, b) == pytest.approx(volts[(a, 0)], rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    def test_factored_block_is_the_free_nodes_and_symmetric(self, monkeypatch, kind):
+        # a wired read pins the 2n segment terminals, a write pins nothing;
+        # the fill products a*b/D and b*a/D may differ in the last bit only
+        arr = stored_array(4, 8, 2.0, seed=15)
+        matrices = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: matrices.append(a) or solve(a, b))
+        if kind == "read":
+            read_word(arr, 3)
+            pinned = len(arr.segments)
+        else:
+            ops.write_word(arr, ops.WriteRequest(3, "1010", ops.WriteMode.PARALLEL))
+            pinned = 0
+        free = len(arr.to_network({}, {}).core.kept) - pinned
+        s_ff = matrices[0]
+        assert s_ff.shape == (free, free)
+        assert np.abs(s_ff - s_ff.T).max() <= 1e-15 * np.abs(s_ff).max()
+
+    def test_zero_ohm_read_factors_an_empty_system(self, monkeypatch):
+        # every kept node of a 0 ohm read is a bit-line segment at v_read:
+        # nothing is left to factor, so no fill may be formed either
+        arr = stored_array(64, 32, 0.0, seed=14)
+        shapes, pairs = [], []
+        solve, pair_index = np.linalg.solve, network._pair_index
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
+        monkeypatch.setattr(
+            network, "_pair_index", lambda k, nk: pairs.append(k.size) or pair_index(k, nk)
+        )
+        read_word(arr, 5)
+        assert shapes == [(0, 0)]
+        assert sum(pairs) == 0
+
+
+class TestDriveTables:
+    """Networks bound in turn to one core reuse its compiled tables."""
+
+    LIGHT = TransistorModel(r_on=800.0, r_off=2e4, i_sat=1.0)  # leaky: idle rails carry current
+    HEAVY = TransistorModel(r_on=2500.0, r_off=5e4, i_sat=1.0)
+
+    def variants(self):
+        idle = RowDriver(self.LIGHT)
+        rows = [f"w{i}" for i in range(4)]
+        yield "base", dict.fromkeys(rows, idle) | {"w1": RowDriver(self.LIGHT, nmos_on=True)}, 1.2
+        yield "v_dd", dict.fromkeys(rows, idle) | {"w1": RowDriver(self.LIGHT, nmos_on=True)}, 2.0
+        heavy = RowDriver(self.HEAVY)
+        yield "model", dict.fromkeys(rows, heavy) | {"w1": RowDriver(self.HEAVY, nmos_on=True)}, 2.0
+        yield "selected", dict.fromkeys(rows, idle) | {"w3": RowDriver(self.LIGHT, pmos_on=True)}, 2.0
+        yield "distinct idle", {row: RowDriver(self.LIGHT) for row in rows} | {
+            "w0": RowDriver(self.LIGHT, nmos_on=True)}, 2.0
+        yield "mixed idle", {
+            "w0": RowDriver(self.HEAVY), "w1": RowDriver(self.LIGHT, nmos_on=True),
+            "w2": RowDriver(self.LIGHT), "w3": RowDriver(self.HEAVY)}, 2.0
+        yield "fewer rows", {"w2": RowDriver(self.LIGHT, nmos_on=True), "w0": idle}, 2.0
+        yield "other rows", {"w3": RowDriver(self.LIGHT, nmos_on=True), "w1": idle}, 2.0
+        yield "base again", dict.fromkeys(rows, idle) | {"w1": RowDriver(self.LIGHT, nmos_on=True)}, 1.2
+
+    @pytest.mark.parametrize("line_resistance", [0.0, 3.0], ids=["bare", "wired"])
+    def test_rebinding_one_core_matches_oracle(self, line_resistance):
+        states = [["P", "AP", "P"], ["AP", "AP", "P"], ["P", "P", "AP"], ["AP", "P", "P"]]
+        bias = {"b0": LineBias.voltage(0.4), "b2": LineBias.current(5e-5)}
+        core_net = grid_network(states, bias, line_resistance=line_resistance)
+        for label, drivers, v_dd in self.variants():
+            net = CrossbarNetwork.on_core(core_net.core, core_net.resistance, drivers, bias, v_dd)
+            assert net.core is core_net.core
+            sol = assert_matches_oracle(net)
+            assert list(sol.driver_rows) == list(drivers), label
 
 
 # the single connectivity check, with and without line expansion, and with

@@ -400,6 +400,29 @@ def test_wide_word_read_forms_its_fill_in_bounded_blocks():
     assert peak < 5e6
 
 
+@pytest.mark.parametrize("line_resistance", [0.0, 1.0], ids=["bare", "wired"])
+def test_interleaved_operations_match_a_fresh_array_each(line_resistance):
+    # reads and writes on one array share its compiled core and the tables
+    # the core keeps per pin pattern and per driver rows; none of them may
+    # carry anything from one operation into the next
+    arr = fresh(4, 8, line_resistance=line_resistance)
+    drive = DriveConfig()
+    steps = [
+        ("read", 0), ("write", (1, "1011")), ("read", 1), ("read", 0),
+        ("write", (4, "0110")), ("read", 4), ("write", (1, "0100")), ("read", 1),
+    ]
+    for kind, arg in steps:
+        alone = fresh(4, 8, line_resistance=line_resistance)
+        for row, segment, device in arr.cells():
+            alone.set_device(row, segment, device)
+        if kind == "read":
+            assert read_word(arr, arg, drive) == read_word(alone, arg, drive)
+        else:
+            req = WriteRequest(arg[0], arg[1], WriteMode.PARALLEL)
+            assert write_word(arr, req, drive) == write_word(alone, req, drive)
+            assert [arr.get_word(w) for w in range(8)] == [alone.get_word(w) for w in range(8)]
+
+
 def test_overdriven_read_raises_disturb():
     arr = fresh()
     hot = DriveConfig(v_read=1.2)
