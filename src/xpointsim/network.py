@@ -18,11 +18,13 @@ eliminated node keeps its potential, adds no fill and moves its branch
 currents to the right-hand side.
 
 The kept nodes K split into the pinned nodes P, held by a voltage or
-ground bias, and the free nodes F. Only F is solved for: the solve forms
-the Schur complement ``S_FF = G_FF - W_F^T diag(1/D) W_F`` from the inner
-edges and eliminated-node lanes that touch F, and moves the pinned
-potentials to the right-hand side, through ``G_FP`` and through the
-eliminated nodes that reach both blocks, ``W_F^T diag(1/D) W_P x_P``. It
+ground bias, and the free nodes F; only F is solved for, from the one set
+of eliminated-node lanes the solve forms. The Schur complement
+``S_FF = G_FF - W_F^T diag(1/D) W_F`` is stamped from the inner edges and
+lanes that touch F, a lane to P weighing 0. The pinned potentials reach
+the right-hand side through ``G_FP``, at the far ends of the inner edges,
+and through the eliminated nodes, ``W_F^T diag(1/D) W_P x_P``, where
+``W_P x_P`` sums whole lane rows (free nodes sit at 0 V in ``x_P``). It
 factors ``S_FF`` once and back-substitutes the eliminated potentials
 ``x_E = (b_E + W x_K) / D``. The scatter targets of ``S_FF`` are compiled
 once per pin pattern on the core. A read without wire resistance drives
@@ -271,20 +273,16 @@ class NodalCore:
         self._free_blocks = {}  # pinned kept nodes -> _FreeBlock
         self._rails = None  # (driver rows, their rail nodes, their rail slots)
 
-    def pins(self, nodes, volts):
-        """Split pinned ``nodes`` and their ``volts`` into E slots and kept nodes."""
-        in_e = self.is_elim[nodes]
-        return self.slot[nodes[in_e]], volts[in_e], nodes[~in_e], volts[~in_e]
-
-    def solve(self, g, shunt, rhs_e, rhs_k, pins):
+    def solve(self, g, shunt, rhs_e, rhs_k, fixed, volts):
         """Potentials of every node, one column per right-hand side.
 
         ``g`` holds the edge conductances, ``shunt`` a conductance to 0 V
         at each eliminated node, ``rhs_e`` and ``rhs_k`` the currents
-        injected at the eliminated and kept nodes. Pinned nodes (from
-        :meth:`pins`) sit at their volts in column 0 and at 0 V in the rest.
+        injected at the eliminated and kept nodes. The ``fixed`` nodes sit
+        at their ``volts`` in column 0 and at 0 V in the rest.
         """
-        pin_e, volts_e, pin_k, volts_k = pins
+        in_e = self.is_elim[fixed]
+        pin_e, pin_k = self.slot[fixed[in_e]], fixed[~in_e]
         lanes = g[self.lane_edge] * self.lane_live
         d = lanes.sum(axis=1) + shunt
         d[pin_e] = 1.0  # a pinned node: 1/D = 0 below, so it adds no fill
@@ -294,11 +292,11 @@ class NodalCore:
         inv_d[pin_e] = 0.0
         # y = b_E / D, or a pinned node's volts
         y = rhs_e * inv_d[:, None]
-        y[pin_e, 0] = volts_e
+        y[pin_e, 0] = volts[in_e]
         x = np.zeros((self.n_nodes, y.shape[1]))
-        x[pin_k, 0] = volts_k
+        x[pin_k, 0] = volts[~in_e]
         free = self._free_block(pin_k)
-        x[free.nodes] = free.solve(g, inv_d, y, rhs_k, x[:, 0])
+        x[free.nodes] = free.solve(g, lanes, inv_d, y, rhs_k, x[:, 0])
         # x_E = y + (W x_K) / D
         x[self.elim] = y + inv_d[:, None] * np.matmul(lanes[:, None, :], x[self.lane_node])[:, 0]
         return x
@@ -331,45 +329,27 @@ class NodalCore:
         return self._rails
 
 
-def _pack(mask, *tables):
-    """Entries of each table where ``mask`` holds, packed to the left of their row.
-
-    Rows are padded with zeros to the longest; the last value returned is
-    1.0 at each packed entry and 0.0 at the padding.
-    """
-    count = mask.sum(axis=1)
-    r, c = np.nonzero(mask)
-    at = np.arange(len(r)) - (np.cumsum(count) - count)[r]
-    shape = (len(mask), int(count.max(initial=0)))
-    packed = []
-    for table in tables:
-        out = np.zeros(shape, dtype=table.dtype)
-        out[r, at] = table[r, c]
-        packed.append(out)
-    live = np.zeros(shape)
-    live[r, at] = 1.0
-    return (*packed, live)
-
-
 class _FreeBlock:
     """Scatter targets of ``S_FF`` for one set of pinned kept nodes.
 
     The kept nodes K split into the pinned nodes P and the free nodes F,
-    numbered in ``free`` order. Only what touches F is stamped:
+    numbered in ``free`` order. The block indexes the core's edges and the
+    lanes the solve forms from them, and stamps only what touches F:
 
     * an inner edge adds its conductance to the diagonal of each free end,
-      and its off-diagonal pair when both ends are free (``stamp``); a
-      pinned end drives the free one from the right-hand side instead
-      (``half``);
-    * the lanes of the eliminated nodes that reach F (``rows``, packed
-      with their F index in ``lane_f``) add to the diagonal and form the
-      fill ``-W_F^T D^-1 W_F``; their lanes to P (``p_*``, by position
-      in ``rows``) pass the pinned potentials on to F through the
-      eliminated node: ``W_F^T D^-1 W_P x_P``.
+      and its off-diagonal pair when both ends are free (``stamp``); the
+      node at the far end of a diagonal stamp (``far``) drives the free
+      end from the right-hand side, ``-G_FP x_P``, which is 0 when that
+      node is free too;
+    * the eliminated nodes with a lane to F (``rows``) add their lanes to
+      the diagonal and form the fill ``-W_F^T D^-1 W_F``; a lane to P or
+      a padding lane weighs 0 there (``live_f``). The full row passes the
+      pinned potentials on to F through the eliminated node,
+      ``W_F^T D^-1 W_P x_P``.
 
     With every kept node pinned F is empty and so is every table here:
-    the solve is 0 x 0 and forms no fill. With none pinned there are no
-    ``half`` edges and no lanes to P, and ``S_FF`` is all of ``S``.
+    the solve is 0 x 0 and forms no fill. With none pinned every far node
+    and every lane end is free, and ``S_FF`` is all of ``S``.
     """
 
     def __init__(self, core, pin_k):
@@ -385,29 +365,21 @@ class _FreeBlock:
         ka, kb = core.slot[core.edge_a[inner]], core.slot[core.edge_b[inner]]
         fa, fb = f_of[ka], f_of[kb]
         a_free, b_free = fa >= 0, fb >= 0
-        both, half = a_free & b_free, a_free != b_free
+        both = a_free & b_free
         pair = inner[both]
-        stamp = np.concatenate([inner[a_free], inner[b_free], pair, pair])
-        sign = np.repeat([1.0, -1.0], [len(stamp) - 2 * len(pair), 2 * len(pair)])
-        self.half = inner[half]
-        self.half_f = np.where(a_free, fa, fb)[half]
-        self.half_p = core.kept[np.where(a_free, kb, ka)[half]]
+        self.far = np.concatenate([core.edge_b[inner[a_free]], core.edge_a[inner[b_free]]])
+        self.stamp = np.concatenate([inner[a_free], inner[b_free], pair, pair])
+        self.sign = np.repeat([1.0, -1.0], [len(self.far), 2 * len(pair)])
         lane_f = f_of[core.lane_k]
-        live = core.lane_live > 0.0
-        to_f, to_p = live & (lane_f >= 0), live & (lane_f < 0)
+        to_f = (core.lane_live > 0.0) & (lane_f >= 0)
         self.rows = rows = np.flatnonzero(to_f.any(axis=1))
-        edge, self.lane_f, live_f = _pack(to_f[rows], core.lane_edge[rows], lane_f[rows])
-        # one gather weighs the inner-edge stamps, then the packed lanes
-        self.stamps = len(stamp)
-        self.gather = np.concatenate([stamp, edge.ravel()])
-        self.weight = np.concatenate([sign, live_f.ravel()])
-        self.p_row, at = np.nonzero(to_p[rows])
-        self.p_edge = core.lane_edge[rows][self.p_row, at]
-        self.p_node = core.lane_node[rows][self.p_row, at]
+        self.live_f = to_f[rows].astype(float)
+        self.lane_f = np.where(to_f, lane_f, 0)[rows]
+        self.lane_node = core.lane_node[rows]
         # targets in the flattened S_FF: the inner edges, then each lane's
         # diagonal, then the pairs of lanes of the first block of rows; the
         # fill goes in blocks of rows so wide words never hold all of it
-        width = edge.shape[1]
+        width = self.lane_f.shape[1]
         self.fill_rows = max(1, _FILL_BLOCK // max(width * width, 1))
         f = self.lane_f
         self.index = np.concatenate([
@@ -417,22 +389,26 @@ class _FreeBlock:
         ])
         self._rhs = {}
 
-    def solve(self, g, inv_d, y, rhs_k, x_pinned):
+    def solve(self, g, lanes, inv_d, y, rhs_k, x_pinned):
         """Free potentials, one column per column of ``y``.
 
-        ``y`` holds ``b_E / D`` (a pinned eliminated node's volts), and
-        ``x_pinned`` the potential of every node at the base drive: the
-        volts of the pinned kept nodes, 0 V elsewhere.
+        ``lanes`` holds the conductance of every lane of the core, ``y``
+        ``b_E / D`` (a pinned eliminated node's volts), and ``x_pinned`` the
+        potential of every node at the base drive: the volts of the pinned
+        kept nodes, 0 V elsewhere.
         """
         nf, rows, step = self.nf, self.rows, self.fill_rows
+        lanes = lanes[rows]
+        # W_P x_P: exact over the full rows, as the free nodes sit at 0 V
+        to_p = (lanes * x_pinned[self.lane_node]).sum(axis=1)
+        lanes *= self.live_f
         # S_FF = G_FF - W_F^T diag(1/D) W_F; the fill of one eliminated node
         # is the outer product of its lane conductances over D
-        stamped = g[self.gather] * self.weight
-        lanes = stamped[self.stamps:].reshape(self.lane_f.shape)
+        stamped = g[self.stamp] * self.sign
         inv_rows = inv_d[rows]
         scaled = lanes * -inv_rows[:, None]
         fill = scaled[:step, :, None] * lanes[:step, None, :]
-        weights = np.concatenate((stamped, fill.ravel()))
+        weights = np.concatenate((stamped, lanes.ravel(), fill.ravel()))
         s_ff = np.bincount(self.index, weights, nf * nf)
         for lo in range(step, len(rows), step):
             block = slice(lo, lo + step)
@@ -440,11 +416,10 @@ class _FreeBlock:
             np.add.at(s_ff, _pair_index(self.lane_f[block], nf), fill.ravel())
         # the free nodes see b_F + W_F^T (y + D^-1 W_P x_P) - G_FP x_P
         y = y[rows]
-        to_p = np.bincount(self.p_row, g[self.p_edge] * x_pinned[self.p_node], len(rows))
         y[:, 0] += inv_rows * to_p
         cols = y.shape[1]
         pushed = lanes[:, :, None] * y[:, None, :]
-        weights = np.concatenate((pushed.ravel(), g[self.half] * x_pinned[self.half_p]))
+        weights = np.concatenate((pushed.ravel(), stamped[: len(self.far)] * x_pinned[self.far]))
         rhs = rhs_k[self.free] + np.bincount(
             self._rhs_index(cols), weights, nf * cols
         ).reshape(nf, cols)
@@ -454,12 +429,13 @@ class _FreeBlock:
             raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
 
     def _rhs_index(self, cols):
-        """Flat targets in the free right-hand side of every packed lane and
-        column, then of each pinned end of an inner edge; built once per
-        column count."""
+        """Flat targets in the free right-hand side of every lane and column,
+        then of the free end of each diagonal stamp; built once per column
+        count."""
         if cols not in self._rhs:
             lanes = (self.lane_f[:, :, None] * cols + np.arange(cols)).ravel()
-            self._rhs[cols] = np.concatenate([lanes, self.half_f * cols])
+            diagonal = self.index[: len(self.far)] // (self.nf + 1)
+            self._rhs[cols] = np.concatenate([lanes, diagonal * cols])
         return self._rhs[cols]
 
 
@@ -562,7 +538,7 @@ class AssembledNetwork:
                 targets.append(lb.value)
         k = len(self.regulated)
         self.fixed = np.array(fixed, dtype=np.intp)
-        self.pins = core.pins(self.fixed, np.array(volts))
+        self.fixed_volts = np.array(volts)
         self.reg_nodes = core.terminal[[core.line_index[line] for line in self.regulated]]
         self.reg_cells = np.array(cells, dtype=np.intp)
         self.reg_targets = np.array(targets)
@@ -611,7 +587,7 @@ def _solve_linear(asm, g, clamp, rail_g):
     rhs_e = asm.rhs_e.copy()
     rhs_e[:, 0] += np.bincount(asm.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
     shunt = np.bincount(asm.rail_slot, ohmic_g, ne)
-    x = core.solve(g, shunt, rhs_e, asm.rhs_k, asm.pins)
+    x = core.solve(g, shunt, rhs_e, asm.rhs_k, asm.fixed, asm.fixed_volts)
     if not asm.regulated:
         return x[:, 0], np.zeros(0)
     # columns: target-cell currents at the base drive, then per unit injection
@@ -782,14 +758,12 @@ def equivalent_resistance(net, line_a, line_b):
     if line_a == line_b:
         return 0.0
     core = net.core
-    a, b = (core.terminal[core.line_index[line]] for line in (line_a, line_b))
-    if core.labels[a] != core.labels[b]:
+    component = dict(zip(core.lines, core.labels[core.terminal].tolist()))
+    if component[line_a] != component[line_b]:
         return math.inf
-    g = 1.0 / np.concatenate([net.resistance, core.wire_r])
-    rhs = np.zeros((core.n_nodes, 1))
-    rhs[a, 0] = 1.0
-    # nodes off the shared component carry no current: pin them with b
-    pinned = np.flatnonzero((core.labels != core.labels[a]) | (np.arange(core.n_nodes) == b))
-    pins = core.pins(pinned, np.zeros(len(pinned)))
-    x = core.solve(g, 0.0, rhs[core.elim], rhs[core.kept], pins)
-    return float(x[a, 0])
+    # lines off the shared component carry no current: ground them with line_b
+    bias = {line: LineBias.ground() for line, c in component.items() if c != component[line_a]}
+    bias[line_b] = LineBias.ground()
+    bias[line_a] = LineBias.current(1.0)
+    solution = solve_network(CrossbarNetwork.on_core(core, net.resistance, {}, bias, net.v_dd))
+    return solution.line_voltages[line_a]

@@ -589,10 +589,21 @@ def read_word(array, word_addr, drive=None):
     margins = []
     currents = []
     delays = []
+
+    def segment_current(bit, segment):
+        # a segment that returns current has no branch resistance to sense
+        i = sol.source_currents[segment]
+        if not i > 0.0:
+            raise IndeterminateReadError(
+                f"word {word_addr} bit {bit}: segment {segment} carries "
+                f"{i:.3g} A, so its branch resistance cannot be sensed"
+            )
+        return i
+
     for j in range(array.n_bits):
-        i_data = sol.source_currents[array.host_segment(word_addr, j)]
+        i_data = segment_current(j, array.host_segment(word_addr, j))
         if array.balanced:
-            i_ref = sol.source_currents[array.sibling_segment(word_addr, j)]
+            i_ref = segment_current(j, array.sibling_segment(word_addr, j))
             r_ref = drive.v_read / i_ref
         else:
             r_ref = r_ideal

@@ -218,6 +218,17 @@ def test_huge_line_resistance_names_the_key(tmp_path, capsys, ohms):
     assert "parameter error: line_resistance:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ohms", ["1e6", "1e8"])
+def test_unsensable_read_exits_2(tmp_path, capsys, ohms):
+    # a segment that returns current to its source is a read the sense
+    # amplifier cannot decide, not a bad parameter
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(f"[array]\nline_resistance = {ohms}\n[operation]\nscenario = read\n")
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"simulation error: read scenario: word \d+ bit \d+: segment b\d+[eo] carries -", err)
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_underflowing_physics_rate_names_the_moment(tmp_path, capsys, command):
     cfg = tmp_path / "moment.ini"

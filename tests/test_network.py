@@ -493,6 +493,23 @@ class TestSneakStructure:
         net = grid_network([["AP"]], {})
         assert equivalent_resistance(net, "b0", "w0") == pytest.approx(R_AP, rel=1e-12)
 
+    @pytest.mark.parametrize("line_resistance", [0.0, 5.0], ids=["bare", "wired"])
+    def test_isolated_line_leaves_the_resistance_unchanged(self, line_resistance):
+        # w1 crosses both columns through open branches: it sits off the
+        # measured component and must be grounded for the solve to anchor it
+        states = [["P", "AP"], ["AP", "P"]]
+        grid = grid_network(states, {}, line_resistance=line_resistance)
+        open_row = [DeviceBranch("wx", f"b{j}", math.inf, f"wxb{j}") for j in range(2)]
+        net = CrossbarNetwork(
+            ["w0", "wx", "w1"], ["b0", "b1"], grid.branches + open_row,
+            line_resistance=line_resistance,
+        )
+        for a, b in (("b0", "w0"), ("b1", "w0"), ("w1", "b0")):
+            assert equivalent_resistance(net, a, b) == pytest.approx(
+                equivalent_resistance(grid, a, b), rel=1e-12
+            )
+        assert equivalent_resistance(net, "wx", "b0") == math.inf
+
     @connectivity_cases
     def test_disconnected_is_infinite(self, line_resistance, open_drivers):
         net = connectivity_network({}, line_resistance, open_drivers, skip={(0, 1), (1, 1)})
@@ -554,6 +571,54 @@ class TestSneakStructure:
         rep = sneak_decomposition(net, sol, "w0", "b0")
         values = list(rep.per_path.values())
         assert all(v == pytest.approx(values[0], rel=1e-9) for v in values)
+
+
+def power_balance(net, sol):
+    """Power supplied and power dissipated at one operating point, and
+    their gross scale.
+
+    The solver forms a mesh current as a difference of two potentials, so
+    its rounding follows ``(|v_a| + |v_b|) g``, not the current itself: in
+    a mesh whose currents cancel they are float noise of that scale.
+    """
+    core, v = sol.core, sol.volts
+    va, vb = v[core.edge_a], v[core.edge_b]
+    g = 1.0 / np.concatenate([net.resistance, core.wire_r])
+    edge_i = np.concatenate([sol.currents, ((va - vb) * g)[len(sol.currents):]])
+    rail_v = np.tile([net.v_dd, 0.0], len(sol.driver_rows))
+    row_v = np.repeat([sol.line_voltages[row] for row in sol.driver_rows], 2)
+    sources = [sol.line_voltages[line] * i for line, i in sol.source_currents.items()]
+    supplied = sum(sources) + (rail_v * sol.rail_currents).sum()
+    dissipated = ((va - vb) * edge_i).sum() + ((rail_v - row_v) * sol.rail_currents).sum()
+    gross = (
+        ((np.abs(va) + np.abs(vb)) ** 2 * g).sum()
+        + ((np.abs(rail_v) + np.abs(row_v)) * np.abs(sol.rail_currents)).sum()
+        + np.abs(sources).sum()
+    )
+    return supplied, dissipated, gross
+
+
+class TestEnergyBalance:
+    """The sources and rails supply the power the branches, wires and switches dissipate."""
+
+    @pytest.mark.parametrize("wired", [False, True], ids=["bare", "wired"])
+    def test_random_grids(self, wired):
+        rng = random.Random(20261018)
+        for _ in range(120):
+            net = random_case(rng, wired)
+            supplied, dissipated, gross = power_balance(net, solve_network(net))
+            assert abs(supplied - dissipated) <= 1e-9 * gross
+
+    def test_clamped_rail(self):
+        # w0's pull-down saturates; the clamped rail is a fixed injection
+        clamped = TransistorModel(r_on=1e3, r_off=1e9, i_sat=1e-4)
+        drivers = {"w0": RowDriver(clamped, nmos_on=True), "w1": RowDriver(clamped)}
+        bias = {"b0": LineBias.voltage(1.2), "b1": LineBias.current(2e-5)}
+        net = grid_network([["P", "AP"], ["AP", "P"]], bias, drivers=drivers, line_resistance=2.0)
+        sol = solve_network(net)
+        assert "w0" in sol.clamped
+        supplied, dissipated, gross = power_balance(net, sol)
+        assert abs(supplied - dissipated) <= 1e-9 * gross
 
 
 class TestRegulatedSources:

@@ -430,6 +430,14 @@ def test_overdriven_read_raises_disturb():
         read_word(arr, 0, hot)
 
 
+def test_segment_returning_current_is_an_indeterminate_read():
+    # at 1e6 ohm/segment the far segment of word 0 is fed by its neighbours
+    # through the mesh and returns current to its source
+    arr = fresh(line_resistance=1e6)
+    with pytest.raises(IndeterminateReadError, match=r"word 0 bit 3: segment b3e carries -1\.28e-10 A"):
+        read_word(arr, 0)
+
+
 def test_plain_layout_read_costs_two_cycles():
     arr = fresh(4, 4, balanced=False)
     arr.set_word(0, "1010")

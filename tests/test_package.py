@@ -1,10 +1,13 @@
 """The public surface: every name has one import path, its own module."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,3 +40,19 @@ def test_all_lists_only_names_defined_in_the_module(name):
         if (inspect.isclass(obj) or inspect.isfunction(obj)) and obj.__module__ != module.__name__:
             foreign.append(f"{attr} from {obj.__module__}")
     assert foreign == []
+
+
+def test_declared_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    imported = set()
+    for path in (root / "src" / "xpointsim").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    imported -= set(sys.stdlib_module_names)
+    assert imported == {re.match(r"[\w.-]+", spec).group() for spec in declared}
