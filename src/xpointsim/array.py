@@ -166,7 +166,6 @@ class CrossbarArray:
             self.word_rows + self.ref_rows, self.segments, self.cell_keys, tags,
             line_resistance, self.resistances,
         )
-        self._idle = None  # (selector model, every row -> one idle driver)
 
     # -- addressing ----------------------------------------------------
 
@@ -268,23 +267,16 @@ class CrossbarArray:
     # -- network extraction ---------------------------------------------
 
     def to_network(self, bias, drivers):
-        """Snapshot the present device states into a solvable network."""
-        return CrossbarNetwork.on_core(
-            self._core, self.resistances.copy(), drivers, bias, self.v_dd
-        )
+        """Snapshot the present device states into a solvable network.
 
-    def idle_drivers(self):
-        """Every row tied to one shared driver with both switches off.
-
-        Built once per word-selector model; callers copy it and replace
-        the rows they select, so the rows they leave idle keep sharing one
-        driver object.
+        ``drivers`` names the selected rows only; every other row is tied
+        to the rails through a word selector of the present
+        ``row_driver_model`` with both switches off.
         """
-        model = self.row_driver_model
-        if self._idle is None or self._idle[0] is not model:
-            rows = self.word_rows + self.ref_rows
-            self._idle = (model, dict.fromkeys(rows, RowDriver(model)))
-        return self._idle[1]
+        return CrossbarNetwork.on_core(
+            self._core, self.resistances.copy(), drivers, bias, self.v_dd,
+            idle=RowDriver(self.row_driver_model),
+        )
 
     def ideal_branch_resistance(self, state):
         """Series resistance of one isolated sense branch in a given state."""

@@ -144,16 +144,18 @@ def _run_array(cfg, args):
             data = "".join("01"[rng.getrandbits(1)] for _ in range(arr.n_bits))
     else:
         addr = data = None
-    context = f"{op.scenario} scenario" + ("" if data is None else f", word {addr}")
+    context = f"{op.scenario} scenario"
     trace = reads = None
     t0 = time.perf_counter()
     try:
         if data is not None:
+            step = f"{context}, write word {addr}"
             trace = write_word(arr, WriteRequest(addr, data, op.mode), drive)
         if op.scenario != "write":
+            step = context if data is None else f"{context}, read scan"
             reads = [(w, read_word(arr, w, drive)) for w in range(arr.m_words)]
     except SimulationError as exc:
-        raise _with_context(context, exc) from exc
+        raise _with_context(step, exc) from exc
     wall = time.perf_counter() - t0
     blocks = [
         f"scenario: {op.scenario} ({arr.n_bits} bits x {arr.m_words} words)",

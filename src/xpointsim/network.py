@@ -32,10 +32,10 @@ every bit-line segment, so every kept node is pinned: F is empty, the
 solve is 0 x 0 and forms no fill. A write pins none, and ``S_FF`` is the
 whole Schur complement.
 
-Drivers bind through tables kept on the core as well: the rail nodes of a
-tuple of driver rows are mapped once, and a solve builds the rail
-resistances from the runs of consecutive rows that share one driver
-object (a read's idle word selectors are one run), never row by row.
+Every row owns a pull-up and a pull-down rail at its terminal, fixed on
+the core. A network names the drivers of its selected rows only; every
+other row takes the network's idle driver, and with none its rails are
+open (infinite resistance), so they carry no current and anchor nothing.
 
 Transistor saturation makes the system piecewise linear. The solver
 iterates on the set of saturated switches: solve, clamp any switch whose
@@ -60,7 +60,6 @@ source current is positive out of the source into the line.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -271,7 +270,9 @@ class NodalCore:
         self.lane_live[e_of, lane] = 1.0
         self.lane_node = self.kept[self.lane_k]
         self._free_blocks = {}  # pinned kept nodes -> _FreeBlock
-        self._rails = None  # (driver rows, their rail nodes, their rail slots)
+        # the pull-up then the pull-down rail of each row, at its terminal
+        self.rail_node = np.repeat(self.terminal[: len(self.rows)], 2)
+        self.rail_slot = self.slot[self.rail_node]
 
     def solve(self, g, shunt, rhs_e, rhs_k, fixed, volts):
         """Potentials of every node, one column per right-hand side.
@@ -310,23 +311,6 @@ class NodalCore:
                 del self._free_blocks[next(iter(self._free_blocks))]
             block = self._free_blocks[key] = _FreeBlock(self, pin_k)
         return block
-
-    def rail_nodes(self, rows):
-        """``rows`` with the node and eliminated slot of both rails of each, pull-up first.
-
-        Checked and built once for a tuple of driver rows and reused while
-        the rows stay the same, so binding a network maps no row to its node.
-        """
-        if self._rails is None or self._rails[0] != rows:
-            if not self.row_set.issuperset(rows):
-                row = next(row for row in rows if row not in self.row_set)
-                raise ParameterError(f"driver: {row!r} is not a row")
-            lines = np.fromiter(map(self.line_index.__getitem__, rows), np.intp, len(rows))
-            node = np.repeat(self.terminal[lines], 2)
-            slot = self.slot[node]
-            node.flags.writeable = slot.flags.writeable = False
-            self._rails = (rows, node, slot)
-        return self._rails
 
 
 class _FreeBlock:
@@ -442,10 +426,11 @@ class _FreeBlock:
 class CrossbarNetwork:
     """Lines, device branches, drivers and bias of one mesh.
 
-    :meth:`on_core` binds resistances (in branch order), drivers and bias
-    to a core compiled earlier instead of compiling one from branches.
-    Binding reads the drivers once: a solve uses their rows and runs as
-    they were bound.
+    ``drivers`` maps a row to its :class:`RowDriver`; every row it leaves
+    out takes ``idle``, and with ``idle`` None its rails are open.
+    :meth:`on_core` binds resistances (in branch order), drivers, bias and
+    the idle driver to a core compiled earlier instead of compiling one
+    from branches.
     """
 
     def __init__(
@@ -471,30 +456,28 @@ class CrossbarNetwork:
             rows, cols, [(b.row, b.col) for b in branches], [b.tag for b in branches],
             line_resistance, resistance,
         )
-        self._bind(core, resistance, drivers or {}, bias or {}, v_dd)
+        self._bind(core, resistance, drivers or {}, bias or {}, v_dd, None)
         self._branches = branches
 
     @classmethod
-    def on_core(cls, core, resistance, drivers, bias, v_dd):
+    def on_core(cls, core, resistance, drivers, bias, v_dd, idle=None):
         net = cls.__new__(cls)
-        net._bind(core, resistance, drivers, bias, v_dd)
+        net._bind(core, resistance, drivers, bias, v_dd, idle)
         return net
 
-    def _bind(self, core, resistance, drivers, bias, v_dd):
+    def _bind(self, core, resistance, drivers, bias, v_dd, idle):
         for line, lb in bias.items():
             if line not in core.line_index:
                 raise ParameterError(f"bias: unknown line {line!r}")
             if lb.kind == "regulated" and lb.cell not in core.tag_index:
                 raise ParameterError(f"bias {line!r}: unknown cell {lb.cell!r}")
-        # the drivers as bound: their rows with the rows' rail nodes, mapped
-        # once per core, and the runs of consecutive rows that share one
-        # driver; a read's idle word selectors are one object, so it has
-        # five runs
-        self._rails = core.rail_nodes(tuple(drivers))
-        self._runs = [(d, len(list(rows))) for d, rows in itertools.groupby(drivers.values())]
+        for row in drivers:
+            if row not in core.row_set:
+                raise ParameterError(f"driver: {row!r} is not a row")
         self.core = core
         self.resistance = resistance
         self.drivers = drivers
+        self.idle = idle
         self.bias = bias
         self.v_dd = v_dd
         self._branches = None
@@ -511,10 +494,21 @@ class CrossbarNetwork:
         return self._branches
 
 
+def _rail_pair(driver):
+    """Resistance and saturation current of a driver's pull-up, then its pull-down."""
+    if driver is None:
+        return (math.inf, math.inf), (math.inf, math.inf)
+    m = driver.model
+    return (
+        (m.r_on if driver.pmos_on else m.r_off, m.i_sat),
+        (m.r_on if driver.nmos_on else m.r_off, m.i_sat),
+    )
+
+
 class AssembledNetwork:
     """A network's bias and drivers bound to node indices, ready to solve.
 
-    Rails come in pairs per driver row, pull-up first; they attach at row
+    Rails come in pairs per row, pull-up first; they attach at row
     terminals, which are always eliminated nodes.
     """
 
@@ -548,15 +542,13 @@ class AssembledNetwork:
         rhs[self.reg_nodes, 1 + np.arange(k)] = 1.0
         self.rhs_e, self.rhs_k = rhs[core.elim], rhs[core.kept]
 
-        self.driver_rows, self.rail_node, self.rail_slot = net._rails
-        # one table entry per run of rows with one driver
-        table = np.array([
-            [(d.model.r_on if on else d.model.r_off, d.model.i_sat, rail)
-             for on, rail in ((d.pmos_on, net.v_dd), (d.nmos_on, 0.0))]
-            for d, _ in net._runs
-        ]).reshape(-1, 2, 3)
-        table = np.repeat(table, [n for _, n in net._runs], axis=0)
-        self.rail_r, self.rail_isat, self.rail_volts = table.reshape(-1, 3).T
+        n_rows = len(core.rows)
+        table = np.tile(_rail_pair(net.idle), (n_rows, 1))
+        for row, driver in net.drivers.items():
+            k = 2 * core.line_index[row]
+            table[k : k + 2] = _rail_pair(driver)
+        self.rail_r, self.rail_isat = table.T
+        self.rail_volts = np.tile([net.v_dd, 0.0], n_rows)
         self.unknown_count = core.n_nodes - len(self.fixed)
 
 
@@ -568,7 +560,7 @@ def build_network(net):
 def _check_anchored(asm):
     """Every unknown node must conduct to some fixed potential."""
     core = asm.core
-    anchors = np.concatenate([asm.fixed, asm.rail_node[np.isfinite(asm.rail_r)]])
+    anchors = np.concatenate([asm.fixed, core.rail_node[np.isfinite(asm.rail_r)]])
     anchored = np.zeros(core.n_nodes, dtype=bool)
     anchored[core.labels[anchors]] = True
     stranded = ~anchored[core.labels]
@@ -585,8 +577,8 @@ def _solve_linear(asm, g, clamp, rail_g):
     ne = len(core.elim)
     ohmic_g = np.where(clamp == 0.0, rail_g, 0.0)
     rhs_e = asm.rhs_e.copy()
-    rhs_e[:, 0] += np.bincount(asm.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
-    shunt = np.bincount(asm.rail_slot, ohmic_g, ne)
+    rhs_e[:, 0] += np.bincount(core.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
+    shunt = np.bincount(core.rail_slot, ohmic_g, ne)
     x = core.solve(g, shunt, rhs_e, asm.rhs_k, asm.fixed, asm.fixed_volts)
     if not asm.regulated:
         return x[:, 0], np.zeros(0)
@@ -597,7 +589,8 @@ def _solve_linear(asm, g, clamp, rail_g):
         sources = np.linalg.solve(per_cell[:, 1:], asm.reg_targets - per_cell[:, 0])
     except np.linalg.LinAlgError:
         raise ConvergenceError(
-            "write-drive regulation lost authority over an addressed cell"
+            "write-drive regulation lost authority over an addressed cell on "
+            + ", ".join(asm.regulated)
         ) from None
     return x[:, 0] + x[:, 1:] @ sources, sources
 
@@ -612,7 +605,7 @@ def solve_network(net):
     seen_sets = set()
     for _ in range(_MAX_CLAMP_ITERATIONS):
         volts, sources = _solve_linear(asm, g, clamp, rail_g)
-        i_lin = (asm.rail_volts - volts[asm.rail_node]) * rail_g
+        i_lin = (asm.rail_volts - volts[net.core.rail_node]) * rail_g
         over = np.abs(i_lin) > asm.rail_isat * _CLAMP_SLACK
         proposal = np.where(over, np.copysign(asm.rail_isat, i_lin), 0.0)
         if np.array_equal(proposal, clamp):
@@ -636,7 +629,7 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     va, vb = volts[core.edge_a], volts[core.edge_b]
     edge_i = (va - vb) * g
     ohmic = clamp == 0.0
-    rail_v = volts[asm.rail_node]
+    rail_v = volts[core.rail_node]
     rail_i = np.where(ohmic, (asm.rail_volts - rail_v) * rail_g, clamp)
     injection = asm.injection.copy()
     injection[asm.reg_nodes] += sources
@@ -645,7 +638,7 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     flow = (
         np.bincount(core.edge_b, edge_i, n)
         - np.bincount(core.edge_a, edge_i, n)
-        + np.bincount(asm.rail_node, rail_i, n)
+        + np.bincount(core.rail_node, rail_i, n)
         + injection
     )
     # the conservation check is normalised by the gross magnitude of the
@@ -668,7 +661,13 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     currents = edge_i[: len(core.tags)]
     miss = np.abs(currents[asm.reg_cells] - asm.reg_targets)
     if not np.all(miss <= _REG_TOL * np.abs(asm.reg_targets)):
-        raise ConvergenceError("write-drive regulation did not settle")
+        # the cell furthest past its tolerance, or the first NaN
+        k = int(np.argmax(miss - _REG_TOL * np.abs(asm.reg_targets)))
+        raise ConvergenceError(
+            f"write-drive regulation did not settle: {core.tags[asm.reg_cells[k]]} "
+            f"on {asm.regulated[k]} carries {currents[asm.reg_cells[k]]:.6g} A, "
+            f"{miss[k]:.2g} A off its target {asm.reg_targets[k]:.6g} A"
+        )
 
     source_currents = dict(zip(asm.regulated, sources.tolist()))
     source_currents.update((line, lb.value) for line, lb in net.bias.items() if lb.kind == "current")
@@ -679,10 +678,9 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
         core=core,
         volts=volts,
         currents=currents,
-        driver_rows=asm.driver_rows,
         rail_currents=rail_i,
         source_currents=source_currents,
-        clamped=frozenset(asm.driver_rows[r // 2] for r in np.flatnonzero(~ohmic)),
+        clamped=frozenset(core.rows[r // 2] for r in np.flatnonzero(~ohmic)),
         kcl_residual=kcl_residual,
     )
 
@@ -691,17 +689,19 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
 class NetworkSolution:
     """Operating point: node potentials and device currents in core order.
 
-    ``rail_currents`` holds each driver row's pull-up then pull-down current.
+    ``rail_currents`` holds each row's pull-up then pull-down current, in
+    ``driver_rows`` order: every row of the core, an open rail carrying 0.
     """
 
     core: NodalCore
     volts: np.ndarray
     currents: np.ndarray
-    driver_rows: list
     rail_currents: np.ndarray
     source_currents: dict
     clamped: frozenset
     kcl_residual: float
+
+    driver_rows = property(lambda self: self.core.rows)
 
     @cached_property
     def device_currents(self):

@@ -199,18 +199,18 @@ class SensingPowerReport:
 
 
 def select_word(array, word_addr, phase):
-    """Row drivers for one selected word; every other selector is off.
+    """Row drivers of the rows one word's operation selects.
 
     Phase '0' pulls the word line to the positive rail (pull-up on), phase
     '1' and reads ground it (pull-down on). Reads additionally ground the
-    reference row serving the word's parity.
+    reference row serving the word's parity. Every row left out keeps its
+    selector off (see :meth:`~xpointsim.array.CrossbarArray.to_network`).
     """
     if phase not in ("0", "1", "read"):
         raise ParameterError(f"phase: expected '0', '1' or 'read', got {phase!r}")
     row = array.word_row(word_addr)
     model = array.row_driver_model
-    drivers = array.idle_drivers().copy()
-    drivers[row] = RowDriver(model, pmos_on=phase == "0", nmos_on=phase != "0")
+    drivers = {row: RowDriver(model, pmos_on=phase == "0", nmos_on=phase != "0")}
     if phase == "read" and array.balanced:
         drivers[array.serving_ref_row(word_addr)] = RowDriver(model, nmos_on=True)
     return drivers

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from xpointsim.array import CrossbarArray, REF_ROWS
 from xpointsim.device import MtjState, TransistorModel, critical_current
 from xpointsim.errors import ParameterError
-from xpointsim.network import LineBias, RowDriver, solve_network
+from xpointsim.network import CrossbarNetwork, LineBias, RowDriver, build_network, solve_network
+from xpointsim.ops import select_word
 
 
 def test_balanced_layout_lines():
@@ -166,15 +168,24 @@ def test_word_selector_is_bitwidth_scaled():
     assert wide.row_driver_model.r_on == pytest.approx(cell.r_on / 8, rel=1e-12)
 
 
-def test_idle_drivers_share_one_driver_and_follow_the_selector_model():
+def test_rows_left_unselected_carry_the_idle_selector():
     arr = CrossbarArray(4, 4)
-    idle = arr.idle_drivers()
-    assert list(idle) == arr.word_rows + arr.ref_rows
-    assert len({id(d) for d in idle.values()}) == 1
-    assert next(iter(idle.values())) == RowDriver(arr.row_driver_model)
-    assert arr.idle_drivers() is idle  # bound once per array
+    arr.set_word(1, "0110")
+    drivers = select_word(arr, 1, "read")
+    assert list(drivers) == ["w1", "ref_o"]
+    bias = {seg: LineBias.voltage(0.3) for seg in arr.segments}
+    net = arr.to_network(bias, drivers)
+    # the same read with every row's driver spelled out and no idle driver
+    every_row = {row: drivers.get(row, RowDriver(arr.row_driver_model)) for row in net.rows}
+    spelled = CrossbarNetwork.on_core(net.core, net.resistance, every_row, bias, net.v_dd)
+    assert spelled.idle is None
+    assert np.array_equal(solve_network(net).volts, solve_network(spelled).volts)
+    # the idle selector follows a replaced word-selector model
     arr.row_driver_model = TransistorModel(r_on=500.0, r_off=1e8, i_sat=1e-3)
-    assert set(arr.idle_drivers().values()) == {RowDriver(arr.row_driver_model)}
+    asm = build_network(arr.to_network(bias, select_word(arr, 1, "read")))
+    rail_r = dict(zip(net.rows, asm.rail_r.reshape(-1, 2).tolist()))
+    assert rail_r["w0"] == rail_r["ref_e"] == [1e8, 1e8]
+    assert rail_r["w1"] == [1e8, 500.0]
 
 
 def test_reference_cells_sit_at_the_midpoint():

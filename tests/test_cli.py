@@ -229,6 +229,27 @@ def test_unsensable_read_exits_2(tmp_path, capsys, ohms):
     assert re.search(r"simulation error: read scenario: word \d+ bit \d+: segment b\d+[eo] carries -", err)
 
 
+@pytest.mark.parametrize("ini, where", [
+    # the demo writes word 3 and then fails reading word 0: the error names
+    # the scan, not the written word
+    ("[array]\nline_resistance = 1e8\n", r"demo scenario, read scan: word 0 bit \d+: "),
+    # at 1e12 ohm/segment the write regulation misses its target: the error
+    # names the cell it missed
+    ("[array]\nline_resistance = 1e12\n[operation]\nscenario = write\nword_addr = 3\n",
+     r"write scenario, write word 3: write-drive regulation did not settle: w3:b\d+[eo] on b"),
+    # at 1e19 the transfer matrix is singular: the error names the lines
+    ("[array]\nline_resistance = 1e19\n[operation]\nscenario = write\nword_addr = 3\n",
+     r"write word 3: write-drive regulation lost authority .* on b0o, b1o, b2o, b3o$"),
+], ids=["demo-scan", "write-cell", "write-lines"])
+def test_simulation_errors_name_where_they_failed(tmp_path, capsys, ini, where):
+    cfg = tmp_path / "far.ini"
+    cfg.write_text(ini)
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert re.search(where, err), err
+    assert "word 3: word" not in err
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_underflowing_physics_rate_names_the_moment(tmp_path, capsys, command):
     cfg = tmp_path / "moment.ini"

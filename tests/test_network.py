@@ -12,6 +12,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle import branch_current, solve_nodes
 from xpointsim.array import CrossbarArray
@@ -87,7 +89,10 @@ def oracle_description(net):
         resistors.append(
             (node(b.row, b.col, crossings_per_row), node(b.col, b.row, crossings_per_col), b.resistance)
         )
-    for row, drv in net.drivers.items():
+    for row in net.rows:
+        drv = net.drivers.get(row, net.idle)
+        if drv is None:
+            continue
         resistors.append((terminal(row), "rail_vdd", drv.model.r_on if drv.pmos_on else drv.model.r_off))
         resistors.append((terminal(row), "rail_gnd", drv.model.r_on if drv.nmos_on else drv.model.r_off))
         fixed["rail_vdd"] = net.v_dd
@@ -353,7 +358,15 @@ class TestDriveTables:
             net = CrossbarNetwork.on_core(core_net.core, core_net.resistance, drivers, bias, v_dd)
             assert net.core is core_net.core
             sol = assert_matches_oracle(net)
-            assert list(sol.driver_rows) == list(drivers), label
+            assert list(sol.driver_rows) == net.rows, label
+            for row in set(net.rows) - set(drivers):
+                assert sol.transistor_currents[row] == 0.0, (label, row)
+
+    def test_driver_must_name_a_row(self):
+        core_net = grid_network([["P", "AP"], ["AP", "P"]], {"b0": LineBias.voltage(0.4)})
+        drivers = {"b0": RowDriver(self.LIGHT, nmos_on=True)}
+        with pytest.raises(ParameterError, match="'b0'"):
+            CrossbarNetwork.on_core(core_net.core, core_net.resistance, drivers, {}, 1.2)
 
 
 # the single connectivity check, with and without line expansion, and with
@@ -525,6 +538,16 @@ class TestSneakStructure:
             a = equivalent_resistance(net, "b0", f"w{m - 1}")
             b = equivalent_resistance(net, f"w{m - 1}", "b0")
             assert a == pytest.approx(b, rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), wired=st.booleans())
+    def test_reciprocity_every_pair(self, seed, wired):
+        net = random_case(random.Random(seed), wired)
+        lines = net.rows + net.cols
+        for k, a in enumerate(lines):
+            for b in lines[k + 1:]:
+                ab, ba = equivalent_resistance(net, a, b), equivalent_resistance(net, b, a)
+                assert ab == ba == math.inf or ab == pytest.approx(ba, rel=1e-9, abs=0.0), (a, b)
 
     def test_write_safety_ordering_exhaustive_2x2(self):
         # addressed resistance never exceeds any 3-device sneak path at tmr=1.5
