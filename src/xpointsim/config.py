@@ -37,8 +37,7 @@ Sections and keys, with defaults:
 
 ``[drive]``
     ``v_dd`` (1.2), ``v_read`` (0.3), ``write_overdrive`` (1.3),
-    ``setup_time_s`` (1e-10), ``sample_dt_s`` (5e-10), ``c_load_f``
-    (3e-13).
+    ``setup_time_s`` (1e-10), ``c_load_f`` (3e-13).
 
 ``[architecture]``
     per-column and per-word periphery areas in F^2: ``a_sense_f2`` (40),
@@ -218,7 +217,6 @@ class DriveSection:
     v_read: float = _key(DriveConfig.v_read, check=_positive)
     write_overdrive: float = _key(1.3, check=_positive)
     setup_time_s: float = _key(DriveConfig.setup_time_s, check=_non_negative)
-    sample_dt_s: float = _key(DriveConfig.sample_dt_s, check=_positive)
     c_load_f: float = _key(DriveConfig.c_load_f, check=_positive)
 
 
@@ -461,7 +459,6 @@ def build_drive(cfg):
     return DriveConfig(
         v_read=cfg.drive.v_read,
         setup_time_s=cfg.drive.setup_time_s,
-        sample_dt_s=cfg.drive.sample_dt_s,
         c_load_f=cfg.drive.c_load_f,
     )
 

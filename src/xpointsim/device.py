@@ -211,7 +211,14 @@ def switching_delay(current_a, params, dyn):
     overdrive = abs(current_a) - critical_current(params)
     if overdrive <= 0.0:
         return math.inf
-    return 1.0 / (dyn.rate() * overdrive)
+    speed = dyn.rate() * overdrive
+    _require(
+        speed > 0.0 and 1.0 / speed < math.inf,
+        "rate_per_amp",
+        f"a switching rate of {speed:g} /s at {overdrive:g} A over threshold "
+        "puts the switching delay beyond float range",
+    )
+    return 1.0 / speed
 
 
 @dataclass(frozen=True)

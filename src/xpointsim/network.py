@@ -71,6 +71,7 @@ from .errors import (
     ConvergenceError,
     InvariantError,
     ParameterError,
+    SimulationError,
     SingularNetworkError,
 )
 
@@ -626,6 +627,13 @@ def solve_network(net):
 def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     net, core = asm.net, asm.core
     n = core.n_nodes
+    # a finite drive whose potentials overflow float range: no conservation
+    # check can judge that solution (a NaN drive gives NaN, not inf, and
+    # fails the check below)
+    overflow = np.isinf(volts)
+    if overflow.any():
+        lines = sorted({core.lines[line] for line in core.node_line[overflow].tolist()})
+        raise SimulationError("node potentials beyond float range on: " + ", ".join(lines))
     va, vb = volts[core.edge_a], volts[core.edge_b]
     edge_i = (va - vb) * g
     ohmic = clamp == 0.0

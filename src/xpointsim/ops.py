@@ -22,9 +22,10 @@ already hold their data costs only the setup interval. Device progress is
 re-integrated between consecutive flip events, during which every branch
 current is constant, so the integration is exact rather than sampled.
 
-In parallel mode the non-participating bit lines are held at the word
-rail potential, which blocks sneak paths; in serial mode they float, which
-is what makes the serial source current exceed the write current.
+In every mode a segment without a source floats. A serial write
+therefore floats every bit line but one, and the sneak current through
+those floating lines is what makes the serial source current exceed the
+write current.
 
 Reads
 -----
@@ -85,7 +86,6 @@ __all__ = [
 ]
 
 _TIE_REL = 1e-6
-_STEP_SAMPLES = 100_000
 LN2 = math.log(2.0)
 
 
@@ -95,7 +95,6 @@ class DriveConfig:
 
     v_read: float = 0.3
     setup_time_s: float = 1e-10
-    sample_dt_s: float = 5e-10
     c_load_f: float = 300e-15
 
     def __post_init__(self):
@@ -103,8 +102,6 @@ class DriveConfig:
             raise ParameterError("v_read: must be positive")
         if self.setup_time_s < 0.0:
             raise ParameterError("setup_time_s: must be non-negative")
-        if not self.sample_dt_s > 0.0:
-            raise ParameterError("sample_dt_s: must be positive")
         if not self.c_load_f > 0.0:
             raise ParameterError("c_load_f: must be positive")
 
@@ -263,21 +260,6 @@ class _TraceBuilder:
                 )
         self.samples.append(TraceSample(self.t, dict(currents), supply))
 
-    def densify(self, t_until, currents, supply, dt_max):
-        t = self.samples[-1].t if self.samples else self.t
-        # a step gets at most _STEP_SAMPLES padding samples, and a sample
-        # step no wider than the float spacing at t_until never advances t
-        if (t_until - t) / dt_max > _STEP_SAMPLES or dt_max <= math.ulp(t_until):
-            raise ParameterError(
-                f"sample_dt_s: {dt_max:g} s would pad a {t_until - t:g} s "
-                f"step with more than {_STEP_SAMPLES} samples"
-            )
-        # no padding sample within float noise of t_until, where the step's
-        # closing sample lands: it would print as a second row at that time
-        while t + dt_max < t_until - 1e-6 * dt_max:
-            t += dt_max
-            self.samples.append(TraceSample(t, dict(currents), supply))
-
     def open_phase(self, label, setup_s):
         """Start a phase with the supply off, then charge its setup time."""
         self.event("phase-start", label, 0.0)
@@ -325,7 +307,7 @@ class _TraceBuilder:
 # -- the phase engine ------------------------------------------------------
 
 
-def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s):
+def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
     """Drive ``active`` bits of one word until they hold their targets.
 
     ``active`` maps bit index -> target MtjState. ``phase`` is '0' or '1';
@@ -406,7 +388,6 @@ def _run_phase(array, drive, trace, label, word_addr, phase, active, setup_s):
             )
 
         dt = min(f[0] for f in flips) * (1.0 + 1e-12)
-        trace.densify(trace.t + dt, sol.source_currents, supply, drive.sample_dt_s)
         for (cell_row, seg), i in hot:
             if array.is_reference_row(cell_row):
                 continue
@@ -480,8 +461,8 @@ def write_word(array, req, drive=None):
             phase = req.data[j]
             target = {j: _TARGET_STATE[phase]}
             _run_phase(
-                array, drive, trace, f"bit{j}-phase-{phase}", req.word_addr, phase,
-                target, drive.setup_time_s,
+                array, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, target,
+                drive.setup_time_s,
             )
     else:
         setup = drive.setup_time_s
@@ -489,8 +470,7 @@ def write_word(array, req, drive=None):
             active = {j: _TARGET_STATE[phase] for j in bits if req.data[j] == phase}
             if active:
                 _run_phase(
-                    array, drive, trace, f"phase-{phase}", req.word_addr, phase,
-                    active, setup,
+                    array, trace, f"phase-{phase}", req.word_addr, phase, active, setup
                 )
                 setup = 0.0  # phase-1 reuses the word selection of phase-0
     _verify_written(array, req)

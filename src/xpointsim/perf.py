@@ -18,6 +18,7 @@ sense cycle. The circuit-level numbers including sneak overhead come from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,7 +129,14 @@ def cell_area_physical_floor(f_feature_nm, f_memory_nm):
     """
     if not (f_feature_nm > 0.0 and f_memory_nm > 0.0):
         raise ParameterError("f_feature_nm and f_memory_nm: must be positive")
-    return 4.0 * (f_memory_nm / f_feature_nm) ** 2
+    ratio = f_memory_nm / f_feature_nm
+    floor = 4.0 * (ratio * ratio)
+    if math.isinf(floor):
+        raise ParameterError(
+            f"f_feature_nm and f_memory_nm: a feature ratio of {ratio:g} "
+            "puts the pitch floor beyond float range"
+        )
+    return floor
 
 
 def dynamic_energy(trace, v_dd):

@@ -6,13 +6,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from test_config import _scenario_texts
 
 import xpointsim
 from xpointsim.cli import CONFIG_ENV, main
-from xpointsim.config import default_config
+from xpointsim.config import default_config, parse_config
+from xpointsim.errors import ConfigError
 from xpointsim.perf import parse_sweep_csv
 
 
@@ -197,7 +201,8 @@ def test_simulation_failure_maps_to_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("dt", ["1e-300", "1e-15"])
 def test_tiny_sample_step_exits_1_instead_of_hanging(tmp_path, dt):
-    # 1e-300 s rounds away (t + dt == t); 1e-15 s asks for ~1e7 samples a step
+    # the waveform has one sample per step edge and no sample step to set;
+    # a file that still sets one is rejected by name before anything runs
     cfg = tmp_path / "dt.ini"
     cfg.write_text(f"[drive]\nsample_dt_s = {dt}\n")
     env = dict(os.environ, PYTHONPATH=str(Path(xpointsim.__file__).parents[1]))
@@ -207,7 +212,29 @@ def test_tiny_sample_step_exits_1_instead_of_hanging(tmp_path, dt):
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert run.returncode == 1
-    assert "parameter error: sample_dt_s:" in run.stderr
+    assert run.stderr == "config error: drive.sample_dt_s: unknown key\n"
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(text=_scenario_texts())
+def test_any_scenario_file_exits_0_1_or_2(text):
+    # bad input exits 1 and a failed simulation 2; nothing raises
+    try:
+        parse_config(text)
+    except ConfigError:
+        allowed = {1}
+    else:
+        allowed = {0, 1, 2}
+    with tempfile.TemporaryDirectory() as scratch:
+        cfg = Path(scratch) / "scenario.ini"
+        cfg.write_text(text)
+        out = str(Path(scratch) / "run")
+        status = main(["simulate", "--config", str(cfg), "--out", out, "--seed", "1"])
+    assert status in allowed
 
 
 @pytest.mark.parametrize("ohms", ["1e20", "1e300"])

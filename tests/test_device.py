@@ -198,6 +198,13 @@ class TestSwitchingDelay:
         # a fitted rate never uses the moment
         assert SwitchingParams(moment_a_m2=5e-324, rate_per_amp=1e9).rate() == 1e9
 
+    @pytest.mark.parametrize("rate", [5e-324, 1e-310])
+    def test_delay_beyond_float_range_names_the_rate(self, params, rate):
+        # rate x overdrive underflows to 0 (a division by zero), or to a
+        # subnormal whose inverse is inf
+        with pytest.raises(ParameterError, match="rate_per_amp:"):
+            switching_delay(1.3 * I_C0, params, SwitchingParams(rate_per_amp=rate))
+
 
 class TestSwitchingStep:
     def test_flip_after_exactly_tau(self, params, dyn):

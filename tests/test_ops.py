@@ -10,15 +10,19 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xpointsim import ops
+from xpointsim import network, ops
 from xpointsim.array import CrossbarArray
-from xpointsim.device import MtjState, critical_current
+from xpointsim.device import MtjParams, MtjState, critical_current
 from xpointsim.errors import (
     IndeterminateReadError,
     ParameterError,
     ReadDisturbError,
+    SimulationError,
     WriteFailureError,
 )
 from xpointsim.network import solve_network
@@ -26,7 +30,6 @@ from xpointsim.ops import (
     DriveConfig,
     WriteMode,
     WriteRequest,
-    _TraceBuilder,
     compare_sensing_power,
     read_cycle_time,
     read_word,
@@ -327,6 +330,36 @@ def test_read_margin_signs_follow_the_data():
         assert margin < 0 if bit == "1" else margin > 0
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_reads_follow_their_word_under_permutation_within_parity(data):
+    # at 0 ohm a read pins every segment, so the unselected rows carry no
+    # current and a read depends on the word's cells, the segments of its
+    # parity and the reference row serving that parity: permuting the
+    # stored words within each parity class moves every read with its word
+    n_bits = data.draw(st.integers(1, 8), label="n_bits")
+    m_words = 2 * data.draw(st.integers(1, 16), label="m_words / 2")
+    words = data.draw(
+        st.lists(st.text("01", min_size=n_bits, max_size=n_bits),
+                 min_size=m_words, max_size=m_words),
+        label="words",
+    )
+    moved = {}
+    for parity in (0, 1):
+        cls = list(range(parity, m_words, 2))
+        moved.update(zip(cls, data.draw(st.permutations(cls), label=f"parity {parity}")))
+    before, after = fresh(n_bits, m_words), fresh(n_bits, m_words)
+    for w, word in enumerate(words):
+        before.set_word(w, word)
+        after.set_word(moved[w], word)
+    for w in range(m_words):
+        here, there = read_word(before, w), read_word(after, moved[w])
+        assert here.bits == there.bits == words[w]
+        assert there.per_bit_margin == pytest.approx(here.per_bit_margin, rel=1e-12, abs=0.0)
+        for pair, moved_pair in zip(here.branch_currents, there.branch_currents):
+            assert moved_pair == pytest.approx(pair, rel=1e-12, abs=0.0)
+
+
 def test_read_branch_current_ordering():
     # low-resistance parallel cells pull the most current, references sit
     # between the two data states, and everything stays under threshold
@@ -386,18 +419,39 @@ def test_read_scan_allocates_no_dense_nodal_matrix():
     assert peak < 2e6
 
 
-def test_wide_word_read_forms_its_fill_in_bounded_blocks():
-    # each of the 258 eliminated rows of a 64-bit read adds 64 x 64 fill
-    # products; formed all at once they would take 8.5 MB per array
+def test_wide_word_write_forms_its_fill_in_bounded_blocks(monkeypatch):
+    # a write pins no kept node, so each of the 258 eliminated rows of a
+    # 64-bit word adds 64 x 64 fill products; formed all at once they would
+    # take 8.5 MB per array, so they go in blocks of at most _FILL_BLOCK
+    calls = []
+    pair_index, block_solve = network._pair_index, network._FreeBlock.solve
+
+    def recording(lane_k, nk):
+        calls.append(lane_k.shape)
+        return pair_index(lane_k, nk)
+
+    def marking(block, *args):
+        calls.append("solve")
+        return block_solve(block, *args)
+
+    monkeypatch.setattr(network, "_pair_index", recording)
+    monkeypatch.setattr(network._FreeBlock, "solve", marking)
     arr = fresh(64, 256)
-    read_word(arr, 0)
-    tracemalloc.start()
-    try:
-        read_word(arr, 129)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5e6
+    write_word(arr, WriteRequest(0, "1" * 64, WriteMode.PARALLEL))
+    # the free block compiles the targets of its first block of rows once;
+    # each solve forms the rest
+    first, solves = calls[0], []
+    for call in calls[1:]:
+        if call == "solve":
+            solves.append([first])
+        else:
+            solves[-1].append(call)
+    assert solves
+    for shapes in solves:
+        assert all(rows * width**2 <= network._FILL_BLOCK for rows, width in shapes)
+        assert {width for _rows, width in shapes} == {64}
+        assert sum(rows for rows, _width in shapes) == 258
+        assert len(shapes) == 17
 
 
 @pytest.mark.parametrize("line_resistance", [0.0, 1.0], ids=["bare", "wired"])
@@ -428,6 +482,16 @@ def test_overdriven_read_raises_disturb():
     hot = DriveConfig(v_read=1.2)
     with pytest.raises(ReadDisturbError):
         read_word(arr, 0, hot)
+
+
+def test_overflowing_read_is_a_simulation_error():
+    # 1e300 V across junctions of about 1e-299 ohm: the drive is finite but
+    # the potentials overflow float range, which no conservation check can
+    # judge, so the solve names the lines instead of violating an invariant
+    arr = fresh(params=MtjParams(surface_nm2=1e300))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SimulationError, match="beyond float range on: "):
+            read_word(arr, 0, DriveConfig(v_read=1e300))
 
 
 def test_segment_returning_current_is_an_indeterminate_read():
@@ -529,13 +593,24 @@ def test_waveform_repeats_no_row(mode, line_resistance):
         assert all(here != there for here, there in zip(rows, rows[1:])), vector
 
 
-def test_densify_pads_nothing_within_float_noise_of_the_step_end():
-    # a padding step landing a few ulps short of the flip would print as a
-    # second waveform row at the time of the flip
-    trace = _TraceBuilder(v_dd=1.2)
-    dt = 5e-10
-    trace.densify(math.nextafter(2 * dt, math.inf), {"b0e": 1e-4}, 1e-4, dt)
-    assert [s.t for s in trace.samples] == [dt]
+@pytest.mark.parametrize("mode, line_resistance", MODES_AND_WIRES)
+def test_waveform_has_no_sample_between_step_edges(mode, line_resistance):
+    # currents are constant between two solves, so a sample that repeats
+    # the one before it at a later time, and is repeated again after, adds
+    # nothing to the staircase; only a phase boundary keeps its row, as in
+    # a serial write's setup-only phase of a bit that already holds its data
+    drive = DriveConfig()
+    for vector in ALL_VECTORS:
+        arr = fresh(line_resistance=line_resistance)
+        arr.set_word(1, "0110")
+        trace = write_word(arr, WriteRequest(1, vector, mode), drive)
+        bounds = {t for p in trace.phases for t in (p.t_start, p.t_end)}
+        for a, b, c in zip(trace.samples, trace.samples[1:], trace.samples[2:]):
+            padding = a.t < b.t < c.t and b.t not in bounds and (
+                a.source_currents == b.source_currents == c.source_currents
+                and a.supply_a == b.supply_a == c.supply_a
+            )
+            assert not padding, (vector, b.t)
 
 
 def test_trace_csv_is_deterministic():

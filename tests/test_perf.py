@@ -119,6 +119,14 @@ def test_config_validation_names_the_field():
         cell_area_physical_floor(0.0, 40.0)
 
 
+@pytest.mark.parametrize("f_feature_nm, f_memory_nm", [(1e-300, 40.0), (1e-10, 1e308)])
+def test_physical_floor_beyond_float_range_names_the_keys(f_feature_nm, f_memory_nm):
+    # the square of the ratio overflows in the first case, the ratio itself
+    # in the second
+    with pytest.raises(ParameterError, match="f_feature_nm and f_memory_nm:"):
+        cell_area_physical_floor(f_feature_nm, f_memory_nm)
+
+
 # -- energy integration ------------------------------------------------------
 
 
