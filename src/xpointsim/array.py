@@ -43,6 +43,7 @@ from .device import (
     SwitchingParams,
     TransistorModel,
     critical_current,
+    mtj_resistance,
     reference_params,
 )
 from .errors import ParameterError
@@ -61,8 +62,7 @@ def reference_branch_resistance(ref_params, cell_r_on, n_bits):
     selector, which is ``n_bits`` cell switches wide. This is the branch
     that fixes the read cycle.
     """
-    device = MtjDevice(params=ref_params, state=MtjState.P)
-    return device.resistance + cell_r_on / n_bits
+    return mtj_resistance(MtjState.P, ref_params) + cell_r_on / n_bits
 
 
 def _bits_to_state(ch):
@@ -261,7 +261,7 @@ class CrossbarArray:
             key = (self.word_row(word), self.host_segment(word, j))
             self.set_device(
                 *key,
-                dataclasses.replace(self._cells[key], state=_bits_to_state(ch), progress=0.0),
+                dataclasses.replace(self._cells[key], state=_bits_to_state(ch)),
             )
 
     # -- network extraction ---------------------------------------------
@@ -280,8 +280,7 @@ class CrossbarArray:
 
     def ideal_branch_resistance(self, state):
         """Series resistance of one isolated sense branch in a given state."""
-        device = MtjDevice(params=self.params, state=state)
-        return device.resistance + self.row_driver_model.r_on
+        return mtj_resistance(state, self.params) + self.row_driver_model.r_on
 
     def ideal_reference_resistance(self):
         return reference_branch_resistance(

@@ -2,9 +2,11 @@
 
 The junction is a two-terminal resistor whose value depends on the relative
 magnetisation of its two layers. Everything here is quasi-static: a device
-has a state (parallel or antiparallel), a resistance determined by that
-state, and a switching clock that advances while the through-current exceeds
-the critical threshold in the destabilising direction.
+has a state (parallel or antiparallel) and a resistance determined by that
+state. Switching progress is not device state: :func:`switching_step`
+advances a progress figure its caller holds for the length of one pulse,
+while the through-current exceeds the critical threshold in the
+destabilising direction.
 
 Sign convention, used consistently across the package: positive device
 current flows from the bit-line terminal to the word-line terminal and
@@ -223,15 +225,10 @@ def switching_delay(current_a, params, dyn):
 
 @dataclass(frozen=True)
 class MtjDevice:
-    """One junction with its switching progress.
-
-    ``progress`` is the accumulated fraction of a switching event, in units
-    of the instantaneous delay. It reaches 1.0 when the device flips.
-    """
+    """One junction: its parameters and its stored state."""
 
     params: MtjParams
     state: MtjState
-    progress: float = 0.0
 
     @property
     def resistance(self):
@@ -243,28 +240,25 @@ def _destabilising_sign(state):
     return 1.0 if state is MtjState.P else -1.0
 
 
-def switching_step(device, current_a, dt_s, dyn):
-    """Advance one device by ``dt_s`` under a constant current.
+def switching_step(state, progress, current_a, params, dt_s, dyn):
+    """Advance one junction by ``dt_s`` under a constant current.
 
+    ``progress`` is the accumulated fraction of a switching event, in units
+    of the instantaneous delay; returns the new ``(state, progress)``.
     Destabilising supra-threshold current accumulates progress linearly in
     time and flips the state once a full delay has elapsed. A
     supra-threshold current in the stabilising direction actively restores
     the magnetisation, discarding any partial progress. Sub-threshold
-    current of either sign leaves the accumulated progress untouched.
+    current of either sign returns the progress it was given.
     """
-    i_c = critical_current(device.params)
-    if abs(current_a) <= i_c:
-        return device
-    if math.copysign(1.0, current_a) != _destabilising_sign(device.state):
-        if device.progress != 0.0:
-            return dataclasses.replace(device, progress=0.0)
-        return device
-    tau = switching_delay(current_a, device.params, dyn)
-    progress = device.progress + dt_s / tau
+    if abs(current_a) <= critical_current(params):
+        return state, progress
+    if math.copysign(1.0, current_a) != _destabilising_sign(state):
+        return state, 0.0
+    progress += dt_s / switching_delay(current_a, params, dyn)
     if progress >= 1.0:
-        flipped = MtjState.AP if device.state is MtjState.P else MtjState.P
-        return dataclasses.replace(device, state=flipped, progress=0.0)
-    return dataclasses.replace(device, progress=progress)
+        return (MtjState.AP if state is MtjState.P else MtjState.P), 0.0
+    return state, progress
 
 
 @dataclass(frozen=True)

@@ -596,6 +596,9 @@ def _solve_linear(asm, g, clamp, rail_g):
     return x[:, 0] + x[:, 1:] @ sources, sources
 
 
+# potentials that overflow float range are named by _finish_solution as a
+# SimulationError, so numpy's own warnings about them stay quiet
+@np.errstate(over="ignore", invalid="ignore")
 def solve_network(net):
     """Solve a CrossbarNetwork, iterating transistor saturation to a fixed point."""
     asm = build_network(net)

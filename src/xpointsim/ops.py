@@ -18,9 +18,12 @@ leaves the cell through the bit line), pull-down for the '1' phase.
 
 Phases are self-timed: a phase lasts until the last of its pending
 junctions has accumulated a full switching delay, so a phase whose targets
-already hold their data costs only the setup interval. Device progress is
-re-integrated between consecutive flip events, during which every branch
+already hold their data costs only the setup interval. Switching progress
+is integrated between consecutive flip events, during which every branch
 current is constant, so the integration is exact rather than sampled.
+Progress belongs to the phase that built it: when the phase's pulse ends,
+a partial reversal relaxes back, so no cell carries progress into the
+next phase or operation.
 
 In every mode a segment without a source floats. A serial write
 therefore floats every bit line but one, and the sneak current through
@@ -53,7 +56,7 @@ from enum import Enum
 
 import numpy as np
 
-from .device import MtjState, switching_delay, switching_step
+from .device import MtjDevice, MtjState, switching_delay, switching_step
 from .errors import (
     ConvergenceError,
     IndeterminateReadError,
@@ -349,6 +352,7 @@ def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
     phase_sources = {}
     phase_supply = 0.0
     reported_disturb = set()
+    progress = {}  # cell -> switching progress, dropped with the phase
     guard = 0
     while pending:
         guard += 1
@@ -361,24 +365,23 @@ def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
             phase_sources, phase_supply = dict(sources), supply
         trace.sample(sol.source_currents, supply)
 
-        # only supra-threshold cells can switch or make progress
-        over = np.flatnonzero(np.abs(sol.currents) > array.critical_currents)
-        hot = [(array.cell_keys[k], float(sol.currents[k])) for k in over]
-        # schedule the next flip among destabilised junctions
+        # one pass over the supra-threshold cells: a stabilising current
+        # clears a cell's progress, a destabilised reference cell is a
+        # disturb, and a destabilised data cell is scheduled to flip
         flips = []
-        for (cell_row, seg), i in hot:
-            dev = array.device_at(cell_row, seg)
-            drives_flip = (i > 0.0) == (dev.state is MtjState.P)
-            if not drives_flip:
-                continue
-            if array.is_reference_row(cell_row):
-                tag = array.tag(cell_row, seg)
+        for k in np.flatnonzero(np.abs(sol.currents) > array.critical_currents):
+            cell, i = array.cell_keys[k], float(sol.currents[k])
+            dev = array.device_at(*cell)
+            if (i > 0.0) != (dev.state is MtjState.P):
+                progress.pop(cell, None)
+            elif array.is_reference_row(cell[0]):
+                tag = array.tag(*cell)
                 if tag not in reported_disturb:
                     reported_disturb.add(tag)
                     trace.event("disturb", tag, i)
-                continue
-            tau = switching_delay(i, dev.params, array.dynamics)
-            flips.append(((1.0 - dev.progress) * tau, cell_row, seg, i))
+            else:
+                tau = switching_delay(i, dev.params, array.dynamics)
+                flips.append(((1.0 - progress.get(cell, 0.0)) * tau, cell, dev, i))
         if not flips:
             stuck = sorted(pending)[0]
             raise WriteFailureError(
@@ -388,20 +391,16 @@ def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
             )
 
         dt = min(f[0] for f in flips) * (1.0 + 1e-12)
-        for (cell_row, seg), i in hot:
-            if array.is_reference_row(cell_row):
-                continue
-            dev = array.device_at(cell_row, seg)
-            stepped = switching_step(dev, i, dt, array.dynamics)
-            if stepped is not dev:
-                array.set_device(cell_row, seg, stepped)
         trace.t += dt
-        for _remaining, cell_row, seg, i in flips:
-            dev = array.device_at(cell_row, seg)
-            if dev.progress == 0.0:  # completed the flip in this step
-                targeted = cell_row == row and seg in active_segments
+        for _remaining, cell, dev, i in flips:
+            state, progress[cell] = switching_step(
+                dev.state, progress.get(cell, 0.0), i, dev.params, dt, array.dynamics
+            )
+            if state is not dev.state:
+                array.set_device(*cell, MtjDevice(dev.params, state))
+                targeted = cell[0] == row and cell[1] in active_segments
                 kind = "switch" if targeted else "disturb-switch"
-                trace.event(kind, array.tag(cell_row, seg), i)
+                trace.event(kind, array.tag(*cell), i)
         pending = pending_bits()
 
     trace.close_phase(

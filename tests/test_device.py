@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xpointsim.device import (
-    MtjDevice,
     MtjParams,
     MtjState,
     SwitchingParams,
@@ -208,53 +207,55 @@ class TestSwitchingDelay:
 
 class TestSwitchingStep:
     def test_flip_after_exactly_tau(self, params, dyn):
-        dev = MtjDevice(params=params, state=MtjState.P)
         tau = switching_delay(3 * I_C0, params, dyn)
-        dev = switching_step(dev, 3 * I_C0, tau, dyn)
-        assert dev.state is MtjState.AP
-        assert dev.progress == 0.0
+        state, progress = switching_step(MtjState.P, 0.0, 3 * I_C0, params, tau, dyn)
+        assert state is MtjState.AP
+        assert progress == 0.0
 
     def test_accumulated_flip_within_one_dt(self, params, dyn):
-        dev = MtjDevice(params=params, state=MtjState.P)
         tau = switching_delay(2 * I_C0, params, dyn)
         dt = tau / 100.0
         t = 0.0
-        while dev.state is MtjState.P:
-            dev = switching_step(dev, 2 * I_C0, dt, dyn)
+        state, progress = MtjState.P, 0.0
+        while state is MtjState.P:
+            state, progress = switching_step(state, progress, 2 * I_C0, params, dt, dyn)
             t += dt
             assert t < tau + 2 * dt
         assert t >= tau - 1e-18
 
     def test_subthreshold_never_flips(self, params, dyn):
-        dev = MtjDevice(params=params, state=MtjState.P)
-        dev = switching_step(dev, 0.9 * I_C0, 1.0, dyn)  # a full second
-        assert dev.state is MtjState.P
-        assert dev.progress == 0.0
+        # a full second
+        state, progress = switching_step(MtjState.P, 0.0, 0.9 * I_C0, params, 1.0, dyn)
+        assert state is MtjState.P
+        assert progress == 0.0
 
     def test_progress_persists_across_gap(self, params, dyn):
-        dev = MtjDevice(params=params, state=MtjState.P)
+        # sub-threshold current returns the progress it was given; whoever
+        # holds the progress decides how long it lasts
         tau = switching_delay(3 * I_C0, params, dyn)
-        dev = switching_step(dev, 3 * I_C0, 0.5 * tau, dyn)
-        assert dev.progress == pytest.approx(0.5)
-        dev = switching_step(dev, 0.0, 1.0, dyn)  # long idle gap
-        assert dev.progress == pytest.approx(0.5)
-        dev = switching_step(dev, 3 * I_C0, 0.5 * tau, dyn)
-        assert dev.state is MtjState.AP
+        state, progress = switching_step(MtjState.P, 0.0, 3 * I_C0, params, 0.5 * tau, dyn)
+        assert progress == pytest.approx(0.5)
+        for current in (0.0, 0.9 * I_C0, -0.9 * I_C0, I_C0):
+            assert switching_step(state, progress, current, params, 1.0, dyn) == (
+                state, progress,
+            )
+        state, progress = switching_step(state, progress, 3 * I_C0, params, 0.5 * tau, dyn)
+        assert state is MtjState.AP
 
     def test_polarity_convention(self, params, dyn):
         # positive current (free -> reference) drives P -> AP only
-        p_dev = MtjDevice(params=params, state=MtjState.P)
-        assert switching_step(p_dev, 3 * I_C0, 1e-10, dyn).progress > 0
-        assert switching_step(p_dev, -3 * I_C0, 1e-10, dyn).progress == 0.0
-        ap_dev = MtjDevice(params=params, state=MtjState.AP)
-        assert switching_step(ap_dev, -3 * I_C0, 1e-10, dyn).progress > 0
-        assert switching_step(ap_dev, 3 * I_C0, 1e-10, dyn).progress == 0.0
+        def progress(state, current):
+            return switching_step(state, 0.0, current, params, 1e-10, dyn)[1]
+
+        assert progress(MtjState.P, 3 * I_C0) > 0
+        assert progress(MtjState.P, -3 * I_C0) == 0.0
+        assert progress(MtjState.AP, -3 * I_C0) > 0
+        assert progress(MtjState.AP, 3 * I_C0) == 0.0
 
     def test_stabilising_current_clears_progress(self, params, dyn):
-        dev = MtjDevice(params=params, state=MtjState.P, progress=0.7)
-        dev = switching_step(dev, -3 * I_C0, 1e-10, dyn)
-        assert dev.progress == 0.0
-        assert dev.state is MtjState.P
+        state, progress = switching_step(MtjState.P, 0.7, -3 * I_C0, params, 1e-10, dyn)
+        assert progress == 0.0
+        assert state is MtjState.P
 
 
 class TestTransistor:

@@ -8,9 +8,9 @@ adds to push accumulated progress over 1.0).
 
 import itertools
 import math
+import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,6 +264,21 @@ def test_self_enable_identical_data_is_read_only():
     assert [p.label for p in trace.phases] == ["read-before-write"]
 
 
+def test_seeded_self_enable_serial_writes_carry_no_progress():
+    # a partial reversal relaxes when its pulse ends; carried into later
+    # writes, the progress half-selected cells gathered flipped the idle
+    # w203:b0o in write 82 and w7:b0o in write 106 of this sequence
+    rng = random.Random(1)
+    arr = fresh(4, 256)
+    for w in range(256):
+        arr.set_word(w, "".join(rng.choice("01") for _ in range(4)))
+    for _ in range(120):
+        w = rng.randrange(256)
+        data = "".join(rng.choice("01") for _ in range(4))
+        write_word(arr, WriteRequest(w, data, WriteMode.SELF_ENABLE_SERIAL))
+        assert arr.get_word(w) == data
+
+
 # -- write failure -----------------------------------------------------------
 
 
@@ -314,10 +329,10 @@ def test_read_is_non_destructive():
     arr = fresh()
     arr.set_word(0, "1010")
     arr.set_word(1, "0110")
-    before = [(r, s, d.state, d.progress) for r, s, d in arr.cells()]
+    before = list(arr.cells())
     read_word(arr, 0)
     read_word(arr, 1)
-    assert [(r, s, d.state, d.progress) for r, s, d in arr.cells()] == before
+    assert list(arr.cells()) == before
 
 
 def test_read_margin_signs_follow_the_data():
@@ -458,21 +473,26 @@ def test_wide_word_write_forms_its_fill_in_bounded_blocks(monkeypatch):
 def test_interleaved_operations_match_a_fresh_array_each(line_resistance):
     # reads and writes on one array share its compiled core and the tables
     # the core keeps per pin pattern and per driver rows; none of them may
-    # carry anything from one operation into the next
+    # carry anything from one operation into the next, so the stored words
+    # are the array's whole state
     arr = fresh(4, 8, line_resistance=line_resistance)
     drive = DriveConfig()
     steps = [
-        ("read", 0), ("write", (1, "1011")), ("read", 1), ("read", 0),
-        ("write", (4, "0110")), ("read", 4), ("write", (1, "0100")), ("read", 1),
+        ("read", 0), ("write", (1, "1011", WriteMode.PARALLEL)), ("read", 1),
+        ("read", 0), ("write", (4, "0110", WriteMode.PARALLEL)), ("read", 4),
+        ("write", (1, "0100", WriteMode.PARALLEL)), ("read", 1),
+        ("write", (6, "1001", WriteMode.SERIAL)), ("read", 6),
+        ("write", (4, "1100", WriteMode.SELF_ENABLE_SERIAL)), ("read", 4),
+        ("write", (6, "0101", WriteMode.SELF_ENABLE_PARALLEL)), ("read", 6),
     ]
     for kind, arg in steps:
         alone = fresh(4, 8, line_resistance=line_resistance)
-        for row, segment, device in arr.cells():
-            alone.set_device(row, segment, device)
+        for w in range(8):
+            alone.set_word(w, arr.get_word(w))
         if kind == "read":
             assert read_word(arr, arg, drive) == read_word(alone, arg, drive)
         else:
-            req = WriteRequest(arg[0], arg[1], WriteMode.PARALLEL)
+            req = WriteRequest(*arg)
             assert write_word(arr, req, drive) == write_word(alone, req, drive)
             assert [arr.get_word(w) for w in range(8)] == [alone.get_word(w) for w in range(8)]
 
@@ -484,14 +504,15 @@ def test_overdriven_read_raises_disturb():
         read_word(arr, 0, hot)
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_read_is_a_simulation_error():
     # 1e300 V across junctions of about 1e-299 ohm: the drive is finite but
     # the potentials overflow float range, which no conservation check can
-    # judge, so the solve names the lines instead of violating an invariant
+    # judge, so the solve names the lines instead of violating an invariant,
+    # and numpy warns of nothing on the way
     arr = fresh(params=MtjParams(surface_nm2=1e300))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SimulationError, match="beyond float range on: "):
-            read_word(arr, 0, DriveConfig(v_read=1e300))
+    with pytest.raises(SimulationError, match="beyond float range on: "):
+        read_word(arr, 0, DriveConfig(v_read=1e300))
 
 
 def test_segment_returning_current_is_an_indeterminate_read():
@@ -690,10 +711,10 @@ def test_sneak_profile_grows_with_floating_lines():
 def test_sneak_profile_does_not_touch_state():
     arr = fresh()
     arr.set_word(0, "0101")
-    before = [(r, s, d.state, d.progress) for r, s, d in arr.cells()]
+    before = list(arr.cells())
     serial_sneak_profile(arr, 0, 2, "1")
     serial_sneak_profile(arr, 0, 1, "0")
-    assert [(r, s, d.state, d.progress) for r, s, d in arr.cells()] == before
+    assert list(arr.cells()) == before
 
 
 def test_sneak_profile_validates_bit_value():
