@@ -19,12 +19,18 @@ reference cell the other. Both segments carry exactly M/2 unselected
 devices, so parasitic load and sneak pickup cancel between the branches.
 
 Reference cells are larger junctions sized so their resistance sits at the
-midpoint between the two data states; they are modelled as non-switching.
+midpoint between the two data states; they stay parallel and never switch.
 
 The plain (unbalanced) layout is a bare grid with one column per bit and
 no reference rows; it exists for sneak-path studies and density estimates,
 and its reads fall back to a two-cycle behavioural comparison against an
 ideal midpoint resistor.
+
+Cell numbering: cell ``k = word * n_bits + bit`` is the data cell of
+(word, bit); the reference cells follow the data cells. This is the order
+of ``cell_keys`` and of the network's branches. The array stores one
+boolean per data cell (``states``, True for antiparallel) and derives the
+branch resistances from it whenever it builds a network.
 
 Word data convention: a word's content is a string like ``"1011"`` where
 character j describes bit j, and '1' is the antiparallel state.
@@ -32,12 +38,9 @@ character j describes bit j, and '1' is the antiparallel state.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .device import (
-    MtjDevice,
     MtjParams,
     MtjState,
     SwitchingParams,
@@ -65,25 +68,13 @@ def reference_branch_resistance(ref_params, cell_r_on, n_bits):
     return mtj_resistance(MtjState.P, ref_params) + cell_r_on / n_bits
 
 
-def _bits_to_state(ch):
-    if ch == "0":
-        return MtjState.P
-    if ch == "1":
-        return MtjState.AP
-    raise ParameterError(f"data: invalid bit character {ch!r}")
-
-
-def _state_to_bit(state):
-    return "1" if state is MtjState.AP else "0"
-
-
 class CrossbarArray:
     """One cross-point array holding live device states.
 
-    The array owns the junction states; :mod:`xpointsim.ops` mutates them
-    through :meth:`device_at` / :meth:`set_device` while running protocols.
-    Rows, segments and cells never change, so the nodal core is compiled
-    once; ``resistances`` and ``critical_currents`` follow the cells in
+    The array owns the data-cell states in ``states``, which
+    :mod:`xpointsim.ops` flips while running protocols. Rows, segments and
+    cells never change, so the nodal core is compiled once;
+    ``resistances`` and ``critical_currents`` follow the cells in
     ``cell_keys`` order, which is also the network's branch order.
     """
 
@@ -141,26 +132,30 @@ class CrossbarArray:
         else:
             self.segments = [f"b{j}" for j in range(n_bits)]
 
-        self._cells = {}
-        for w in range(m_words):
-            for j in range(n_bits):
-                key = (self.word_row(w), self.host_segment(w, j))
-                self._cells[key] = MtjDevice(params=self.params, state=MtjState.P)
+        data = [
+            (self.word_row(w), self.host_segment(w, j))
+            for w in range(m_words)
+            for j in range(n_bits)
+        ]
+        refs = []
         if balanced:
-            for j in range(n_bits):
-                # each reference row covers the segments its words do not use
-                self._cells[("ref_e", f"b{j}o")] = MtjDevice(
-                    params=self.ref_params, state=MtjState.P
-                )
-                self._cells[("ref_o", f"b{j}e")] = MtjDevice(
-                    params=self.ref_params, state=MtjState.P
-                )
-        self.cell_keys = list(self._cells)
-        self._index = {key: k for k, key in enumerate(self.cell_keys)}
-        self._kinds = {}
-        per_cell = [self._electrical(dev) for dev in self._cells.values()]
-        self.resistances = np.array([r for r, _ in per_cell])
-        self.critical_currents = np.array([i_c for _, i_c in per_cell])
+            # each reference row covers the segments its words do not use
+            refs = [
+                cell
+                for j in range(n_bits)
+                for cell in (("ref_e", f"b{j}o"), ("ref_o", f"b{j}e"))
+            ]
+        self.cell_keys = data + refs
+        self.states = np.zeros(len(data), dtype=bool)
+        self._r_data = (
+            mtj_resistance(MtjState.P, self.params),
+            mtj_resistance(MtjState.AP, self.params),
+        )
+        self._r_refs = np.full(len(refs), mtj_resistance(MtjState.P, self.ref_params))
+        self.critical_currents = np.concatenate([
+            np.full(len(data), critical_current(self.params)),
+            np.full(len(refs), critical_current(self.ref_params)),
+        ])
         tags = [self.tag(*key) for key in self.cell_keys]
         self._core = NodalCore(
             self.word_rows + self.ref_rows, self.segments, self.cell_keys, tags,
@@ -202,9 +197,6 @@ class CrossbarArray:
             raise ParameterError("serving_ref_row: plain layout has no reference rows")
         return "ref_e" if self.parity(word) == 0 else "ref_o"
 
-    def is_reference_row(self, row):
-        return row in self.ref_rows
-
     def _check_word(self, word):
         if not 0 <= word < self.m_words:
             raise ParameterError(
@@ -221,35 +213,23 @@ class CrossbarArray:
     def tag(row, segment):
         return f"{row}:{segment}"
 
-    def device_at(self, row, segment):
-        return self._cells[(row, segment)]
-
-    def set_device(self, row, segment, device):
-        k = self._index.get((row, segment))
-        if k is None:
-            raise ParameterError(f"no cell at ({row!r}, {segment!r})")
-        self._cells[(row, segment)] = device
-        self.resistances[k], self.critical_currents[k] = self._electrical(device)
-
-    def _electrical(self, device):
-        """(resistance, critical current), evaluated once per params and state."""
-        key = (device.params, device.state)
-        if key not in self._kinds:
-            self._kinds[key] = (device.resistance, critical_current(device.params))
-        return self._kinds[key]
-
-    def cells(self):
-        """Iterate (row, segment, device) over every cell including references."""
-        for (row, segment), dev in self._cells.items():
-            yield row, segment, dev
+    @property
+    def resistances(self):
+        """Branch resistances in ``cell_keys`` order, derived from ``states``."""
+        r_p, r_ap = self._r_data
+        return np.concatenate([np.where(self.states, r_ap, r_p), self._r_refs])
 
     def state(self, word, bit):
-        return self._cells[(self.word_row(word), self.host_segment(word, bit))].state
+        self._check_word(word)
+        self._check_bit(bit)
+        return MtjState.AP if self.states[word * self.n_bits + bit] else MtjState.P
+
+    def _word_cells(self, word):
+        self._check_word(word)
+        return slice(word * self.n_bits, (word + 1) * self.n_bits)
 
     def get_word(self, word):
-        return "".join(
-            _state_to_bit(self.state(word, j)) for j in range(self.n_bits)
-        )
+        return "".join("1" if ap else "0" for ap in self.states[self._word_cells(word)])
 
     def set_word(self, word, data):
         """Directly assign stored data, bypassing the write protocol."""
@@ -257,12 +237,11 @@ class CrossbarArray:
             raise ParameterError(
                 f"data: expected {self.n_bits} bits, got {len(data)}"
             )
-        for j, ch in enumerate(data):
-            key = (self.word_row(word), self.host_segment(word, j))
-            self.set_device(
-                *key,
-                dataclasses.replace(self._cells[key], state=_bits_to_state(ch)),
-            )
+        cells = self._word_cells(word)
+        for ch in data:
+            if ch not in ("0", "1"):
+                raise ParameterError(f"data: invalid bit character {ch!r}")
+        self.states[cells] = [ch == "1" for ch in data]
 
     # -- network extraction ---------------------------------------------
 
@@ -274,7 +253,7 @@ class CrossbarArray:
         ``row_driver_model`` with both switches off.
         """
         return CrossbarNetwork.on_core(
-            self._core, self.resistances.copy(), drivers, bias, self.v_dd,
+            self._core, self.resistances, drivers, bias, self.v_dd,
             idle=RowDriver(self.row_driver_model),
         )
 

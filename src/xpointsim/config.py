@@ -17,9 +17,8 @@ range problems in section and key order, then the problems that span keys.
 Sections and keys, with defaults:
 
 ``[device]``
-    ``tmr`` (1.5), ``surface_nm2`` (65 nm circular pillar), ``tox_nm``
-    (0.85), ``ra_ohm_um2`` (10.0), ``jc0_a_cm2`` (5.7e6), ``barrier_ev``
-    (1.0).
+    ``tmr`` (1.5), ``surface_nm2`` (65 nm circular pillar),
+    ``ra_ohm_um2`` (10.0), ``jc0_a_cm2`` (5.7e6).
 
 ``[dynamics]``
     ``xi`` (40.0), ``polarization`` (0.62), ``moment_a_m2``,

@@ -24,29 +24,21 @@ from enum import Enum
 from .errors import ParameterError
 
 __all__ = [
-    "MtjDevice",
     "MtjParams",
     "MtjState",
     "SwitchingParams",
     "TransistorModel",
-    "brinkman_resistance",
     "critical_current",
     "mtj_resistance",
     "reference_params",
     "reference_surface",
     "switching_delay",
     "switching_step",
-    "transistor_current",
 ]
 
 BOHR_MAGNETON = 9.2740100783e-24  # J/T
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
 EULER_GAMMA = 0.5772156649015329
-
-# Barrier attenuation per nm of extra oxide, for a ~1 eV effective barrier.
-# Only the relative thickness dependence matters; the absolute level is
-# pinned to the measured resistance-area product at the nominal thickness.
-_BARRIER_DECAY_PER_NM = 10.25
 
 
 class MtjState(Enum):
@@ -72,42 +64,23 @@ class MtjParams:
 
     tmr: float = 1.5
     surface_nm2: float = math.pi / 4.0 * 65.0**2
-    tox_nm: float = 0.85
     ra_ohm_um2: float = 10.0
     jc0_a_cm2: float = 5.7e6
-    barrier_ev: float = 1.0
 
     def __post_init__(self):
         _require(self.tmr >= 0.0, "tmr", "must be non-negative")
         _require(self.surface_nm2 > 0.0, "surface_nm2", "must be positive")
-        _require(self.tox_nm > 0.0, "tox_nm", "must be positive")
         _require(self.ra_ohm_um2 > 0.0, "ra_ohm_um2", "must be positive")
         _require(self.jc0_a_cm2 > 0.0, "jc0_a_cm2", "must be positive")
-        _require(self.barrier_ev > 0.0, "barrier_ev", "must be positive")
-
-
-def brinkman_resistance(tox_nm, surface_nm2, params):
-    """Tunnel resistance of the parallel state for a given barrier geometry.
-
-    The thickness dependence follows the usual tunnelling form, linear in
-    thickness times an exponential attenuation, normalised so that the
-    nominal thickness reproduces the calibrated resistance-area product
-    exactly. Resistance scales inversely with junction surface.
-    """
-    _require(tox_nm > 0.0, "tox_nm", "must be positive")
-    _require(surface_nm2 > 0.0, "surface_nm2", "must be positive")
-    decay = _BARRIER_DECAY_PER_NM * math.sqrt(params.barrier_ev)
-    ra = (
-        params.ra_ohm_um2
-        * (tox_nm / params.tox_nm)
-        * math.exp(decay * (tox_nm - params.tox_nm))
-    )
-    return ra * 1e6 / surface_nm2  # 1 um^2 = 1e6 nm^2
 
 
 def mtj_resistance(state, params):
-    """Two-terminal resistance in the given state."""
-    r_p = brinkman_resistance(params.tox_nm, params.surface_nm2, params)
+    """Two-terminal resistance in the given state.
+
+    The parallel state sits at the calibrated resistance-area product over
+    the junction surface; antiparallel adds the TMR.
+    """
+    r_p = params.ra_ohm_um2 * 1e6 / params.surface_nm2  # 1 um^2 = 1e6 nm^2
     if state is MtjState.P:
         return r_p
     return (1.0 + params.tmr) * r_p
@@ -223,18 +196,6 @@ def switching_delay(current_a, params, dyn):
     return 1.0 / speed
 
 
-@dataclass(frozen=True)
-class MtjDevice:
-    """One junction: its parameters and its stored state."""
-
-    params: MtjParams
-    state: MtjState
-
-    @property
-    def resistance(self):
-        return mtj_resistance(self.state, self.params)
-
-
 def _destabilising_sign(state):
     # positive current drives P -> AP; negative drives AP -> P
     return 1.0 if state is MtjState.P else -1.0
@@ -295,14 +256,3 @@ class TransistorModel:
         )
         return cls(r_on=r_on, r_off=1e9, i_sat=2.0 * i_write)
 
-
-def transistor_current(v_ds, gate_on, model):
-    """Drain current for a drain-source voltage, respecting saturation."""
-    if not gate_on:
-        return v_ds / model.r_off
-    i = v_ds / model.r_on
-    if i > model.i_sat:
-        return model.i_sat
-    if i < -model.i_sat:
-        return -model.i_sat
-    return i

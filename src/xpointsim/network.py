@@ -630,11 +630,12 @@ def solve_network(net):
 def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     net, core = asm.net, asm.core
     n = core.n_nodes
-    # a finite drive whose potentials overflow float range: no conservation
-    # check can judge that solution (a NaN drive gives NaN, not inf, and
-    # fails the check below)
-    overflow = np.isinf(volts)
-    if overflow.any():
+    # a finite drive whose potentials overflow float range, as inf or as the
+    # NaN of inf - inf inside the solve: no conservation check can judge
+    # that solution (a NaN drive fails the check below)
+    overflow = ~np.isfinite(volts)
+    drive = (asm.fixed_volts, asm.injection, asm.rail_volts, asm.reg_targets)
+    if overflow.any() and all(np.isfinite(x).all() for x in drive):
         lines = sorted({core.lines[line] for line in core.node_line[overflow].tolist()})
         raise SimulationError("node potentials beyond float range on: " + ", ".join(lines))
     va, vb = volts[core.edge_a], volts[core.edge_b]

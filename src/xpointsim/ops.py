@@ -56,7 +56,7 @@ from enum import Enum
 
 import numpy as np
 
-from .device import MtjDevice, MtjState, switching_delay, switching_step
+from .device import MtjState, switching_delay, switching_step
 from .errors import (
     ConvergenceError,
     IndeterminateReadError,
@@ -346,13 +346,13 @@ def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
             targets[seg] = (array.tag(row, seg), sign * array.write_current)
         return targets
 
-    active_segments = {array.host_segment(word_addr, bit) for bit in active}
+    targeted = {word_addr * array.n_bits + bit for bit in active}
     pending = pending_bits()
     ideal_drive = len(pending) * array.write_current
     phase_sources = {}
     phase_supply = 0.0
     reported_disturb = set()
-    progress = {}  # cell -> switching progress, dropped with the phase
+    progress = {}  # cell index -> switching progress, dropped with the phase
     guard = 0
     while pending:
         guard += 1
@@ -366,22 +366,22 @@ def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
         trace.sample(sol.source_currents, supply)
 
         # one pass over the supra-threshold cells: a stabilising current
-        # clears a cell's progress, a destabilised reference cell is a
-        # disturb, and a destabilised data cell is scheduled to flip
+        # clears a cell's progress, a destabilised reference cell (always
+        # parallel) is a disturb, and a destabilised data cell is
+        # scheduled to flip
         flips = []
-        for k in np.flatnonzero(np.abs(sol.currents) > array.critical_currents):
-            cell, i = array.cell_keys[k], float(sol.currents[k])
-            dev = array.device_at(*cell)
-            if (i > 0.0) != (dev.state is MtjState.P):
-                progress.pop(cell, None)
-            elif array.is_reference_row(cell[0]):
-                tag = array.tag(*cell)
-                if tag not in reported_disturb:
+        for k in np.flatnonzero(np.abs(sol.currents) > array.critical_currents).tolist():
+            i = float(sol.currents[k])
+            if k >= array.states.size:
+                tag = array.tag(*array.cell_keys[k])
+                if i > 0.0 and tag not in reported_disturb:
                     reported_disturb.add(tag)
                     trace.event("disturb", tag, i)
+            elif (i > 0.0) == array.states[k]:
+                progress.pop(k, None)
             else:
-                tau = switching_delay(i, dev.params, array.dynamics)
-                flips.append(((1.0 - progress.get(cell, 0.0)) * tau, cell, dev, i))
+                tau = switching_delay(i, array.params, array.dynamics)
+                flips.append(((1.0 - progress.get(k, 0.0)) * tau, k, i))
         if not flips:
             stuck = sorted(pending)[0]
             raise WriteFailureError(
@@ -392,15 +392,15 @@ def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
 
         dt = min(f[0] for f in flips) * (1.0 + 1e-12)
         trace.t += dt
-        for _remaining, cell, dev, i in flips:
-            state, progress[cell] = switching_step(
-                dev.state, progress.get(cell, 0.0), i, dev.params, dt, array.dynamics
+        for _remaining, k, i in flips:
+            state = MtjState.AP if array.states[k] else MtjState.P
+            new, progress[k] = switching_step(
+                state, progress.get(k, 0.0), i, array.params, dt, array.dynamics
             )
-            if state is not dev.state:
-                array.set_device(*cell, MtjDevice(dev.params, state))
-                targeted = cell[0] == row and cell[1] in active_segments
-                kind = "switch" if targeted else "disturb-switch"
-                trace.event(kind, array.tag(*cell), i)
+            if new is not state:
+                array.states[k] = new is MtjState.AP
+                kind = "switch" if k in targeted else "disturb-switch"
+                trace.event(kind, array.tag(*array.cell_keys[k]), i)
         pending = pending_bits()
 
     trace.close_phase(

@@ -1,15 +1,18 @@
 """Array construction: layout structure, addressing, state bookkeeping."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xpointsim.array import CrossbarArray, REF_ROWS
-from xpointsim.device import MtjState, TransistorModel, critical_current
+from xpointsim.device import MtjState, TransistorModel, critical_current, mtj_resistance
 from xpointsim.errors import ParameterError
 from xpointsim.network import CrossbarNetwork, LineBias, RowDriver, build_network, solve_network
-from xpointsim.ops import select_word
+from xpointsim.ops import WriteMode, WriteRequest, select_word, write_word
 
 
 def test_balanced_layout_lines():
@@ -24,35 +27,39 @@ def test_balanced_layout_lines():
 def test_balanced_cell_count_and_placement():
     arr = CrossbarArray(4, 6)
     # one data cell per (word, bit) plus one reference cell per segment
-    assert sum(1 for _ in arr.cells()) == 6 * 4 + 2 * 4
+    assert len(arr.cell_keys) == len(arr.resistances) == 6 * 4 + 2 * 4
+    assert arr.states.size == 6 * 4
+    cells = set(arr.cell_keys)
+    assert len(cells) == len(arr.cell_keys)
 
     for w in range(6):
         for j in range(4):
             host = arr.host_segment(w, j)
             assert host.endswith("e" if w % 2 == 0 else "o")
-            assert arr.device_at(arr.word_row(w), host) is not None
+            # cell k = word * n_bits + bit
+            assert arr.cell_keys[w * 4 + j] == (arr.word_row(w), host)
             # no cell on the sibling segment for this word
             sib = arr.sibling_segment(w, j)
-            with pytest.raises(KeyError):
-                arr.device_at(arr.word_row(w), sib)
+            assert (arr.word_row(w), sib) not in cells
 
 
 def test_reference_rows_cover_opposite_parity_segments():
     arr = CrossbarArray(3, 4)
+    cells = set(arr.cell_keys)
+    # the reference cells follow the data cells
+    assert all(row in REF_ROWS for row, _seg in arr.cell_keys[arr.states.size:])
     for j in range(3):
-        assert arr.device_at("ref_e", f"b{j}o") is not None
-        assert arr.device_at("ref_o", f"b{j}e") is not None
-        with pytest.raises(KeyError):
-            arr.device_at("ref_e", f"b{j}e")
-        with pytest.raises(KeyError):
-            arr.device_at("ref_o", f"b{j}o")
+        assert ("ref_e", f"b{j}o") in cells
+        assert ("ref_o", f"b{j}e") in cells
+        assert ("ref_e", f"b{j}e") not in cells
+        assert ("ref_o", f"b{j}o") not in cells
 
 
 def test_every_segment_carries_same_device_count():
     """Both halves of a bit column load the sense amplifier identically."""
     arr = CrossbarArray(4, 8)
     per_segment = {seg: 0 for seg in arr.segments}
-    for _row, seg, _dev in arr.cells():
+    for _row, seg in arr.cell_keys:
         per_segment[seg] += 1
     counts = set(per_segment.values())
     assert counts == {8 // 2 + 1}  # half the words plus one reference cell
@@ -63,8 +70,9 @@ def test_serving_reference_row_matches_parity():
     assert arr.serving_ref_row(0) == "ref_e"
     assert arr.serving_ref_row(1) == "ref_o"
     assert arr.serving_ref_row(2) == "ref_e"
-    assert arr.is_reference_row("ref_e")
-    assert not arr.is_reference_row("w0")
+    refs = {row for row, _seg in arr.cell_keys[arr.states.size:]}
+    assert refs == {"ref_e", "ref_o"}
+    assert all(row.startswith("w") for row, _seg in arr.cell_keys[:arr.states.size])
 
 
 def test_host_and_sibling_segments():
@@ -80,7 +88,7 @@ def test_plain_layout_structure():
     arr = CrossbarArray(4, 4, balanced=False)
     assert arr.ref_rows == []
     assert arr.segments == ["b0", "b1", "b2", "b3"]
-    assert sum(1 for _ in arr.cells()) == 16
+    assert len(arr.cell_keys) == arr.states.size == 16
     assert arr.host_segment(1, 2) == "b2"
     with pytest.raises(ParameterError):
         arr.sibling_segment(0, 0)
@@ -112,8 +120,10 @@ def test_address_validation():
         arr.word_row(-1)
     with pytest.raises(ParameterError, match="bit"):
         arr.host_segment(0, 4)
-    with pytest.raises(ParameterError, match="no cell"):
-        arr.set_device("w0", "b0o", arr.device_at("w0", "b0e"))
+    with pytest.raises(ParameterError, match="word_addr"):
+        arr.state(4, 0)
+    with pytest.raises(ParameterError, match="bit"):
+        arr.state(0, 4)
 
 
 def test_word_state_round_trip():
@@ -124,8 +134,9 @@ def test_word_state_round_trip():
     assert arr.state(0, 0) is MtjState.AP
     assert arr.state(0, 1) is MtjState.P
     # '1' cells sit at the high-resistance state
-    r_ap = arr.device_at("w0", "b0e").resistance
-    r_p = arr.device_at("w0", "b1e").resistance
+    resistance = dict(zip(arr.cell_keys, arr.resistances))
+    r_ap = resistance[("w0", "b0e")]
+    r_p = resistance[("w0", "b1e")]
     assert r_ap > r_p
     assert r_ap / r_p == pytest.approx(1.0 + arr.params.tmr, rel=1e-12)
 
@@ -136,6 +147,14 @@ def test_set_word_validation():
         arr.set_word(0, "101")
     with pytest.raises(ParameterError, match="data"):
         arr.set_word(0, "10x1")
+
+
+def test_set_word_checks_the_whole_string_before_storing():
+    arr = CrossbarArray(4, 4)
+    arr.set_word(0, "0110")
+    with pytest.raises(ParameterError, match="'2'"):
+        arr.set_word(0, "1121")
+    assert arr.get_word(0) == "0110"
 
 
 def test_write_current_is_overdriven_critical_current():
@@ -190,8 +209,9 @@ def test_rows_left_unselected_carry_the_idle_selector():
 
 def test_reference_cells_sit_at_the_midpoint():
     arr = CrossbarArray(4, 4)
-    r_p = arr.device_at("w0", "b0e").resistance
-    r_ref = arr.device_at("ref_e", "b0o").resistance
+    resistance = dict(zip(arr.cell_keys, arr.resistances))
+    r_p = resistance[("w0", "b0e")]
+    r_ref = resistance[("ref_e", "b0o")]
     assert r_ref == pytest.approx(1.75 * r_p, rel=1e-12)
     # and through the selector the ideal branches keep the ordering
     r_lo = arr.ideal_branch_resistance(MtjState.P)
@@ -236,3 +256,42 @@ def test_line_resistance_flows_into_network():
     arr = CrossbarArray(2, 2, line_resistance=5.0)
     assert arr.to_network({}, {}).line_resistance == 5.0
     assert math.isfinite(arr.row_driver_model.r_off)
+
+
+def assert_network_follows_the_states(arr):
+    """Each data cell's branch sits at the resistance of the state the
+    array reports for it; each reference cell at the reference resistance."""
+    resistance = dict(zip(arr.cell_keys, arr.to_network({}, {}).resistance))
+    for w in range(arr.m_words):
+        word = arr.get_word(w)
+        for j in range(arr.n_bits):
+            state = arr.state(w, j)
+            assert word[j] == ("1" if state is MtjState.AP else "0")
+            cell = (arr.word_row(w), arr.host_segment(w, j))
+            assert resistance.pop(cell) == mtj_resistance(state, arr.params)
+    r_ref = mtj_resistance(MtjState.P, arr.ref_params)
+    assert set(resistance) == {
+        (row, seg) for row in arr.ref_rows for seg in arr.segments
+        if seg.endswith("o" if row == "ref_e" else "e")
+    }
+    assert all(r == r_ref for r in resistance.values())
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    line_resistance=st.sampled_from([0.0, 1.0]),
+    stores=st.lists(st.tuples(st.integers(0, 3), st.text("01", min_size=4, max_size=4))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_network_resistances_follow_the_stored_states(line_resistance, stores, seed):
+    arr = CrossbarArray(4, 4, line_resistance=line_resistance)
+    for w, data in stores:
+        arr.set_word(w, data)
+        assert_network_follows_the_states(arr)
+    rng = random.Random(seed)
+    for mode in WriteMode:
+        w = rng.randrange(arr.m_words)
+        data = "".join(rng.choice("01") for _ in range(arr.n_bits))
+        write_word(arr, WriteRequest(w, data, mode))
+        assert arr.get_word(w) == data
+        assert_network_follows_the_states(arr)

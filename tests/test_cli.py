@@ -215,6 +215,15 @@ def test_tiny_sample_step_exits_1_instead_of_hanging(tmp_path, dt):
     assert run.stderr == "config error: drive.sample_dt_s: unknown key\n"
 
 
+@pytest.mark.parametrize("key", ["tox_nm", "barrier_ev"])
+def test_removed_device_keys_are_rejected_by_name(tmp_path, capsys, key):
+    # oxide thickness and barrier height changed no output, so they are gone
+    cfg = tmp_path / "device.ini"
+    cfg.write_text(f"[device]\n{key} = 0.9\n")
+    assert main(["validate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: device.{key}: unknown key\n"
+
+
 @settings(
     max_examples=150,
     deadline=None,

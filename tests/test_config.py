@@ -72,7 +72,7 @@ def test_default_round_trip_is_exact():
 
 def test_customized_round_trip_is_exact():
     cfg = ScenarioConfig(
-        device=MtjParams(tmr=1.1, tox_nm=0.9, ra_ohm_um2=12.5),
+        device=MtjParams(tmr=1.1, surface_nm2=3000.0, ra_ohm_um2=12.5),
         dynamics=DynamicsSection(xi=55.0, rate_per_amp=6.25e8),
         transistor=TransistorSection(r_on=1500.0, r_off=2e9, i_sat=6e-4),
         array=ArraySection(n_bits=6, m_words=8, balanced=True, line_resistance=2.5),
@@ -96,16 +96,16 @@ def test_customized_round_trip_is_exact():
 @settings(max_examples=40, deadline=None)
 @given(
     tmr=st.floats(0.5, 4.0, allow_nan=False),
-    tox=st.floats(0.5, 2.0),
+    surface=st.floats(1e3, 1e4),
     v_read=st.floats(0.05, 0.5),
     overdrive=st.floats(1.05, 2.0),
     line_r=st.floats(0.0, 50.0),
     n_bits=st.integers(1, 8),
     rate=st.one_of(st.just("auto"), st.just("physics"), st.floats(1e6, 1e12)),
 )
-def test_round_trip_property(tmr, tox, v_read, overdrive, line_r, n_bits, rate):
+def test_round_trip_property(tmr, surface, v_read, overdrive, line_r, n_bits, rate):
     cfg = ScenarioConfig(
-        device=MtjParams(tmr=tmr, tox_nm=tox),
+        device=MtjParams(tmr=tmr, surface_nm2=surface),
         dynamics=DynamicsSection(rate_per_amp=rate),
         array=ArraySection(n_bits=n_bits, m_words=4, line_resistance=line_r),
         drive=DriveSection(v_read=v_read, write_overdrive=overdrive),
