@@ -54,7 +54,6 @@ from .errors import (
 )
 from .ops import (
     WriteRequest,
-    read_cycle_time,
     read_word,
     trace_to_csv,
     write_word,
@@ -173,8 +172,7 @@ def _run_array(cfg, args):
         outputs["waveform.csv"] = trace_to_csv(trace)
         outputs["phases.csv"] = phases_to_csv(trace)
     if reads is not None:
-        cycle = drive.setup_time_s + read_cycle_time(arr, drive)
-        blocks.append(summarize_reads(reads, cycle))
+        blocks.append(summarize_reads(reads, drive.setup_time_s))
         outputs["reads.csv"] = reads_to_csv(reads)
     summary = "\n".join(blocks) + "\n"
     outputs["summary.txt"] = summary

@@ -17,20 +17,18 @@ nodal matrix is diagonal. A solve eliminates them first. A pinned
 eliminated node keeps its potential, adds no fill and moves its branch
 currents to the right-hand side.
 
-The kept nodes K split into the pinned nodes P, held by a voltage or
-ground bias, and the free nodes F; only F is solved for, from the one set
-of eliminated-node lanes the solve forms. The Schur complement
-``S_FF = G_FF - W_F^T diag(1/D) W_F`` is stamped from the inner edges and
-lanes that touch F, a lane to P weighing 0. The pinned potentials reach
-the right-hand side through ``G_FP``, at the far ends of the inner edges,
-and through the eliminated nodes, ``W_F^T diag(1/D) W_P x_P``, where
-``W_P x_P`` sums whole lane rows (free nodes sit at 0 V in ``x_P``). It
-factors ``S_FF`` once and back-substitutes the eliminated potentials
-``x_E = (b_E + W x_K) / D``. The scatter targets of ``S_FF`` are compiled
-once per pin pattern on the core. A read without wire resistance drives
-every bit-line segment, so every kept node is pinned: F is empty, the
-solve is 0 x 0 and forms no fill. A write pins none, and ``S_FF`` is the
-whole Schur complement.
+The kept nodes K carry the Schur complement
+``S = G_KK - W^T diag(1/D) W``, stamped from the inner edges and the
+eliminated-node lanes through one scatter table compiled on the core. A
+kept node held by a voltage or ground bias is pinned: its row and column
+of ``S`` turn to identity and its coupling moves to the right-hand side,
+through ``-G_KP x_P`` at the far ends of the inner edges and through the
+eliminated nodes, ``W^T diag(1/D) W_P x_P``, where ``W_P x_P`` sums whole
+lane rows (the other nodes sit at 0 V in ``x_P``). So ``S`` stays
+symmetric whatever is pinned. A solve factors ``S`` once and
+back-substitutes the eliminated potentials ``x_E = (b_E + W x_K) / D``. A
+read without wire resistance drives every bit-line segment, so every kept
+node is pinned and nothing is assembled or factored; a write pins none.
 
 Every row owns a pull-up and a pull-down rail at its terminal, fixed on
 the core. A network names the drivers of its selected rows only; every
@@ -95,10 +93,6 @@ _KCL_LIMIT = 1e-9
 _REG_TOL = 1e-10
 # fill products formed at once; an eliminated row of a w-bit word has w * w
 _FILL_BLOCK = 1 << 16
-# pin patterns whose free block a core keeps compiled; a read and a write
-# are two, and the oldest is dropped first, so a sweep over bit-serial
-# reads of a wide array holds a bounded number of lane tables
-_FREE_BLOCKS_KEPT = 4
 
 
 @dataclass(frozen=True)
@@ -193,6 +187,9 @@ class NodalCore:
     Nodes split into the eliminated block E (``elim``) and the kept block K
     (``kept``); ``slot`` numbers each node within its block. Each E node's
     edges, all to K nodes, sit in one row of the ``lane_*`` arrays.
+    ``s_index`` holds the targets of the Schur complement over K in its
+    flattened ``nk * nk`` form, and ``near``/``far`` the kept end of each
+    inner edge and the node that drives it when pinned.
     """
 
     def __init__(self, rows, cols, crossings, tags, line_resistance, resistance):
@@ -270,7 +267,21 @@ class NodalCore:
         self.lane_k[e_of, lane] = cross_k[order]
         self.lane_live[e_of, lane] = 1.0
         self.lane_node = self.kept[self.lane_k]
-        self._free_blocks = {}  # pinned kept nodes -> _FreeBlock
+        # targets in the flattened S over K: each inner edge on the diagonal
+        # at both ends, then off it both ways; each lane on the diagonal at
+        # its kept end; the pairs of lanes of the first block of eliminated
+        # rows. The fill goes in blocks of rows, so wide words never hold
+        # all of it
+        ka, kb = self.slot[a[self.inner]], self.slot[b[self.inner]]
+        self.fill_rows = max(1, _FILL_BLOCK // max(width * width, 1))
+        self.s_index = np.concatenate([
+            ka * (nk + 1), kb * (nk + 1), ka * nk + kb, kb * nk + ka,
+            (self.lane_k * (nk + 1)).ravel(), _pair_index(self.lane_k[: self.fill_rows], nk),
+        ])
+        # each inner edge, both ways round: its kept end, and the node at the
+        # far end, which drives it from the right-hand side when pinned
+        self.near = np.concatenate([ka, kb])
+        self.far = np.concatenate([b[self.inner], a[self.inner]])
         # the pull-up then the pull-down rail of each row, at its terminal
         self.rail_node = np.repeat(self.terminal[: len(self.rows)], 2)
         self.rail_slot = self.slot[self.rail_node]
@@ -297,131 +308,55 @@ class NodalCore:
         y[pin_e, 0] = volts[in_e]
         x = np.zeros((self.n_nodes, y.shape[1]))
         x[pin_k, 0] = volts[~in_e]
-        free = self._free_block(pin_k)
-        x[free.nodes] = free.solve(g, lanes, inv_d, y, rhs_k, x[:, 0])
+        if len(pin_k) < len(self.kept):  # some kept node is free
+            x[self.kept] = self._solve_kept(g, lanes, inv_d, y, rhs_k, x[:, 0], pin_k)
         # x_E = y + (W x_K) / D
         x[self.elim] = y + inv_d[:, None] * np.matmul(lanes[:, None, :], x[self.lane_node])[:, 0]
         return x
 
-    def _free_block(self, pin_k):
-        """The compiled free block for the pinned kept nodes ``pin_k``, kept for the latest patterns."""
-        key = np.sort(pin_k).tobytes()
-        block = self._free_blocks.get(key)
-        if block is None:
-            if len(self._free_blocks) >= _FREE_BLOCKS_KEPT:
-                del self._free_blocks[next(iter(self._free_blocks))]
-            block = self._free_blocks[key] = _FreeBlock(self, pin_k)
-        return block
+    def _solve_kept(self, g, lanes, inv_d, y, rhs_k, x_pinned, pin_k):
+        """Kept potentials, one column per column of ``y``.
 
-
-class _FreeBlock:
-    """Scatter targets of ``S_FF`` for one set of pinned kept nodes.
-
-    The kept nodes K split into the pinned nodes P and the free nodes F,
-    numbered in ``free`` order. The block indexes the core's edges and the
-    lanes the solve forms from them, and stamps only what touches F:
-
-    * an inner edge adds its conductance to the diagonal of each free end,
-      and its off-diagonal pair when both ends are free (``stamp``); the
-      node at the far end of a diagonal stamp (``far``) drives the free
-      end from the right-hand side, ``-G_FP x_P``, which is 0 when that
-      node is free too;
-    * the eliminated nodes with a lane to F (``rows``) add their lanes to
-      the diagonal and form the fill ``-W_F^T D^-1 W_F``; a lane to P or
-      a padding lane weighs 0 there (``live_f``). The full row passes the
-      pinned potentials on to F through the eliminated node,
-      ``W_F^T D^-1 W_P x_P``.
-
-    With every kept node pinned F is empty and so is every table here:
-    the solve is 0 x 0 and forms no fill. With none pinned every far node
-    and every lane end is free, and ``S_FF`` is all of ``S``.
-    """
-
-    def __init__(self, core, pin_k):
-        nk = len(core.kept)
-        is_free = np.ones(nk, dtype=bool)
-        is_free[core.slot[pin_k]] = False
-        self.free = np.flatnonzero(is_free)
-        self.nodes = core.kept[self.free]
-        self.nf = nf = len(self.free)
-        f_of = np.full(nk, -1)  # F index of each kept slot, -1 when pinned
-        f_of[self.free] = np.arange(nf)
-        inner = core.inner
-        ka, kb = core.slot[core.edge_a[inner]], core.slot[core.edge_b[inner]]
-        fa, fb = f_of[ka], f_of[kb]
-        a_free, b_free = fa >= 0, fb >= 0
-        both = a_free & b_free
-        pair = inner[both]
-        self.far = np.concatenate([core.edge_b[inner[a_free]], core.edge_a[inner[b_free]]])
-        self.stamp = np.concatenate([inner[a_free], inner[b_free], pair, pair])
-        self.sign = np.repeat([1.0, -1.0], [len(self.far), 2 * len(pair)])
-        lane_f = f_of[core.lane_k]
-        to_f = (core.lane_live > 0.0) & (lane_f >= 0)
-        self.rows = rows = np.flatnonzero(to_f.any(axis=1))
-        self.live_f = to_f[rows].astype(float)
-        self.lane_f = np.where(to_f, lane_f, 0)[rows]
-        self.lane_node = core.lane_node[rows]
-        # targets in the flattened S_FF: the inner edges, then each lane's
-        # diagonal, then the pairs of lanes of the first block of rows; the
-        # fill goes in blocks of rows so wide words never hold all of it
-        width = self.lane_f.shape[1]
-        self.fill_rows = max(1, _FILL_BLOCK // max(width * width, 1))
-        f = self.lane_f
-        self.index = np.concatenate([
-            fa[a_free] * (nf + 1), fb[b_free] * (nf + 1),
-            fa[both] * nf + fb[both], fb[both] * nf + fa[both],
-            (f * (nf + 1)).ravel(), _pair_index(f[: self.fill_rows], nf),
-        ])
-        self._rhs = {}
-
-    def solve(self, g, lanes, inv_d, y, rhs_k, x_pinned):
-        """Free potentials, one column per column of ``y``.
-
-        ``lanes`` holds the conductance of every lane of the core, ``y``
-        ``b_E / D`` (a pinned eliminated node's volts), and ``x_pinned`` the
-        potential of every node at the base drive: the volts of the pinned
-        kept nodes, 0 V elsewhere.
+        ``lanes`` holds the conductance of every lane, ``y`` ``b_E / D`` (a
+        pinned eliminated node's volts), and ``x_pinned`` the potential of
+        every node at the base drive: the volts of the pinned kept nodes
+        ``pin_k``, 0 V elsewhere.
         """
-        nf, rows, step = self.nf, self.rows, self.fill_rows
-        lanes = lanes[rows]
-        # W_P x_P: exact over the full rows, as the free nodes sit at 0 V
-        to_p = (lanes * x_pinned[self.lane_node]).sum(axis=1)
-        lanes *= self.live_f
-        # S_FF = G_FF - W_F^T diag(1/D) W_F; the fill of one eliminated node
-        # is the outer product of its lane conductances over D
-        stamped = g[self.stamp] * self.sign
-        inv_rows = inv_d[rows]
-        scaled = lanes * -inv_rows[:, None]
+        nk, step = len(self.kept), self.fill_rows
+        # S = G_KK - W^T diag(1/D) W; the fill of one eliminated node is the
+        # outer product of its lane conductances over D
+        g_inner = g[self.inner]
+        scaled = lanes * -inv_d[:, None]
         fill = scaled[:step, :, None] * lanes[:step, None, :]
-        weights = np.concatenate((stamped, lanes.ravel(), fill.ravel()))
-        s_ff = np.bincount(self.index, weights, nf * nf)
-        for lo in range(step, len(rows), step):
+        weights = np.concatenate((g_inner, g_inner, -g_inner, -g_inner, lanes.ravel(), fill.ravel()))
+        s = np.bincount(self.s_index, weights, nk * nk)
+        for lo in range(step, len(lanes), step):
             block = slice(lo, lo + step)
             fill = scaled[block, :, None] * lanes[block, None, :]
-            np.add.at(s_ff, _pair_index(self.lane_f[block], nf), fill.ravel())
-        # the free nodes see b_F + W_F^T (y + D^-1 W_P x_P) - G_FP x_P
-        y = y[rows]
-        y[:, 0] += inv_rows * to_p
-        cols = y.shape[1]
-        pushed = lanes[:, :, None] * y[:, None, :]
-        weights = np.concatenate((pushed.ravel(), stamped[: len(self.far)] * x_pinned[self.far]))
-        rhs = rhs_k[self.free] + np.bincount(
-            self._rhs_index(cols), weights, nf * cols
-        ).reshape(nf, cols)
+            np.add.at(s, _pair_index(self.lane_k[block], nk), fill.ravel())
+        s = s.reshape(nk, nk)
+        # the kept nodes see b_K + W^T (y + D^-1 W x_P) - G_KP x_P, where
+        # W x_P sums whole lane rows as the free nodes sit at 0 V in x_P
+        y = y.copy()
+        y[:, 0] += inv_d * (lanes * x_pinned[self.lane_node]).sum(axis=1)
+        rhs = rhs_k.copy()
+        rhs[:, 0] += np.bincount(self.near, np.tile(g_inner, 2) * x_pinned[self.far], nk)
+        # a column no eliminated node sees, such as a unit injection at a
+        # bit line, gains nothing through them
+        for col in np.flatnonzero(y.any(axis=0)):
+            rhs[:, col] += np.bincount(self.lane_k.ravel(), (lanes * y[:, col, None]).ravel(), nk)
+        # a pinned node is a symmetric Dirichlet row: its coupling is on the
+        # right-hand side above, so its row and column turn to identity
+        pin = self.slot[pin_k]
+        s[pin] = 0.0
+        s[:, pin] = 0.0
+        s[pin, pin] = 1.0
+        rhs[pin] = 0.0
+        rhs[pin, 0] = x_pinned[pin_k]
         try:
-            return np.linalg.solve(s_ff.reshape(nf, nf), rhs)
+            return np.linalg.solve(s, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
-
-    def _rhs_index(self, cols):
-        """Flat targets in the free right-hand side of every lane and column,
-        then of the free end of each diagonal stamp; built once per column
-        count."""
-        if cols not in self._rhs:
-            lanes = (self.lane_f[:, :, None] * cols + np.arange(cols)).ravel()
-            diagonal = self.index[: len(self.far)] // (self.nf + 1)
-            self._rhs[cols] = np.concatenate([lanes, diagonal * cols])
-        return self._rhs[cols]
 
 
 class CrossbarNetwork:

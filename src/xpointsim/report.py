@@ -144,7 +144,9 @@ def summarize_write(label, trace):
     return "\n".join(lines)
 
 
-def summarize_reads(results, cycle_s):
+def summarize_reads(results, setup_s):
+    # a read takes its setup plus its own sense delay, alike for every word
+    cycle_s = setup_s + results[0][1].sense_delay
     lines = [
         f"read cycles: {len(results)} x {fmt6(cycle_s * 1e9)} ns = "
         f"{fmt6(len(results) * cycle_s * 1e9)} ns"

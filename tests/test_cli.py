@@ -15,8 +15,9 @@ from test_config import _scenario_texts
 
 import xpointsim
 from xpointsim.cli import CONFIG_ENV, main
-from xpointsim.config import default_config, parse_config
+from xpointsim.config import build_array, build_drive, default_config, parse_config
 from xpointsim.errors import ConfigError
+from xpointsim.ops import read_cycle_time, read_word
 from xpointsim.perf import parse_sweep_csv
 
 
@@ -169,6 +170,23 @@ def test_analyze_read_cycle_follows_the_configured_transistor(tmp_path, capsys):
     setup_ns = default_config().drive.setup_time_s * 1e9
     # both figures are printed to 6 significant digits
     assert analyzed_ns + setup_ns == pytest.approx(simulated_ns, abs=1e-5)
+
+
+def test_plain_layout_read_scan_charges_each_read_its_sense_delay(tmp_path, capsys):
+    # a plain-layout read compares against the ideal reference branch in a
+    # second cycle, so each read of the scan takes its setup plus two cycles
+    text = "[array]\nm_words = 3\nbalanced = false\n[operation]\nscenario = read\n"
+    cfg = tmp_path / "plain.ini"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 0
+    count, cycle_ns = re.search(r"read cycles: (\d+) x (\S+) ns", capsys.readouterr().out).groups()
+    parsed = parse_config(text)
+    arr, drive = build_array(parsed), build_drive(parsed)
+    sense = read_word(arr, 0, drive)
+    assert sense.sense_delay == pytest.approx(2 * read_cycle_time(arr, drive))
+    assert count == "3"
+    # the summary prints 6 significant digits
+    assert float(cycle_ns) == pytest.approx((drive.setup_time_s + sense.sense_delay) * 1e9, rel=1e-5)
 
 
 def test_validate_accepts_good_and_rejects_bad(tmp_path, capsys):

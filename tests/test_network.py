@@ -294,22 +294,33 @@ class TestPartialPinning:
 
     @pytest.mark.parametrize("kind", ["read", "write"])
     def test_factored_block_is_the_free_nodes_and_symmetric(self, monkeypatch, kind):
-        # a wired read pins the 2n segment terminals, a write pins nothing;
-        # the fill products a*b/D and b*a/D may differ in the last bit only
+        # the factored matrix spans every kept node; a wired read pins the
+        # 2n segment terminals, whose rows and columns turn to identity, so
+        # its free block is the rest; a write pins nothing. The fill
+        # products a*b/D and b*a/D may differ in the last bit only
         arr = stored_array(4, 8, 2.0, seed=15)
+        core = arr.to_network({}, {}).core
         matrices = []
         solve = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: matrices.append(a) or solve(a, b))
         if kind == "read":
             read_word(arr, 3)
-            pinned = len(arr.segments)
+            pinned = core.slot[core.terminal[[core.line_index[seg] for seg in arr.segments]]]
+            assert len(pinned) == len(arr.segments)
         else:
             ops.write_word(arr, ops.WriteRequest(3, "1010", ops.WriteMode.PARALLEL))
-            pinned = 0
-        free = len(arr.to_network({}, {}).core.kept) - pinned
-        s_ff = matrices[0]
-        assert s_ff.shape == (free, free)
-        assert np.abs(s_ff - s_ff.T).max() <= 1e-15 * np.abs(s_ff).max()
+            pinned = np.zeros(0, dtype=int)
+        nk = len(core.kept)
+        s = matrices[0]
+        assert s.shape == (nk, nk)
+        assert np.abs(s - s.T).max() <= 1e-15 * np.abs(s).max()
+        identity = np.eye(nk)
+        assert np.array_equal(s[pinned], identity[pinned])
+        assert np.array_equal(s[:, pinned], identity[:, pinned])
+        # every other row couples its free node to a neighbour
+        free = np.setdiff1d(np.arange(nk), pinned)
+        assert len(free) == nk - len(pinned)
+        assert all(np.count_nonzero(s[k]) > 1 for k in free)
 
     def test_zero_ohm_read_factors_an_empty_system(self, monkeypatch):
         # every kept node of a 0 ohm read is a bit-line segment at v_read:
@@ -322,8 +333,8 @@ class TestPartialPinning:
             network, "_pair_index", lambda k, nk: pairs.append(k.size) or pair_index(k, nk)
         )
         read_word(arr, 5)
-        assert shapes == [(0, 0)]
-        assert sum(pairs) == 0
+        assert shapes == []
+        assert pairs == []
 
 
 class TestDriveTables:

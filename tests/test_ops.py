@@ -440,22 +440,22 @@ def test_wide_word_write_forms_its_fill_in_bounded_blocks(monkeypatch):
     # 64-bit word adds 64 x 64 fill products; formed all at once they would
     # take 8.5 MB per array, so they go in blocks of at most _FILL_BLOCK
     calls = []
-    pair_index, block_solve = network._pair_index, network._FreeBlock.solve
+    pair_index, core_solve = network._pair_index, network.NodalCore.solve
 
     def recording(lane_k, nk):
         calls.append(lane_k.shape)
         return pair_index(lane_k, nk)
 
-    def marking(block, *args):
+    def marking(core, *args):
         calls.append("solve")
-        return block_solve(block, *args)
+        return core_solve(core, *args)
 
     monkeypatch.setattr(network, "_pair_index", recording)
-    monkeypatch.setattr(network._FreeBlock, "solve", marking)
+    monkeypatch.setattr(network.NodalCore, "solve", marking)
     arr = fresh(64, 256)
     write_word(arr, WriteRequest(0, "1" * 64, WriteMode.PARALLEL))
-    # the free block compiles the targets of its first block of rows once;
-    # each solve forms the rest
+    # the core compiles the targets of its first block of rows once; each
+    # solve forms the rest
     first, solves = calls[0], []
     for call in calls[1:]:
         if call == "solve":
@@ -468,6 +468,25 @@ def test_wide_word_write_forms_its_fill_in_bounded_blocks(monkeypatch):
         assert {width for _rows, width in shapes} == {64}
         assert sum(rows for rows, _width in shapes) == 258
         assert len(shapes) == 17
+
+
+def test_repeated_writes_leave_no_memory_on_the_core():
+    # random words change random numbers of bits, so successive writes
+    # regulate different numbers of sources; whatever a solve allocates for
+    # them must be freed with it, not kept on the array's core
+    arr = fresh(64, 256)
+    rng = random.Random(5)
+    tracemalloc.start()
+    try:
+        for k in range(20):
+            data = "".join(rng.choice("01") for _ in range(64))
+            write_word(arr, WriteRequest(rng.randrange(256), data, WriteMode.PARALLEL))
+            if k == 1:
+                after_second = tracemalloc.get_traced_memory()[0]
+        grown = tracemalloc.get_traced_memory()[0] - after_second
+    finally:
+        tracemalloc.stop()
+    assert grown < 1e6
 
 
 @pytest.mark.parametrize("line_resistance", [0.0, 1.0], ids=["bare", "wired"])
