@@ -74,19 +74,22 @@ CONFIG_ENV = "XPOINTSIM_CONFIG_PATH"
 CONFIG_FILENAME = "xpointsim.ini"
 
 
+def _read_config(path):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError([f"config file {path}: {reason}"]) from None
+    return parse_config(text)
+
+
 def _load_config(path_arg):
     if path_arg is not None:
-        try:
-            text = Path(path_arg).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError([f"config file: {exc}"]) from None
-        return parse_config(text)
+        return _read_config(path_arg)
     for entry in os.environ.get(CONFIG_ENV, "").split(os.pathsep):
-        if not entry:
-            continue
         candidate = Path(entry) / CONFIG_FILENAME
-        if candidate.is_file():
-            return parse_config(candidate.read_text(encoding="utf-8"))
+        if entry and candidate.is_file():
+            return _read_config(candidate)
     return default_config()
 
 
@@ -110,12 +113,15 @@ def _finish(cfg, args, outputs, wall_s, summary):
     """Write all outputs plus the manifest, echo the summary, exit clean."""
     manifest = make_manifest(cfg, __version__, outputs, wall_s)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ordered = dict(sorted(outputs.items()))
     ordered["manifest.txt"] = manifest.to_text()
-    for name, text in ordered.items():
-        with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in ordered.items():
+            with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"--out: {exc}") from None
     print(summary, end="" if summary.endswith("\n") else "\n")
     print(f"outputs ({out_dir}): {', '.join(ordered)}")
     return 0

@@ -462,11 +462,11 @@ def build_drive(cfg):
     )
 
 
-def build_architecture(cfg, n_bits=None, m_words=None):
-    """Periphery model for the configured (or an overridden) array shape."""
+def build_architecture(cfg):
+    """Periphery model for the configured array shape."""
     return ArchitectureConfig(
-        n_bits=cfg.array.n_bits if n_bits is None else n_bits,
-        m_words=cfg.array.m_words if m_words is None else m_words,
+        n_bits=cfg.array.n_bits,
+        m_words=cfg.array.m_words,
         v_dd=cfg.drive.v_dd,
         **dataclasses.asdict(cfg.architecture),
     )

@@ -1,12 +1,13 @@
 """Resistive network solver for one cross-point array.
 
 The array is described as a bipartite mesh: word lines (rows) and bit lines
-(columns) joined by two-terminal device branches at the crossings. Lines
-can be driven by ideal voltage sources, ideal or regulated current sources,
-grounded, left floating, or (rows only) tied to the rails through a
-pull-up/pull-down transistor pair. Nodal analysis (Ho, Ruehli & Brennan,
-IEEE TCAS 1975) gives every line voltage and every branch current at once,
-which is exactly what is needed to see where sneak currents go.
+(columns) joined by two-terminal device branches at the crossings. A line
+is held by an ideal voltage source, fed by an ideal or a regulated current
+source, or (rows only) tied to the rails through a pull-up/pull-down
+transistor pair; a line the bias does not name floats. Nodal analysis (Ho,
+Ruehli & Brennan, IEEE TCAS 1975) gives every line voltage and every
+branch current at once, which is exactly what is needed to see where
+sneak currents go.
 
 The topology is compiled once into integer index arrays, a
 :class:`NodalCore`; between solves only conductances, biases and drivers
@@ -20,8 +21,8 @@ currents to the right-hand side.
 The kept nodes K carry the Schur complement
 ``S = G_KK - W^T diag(1/D) W``, stamped from the inner edges and the
 eliminated-node lanes through one scatter table compiled on the core. A
-kept node held by a voltage or ground bias is pinned: its row and column
-of ``S`` turn to identity and its coupling moves to the right-hand side,
+kept node held by a voltage bias is pinned: its row and column of ``S``
+turn to identity and its coupling moves to the right-hand side,
 through ``-G_KP x_P`` at the far ends of the inner edges and through the
 eliminated nodes, ``W^T diag(1/D) W_P x_P``, where ``W_P x_P`` sums whole
 lane rows (the other nodes sit at 0 V in ``x_P``). So ``S`` stays
@@ -97,17 +98,17 @@ _FILL_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class LineBias:
-    """How one line is driven externally.
+    """How one line is driven externally; a line with no bias floats.
 
     A regulated source supplies whatever current makes the device branch
     tagged ``cell`` carry ``value`` amperes.
     """
 
-    kind: str  # "voltage" | "current" | "regulated" | "ground" | "float"
+    kind: str  # "voltage" | "current" | "regulated"
     value: float = 0.0
     cell: str | None = None
 
-    _KINDS = ("voltage", "current", "regulated", "ground", "float")
+    _KINDS = ("voltage", "current", "regulated")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -128,14 +129,6 @@ class LineBias:
     @classmethod
     def regulated(cls, cell, amps):
         return cls(kind="regulated", value=float(amps), cell=cell)
-
-    @classmethod
-    def ground(cls):
-        return cls(kind="ground", value=0.0)
-
-    @classmethod
-    def floating(cls):
-        return cls(kind="float", value=0.0)
 
 
 @dataclass(frozen=True)
@@ -179,10 +172,10 @@ class NodalCore:
     """Integer-indexed topology of one mesh; independent of any drive.
 
     Line ``l`` (rows first, then columns) owns the nodes ``terminal[l]``
-    onwards and is driven at ``terminal[l]``. Branch ``k`` joins node
-    ``cell_col[k]`` on its column to node ``cell_row[k]`` on its row. Mesh
-    edges are the branches followed by the wire segments. Branches of
-    infinite resistance are open for the lifetime of the core.
+    onwards; its bias and a row's rails attach at ``terminal[l]``. Branch
+    ``k`` joins node ``cell_col[k]`` on its column to node ``cell_row[k]``
+    on its row. Mesh edges are the branches followed by the wire segments.
+    Branches of infinite resistance are open for the lifetime of the core.
 
     Nodes split into the eliminated block E (``elim``) and the kept block K
     (``kept``); ``slot`` numbers each node within its block. Each E node's
@@ -456,10 +449,10 @@ class AssembledNetwork:
         self.injection = np.zeros(core.n_nodes)  # amps from plain current sources
         for line, lb in net.bias.items():
             node = core.terminal[core.line_index[line]]
-            if lb.kind in ("voltage", "ground"):
+            if lb.kind == "voltage":
                 self.fixed_lines.append(line)
                 fixed.append(node)
-                volts.append(lb.value if lb.kind == "voltage" else 0.0)
+                volts.append(lb.value)
             elif lb.kind == "current":
                 self.injection[node] += lb.value
             elif lb.kind == "regulated":
@@ -709,8 +702,9 @@ def equivalent_resistance(net, line_a, line_b):
     if component[line_a] != component[line_b]:
         return math.inf
     # lines off the shared component carry no current: ground them with line_b
-    bias = {line: LineBias.ground() for line, c in component.items() if c != component[line_a]}
-    bias[line_b] = LineBias.ground()
+    ground = LineBias.voltage(0.0)
+    bias = {line: ground for line, c in component.items() if c != component[line_a]}
+    bias[line_b] = ground
     bias[line_a] = LineBias.current(1.0)
     solution = solve_network(CrossbarNetwork.on_core(core, net.resistance, {}, bias, net.v_dd))
     return solution.line_voltages[line_a]

@@ -216,20 +216,22 @@ def select_word(array, word_addr, phase):
     return drivers
 
 
-# -- regulated solving -----------------------------------------------------
+def _write_sources(array, word_addr, phase, bits):
+    """Regulated sources that hold the write current of ``phase`` in ``bits``.
 
-
-def _regulated_solve(array, drivers, targets):
-    """Drive each addressed cell at its target through a regulated source.
-
-    ``targets`` maps segment -> (cell tag, target current); every other
-    line floats. The solver forms the exact transfer resistances from its
-    own factorisation (see :mod:`xpointsim.network`), re-solving only when
-    a selector saturates, and checks each cell within 1e-10 relative.
+    Segment -> source, in the order of ``bits``. A source makes the solver
+    drive its cell at exactly the write current: into the cell for phase
+    '1', out of it for phase '0'. The solver forms the exact transfer
+    resistances from its own factorisation (see :mod:`xpointsim.network`)
+    and checks each cell within 1e-10 relative.
     """
-    bias = {seg: LineBias.regulated(tag, amps) for seg, (tag, amps) in targets.items()}
-    sol = solve_network(array.to_network(bias, drivers))
-    return sol, {seg: sol.source_currents[seg] for seg in targets}
+    row = array.word_row(word_addr)
+    amps = array.write_current if phase == "1" else -array.write_current
+    sources = {}
+    for bit in bits:
+        seg = array.host_segment(word_addr, bit)
+        sources[seg] = LineBias.regulated(array.tag(row, seg), amps)
+    return sources
 
 
 # -- trace assembly --------------------------------------------------------
@@ -310,14 +312,12 @@ class _TraceBuilder:
 # -- the phase engine ------------------------------------------------------
 
 
-def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
-    """Drive ``active`` bits of one word until they hold their targets.
+def _run_phase(array, trace, label, word_addr, phase, bits, setup_s):
+    """Drive ``bits`` of one word until they hold the state of ``phase``.
 
-    ``active`` maps bit index -> target MtjState. ``phase`` is '0' or '1';
-    callers are expected to put P targets in phase '0' and AP targets in
-    phase '1'. ``setup_s`` is the select/decode time charged before the
-    sources engage; the two phases of a parallel write share one decode,
-    so its second phase passes 0.
+    ``phase`` is '0' (parallel) or '1' (antiparallel). ``setup_s`` is the
+    select/decode time charged before the sources engage; the two phases
+    of a parallel write share one decode, so its second phase passes 0.
 
     Only *pending* cells are driven: a bit whose junction already holds
     its target is never addressed, and each source releases the moment
@@ -331,38 +331,24 @@ def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
     trace.open_phase(label, setup_s)
 
     drivers = select_word(array, word_addr, phase)
-    row = array.word_row(word_addr)
-
-    def pending_bits():
-        return {
-            bit for bit, st in active.items() if array.state(word_addr, bit) is not st
-        }
-
-    def targets_for(bits):
-        targets = {}
-        for bit in sorted(bits):
-            seg = array.host_segment(word_addr, bit)
-            sign = 1.0 if active[bit] is MtjState.AP else -1.0
-            targets[seg] = (array.tag(row, seg), sign * array.write_current)
-        return targets
-
-    targeted = {word_addr * array.n_bits + bit for bit in active}
-    pending = pending_bits()
-    ideal_drive = len(pending) * array.write_current
-    phase_sources = {}
-    phase_supply = 0.0
+    target = phase == "1"
+    cells = [word_addr * array.n_bits + bit for bit in bits]
+    sources = list(zip(cells, _write_sources(array, word_addr, phase, bits).items()))
+    phase_sources, phase_supply, overhead = {}, 0.0, 0.0
     reported_disturb = set()
     progress = {}  # cell index -> switching progress, dropped with the phase
     guard = 0
-    while pending:
+    while pending := dict(source for k, source in sources if array.states[k] != target):
         guard += 1
         if guard > 4 * array.n_bits + 16:
             raise ConvergenceError(f"{label}: switching cascade did not terminate")
-        sol, sources = _regulated_solve(array, drivers, targets_for(pending))
-        supply = sum(abs(v) for v in sources.values())
+        sol = solve_network(array.to_network(pending, drivers))
+        supply = sum(abs(v) for v in sol.source_currents.values())
         if not phase_sources:
             # reported phase numbers: captured with every pending source on
-            phase_sources, phase_supply = dict(sources), supply
+            phase_sources, phase_supply = dict(sol.source_currents), supply
+            ideal_drive = len(pending) * array.write_current
+            overhead = (supply - ideal_drive) / ideal_drive if ideal_drive else 0.0
         trace.sample(sol.source_currents, supply)
 
         # one pass over the supra-threshold cells: a stabilising current
@@ -383,11 +369,9 @@ def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
                 tau = switching_delay(i, array.params, array.dynamics)
                 flips.append(((1.0 - progress.get(k, 0.0)) * tau, k, i))
         if not flips:
-            stuck = sorted(pending)[0]
+            stuck = next(iter(pending.values())).cell
             raise WriteFailureError(
-                f"{label}: insufficient drive, "
-                f"{array.tag(row, array.host_segment(word_addr, stuck))} "
-                "never reaches its switching threshold"
+                f"{label}: insufficient drive, {stuck} never reaches its switching threshold"
             )
 
         dt = min(f[0] for f in flips) * (1.0 + 1e-12)
@@ -399,17 +383,10 @@ def _run_phase(array, trace, label, word_addr, phase, active, setup_s):
             )
             if new is not state:
                 array.states[k] = new is MtjState.AP
-                kind = "switch" if k in targeted else "disturb-switch"
+                kind = "switch" if k in cells else "disturb-switch"
                 trace.event(kind, array.tag(*array.cell_keys[k]), i)
-        pending = pending_bits()
 
-    trace.close_phase(
-        phase_sources,
-        phase_supply,
-        (phase_supply - ideal_drive) / ideal_drive
-        if phase_sources and ideal_drive
-        else 0.0,
-    )
+    trace.close_phase(phase_sources, phase_supply, overhead)
 
 
 def _verify_written(array, req):
@@ -421,9 +398,6 @@ def _verify_written(array, req):
             f"word {req.word_addr} reads back {stored!r}, wanted {req.data!r} "
             f"({array.tag(row, array.host_segment(req.word_addr, bad))})"
         )
-
-
-_TARGET_STATE = {"0": MtjState.P, "1": MtjState.AP}
 
 
 def _read_before_write(array, drive, trace, word_addr):
@@ -458,18 +432,17 @@ def write_word(array, req, drive=None):
     if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
         for j in bits:
             phase = req.data[j]
-            target = {j: _TARGET_STATE[phase]}
             _run_phase(
-                array, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, target,
+                array, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, [j],
                 drive.setup_time_s,
             )
     else:
         setup = drive.setup_time_s
         for phase in "01":
-            active = {j: _TARGET_STATE[phase] for j in bits if req.data[j] == phase}
-            if active:
+            targets = [j for j in bits if req.data[j] == phase]
+            if targets:
                 _run_phase(
-                    array, trace, f"phase-{phase}", req.word_addr, phase, active, setup
+                    array, trace, f"phase-{phase}", req.word_addr, phase, targets, setup
                 )
                 setup = 0.0  # phase-1 reuses the word selection of phase-0
     _verify_written(array, req)
@@ -479,7 +452,7 @@ def write_word(array, req, drive=None):
 # -- reading ---------------------------------------------------------------
 
 
-def sense_bit(r_data_branch, r_ref_branch, c_load, v_dd):
+def sense_bit(r_data_branch, r_ref_branch, c_load):
     """Behavioural discharge race between the two precharged branches.
 
     The faster (lower-resistance) branch crosses the latch threshold first;
@@ -488,8 +461,8 @@ def sense_bit(r_data_branch, r_ref_branch, c_load, v_dd):
     """
     if not (r_data_branch > 0.0 and r_ref_branch > 0.0):
         raise ParameterError("branch resistance: must be positive")
-    if not (c_load > 0.0 and v_dd > 0.0):
-        raise ParameterError("sense amplifier: c_load and v_dd must be positive")
+    if not c_load > 0.0:
+        raise ParameterError("sense amplifier: c_load must be positive")
     spread = abs(r_data_branch - r_ref_branch) / max(r_data_branch, r_ref_branch)
     if spread <= _TIE_REL:
         raise IndeterminateReadError(
@@ -513,14 +486,18 @@ def read_cycle_time(array, drive=None):
 
 
 def _read_solution(array, word_addr, drive, driven_bits=None):
-    """Solve the read bias; optionally drive only some bits (serial sensing)."""
+    """Solve the read bias; optionally drive only some bits (serial sensing).
+
+    The segments of every driven bit sit at the read voltage; the rest float.
+    """
     drivers = select_word(array, word_addr, "read")
-    on, off = LineBias.voltage(drive.v_read), LineBias.floating()
-    bias = {}
-    for j in range(array.n_bits):
-        driven = driven_bits is None or j in driven_bits
-        for seg in array.segments_for_bit(j):
-            bias[seg] = on if driven else off
+    on = LineBias.voltage(drive.v_read)
+    bias = {
+        seg: on
+        for j in range(array.n_bits)
+        if driven_bits is None or j in driven_bits
+        for seg in array.segments_for_bit(j)
+    }
     return solve_network(array.to_network(bias, drivers))
 
 
@@ -588,7 +565,7 @@ def read_word(array, word_addr, drive=None):
             r_ref = r_ideal
             i_ref = drive.v_read / r_ref
         r_data = drive.v_read / i_data
-        decision = sense_bit(r_data, r_ref, drive.c_load_f, array.v_dd)
+        decision = sense_bit(r_data, r_ref, drive.c_load_f)
         bits.append(decision.bit)
         margins.append(r_ref - r_data)
         currents.append((i_data, i_ref))
@@ -643,7 +620,7 @@ def compare_sensing_power(array, word_addr, drive=None):
     )
 
 
-def serial_sneak_profile(array, word_addr, bit, bit_value="1", drive=None):
+def serial_sneak_profile(array, word_addr, bit, bit_value="1"):
     """Source current of a one-bit write versus the number of floating lines.
 
     Interpolates between a fully parallel write (every other bit column is
@@ -661,24 +638,17 @@ def serial_sneak_profile(array, word_addr, bit, bit_value="1", drive=None):
     mixed word the potential imbalance itself circulates current through
     the floating rows, which is physical but obscures the trend.
     """
-    drive = drive or DriveConfig()
     if bit_value not in ("0", "1"):
         raise ParameterError(f"bit_value: expected '0' or '1', got {bit_value!r}")
-    phase = bit_value
-    row = array.word_row(word_addr)
+    drivers = select_word(array, word_addr, bit_value)
     seg = array.host_segment(word_addr, bit)
-    sign = 1.0 if bit_value == "1" else -1.0
-    drivers = select_word(array, word_addr, phase)
     others = [j for j in range(array.n_bits) if j != bit]
 
     profile = []
     for n_floating in range(len(others) + 1):
-        targets = {seg: (array.tag(row, seg), sign * array.write_current)}
-        for j in others[n_floating:]:
-            s = array.host_segment(word_addr, j)
-            targets[s] = (array.tag(row, s), sign * array.write_current)
-        _sol, sources = _regulated_solve(array, drivers, targets)
-        profile.append((n_floating, abs(sources[seg])))
+        sources = _write_sources(array, word_addr, bit_value, [bit] + others[n_floating:])
+        sol = solve_network(array.to_network(sources, drivers))
+        profile.append((n_floating, abs(sol.source_currents[seg])))
     return profile
 
 

@@ -208,6 +208,32 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert "config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("via", ["--config", CONFIG_ENV])
+def test_undecodable_config_file_is_one_config_error(tmp_path, monkeypatch, capsys, via):
+    # both ways of naming a scenario file read it alike
+    cfgdir = tmp_path / "cfgs"
+    cfgdir.mkdir()
+    bad = cfgdir / "xpointsim.ini"
+    bad.write_bytes(b"[array]\nn_bits = 4\xff\n")
+    argv = ["validate"]
+    if via == CONFIG_ENV:
+        monkeypatch.setenv(CONFIG_ENV, str(cfgdir))
+    else:
+        argv += ["--config", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {bad}: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
+def test_out_naming_a_file_is_a_parameter_error(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    assert main(["simulate", "--out", "taken"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: --out: ")
+    assert err.count("\n") == 1
+
+
 def test_simulation_failure_maps_to_exit_2(tmp_path, capsys):
     cfg = tmp_path / "weak.ini"
     cfg.write_text("[drive]\nwrite_overdrive = 0.95\n")

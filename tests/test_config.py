@@ -187,9 +187,8 @@ def test_section_defaults_are_the_models_defaults():
     cfg = default_config()
     assert build_drive(cfg) == DriveConfig()
     assert build_dynamics(cfg) == SwitchingParams.lumped_fit(cfg.device)
-    assert build_architecture(
-        cfg, n_bits=ArchitectureConfig.n_bits, m_words=ArchitectureConfig.m_words
-    ) == ArchitectureConfig()
+    shape = {"n_bits": ArchitectureConfig.n_bits, "m_words": ArchitectureConfig.m_words}
+    assert dataclasses.replace(build_architecture(cfg), **shape) == ArchitectureConfig()
     array_defaults = inspect.signature(CrossbarArray).parameters
     for section, key in (
         ("drive", "v_dd"),
@@ -397,7 +396,7 @@ def test_build_transistor_sentinels():
 
 def test_build_architecture_cross_module_consistency():
     cfg = default_config()
-    arch = build_architecture(cfg, n_bits=4, m_words=1024)
+    arch = dataclasses.replace(build_architecture(cfg), n_bits=4, m_words=1024)
     assert cell_area(arch) == pytest.approx(28.203125, abs=1e-9)
     assert arch.v_dd == cfg.drive.v_dd
     shaped = build_architecture(cfg)

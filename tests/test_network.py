@@ -100,8 +100,6 @@ def oracle_description(net):
     for line, lb in net.bias.items():
         if lb.kind == "voltage":
             fixed[terminal(line)] = lb.value
-        elif lb.kind == "ground":
-            fixed[terminal(line)] = 0.0
         elif lb.kind == "current":
             injected[terminal(line)] = lb.value
     return resistors, fixed, injected
@@ -145,7 +143,7 @@ def random_case(rng, wired=False):
             bias[f"b{j}"] = LineBias.voltage(rng.uniform(0.05, 1.2))
             fixed_any = True
         elif kind < 0.55:
-            bias[f"b{j}"] = LineBias.ground()
+            bias[f"b{j}"] = LineBias.voltage(0.0)
             fixed_any = True
         elif kind < 0.7:
             bias[f"b{j}"] = LineBias.current(rng.uniform(-2e-4, 2e-4))
@@ -154,7 +152,7 @@ def random_case(rng, wired=False):
     for i in range(m):
         kind = rng.random()
         if kind < 0.25:
-            bias[f"w{i}"] = LineBias.ground()
+            bias[f"w{i}"] = LineBias.voltage(0.0)
             fixed_any = True
         elif kind < 0.35:
             bias[f"w{i}"] = LineBias.voltage(rng.uniform(0.0, 1.2))
@@ -174,7 +172,7 @@ def random_case(rng, wired=False):
 
 class TestOracleEquivalence:
     def test_single_cell_ohms_law(self):
-        net = grid_network([["P"]], {"b0": LineBias.voltage(1.0), "w0": LineBias.ground()})
+        net = grid_network([["P"]], {"b0": LineBias.voltage(1.0), "w0": LineBias.voltage(0.0)})
         sol = assert_matches_oracle(net)
         assert sol.device_currents["w0b0"] == pytest.approx(1.0 / R_P, rel=1e-12)
 
@@ -206,7 +204,7 @@ class TestOracleEquivalence:
             bias = {
                 "b0": LineBias.voltage(0.5),
                 "b1": LineBias.voltage(0.5),
-                "w0": LineBias.ground(),
+                "w0": LineBias.voltage(0.0),
             }
             net = grid_network(states, bias, line_resistance=rng.uniform(1.0, 50.0))
             assert_matches_oracle(net)
@@ -233,7 +231,7 @@ class TestOracleEquivalence:
                 v_dd=net.v_dd,
                 line_resistance=net.line_resistance,
             )
-            if not any(v.kind in ("voltage", "ground") for v in net.bias.values()):
+            if not any(v.kind == "voltage" for v in net.bias.values()):
                 continue
             a = solve_network(base)
             b = solve_network(doubled)
@@ -402,13 +400,13 @@ class TestAssembly:
     def test_parallel_read_unknown_count(self):
         # 4x4, selected word grounded, every bit line driven: 3 floating words
         bias = {f"b{j}": LineBias.voltage(0.3) for j in range(4)}
-        bias["w0"] = LineBias.ground()
+        bias["w0"] = LineBias.voltage(0.0)
         net = grid_network([["P"] * 4 for _ in range(4)], bias)
         assert build_network(net).unknown_count == 3
 
     def test_serial_write_unknown_count(self):
         # one word selected, one bit driven, three words + three bits floating
-        bias = {"b0": LineBias.voltage(1.2), "w0": LineBias.ground()}
+        bias = {"b0": LineBias.voltage(1.2), "w0": LineBias.voltage(0.0)}
         net = grid_network([["P"] * 4 for _ in range(4)], bias)
         assert build_network(net).unknown_count == 6
 
@@ -439,15 +437,24 @@ class TestNonFiniteDrive:
     )
     def test_non_finite_bias_is_rejected(self, bias):
         with pytest.raises(ParameterError, match="finite"):
-            net = grid_network([["P", "AP"], ["AP", "P"]], {"b0": bias(), "w0": LineBias.ground()})
+            net = grid_network([["P", "AP"], ["AP", "P"]], {"b0": bias(), "w0": LineBias.voltage(0.0)})
             solve_network(net)
 
     def test_nan_past_validation_fails_the_conservation_check(self):
         drive = LineBias.voltage(0.3)
-        net = grid_network([["P", "AP"], ["AP", "P"]], {"b0": drive, "w0": LineBias.ground()})
+        net = grid_network([["P", "AP"], ["AP", "P"]], {"b0": drive, "w0": LineBias.voltage(0.0)})
         object.__setattr__(drive, "value", float("nan"))
         with pytest.raises(InvariantError, match="current conservation"):
             solve_network(net)
+
+
+class TestBiasKinds:
+    # a line the bias leaves out floats and 0 V is a voltage bias, so
+    # neither has a kind of its own
+    @pytest.mark.parametrize("kind", ["ground", "float"])
+    def test_alias_kind_is_rejected_by_name(self, kind):
+        with pytest.raises(ParameterError, match=f"bias kind: unknown value '{kind}'"):
+            LineBias(kind=kind)
 
 
 class TestSaturation:
@@ -485,7 +492,7 @@ class TestSaturation:
 class TestSneakStructure:
     def test_two_by_two_single_sneak_path(self):
         # addressed cell plus one three-device path: I = V/R_P + V/(3 R_P)
-        bias = {"b0": LineBias.voltage(0.3), "w0": LineBias.ground()}
+        bias = {"b0": LineBias.voltage(0.3), "w0": LineBias.voltage(0.0)}
         net = grid_network([["P", "P"], ["P", "P"]], bias)
         sol = assert_matches_oracle(net)
         assert sol.device_currents["w0b0"] == pytest.approx(0.3 / R_P, rel=1e-12)
@@ -574,7 +581,7 @@ class TestSneakStructure:
 
     def test_parallel_bias_kills_sneak(self):
         bias = {f"b{j}": LineBias.voltage(0.3) for j in range(4)}
-        bias["w0"] = LineBias.ground()
+        bias["w0"] = LineBias.voltage(0.0)
         states = [["P", "AP", "P", "AP"] for _ in range(4)]
         net = grid_network(states, bias)
         sol = solve_network(net)
@@ -585,7 +592,7 @@ class TestSneakStructure:
         states = [["P", "AP", "P", "AP"] for _ in range(4)]
         sums = []
         for n_float in range(4):
-            bias = {"w0": LineBias.ground(), "b0": LineBias.voltage(0.3)}
+            bias = {"w0": LineBias.voltage(0.0), "b0": LineBias.voltage(0.3)}
             for j in range(1, 4):
                 if j > n_float:
                     bias[f"b{j}"] = LineBias.voltage(0.3)
@@ -599,7 +606,7 @@ class TestSneakStructure:
         assert sums[0] < sums[1] < sums[2] < sums[3]
 
     def test_uniform_array_symmetric_paths(self):
-        bias = {"w0": LineBias.ground(), "b0": LineBias.voltage(0.3)}
+        bias = {"w0": LineBias.voltage(0.0), "b0": LineBias.voltage(0.3)}
         net = grid_network([["P"] * 4 for _ in range(4)], bias)
         sol = solve_network(net)
         rep = sneak_decomposition(net, sol, "w0", "b0")
@@ -692,7 +699,7 @@ class TestSourceBookkeeping:
             sol = solve_network(net)
             for col in net.cols:
                 lb = net.bias.get(col)
-                if lb is None or lb.kind == "float":
+                if lb is None:
                     continue
                 through = sum(
                     sol.device_currents[b.tag] for b in net.branches if b.col == col
@@ -702,7 +709,7 @@ class TestSourceBookkeeping:
                 )
 
     def test_current_bias_reports_injection(self):
-        bias = {"b0": LineBias.current(1e-4), "w0": LineBias.ground()}
+        bias = {"b0": LineBias.current(1e-4), "w0": LineBias.voltage(0.0)}
         net = grid_network([["P"]], bias)
         sol = solve_network(net)
         assert sol.source_currents["b0"] == pytest.approx(1e-4)

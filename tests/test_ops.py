@@ -293,26 +293,26 @@ def test_underdriven_write_raises_write_failure():
 
 
 def test_sense_bit_frozen_values():
-    decision = sense_bit(5e3, 3e3, 1e-15, 1.2)
+    decision = sense_bit(5e3, 3e3, 1e-15)
     assert decision.bit == "1"
     assert decision.delay == pytest.approx(3e3 * 1e-15 * math.log(2), rel=1e-12)
-    other = sense_bit(2e3, 3e3, 1e-15, 1.2)
+    other = sense_bit(2e3, 3e3, 1e-15)
     assert other.bit == "0"
     assert other.delay == pytest.approx(2e3 * 1e-15 * math.log(2), rel=1e-12)
 
 
 def test_sense_bit_tie_is_indeterminate():
     with pytest.raises(IndeterminateReadError):
-        sense_bit(5e3, 5e3, 1e-15, 1.2)
+        sense_bit(5e3, 5e3, 1e-15)
     with pytest.raises(IndeterminateReadError):
-        sense_bit(5e3, 5e3 * (1 + 1e-9), 1e-15, 1.2)
+        sense_bit(5e3, 5e3 * (1 + 1e-9), 1e-15)
 
 
 def test_sense_bit_validation():
     with pytest.raises(ParameterError):
-        sense_bit(-1.0, 5e3, 1e-15, 1.2)
+        sense_bit(-1.0, 5e3, 1e-15)
     with pytest.raises(ParameterError):
-        sense_bit(5e3, 5e3, 0.0, 1.2)
+        sense_bit(5e3, 5e3, 0.0)
 
 
 # -- reading -----------------------------------------------------------------
