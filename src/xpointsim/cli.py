@@ -39,6 +39,7 @@ from . import __version__
 from .config import (
     build_architecture,
     build_array,
+    build_device,
     build_drive,
     build_dynamics,
     build_transistor,
@@ -191,7 +192,7 @@ def _sweep(cfg, n_range, m_range):
         build_architecture(cfg),
         n_range,
         m_range,
-        params=cfg.device,
+        params=build_device(cfg),
         dynamics=build_dynamics(cfg),
         drive=build_drive(cfg),
         overdrive=cfg.drive.write_overdrive,
@@ -216,7 +217,7 @@ def _cmd_simulate(cfg, args):
 
 
 def _cmd_analyze(cfg, args):
-    params = cfg.device
+    params = build_device(cfg)
     dynamics = build_dynamics(cfg)
     drive = build_drive(cfg)
     n, m = cfg.array.n_bits, cfg.array.m_words

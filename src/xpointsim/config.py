@@ -9,10 +9,10 @@ the offending ``section.key``.
 
 Each key is declared once, as a field of its section dataclass made by
 ``_key``: the field holds the default, the converter from INI text and
-the range check of that key alone. ``[device]`` is
-:class:`~xpointsim.device.MtjParams` itself, whose keys are numbers and
-which checks its own ranges. Conversion problems are reported first, then
-range problems in section and key order, then the problems that span keys.
+the range check of that key alone; the ``build_*`` functions turn the
+sections into the simulator's models. Conversion problems are reported
+first, then range problems in section and key order, then the problems
+that span keys.
 
 Sections and keys, with defaults:
 
@@ -71,8 +71,6 @@ from .errors import ConfigError, ParameterError
 from .ops import DriveConfig, WriteMode
 from .perf import ArchitectureConfig
 
-_SCENARIOS = ("demo", "write", "read", "sweep")
-
 
 # -- value converters --------------------------------------------------------
 
@@ -103,27 +101,26 @@ def _bool(raw):
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-def _rate(raw):
-    lowered = raw.strip().lower()
-    if lowered in ("auto", "physics"):
-        return lowered
-    return _float(raw)
+def _float_or(*words):
+    """A number, or one of the sentinel ``words``."""
+
+    def convert(raw):
+        lowered = raw.strip().lower()
+        return lowered if lowered in words else _float(raw)
+
+    return convert
 
 
-def _auto_float(raw):
-    lowered = raw.strip().lower()
-    if lowered == "auto":
-        return "auto"
-    return _float(raw)
+def _one_of(names, make=str):
+    """One of ``names``, passed to ``make``."""
 
+    def convert(raw):
+        lowered = raw.strip().lower()
+        if lowered not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {raw!r}")
+        return make(lowered)
 
-def _scenario(raw):
-    lowered = raw.strip().lower()
-    if lowered not in _SCENARIOS:
-        raise ValueError(
-            f"expected one of {', '.join(_SCENARIOS)}, got {raw!r}"
-        )
-    return lowered
+    return convert
 
 
 def _data(raw):
@@ -133,14 +130,6 @@ def _data(raw):
     if not stripped or any(ch not in "01" for ch in stripped):
         raise ValueError(f"expected a bit string or 'random', got {raw!r}")
     return stripped
-
-
-def _mode(raw):
-    try:
-        return WriteMode(raw.strip().lower())
-    except ValueError:
-        valid = ", ".join(m.value for m in WriteMode)
-        raise ValueError(f"expected one of {valid}, got {raw!r}") from None
 
 
 def _int_list(raw):
@@ -185,6 +174,14 @@ def _key(default, parse=_float, check=None):
 
 
 @dataclass(frozen=True)
+class DeviceSection:
+    tmr: float = _key(MtjParams.tmr, check=_non_negative)
+    surface_nm2: float = _key(MtjParams.surface_nm2, check=_positive)
+    ra_ohm_um2: float = _key(MtjParams.ra_ohm_um2, check=_positive)
+    jc0_a_cm2: float = _key(MtjParams.jc0_a_cm2, check=_positive)
+
+
+@dataclass(frozen=True)
 class DynamicsSection:
     xi: float = _key(SwitchingParams.xi, check=_positive)
     polarization: float = _key(
@@ -192,14 +189,14 @@ class DynamicsSection:
         check=_check(lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
     )
     moment_a_m2: float = _key(SwitchingParams.moment_a_m2, check=_positive)
-    rate_per_amp: float | str = _key("auto", _rate, _positive)
+    rate_per_amp: float | str = _key("auto", _float_or("auto", "physics"), _positive)
 
 
 @dataclass(frozen=True)
 class TransistorSection:
-    r_on: float | str = _key("auto", _auto_float, _positive)
-    r_off: float | str = _key("auto", _auto_float, _positive)
-    i_sat: float | str = _key("auto", _auto_float, _positive)
+    r_on: float | str = _key("auto", _float_or("auto"), _positive)
+    r_off: float | str = _key("auto", _float_or("auto"), _positive)
+    i_sat: float | str = _key("auto", _float_or("auto"), _positive)
 
 
 @dataclass(frozen=True)
@@ -231,17 +228,19 @@ class ArchitectureSection:
 
 @dataclass(frozen=True)
 class OperationSection:
-    scenario: str = _key("demo", _scenario)
+    scenario: str = _key("demo", _one_of(("demo", "write", "read", "sweep")))
     word_addr: int = _key(0, _int)
     data: str = _key("1111", _data)
-    mode: WriteMode = _key(WriteMode.PARALLEL, _mode)
+    mode: WriteMode = _key(
+        WriteMode.PARALLEL, _one_of(tuple(m.value for m in WriteMode), WriteMode)
+    )
     sweep_n_bits: tuple = _key((2, 4, 8, 16, 32, 64), _int_list, _entries_at_least_1)
     sweep_m_words: tuple = _key((1024,), _int_list, _entries_at_least_1)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    device: MtjParams = dataclasses.field(default_factory=MtjParams)
+    device: DeviceSection = dataclasses.field(default_factory=DeviceSection)
     dynamics: DynamicsSection = dataclasses.field(default_factory=DynamicsSection)
     transistor: TransistorSection = dataclasses.field(
         default_factory=TransistorSection
@@ -301,14 +300,7 @@ def parse_config(text):
 
     sections, flagged = {}, set()
     for name, cls in _SECTION_TYPES.items():
-        try:
-            section = cls(**values.get(name, {}))
-        except ParameterError as exc:
-            # a failed section falls back to defaults so the checks that
-            # span keys can still inspect everything else
-            errors.append(f"{name}.{exc}")
-            flagged.add(name)
-            section = cls()
+        section = cls(**values.get(name, {}))
         for field in dataclasses.fields(section):
             check = field.metadata.get("check")
             problem = check and check(getattr(section, field.name))
@@ -339,12 +331,12 @@ def _cross_validate(cfg, flagged):
         errors.append("transistor.r_off: must exceed r_on")
     # the derived models can fail (no voltage headroom at the requested
     # operating point, a threshold current the rate fit cannot use): surface
-    # that at parse time, but only for an array, drive and switch that are
-    # otherwise valid, so that one bad value is not reported twice
+    # that at parse time, but only for a device, array, drive and switch that
+    # are otherwise valid, so that one bad value is not reported twice
     if not errors and flagged.isdisjoint(
-        ("array", "drive", "architecture", "dynamics", "transistor")
+        ("device", "array", "drive", "architecture", "dynamics", "transistor")
     ):
-        builds = (("transistor", _cell_switch), ("dynamics", build_dynamics))
+        builds = (("transistor", build_transistor), ("dynamics", build_dynamics))
         for section, build in builds:
             try:
                 build(cfg)
@@ -402,11 +394,16 @@ def serialize_config(cfg):
 # -- builders: config -> model objects ---------------------------------------
 
 
+def build_device(cfg):
+    """The junction the ``[device]`` section describes."""
+    return MtjParams(**dataclasses.asdict(cfg.device))
+
+
 def build_dynamics(cfg):
     """Materialize the switching-rate model the config describes."""
     dyn = cfg.dynamics
     if dyn.rate_per_amp == "auto":
-        rate = SwitchingParams.lumped_fit(cfg.device).rate_per_amp
+        rate = SwitchingParams.lumped_fit(build_device(cfg)).rate_per_amp
     elif dyn.rate_per_amp == "physics":
         rate = None
     else:
@@ -420,23 +417,14 @@ def build_dynamics(cfg):
 
 
 def build_transistor(cfg):
-    """Access switch model, or None when fully derived from the drive point."""
+    """The cell's access switch; each key left ``auto`` is sized for the drive point."""
     given = dataclasses.asdict(cfg.transistor)
-    explicit = {key: v for key, v in given.items() if not isinstance(v, str)}
-    if not explicit:
-        return None
-    if len(explicit) < len(given):
+    if "auto" in given.values():
         base = TransistorModel.default_for(
-            cfg.device, v_dd=cfg.drive.v_dd, overdrive=cfg.drive.write_overdrive
+            build_device(cfg), v_dd=cfg.drive.v_dd, overdrive=cfg.drive.write_overdrive
         )
-        explicit = {key: explicit.get(key, getattr(base, key)) for key in given}
-    return TransistorModel(**explicit)
-
-
-def _cell_switch(cfg):
-    return build_transistor(cfg) or TransistorModel.default_for(
-        cfg.device, v_dd=cfg.drive.v_dd, overdrive=cfg.drive.write_overdrive
-    )
+        given = {key: getattr(base, key) if v == "auto" else v for key, v in given.items()}
+    return TransistorModel(**given)
 
 
 def build_array(cfg):
@@ -444,7 +432,7 @@ def build_array(cfg):
     return CrossbarArray(
         cfg.array.n_bits,
         cfg.array.m_words,
-        params=cfg.device,
+        params=build_device(cfg),
         dynamics=build_dynamics(cfg),
         transistor=build_transistor(cfg),
         balanced=cfg.array.balanced,

@@ -39,6 +39,9 @@ __all__ = [
 BOHR_MAGNETON = 9.2740100783e-24  # J/T
 ELEMENTARY_CHARGE = 1.602176634e-19  # C
 EULER_GAMMA = 0.5772156649015329
+# the lumped rate fit point: 1.3x the threshold current switches in 10 ns
+_FIT_DELAY_S = 10e-9
+_FIT_OVERDRIVE = 1.3
 
 
 class MtjState(Enum):
@@ -121,9 +124,9 @@ class SwitchingParams:
     * physics route: the rate per ampere of overdrive is computed from the
       thermal stability factor ``xi``, the spin ``polarization`` and the
       free-layer ``moment_a_m2``;
-    * lumped route: :meth:`lumped_fit` pins ``rate_per_amp`` so that a
-      chosen operating point has a chosen delay, which is how the model is
-      calibrated against measured write pulses.
+    * lumped route: :meth:`lumped_fit` pins ``rate_per_amp`` so that 1.3x
+      threshold switches in 10 ns, which is how the model is calibrated
+      against measured write pulses.
     """
 
     xi: float = 40.0
@@ -151,12 +154,10 @@ class SwitchingParams:
         return ELEMENTARY_CHARGE * self.moment_a_m2 * (1.0 + self.polarization**2)
 
     @classmethod
-    def lumped_fit(cls, params, tau_s=10e-9, overdrive=1.3):
-        """Calibrate the rate so the delay at ``overdrive`` x threshold is ``tau_s``."""
-        _require(overdrive > 1.0, "overdrive", "fit point must exceed threshold")
-        _require(tau_s > 0.0, "tau_s", "must be positive")
+    def lumped_fit(cls, params):
+        """Calibrate the rate so 1.3x threshold switches in 10 ns."""
         i_c = critical_current(params)
-        scale = tau_s * (overdrive - 1.0) * i_c
+        scale = _FIT_DELAY_S * (_FIT_OVERDRIVE - 1.0) * i_c
         _require(
             0.0 < scale < math.inf,
             "rate_per_amp",
@@ -254,5 +255,12 @@ class TransistorModel:
             f"no headroom: {overdrive:g}x threshold through the junction "
             f"already needs more than {v_dd:g} V",
         )
-        return cls(r_on=r_on, r_off=1e9, i_sat=2.0 * i_write)
+        r_off = 1e9
+        _require(
+            r_on < r_off,
+            "r_on",
+            f"sized to {r_on:g} ohm for a {i_write:g} A write current, "
+            f"not below the {r_off:g} ohm off resistance",
+        )
+        return cls(r_on=r_on, r_off=r_off, i_sat=2.0 * i_write)
 

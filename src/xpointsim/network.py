@@ -203,6 +203,17 @@ class NodalCore:
                 f"line_resistance: {line_resistance:g} ohm per segment leaves "
                 f"the lines open next to {r_min:g} ohm branches"
             )
+        # a wire conductance so large that the branch conductances drop
+        # below the rounding error of the chain sums loses the branch
+        # currents: the answer would be wrong with no sign of it
+        r_max = np.max(resistance[np.isfinite(resistance)], initial=0.0)
+        floor = r_max * sys.float_info.epsilon / _KCL_LIMIT
+        if 0.0 < line_resistance < floor:
+            raise ParameterError(
+                f"line_resistance: {line_resistance:g} ohm per segment is below "
+                f"the {floor:g} ohm floor next to {r_max:g} ohm branches; "
+                f"0 means ideal wires"
+            )
         self.line_resistance = line_resistance
         n_lines = len(self.lines)
         row_of = np.array([self.line_index[r] for r, _ in self.crossings], dtype=np.intp)

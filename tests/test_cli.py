@@ -298,6 +298,27 @@ def test_huge_line_resistance_names_the_key(tmp_path, capsys, ohms):
     assert "parameter error: line_resistance:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ohms", ["1e-11", "1e-18", "1e-300"])
+def test_tiny_line_resistance_names_the_key(tmp_path, capsys, ohms):
+    # the branch conductances would drop below the rounding error of the
+    # wire chain sums and the demo would read or write wrong bits
+    cfg = tmp_path / "tiny.ini"
+    cfg.write_text(f"[array]\nline_resistance = {ohms}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: line_resistance: "), err
+    assert err.count("\n") == 1
+    assert "0 means ideal wires" in err
+
+
+@pytest.mark.parametrize("ohms", ["2e-3", "1.0"])
+def test_line_resistance_above_the_floor_runs(tmp_path, capsys, ohms):
+    cfg = tmp_path / "wire.ini"
+    cfg.write_text(f"[array]\nline_resistance = {ohms}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 0
+    assert "word 3 -> '1111'" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("ohms", ["1e6", "1e8"])
 def test_unsensable_read_exits_2(tmp_path, capsys, ohms):
     # a segment that returns current to its source is a read the sense

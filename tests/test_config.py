@@ -11,19 +11,18 @@ from xpointsim.array import CrossbarArray
 from xpointsim.config import (
     ArchitectureSection,
     ArraySection,
+    DeviceSection,
     DriveSection,
     DynamicsSection,
     OperationSection,
     ScenarioConfig,
     TransistorSection,
     _SCHEMA,
-    _auto_float,
-    _float,
     _format_value,
     _int_list,
-    _rate,
     build_architecture,
     build_array,
+    build_device,
     build_drive,
     build_dynamics,
     build_transistor,
@@ -49,7 +48,7 @@ def errors_of(text):
 def test_empty_file_gives_defaults():
     cfg = parse_config("")
     assert cfg == default_config()
-    assert cfg.device == MtjParams()
+    assert build_device(cfg) == MtjParams()
     assert cfg.array == ArraySection()
     assert cfg.operation.scenario == "demo"
 
@@ -72,7 +71,7 @@ def test_default_round_trip_is_exact():
 
 def test_customized_round_trip_is_exact():
     cfg = ScenarioConfig(
-        device=MtjParams(tmr=1.1, surface_nm2=3000.0, ra_ohm_um2=12.5),
+        device=DeviceSection(tmr=1.1, surface_nm2=3000.0, ra_ohm_um2=12.5),
         dynamics=DynamicsSection(xi=55.0, rate_per_amp=6.25e8),
         transistor=TransistorSection(r_on=1500.0, r_off=2e9, i_sat=6e-4),
         array=ArraySection(n_bits=6, m_words=8, balanced=True, line_resistance=2.5),
@@ -105,7 +104,7 @@ def test_customized_round_trip_is_exact():
 )
 def test_round_trip_property(tmr, surface, v_read, overdrive, line_r, n_bits, rate):
     cfg = ScenarioConfig(
-        device=MtjParams(tmr=tmr, surface_nm2=surface),
+        device=DeviceSection(tmr=tmr, surface_nm2=surface),
         dynamics=DynamicsSection(rate_per_amp=rate),
         array=ArraySection(n_bits=n_bits, m_words=4, line_resistance=line_r),
         drive=DriveSection(v_read=v_read, write_overdrive=overdrive),
@@ -186,7 +185,7 @@ def test_every_key_declaration_rejects_by_name_or_builds(text):
 def test_section_defaults_are_the_models_defaults():
     cfg = default_config()
     assert build_drive(cfg) == DriveConfig()
-    assert build_dynamics(cfg) == SwitchingParams.lumped_fit(cfg.device)
+    assert build_dynamics(cfg) == SwitchingParams.lumped_fit(build_device(cfg))
     shape = {"n_bits": ArchitectureConfig.n_bits, "m_words": ArchitectureConfig.m_words}
     assert dataclasses.replace(build_architecture(cfg), **shape) == ArchitectureConfig()
     array_defaults = inspect.signature(CrossbarArray).parameters
@@ -237,11 +236,18 @@ def test_all_errors_reported_at_once():
     assert any(e.startswith("drive.v_read:") and "number" in e for e in errs)
 
 
+def _reads_numbers(convert):
+    try:
+        return convert("1.5") == 1.5
+    except ValueError:
+        return False
+
+
 _FLOAT_KEYS = [
     f"{section}.{key}"
     for section, schema in _SCHEMA.items()
     for key, convert in schema.items()
-    if convert in (_float, _rate, _auto_float)
+    if _reads_numbers(convert)
 ]
 
 
@@ -331,6 +337,26 @@ def test_transistor_ordering_checked():
     assert any(e.startswith("transistor.r_off:") for e in errs)
 
 
+@pytest.mark.parametrize(
+    "text", ["[drive]\nwrite_overdrive = 1e-6\n", "[device]\njc0_a_cm2 = 1e-3\n"]
+)
+def test_switch_sized_above_its_off_resistance_names_r_on(text):
+    # the auto-sized switch needs an on-resistance above its 1e9 ohm off
+    # resistance: the error names the sized key, not r_off
+    (err,) = errors_of(text)
+    assert err.startswith("transistor.r_on: sized to "), err
+    assert err.endswith("not below the 1e+09 ohm off resistance"), err
+
+
+def test_every_bad_device_key_is_reported():
+    errs = errors_of("[device]\ntmr = -1\nsurface_nm2 = -1\nra_ohm_um2 = 0\n")
+    assert errs == [
+        "device.tmr: must be non-negative",
+        "device.surface_nm2: must be positive",
+        "device.ra_ohm_um2: must be positive",
+    ]
+
+
 def test_infeasible_drive_point_caught_at_parse_time():
     # 3x threshold through the junction needs more than 1.2 V
     errs = errors_of("[drive]\nwrite_overdrive = 3.0\n")
@@ -364,7 +390,7 @@ def test_build_drive_maps_fields():
 def test_build_dynamics_sentinels():
     cfg = default_config()
     auto = build_dynamics(cfg)
-    assert auto.rate_per_amp == SwitchingParams.lumped_fit(cfg.device).rate_per_amp
+    assert auto.rate_per_amp == SwitchingParams.lumped_fit(build_device(cfg)).rate_per_amp
 
     phys = build_dynamics(
         dataclasses.replace(
@@ -381,14 +407,15 @@ def test_build_dynamics_sentinels():
 
 
 def test_build_transistor_sentinels():
-    assert build_transistor(default_config()) is None
+    cfg = default_config()
+    assert build_transistor(cfg) == TransistorModel.default_for(build_device(cfg))
 
     cfg = parse_config("[transistor]\nr_on = 1000.0\nr_off = 1e9\ni_sat = 1e-3\n")
     assert build_transistor(cfg) == TransistorModel(1000.0, 1e9, 1e-3)
 
     partial = parse_config("[transistor]\nr_off = 5e8\n")
     built = build_transistor(partial)
-    base = TransistorModel.default_for(partial.device)
+    base = TransistorModel.default_for(build_device(partial))
     assert built.r_off == 5e8
     assert built.r_on == base.r_on
     assert built.i_sat == base.i_sat

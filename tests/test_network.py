@@ -9,6 +9,7 @@ Frozen sneak-path numbers (hand-derived):
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -455,6 +456,44 @@ class TestBiasKinds:
     def test_alias_kind_is_rejected_by_name(self, kind):
         with pytest.raises(ParameterError, match=f"bias kind: unknown value '{kind}'"):
             LineBias(kind=kind)
+
+
+class TestInputChecks:
+    @staticmethod
+    def bound(bias):
+        core_net = grid_network([["P", "AP"], ["AP", "P"]], {})
+        return CrossbarNetwork.on_core(core_net.core, core_net.resistance, {}, bias, 1.2)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: CrossbarNetwork(["w0"], ["w0"], []),
+         "line names: rows and cols must be distinct"),
+        (lambda: CrossbarNetwork(["w0"], ["b0"], [DeviceBranch("w1", "b0", R_P, "t")]),
+         "branch t: unknown row 'w1'"),
+        (lambda: CrossbarNetwork(["w0"], ["b0"], [DeviceBranch("w0", "b1", R_P, "t")]),
+         "branch t: unknown col 'b1'"),
+        (lambda: CrossbarNetwork(["w0"], ["b0"], [DeviceBranch("w0", "b0", 0.0, "t")]),
+         "branch t: resistance must be positive"),
+        (lambda: CrossbarNetwork(["w0"], ["b0"], [DeviceBranch("w0", "b0", math.nan, "t")]),
+         "branch t: resistance must be positive"),
+        (lambda: CrossbarNetwork(["w0"], ["b0", "b1"], [
+            DeviceBranch("w0", "b0", R_P, "t"), DeviceBranch("w0", "b1", R_P, "t")]),
+         "branch tag 't' appears twice"),
+        (lambda: TestInputChecks.bound({"b9": LineBias.voltage(0.3)}),
+         "bias: unknown line 'b9'"),
+        (lambda: TestInputChecks.bound({"b0": LineBias.regulated("w9b0", 1e-4)}),
+         "bias 'b0': unknown cell 'w9b0'"),
+        (lambda: LineBias("voltage", 0.3, cell="w0b0"),
+         "bias cell: names the branch of a regulated source only"),
+        (lambda: LineBias("regulated", 1e-4),
+         "bias cell: names the branch of a regulated source only"),
+    ], ids=[
+        "shared-line", "unknown-row", "unknown-col", "zero-resistance", "nan-resistance",
+        "duplicate-tag", "bias-unknown-line", "regulated-unknown-cell",
+        "cell-on-voltage", "regulated-without-cell",
+    ])
+    def test_bad_input_is_named(self, build, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestSaturation:

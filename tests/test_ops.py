@@ -537,12 +537,12 @@ def test_overflowing_read_is_a_simulation_error():
 
 @pytest.mark.filterwarnings("error")
 def test_overflow_inside_the_solve_is_a_simulation_error():
-    # 1e300 S wire segments under 1.8e8 V: the drive is finite, but the
+    # 1 ohm wire segments under 1e308 V: the drive is finite, but the
     # solve overflows and inf - inf leaves NaN potentials, which must be
     # named like an overflow and not fail the conservation check
-    arr = fresh(line_resistance=1e-300)
+    arr = fresh(line_resistance=1.0)
     with pytest.raises(SimulationError, match="beyond float range on: "):
-        read_word(arr, 0, DriveConfig(v_read=1.8e8))
+        read_word(arr, 0, DriveConfig(v_read=1e308))
 
 
 def test_segment_returning_current_is_an_indeterminate_read():
