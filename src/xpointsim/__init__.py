@@ -6,7 +6,7 @@ The package splits into five layers:
 * :mod:`xpointsim.device` - junction resistance, critical current,
   switching dynamics, access transistor;
 * :mod:`xpointsim.network` - nodal solver for one array of resistive
-  branches, including sneak-current decomposition;
+  branches;
 * :mod:`xpointsim.array` - array construction: plain grids and the
   balanced split-column layout with embedded reference cells;
 * :mod:`xpointsim.ops` - write and read protocols simulated against the

@@ -231,17 +231,21 @@ class CrossbarArray:
     def get_word(self, word):
         return "".join("1" if ap else "0" for ap in self.states[self._word_cells(word)])
 
-    def set_word(self, word, data):
-        """Directly assign stored data, bypassing the write protocol."""
+    def check_data(self, word, data):
+        """Refuse a word this array lacks, then data of the wrong width or alphabet."""
+        self._check_word(word)
         if len(data) != self.n_bits:
             raise ParameterError(
                 f"data: expected {self.n_bits} bits, got {len(data)}"
             )
-        cells = self._word_cells(word)
         for ch in data:
-            if ch not in ("0", "1"):
+            if ch not in "01":
                 raise ParameterError(f"data: invalid bit character {ch!r}")
-        self.states[cells] = [ch == "1" for ch in data]
+
+    def set_word(self, word, data):
+        """Directly assign stored data, bypassing the write protocol."""
+        self.check_data(word, data)
+        self.states[self._word_cells(word)] = [ch == "1" for ch in data]
 
     # -- network extraction ---------------------------------------------
 
@@ -252,7 +256,7 @@ class CrossbarArray:
         to the rails through a word selector of the present
         ``row_driver_model`` with both switches off.
         """
-        return CrossbarNetwork.on_core(
+        return CrossbarNetwork(
             self._core, self.resistances, drivers, bias, self.v_dd,
             idle=RowDriver(self.row_driver_model),
         )

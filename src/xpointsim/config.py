@@ -329,14 +329,15 @@ def _cross_validate(cfg, flagged):
         and tr.r_off <= tr.r_on
     ):
         errors.append("transistor.r_off: must exceed r_on")
-    # the derived models can fail (no voltage headroom at the requested
-    # operating point, a threshold current the rate fit cannot use): surface
-    # that at parse time, but only for a device, array, drive and switch that
-    # are otherwise valid, so that one bad value is not reported twice
+    # the derived models can fail (a 0 ohm junction, no voltage headroom at the
+    # requested operating point, a threshold current the rate fit cannot use):
+    # surface that at parse time, but only for a device, array, drive and switch
+    # that are otherwise valid, so that one bad value is not reported twice
     if not errors and flagged.isdisjoint(
         ("device", "array", "drive", "architecture", "dynamics", "transistor")
     ):
-        builds = (("transistor", build_transistor), ("dynamics", build_dynamics))
+        builds = (("device", build_device), ("transistor", build_transistor),
+                  ("dynamics", build_dynamics))
         for section, build in builds:
             try:
                 build(cfg)
@@ -420,8 +421,11 @@ def build_transistor(cfg):
     """The cell's access switch; each key left ``auto`` is sized for the drive point."""
     given = dataclasses.asdict(cfg.transistor)
     if "auto" in given.values():
+        # only an r_on sized here is bounded by the file's r_off
+        given_off = {"r_off": given["r_off"]} if "auto" == given["r_on"] != given["r_off"] else {}
         base = TransistorModel.default_for(
-            build_device(cfg), v_dd=cfg.drive.v_dd, overdrive=cfg.drive.write_overdrive
+            build_device(cfg), v_dd=cfg.drive.v_dd, overdrive=cfg.drive.write_overdrive,
+            **given_off,
         )
         given = {key: getattr(base, key) if v == "auto" else v for key, v in given.items()}
     return TransistorModel(**given)

@@ -75,6 +75,9 @@ class MtjParams:
         _require(self.surface_nm2 > 0.0, "surface_nm2", "must be positive")
         _require(self.ra_ohm_um2 > 0.0, "ra_ohm_um2", "must be positive")
         _require(self.jc0_a_cm2 > 0.0, "jc0_a_cm2", "must be positive")
+        # a ratio that underflows is a 0 ohm junction, a short no solve can carry
+        r_p, area = mtj_resistance(MtjState.P, self), self.surface_nm2
+        _require(r_p > 0.0, "ra_ohm_um2", f"leaves a 0 ohm junction over {area:g} nm^2")
 
 
 def mtj_resistance(state, params):
@@ -237,12 +240,13 @@ class TransistorModel:
         _require(self.i_sat > 0.0, "i_sat", "must be positive")
 
     @classmethod
-    def default_for(cls, params, v_dd=1.2, overdrive=1.3):
+    def default_for(cls, params, v_dd=1.2, overdrive=1.3, r_off=1e9):
         """Size the switch so the nominal write path carries ``overdrive`` x threshold.
 
         The on-resistance absorbs whatever headroom the parallel-state
-        junction leaves at ``v_dd``; saturation is set at twice the write
-        current so normal operation stays in the ohmic region.
+        junction leaves at ``v_dd`` and must stay below ``r_off``;
+        saturation is set at twice the write current so normal operation
+        stays in the ohmic region.
         """
         i_write = overdrive * critical_current(params)
         _require(
@@ -255,7 +259,6 @@ class TransistorModel:
             f"no headroom: {overdrive:g}x threshold through the junction "
             f"already needs more than {v_dd:g} V",
         )
-        r_off = 1e9
         _require(
             r_on < r_off,
             "r_on",

@@ -76,15 +76,12 @@ from .errors import (
 
 __all__ = [
     "CrossbarNetwork",
-    "DeviceBranch",
     "LineBias",
     "NetworkSolution",
     "NodalCore",
     "RowDriver",
-    "SneakReport",
     "build_network",
     "equivalent_resistance",
-    "sneak_decomposition",
     "solve_network",
 ]
 
@@ -132,16 +129,6 @@ class LineBias:
 
 
 @dataclass(frozen=True)
-class DeviceBranch:
-    """One junction at a crossing, reduced to its present resistance."""
-
-    row: str
-    col: str
-    resistance: float
-    tag: str
-
-
-@dataclass(frozen=True)
 class RowDriver:
     """Pull-up/pull-down pair tying a word line to the rails."""
 
@@ -171,6 +158,10 @@ def _pair_index(lane_k, nk):
 class NodalCore:
     """Integer-indexed topology of one mesh; independent of any drive.
 
+    The only place a mesh is compiled and checked. Branch ``k`` sits at the
+    ``(row, col)`` crossing ``crossings[k]``, is named ``tags[k]`` and has
+    the positive ``resistance[k]`` when compiled.
+
     Line ``l`` (rows first, then columns) owns the nodes ``terminal[l]``
     onwards; its bias and a row's rails attach at ``terminal[l]``. Branch
     ``k`` joins node ``cell_col[k]`` on its column to node ``cell_row[k]``
@@ -190,9 +181,26 @@ class NodalCore:
         self.row_set = frozenset(self.rows)
         self.lines = self.rows + self.cols
         self.line_index = {line: k for k, line in enumerate(self.lines)}
+        if len(self.line_index) != len(self.lines):
+            raise ParameterError("line names: rows and cols must be distinct")
         self.crossings = list(crossings)
         self.tags = list(tags)
         self.tag_index = {tag: k for k, tag in enumerate(self.tags)}
+        n_rows = len(self.rows)
+        row_of, col_of = [], []
+        branches = zip(self.crossings, self.tags, resistance.tolist())
+        for k, ((row, col), tag, r) in enumerate(branches):
+            i, j = self.line_index.get(row, n_rows), self.line_index.get(col, -1)
+            if i >= n_rows:
+                raise ParameterError(f"branch {tag}: unknown row {row!r}")
+            if j < n_rows:
+                raise ParameterError(f"branch {tag}: unknown col {col!r}")
+            if not r > 0.0:
+                raise ParameterError(f"branch {tag}: resistance must be positive")
+            if self.tag_index[tag] != k:
+                raise ParameterError(f"branch tag {tag!r} appears twice")
+            row_of.append(i)
+            col_of.append(j)
         if not 0.0 <= line_resistance < math.inf:
             raise ParameterError("line_resistance: must be finite and non-negative")
         # a wire conductance below the float resolution of the branch
@@ -216,8 +224,7 @@ class NodalCore:
             )
         self.line_resistance = line_resistance
         n_lines = len(self.lines)
-        row_of = np.array([self.line_index[r] for r, _ in self.crossings], dtype=np.intp)
-        col_of = np.array([self.line_index[c] for _, c in self.crossings], dtype=np.intp)
+        row_of, col_of = np.array(row_of, dtype=np.intp), np.array(col_of, dtype=np.intp)
         if line_resistance > 0.0:
             # one node per crossing, numbered along the line in branch order
             ends = np.concatenate([row_of, col_of])
@@ -363,75 +370,21 @@ class NodalCore:
             raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
 
 
+@dataclass(frozen=True, eq=False)
 class CrossbarNetwork:
-    """Lines, device branches, drivers and bias of one mesh.
+    """One drive of a compiled mesh: branch resistances, drivers and bias.
 
-    ``drivers`` maps a row to its :class:`RowDriver`; every row it leaves
-    out takes ``idle``, and with ``idle`` None its rails are open.
-    :meth:`on_core` binds resistances (in branch order), drivers, bias and
-    the idle driver to a core compiled earlier instead of compiling one
-    from branches.
+    ``resistance`` follows the core's branch order. ``drivers`` maps a row
+    to its :class:`RowDriver`; every row it leaves out takes ``idle``, and
+    with ``idle`` None its rails are open.
     """
 
-    def __init__(
-        self, rows, cols, branches, drivers=None, bias=None, v_dd=1.2, line_resistance=0.0
-    ):
-        rows, cols, branches = list(rows), list(cols), list(branches)
-        row_set, col_set = set(rows), set(cols)
-        if len(row_set | col_set) != len(rows) + len(cols):
-            raise ParameterError("line names: rows and cols must be distinct")
-        tags = set()
-        for b in branches:
-            if b.row not in row_set:
-                raise ParameterError(f"branch {b.tag}: unknown row {b.row!r}")
-            if b.col not in col_set:
-                raise ParameterError(f"branch {b.tag}: unknown col {b.col!r}")
-            if not b.resistance > 0.0:
-                raise ParameterError(f"branch {b.tag}: resistance must be positive")
-            if b.tag in tags:
-                raise ParameterError(f"branch tag {b.tag!r} appears twice")
-            tags.add(b.tag)
-        resistance = np.array([b.resistance for b in branches], dtype=float)
-        core = NodalCore(
-            rows, cols, [(b.row, b.col) for b in branches], [b.tag for b in branches],
-            line_resistance, resistance,
-        )
-        self._bind(core, resistance, drivers or {}, bias or {}, v_dd, None)
-        self._branches = branches
-
-    @classmethod
-    def on_core(cls, core, resistance, drivers, bias, v_dd, idle=None):
-        net = cls.__new__(cls)
-        net._bind(core, resistance, drivers, bias, v_dd, idle)
-        return net
-
-    def _bind(self, core, resistance, drivers, bias, v_dd, idle):
-        for line, lb in bias.items():
-            if line not in core.line_index:
-                raise ParameterError(f"bias: unknown line {line!r}")
-            if lb.kind == "regulated" and lb.cell not in core.tag_index:
-                raise ParameterError(f"bias {line!r}: unknown cell {lb.cell!r}")
-        for row in drivers:
-            if row not in core.row_set:
-                raise ParameterError(f"driver: {row!r} is not a row")
-        self.core = core
-        self.resistance = resistance
-        self.drivers = drivers
-        self.idle = idle
-        self.bias = bias
-        self.v_dd = v_dd
-        self._branches = None
-
-    rows = property(lambda self: self.core.rows)
-    cols = property(lambda self: self.core.cols)
-    line_resistance = property(lambda self: self.core.line_resistance)
-
-    @property
-    def branches(self):
-        if self._branches is None:
-            values = zip(self.core.crossings, self.resistance.tolist(), self.core.tags)
-            self._branches = [DeviceBranch(row, col, r, tag) for (row, col), r, tag in values]
-        return self._branches
+    core: NodalCore
+    resistance: np.ndarray
+    drivers: dict
+    bias: dict
+    v_dd: float
+    idle: RowDriver | None = None
 
 
 def _rail_pair(driver):
@@ -455,11 +408,14 @@ class AssembledNetwork:
     def __init__(self, net):
         core = self.core = net.core
         self.net = net
-        fixed, volts, self.regulated, cells, targets = [], [], [], [], []
+        fixed, volts, self.regulated, reg_nodes, cells, targets = [], [], [], [], [], []
         self.fixed_lines = []  # the line of each entry of self.fixed
         self.injection = np.zeros(core.n_nodes)  # amps from plain current sources
         for line, lb in net.bias.items():
-            node = core.terminal[core.line_index[line]]
+            index = core.line_index.get(line)
+            if index is None:
+                raise ParameterError(f"bias: unknown line {line!r}")
+            node = core.terminal[index]
             if lb.kind == "voltage":
                 self.fixed_lines.append(line)
                 fixed.append(node)
@@ -467,13 +423,17 @@ class AssembledNetwork:
             elif lb.kind == "current":
                 self.injection[node] += lb.value
             elif lb.kind == "regulated":
+                cell = core.tag_index.get(lb.cell)
+                if cell is None:
+                    raise ParameterError(f"bias {line!r}: unknown cell {lb.cell!r}")
                 self.regulated.append(line)
-                cells.append(core.tag_index[lb.cell])
+                reg_nodes.append(node)
+                cells.append(cell)
                 targets.append(lb.value)
         k = len(self.regulated)
         self.fixed = np.array(fixed, dtype=np.intp)
         self.fixed_volts = np.array(volts)
-        self.reg_nodes = core.terminal[[core.line_index[line] for line in self.regulated]]
+        self.reg_nodes = np.array(reg_nodes, dtype=np.intp)
         self.reg_cells = np.array(cells, dtype=np.intp)
         self.reg_targets = np.array(targets)
         # column 0 is the base drive, column 1 + j a unit injection at regulated line j
@@ -485,6 +445,8 @@ class AssembledNetwork:
         n_rows = len(core.rows)
         table = np.tile(_rail_pair(net.idle), (n_rows, 1))
         for row, driver in net.drivers.items():
+            if row not in core.row_set:
+                raise ParameterError(f"driver: {row!r} is not a row")
             k = 2 * core.line_index[row]
             table[k : k + 2] = _rail_pair(driver)
         self.rail_r, self.rail_isat = table.T
@@ -641,7 +603,7 @@ class NetworkSolution:
     """Operating point: node potentials and device currents in core order.
 
     ``rail_currents`` holds each row's pull-up then pull-down current, in
-    ``driver_rows`` order: every row of the core, an open rail carrying 0.
+    the core's row order: every row, an open rail carrying 0.
     """
 
     core: NodalCore
@@ -652,8 +614,6 @@ class NetworkSolution:
     clamped: frozenset
     kcl_residual: float
 
-    driver_rows = property(lambda self: self.core.rows)
-
     @cached_property
     def device_currents(self):
         return dict(zip(self.core.tags, self.currents.tolist()))
@@ -661,42 +621,11 @@ class NetworkSolution:
     @cached_property
     def transistor_currents(self):
         per_row = self.rail_currents.reshape(-1, 2).sum(axis=1)  # pull-up plus pull-down
-        return dict(zip(self.driver_rows, per_row.tolist()))
+        return dict(zip(self.core.rows, per_row.tolist()))
 
     @cached_property
     def line_voltages(self):
         return dict(zip(self.core.lines, self.volts[self.core.terminal].tolist()))
-
-
-@dataclass(frozen=True)
-class SneakReport:
-    """Current budget of one driven column: addressed branch vs the rest."""
-
-    main: float
-    sneak_sum: float
-    per_path: dict  # unselected row -> current leaving the column there
-
-
-def sneak_decomposition(net, solution, row, col):
-    """Split a column's current into the addressed branch and sneak branches.
-
-    Every parasitic path out of a driven column starts at one of the
-    column's own unselected crossings, so grouping by first hop is a
-    complete and disjoint decomposition of the sneak current.
-    """
-    main = None
-    per_path = {}
-    for b in net.branches:
-        if b.col != col:
-            continue
-        i = solution.device_currents[b.tag]
-        if b.row == row:
-            main = i
-        else:
-            per_path[b.row] = per_path.get(b.row, 0.0) + i
-    if main is None:
-        raise ParameterError(f"no branch at crossing ({row!r}, {col!r})")
-    return SneakReport(main=main, sneak_sum=sum(per_path.values()), per_path=per_path)
 
 
 def equivalent_resistance(net, line_a, line_b):
@@ -706,9 +635,12 @@ def equivalent_resistance(net, line_a, line_b):
     by injecting a unit current at ``line_a`` with ``line_b`` grounded.
     Returns ``math.inf`` when no conducting path exists.
     """
+    core = net.core
+    for line in (line_a, line_b):
+        if line not in core.line_index:
+            raise ParameterError(f"equivalent_resistance: unknown line {line!r}")
     if line_a == line_b:
         return 0.0
-    core = net.core
     component = dict(zip(core.lines, core.labels[core.terminal].tolist()))
     if component[line_a] != component[line_b]:
         return math.inf
@@ -717,5 +649,5 @@ def equivalent_resistance(net, line_a, line_b):
     bias = {line: ground for line, c in component.items() if c != component[line_a]}
     bias[line_b] = ground
     bias[line_a] = LineBias.current(1.0)
-    solution = solve_network(CrossbarNetwork.on_core(core, net.resistance, {}, bias, net.v_dd))
+    solution = solve_network(CrossbarNetwork(core, net.resistance, {}, bias, net.v_dd))
     return solution.line_voltages[line_a]

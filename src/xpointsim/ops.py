@@ -123,14 +123,7 @@ class WriteRequest:
     mode: WriteMode = WriteMode.PARALLEL
 
     def validate(self, array):
-        array.word_row(self.word_addr)
-        if len(self.data) != array.n_bits:
-            raise ParameterError(
-                f"data: expected {array.n_bits} bits, got {len(self.data)}"
-            )
-        for ch in self.data:
-            if ch not in "01":
-                raise ParameterError(f"data: invalid bit character {ch!r}")
+        array.check_data(self.word_addr, self.data)
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,9 @@ def test_set_word_validation():
         arr.set_word(0, "101")
     with pytest.raises(ParameterError, match="data"):
         arr.set_word(0, "10x1")
+    # the word is checked first, as for a write request
+    with pytest.raises(ParameterError, match="word_addr"):
+        arr.set_word(9, "101")
 
 
 def test_set_word_checks_the_whole_string_before_storing():
@@ -195,14 +198,14 @@ def test_rows_left_unselected_carry_the_idle_selector():
     bias = {seg: LineBias.voltage(0.3) for seg in arr.segments}
     net = arr.to_network(bias, drivers)
     # the same read with every row's driver spelled out and no idle driver
-    every_row = {row: drivers.get(row, RowDriver(arr.row_driver_model)) for row in net.rows}
-    spelled = CrossbarNetwork.on_core(net.core, net.resistance, every_row, bias, net.v_dd)
+    every_row = {row: drivers.get(row, RowDriver(arr.row_driver_model)) for row in net.core.rows}
+    spelled = CrossbarNetwork(net.core, net.resistance, every_row, bias, net.v_dd)
     assert spelled.idle is None
     assert np.array_equal(solve_network(net).volts, solve_network(spelled).volts)
     # the idle selector follows a replaced word-selector model
     arr.row_driver_model = TransistorModel(r_on=500.0, r_off=1e8, i_sat=1e-3)
     asm = build_network(arr.to_network(bias, select_word(arr, 1, "read")))
-    rail_r = dict(zip(net.rows, asm.rail_r.reshape(-1, 2).tolist()))
+    rail_r = dict(zip(net.core.rows, asm.rail_r.reshape(-1, 2).tolist()))
     assert rail_r["w0"] == rail_r["ref_e"] == [1e8, 1e8]
     assert rail_r["w1"] == [1e8, 500.0]
 
@@ -240,9 +243,9 @@ def test_network_tags_are_row_colon_segment():
     arr = CrossbarArray(2, 2)
     assert arr.tag("w0", "b1e") == "w0:b1e"
     net = arr.to_network({}, {})
-    tags = {b.tag for b in net.branches}
+    tags = set(net.core.tags)
     assert "w0:b0e" in tags and "ref_o:b0e" in tags
-    assert len(tags) == len(net.branches)
+    assert len(tags) == len(net.core.tags)
 
 
 def test_single_bit_array_works():
@@ -254,7 +257,7 @@ def test_single_bit_array_works():
 
 def test_line_resistance_flows_into_network():
     arr = CrossbarArray(2, 2, line_resistance=5.0)
-    assert arr.to_network({}, {}).line_resistance == 5.0
+    assert arr.to_network({}, {}).core.line_resistance == 5.0
     assert math.isfinite(arr.row_driver_model.r_off)
 
 

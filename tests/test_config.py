@@ -208,10 +208,12 @@ def test_section_defaults_are_the_models_defaults():
             "[transistor]\nr_on = 1000\nr_off = 1e9\ni_sat = 1e-3\n",
             "dynamics.rate_per_amp: ",
         ),
+        ("[device]\nra_ohm_um2 = 5e-324\nsurface_nm2 = 2e6\n", "device.ra_ohm_um2: "),
     ],
 )
 def test_underflowing_write_current_is_a_config_error(text, first):
-    # the write current, or the product the rate fit divides by, is 0
+    # the write current, the product the rate fit divides by, or the
+    # junction resistance is 0
     (err,) = errors_of(text)
     assert err.startswith(first)
 
@@ -348,6 +350,12 @@ def test_switch_sized_above_its_off_resistance_names_r_on(text):
     assert err.endswith("not below the 1e+09 ohm off resistance"), err
 
 
+def test_switch_is_sized_against_the_files_off_resistance():
+    (err,) = errors_of("[transistor]\nr_on = auto\nr_off = 1000\n")
+    assert err.startswith("transistor.r_on: sized to "), err
+    assert err.endswith("not below the 1000 ohm off resistance"), err
+
+
 def test_every_bad_device_key_is_reported():
     errs = errors_of("[device]\ntmr = -1\nsurface_nm2 = -1\nra_ohm_um2 = 0\n")
     assert errs == [
@@ -419,6 +427,17 @@ def test_build_transistor_sentinels():
     assert built.r_off == 5e8
     assert built.r_on == base.r_on
     assert built.i_sat == base.i_sat
+
+    # an auto r_on is sized against the file's r_off, not against 1e9 ohm
+    partial = parse_config("[transistor]\nr_off = 1e12\n[drive]\nwrite_overdrive = 1e-6\n")
+    built = build_transistor(partial)
+    assert built.r_off == 1e12
+    assert built.r_on < built.r_off
+
+    # a given r_on is not held to the sizing's bound; only i_sat is sized
+    partial = parse_config("[transistor]\nr_on = 100\nr_off = 1000\n")
+    base = TransistorModel.default_for(build_device(partial))
+    assert build_transistor(partial) == TransistorModel(100, 1000, base.i_sat)
 
 
 def test_build_architecture_cross_module_consistency():

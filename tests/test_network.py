@@ -23,12 +23,11 @@ from xpointsim import network
 from xpointsim.errors import InvariantError, ParameterError, SingularNetworkError
 from xpointsim.network import (
     CrossbarNetwork,
-    DeviceBranch,
     LineBias,
+    NodalCore,
     RowDriver,
     build_network,
     equivalent_resistance,
-    sneak_decomposition,
     solve_network,
 )
 from xpointsim import ops
@@ -39,58 +38,72 @@ R_P = mtj_resistance(MtjState.P, PARAMS)
 R_AP = mtj_resistance(MtjState.AP, PARAMS)
 
 
+def compile_network(rows, cols, branches, bias=None, drivers=None, v_dd=1.2, line_resistance=0.0):
+    """A network over ``(row, col, resistance, tag)`` branches, in that order."""
+    resistance = np.array([r for _, _, r, _ in branches], dtype=float)
+    core = NodalCore(
+        rows, cols, [(row, col) for row, col, _, _ in branches], [tag for *_, tag in branches],
+        line_resistance, resistance,
+    )
+    return CrossbarNetwork(core, resistance, drivers or {}, bias or {}, v_dd)
+
+
 def grid_network(states, bias, drivers=None, v_dd=1.2, line_resistance=0.0, skip=()):
     """Full m x n grid with given device states ('P'/'AP' strings)."""
     m, n = len(states), len(states[0])
-    rows = [f"w{i}" for i in range(m)]
-    cols = [f"b{j}" for j in range(n)]
-    branches = []
-    for i in range(m):
-        for j in range(n):
-            if (i, j) in skip:
-                continue
-            r = R_P if states[i][j] == "P" else R_AP
-            branches.append(DeviceBranch(row=f"w{i}", col=f"b{j}", resistance=r, tag=f"w{i}b{j}"))
-    return CrossbarNetwork(
-        rows=rows,
-        cols=cols,
-        branches=branches,
-        drivers=drivers or {},
-        bias=bias,
-        v_dd=v_dd,
-        line_resistance=line_resistance,
+    branches = [
+        (f"w{i}", f"b{j}", R_P if states[i][j] == "P" else R_AP, f"w{i}b{j}")
+        for i in range(m)
+        for j in range(n)
+        if (i, j) not in skip
+    ]
+    return compile_network(
+        [f"w{i}" for i in range(m)], [f"b{j}" for j in range(n)], branches,
+        bias, drivers, v_dd, line_resistance,
     )
+
+
+def net_branches(net):
+    """``(row, col, resistance, tag)`` of each branch, in core order."""
+    values = zip(net.core.crossings, net.resistance.tolist(), net.core.tags)
+    return [(row, col, r, tag) for (row, col), r, tag in values]
+
+
+def column_currents(net, sol, col):
+    """Current of each branch on ``col``, by its row."""
+    return {row: sol.device_currents[tag] for row, c, _, tag in net_branches(net) if c == col}
 
 
 def oracle_description(net):
     """Re-derive the raw component list for the oracle solver."""
+    core = net.core
     resistors = []
     fixed = {}
     injected = {}
-    crossings_per_row = {r: [] for r in net.rows}
-    crossings_per_col = {c: [] for c in net.cols}
-    for b in net.branches:
-        crossings_per_row[b.row].append(b.col)
-        crossings_per_col[b.col].append(b.row)
+    crossings_per_row = {r: [] for r in core.rows}
+    crossings_per_col = {c: [] for c in core.cols}
+    for row, col in core.crossings:
+        crossings_per_row[row].append(col)
+        crossings_per_col[col].append(row)
 
     def node(line, other, per_line):
-        if net.line_resistance == 0.0:
+        if core.line_resistance == 0.0:
             return line
         return (line, per_line[line].index(other))
 
-    if net.line_resistance > 0.0:
+    if core.line_resistance > 0.0:
         for line, others in list(crossings_per_row.items()) + list(crossings_per_col.items()):
             for k in range(len(others) - 1):
-                resistors.append(((line, k), (line, k + 1), net.line_resistance))
+                resistors.append(((line, k), (line, k + 1), core.line_resistance))
 
     def terminal(line):
-        return line if net.line_resistance == 0.0 else (line, 0)
+        return line if core.line_resistance == 0.0 else (line, 0)
 
-    for b in net.branches:
+    for (row, col), r, _ in zip(core.crossings, net.resistance.tolist(), core.tags):
         resistors.append(
-            (node(b.row, b.col, crossings_per_row), node(b.col, b.row, crossings_per_col), b.resistance)
+            (node(row, col, crossings_per_row), node(col, row, crossings_per_col), r)
         )
-    for row in net.rows:
+    for row in core.rows:
         drv = net.drivers.get(row, net.idle)
         if drv is None:
             continue
@@ -110,22 +123,23 @@ def assert_matches_oracle(net, rel=1e-9, floor=1e-9):
     sol = solve_network(net)
     resistors, fixed, injected = oracle_description(net)
     volts = solve_nodes(resistors, fixed, injected)
-    crossings_per_row = {r: [] for r in net.rows}
-    crossings_per_col = {c: [] for c in net.cols}
-    for b in net.branches:
-        crossings_per_row[b.row].append(b.col)
-        crossings_per_col[b.col].append(b.row)
+    core = net.core
+    crossings_per_row = {r: [] for r in core.rows}
+    crossings_per_col = {c: [] for c in core.cols}
+    for row, col in core.crossings:
+        crossings_per_row[row].append(col)
+        crossings_per_col[col].append(row)
     # abs floor: below ``floor`` amps both solvers are returning float noise
     scale = max(max(abs(i) for i in sol.device_currents.values()), floor)
-    for b in net.branches:
-        if net.line_resistance == 0.0:
-            na, nb = b.col, b.row
+    for row, col, r, tag in net_branches(net):
+        if core.line_resistance == 0.0:
+            na, nb = col, row
         else:
-            na = (b.col, crossings_per_col[b.col].index(b.row))
-            nb = (b.row, crossings_per_row[b.row].index(b.col))
-        want = branch_current(volts, na, nb, b.resistance)
-        got = sol.device_currents[b.tag]
-        assert got == pytest.approx(want, rel=rel, abs=rel * scale), b.tag
+            na = (col, crossings_per_col[col].index(row))
+            nb = (row, crossings_per_row[row].index(col))
+        want = branch_current(volts, na, nb, r)
+        got = sol.device_currents[tag]
+        assert got == pytest.approx(want, rel=rel, abs=rel * scale), tag
     assert sol.kcl_residual < 1e-12
     return sol
 
@@ -214,24 +228,10 @@ class TestOracleEquivalence:
         rng = random.Random(99)
         for _ in range(20):
             net = random_case(rng)
-            doubled = CrossbarNetwork(
-                rows=net.rows,
-                cols=net.cols,
-                branches=net.branches,
-                drivers={},  # transistor rails would break pure scaling
-                bias={k: LineBias(kind=v.kind, value=2.0 * v.value) for k, v in net.bias.items()},
-                v_dd=net.v_dd,
-                line_resistance=net.line_resistance,
-            )
-            base = CrossbarNetwork(
-                rows=net.rows,
-                cols=net.cols,
-                branches=net.branches,
-                drivers={},
-                bias=net.bias,
-                v_dd=net.v_dd,
-                line_resistance=net.line_resistance,
-            )
+            # transistor rails would break pure scaling
+            twice = {k: LineBias(kind=v.kind, value=2.0 * v.value) for k, v in net.bias.items()}
+            doubled = CrossbarNetwork(net.core, net.resistance, {}, twice, net.v_dd)
+            base = CrossbarNetwork(net.core, net.resistance, {}, net.bias, net.v_dd)
             if not any(v.kind == "voltage" for v in net.bias.values()):
                 continue
             a = solve_network(base)
@@ -365,18 +365,17 @@ class TestDriveTables:
         bias = {"b0": LineBias.voltage(0.4), "b2": LineBias.current(5e-5)}
         core_net = grid_network(states, bias, line_resistance=line_resistance)
         for label, drivers, v_dd in self.variants():
-            net = CrossbarNetwork.on_core(core_net.core, core_net.resistance, drivers, bias, v_dd)
-            assert net.core is core_net.core
+            net = CrossbarNetwork(core_net.core, core_net.resistance, drivers, bias, v_dd)
             sol = assert_matches_oracle(net)
-            assert list(sol.driver_rows) == net.rows, label
-            for row in set(net.rows) - set(drivers):
+            assert list(sol.transistor_currents) == net.core.rows, label
+            for row in set(net.core.rows) - set(drivers):
                 assert sol.transistor_currents[row] == 0.0, (label, row)
 
     def test_driver_must_name_a_row(self):
-        core_net = grid_network([["P", "AP"], ["AP", "P"]], {"b0": LineBias.voltage(0.4)})
         drivers = {"b0": RowDriver(self.LIGHT, nmos_on=True)}
+        net = grid_network([["P", "AP"], ["AP", "P"]], {"b0": LineBias.voltage(0.4)}, drivers=drivers)
         with pytest.raises(ParameterError, match="'b0'"):
-            CrossbarNetwork.on_core(core_net.core, core_net.resistance, drivers, {}, 1.2)
+            build_network(net)
 
 
 # the single connectivity check, with and without line expansion, and with
@@ -461,27 +460,28 @@ class TestBiasKinds:
 class TestInputChecks:
     @staticmethod
     def bound(bias):
-        core_net = grid_network([["P", "AP"], ["AP", "P"]], {})
-        return CrossbarNetwork.on_core(core_net.core, core_net.resistance, {}, bias, 1.2)
+        return build_network(grid_network([["P", "AP"], ["AP", "P"]], bias))
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: CrossbarNetwork(["w0"], ["w0"], []),
+        (lambda: compile_network(["w0"], ["w0"], []),
          "line names: rows and cols must be distinct"),
-        (lambda: CrossbarNetwork(["w0"], ["b0"], [DeviceBranch("w1", "b0", R_P, "t")]),
+        (lambda: compile_network(["w0"], ["b0"], [("w1", "b0", R_P, "t")]),
          "branch t: unknown row 'w1'"),
-        (lambda: CrossbarNetwork(["w0"], ["b0"], [DeviceBranch("w0", "b1", R_P, "t")]),
+        (lambda: compile_network(["w0"], ["b0"], [("w0", "b1", R_P, "t")]),
          "branch t: unknown col 'b1'"),
-        (lambda: CrossbarNetwork(["w0"], ["b0"], [DeviceBranch("w0", "b0", 0.0, "t")]),
+        (lambda: compile_network(["w0"], ["b0"], [("w0", "b0", 0.0, "t")]),
          "branch t: resistance must be positive"),
-        (lambda: CrossbarNetwork(["w0"], ["b0"], [DeviceBranch("w0", "b0", math.nan, "t")]),
+        (lambda: compile_network(["w0"], ["b0"], [("w0", "b0", math.nan, "t")]),
          "branch t: resistance must be positive"),
-        (lambda: CrossbarNetwork(["w0"], ["b0", "b1"], [
-            DeviceBranch("w0", "b0", R_P, "t"), DeviceBranch("w0", "b1", R_P, "t")]),
+        (lambda: compile_network(["w0"], ["b0", "b1"], [
+            ("w0", "b0", R_P, "t"), ("w0", "b1", R_P, "t")]),
          "branch tag 't' appears twice"),
         (lambda: TestInputChecks.bound({"b9": LineBias.voltage(0.3)}),
          "bias: unknown line 'b9'"),
         (lambda: TestInputChecks.bound({"b0": LineBias.regulated("w9b0", 1e-4)}),
          "bias 'b0': unknown cell 'w9b0'"),
+        (lambda: equivalent_resistance(grid_network([["P", "AP"], ["AP", "P"]], {}), "b9", "w0"),
+         "equivalent_resistance: unknown line 'b9'"),
         (lambda: LineBias("voltage", 0.3, cell="w0b0"),
          "bias cell: names the branch of a regulated source only"),
         (lambda: LineBias("regulated", 1e-4),
@@ -489,7 +489,7 @@ class TestInputChecks:
     ], ids=[
         "shared-line", "unknown-row", "unknown-col", "zero-resistance", "nan-resistance",
         "duplicate-tag", "bias-unknown-line", "regulated-unknown-cell",
-        "cell-on-voltage", "regulated-without-cell",
+        "resistance-unknown-line", "cell-on-voltage", "regulated-without-cell",
     ])
     def test_bad_input_is_named(self, build, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
@@ -536,9 +536,11 @@ class TestSneakStructure:
         sol = assert_matches_oracle(net)
         assert sol.device_currents["w0b0"] == pytest.approx(0.3 / R_P, rel=1e-12)
         assert sol.device_currents["w1b0"] == pytest.approx(0.3 / (3 * R_P), rel=1e-12)
-        rep = sneak_decomposition(net, sol, "w0", "b0")
-        assert rep.main == pytest.approx(0.3 / R_P, rel=1e-12)
-        assert rep.sneak_sum == pytest.approx(0.3 / (3 * R_P), rel=1e-12)
+        # the column's current splits into the addressed branch and the sneak
+        # branches, each the first hop of one parasitic path
+        through = column_currents(net, sol, "b0")
+        assert through.pop("w0") == pytest.approx(0.3 / R_P, rel=1e-12)
+        assert sum(through.values()) == pytest.approx(0.3 / (3 * R_P), rel=1e-12)
 
     def test_two_by_two_sneak_only_equivalent_resistance(self):
         net = grid_network([["P", "P"], ["P", "P"]], {}, skip={(0, 0)})
@@ -569,9 +571,9 @@ class TestSneakStructure:
         # measured component and must be grounded for the solve to anchor it
         states = [["P", "AP"], ["AP", "P"]]
         grid = grid_network(states, {}, line_resistance=line_resistance)
-        open_row = [DeviceBranch("wx", f"b{j}", math.inf, f"wxb{j}") for j in range(2)]
-        net = CrossbarNetwork(
-            ["w0", "wx", "w1"], ["b0", "b1"], grid.branches + open_row,
+        open_row = [("wx", f"b{j}", math.inf, f"wxb{j}") for j in range(2)]
+        net = compile_network(
+            ["w0", "wx", "w1"], ["b0", "b1"], net_branches(grid) + open_row,
             line_resistance=line_resistance,
         )
         for a, b in (("b0", "w0"), ("b1", "w0"), ("w1", "b0")):
@@ -600,7 +602,7 @@ class TestSneakStructure:
     @given(seed=st.integers(0, 2**32 - 1), wired=st.booleans())
     def test_reciprocity_every_pair(self, seed, wired):
         net = random_case(random.Random(seed), wired)
-        lines = net.rows + net.cols
+        lines = net.core.lines
         for k, a in enumerate(lines):
             for b in lines[k + 1:]:
                 ab, ba = equivalent_resistance(net, a, b), equivalent_resistance(net, b, a)
@@ -623,9 +625,9 @@ class TestSneakStructure:
         bias["w0"] = LineBias.voltage(0.0)
         states = [["P", "AP", "P", "AP"] for _ in range(4)]
         net = grid_network(states, bias)
-        sol = solve_network(net)
-        rep = sneak_decomposition(net, sol, "w0", "b0")
-        assert abs(rep.sneak_sum) < 1e-12 * abs(rep.main)
+        through = column_currents(net, solve_network(net), "b0")
+        main = through.pop("w0")
+        assert abs(sum(through.values())) < 1e-12 * abs(main)
 
     def test_sneak_grows_with_floating_lines(self):
         states = [["P", "AP", "P", "AP"] for _ in range(4)]
@@ -637,19 +639,22 @@ class TestSneakStructure:
                     bias[f"b{j}"] = LineBias.voltage(0.3)
             net = grid_network(states, bias)
             sol = solve_network(net)
-            rep = sneak_decomposition(net, sol, "w0", "b0")
-            assert rep.sneak_sum == pytest.approx(
-                sum(rep.per_path.values()), rel=1e-12, abs=1e-18
-            )
-            sums.append(rep.sneak_sum)
+            through = column_currents(net, sol, "b0")
+            main = through.pop("w0")
+            sneak = sum(through.values())
+            # the addressed branch and the sneak branches carry all the
+            # current the column's source supplies
+            assert sol.source_currents["b0"] == pytest.approx(main + sneak, rel=1e-12, abs=1e-18)
+            sums.append(sneak)
         assert sums[0] < sums[1] < sums[2] < sums[3]
 
     def test_uniform_array_symmetric_paths(self):
         bias = {"w0": LineBias.voltage(0.0), "b0": LineBias.voltage(0.3)}
         net = grid_network([["P"] * 4 for _ in range(4)], bias)
-        sol = solve_network(net)
-        rep = sneak_decomposition(net, sol, "w0", "b0")
-        values = list(rep.per_path.values())
+        through = column_currents(net, solve_network(net), "b0")
+        del through["w0"]
+        values = list(through.values())
+        assert len(values) == 3
         assert all(v == pytest.approx(values[0], rel=1e-9) for v in values)
 
 
@@ -665,8 +670,8 @@ def power_balance(net, sol):
     va, vb = v[core.edge_a], v[core.edge_b]
     g = 1.0 / np.concatenate([net.resistance, core.wire_r])
     edge_i = np.concatenate([sol.currents, ((va - vb) * g)[len(sol.currents):]])
-    rail_v = np.tile([net.v_dd, 0.0], len(sol.driver_rows))
-    row_v = np.repeat([sol.line_voltages[row] for row in sol.driver_rows], 2)
+    rail_v = np.tile([net.v_dd, 0.0], len(core.rows))
+    row_v = np.repeat([sol.line_voltages[row] for row in core.rows], 2)
     sources = [sol.line_voltages[line] * i for line, i in sol.source_currents.items()]
     supplied = sum(sources) + (rail_v * sol.rail_currents).sum()
     dissipated = ((va - vb) * edge_i).sum() + ((rail_v - row_v) * sol.rail_currents).sum()
@@ -717,17 +722,17 @@ class TestRegulatedSources:
         net = arr.to_network(fixed_drive, drivers)
         resistors, fixed, injected = oracle_description(net)
         volts = solve_nodes(resistors, fixed, injected)
-        crossings = {line: [] for line in net.rows + net.cols}
-        for b in net.branches:
-            crossings[b.row].append(b.col)
-            crossings[b.col].append(b.row)
-        for b in net.branches:
-            if b.tag not in cells.values():
+        crossings = {line: [] for line in net.core.lines}
+        for row, col in net.core.crossings:
+            crossings[row].append(col)
+            crossings[col].append(row)
+        for row, col, r, tag in net_branches(net):
+            if tag not in cells.values():
                 continue
-            col_node = (b.col, crossings[b.col].index(b.row))
-            row_node = (b.row, crossings[b.row].index(b.col))
-            current = branch_current(volts, col_node, row_node, b.resistance)
-            assert current == pytest.approx(arr.write_current, rel=1e-10, abs=0.0), b.tag
+            col_node = (col, crossings[col].index(row))
+            row_node = (row, crossings[row].index(col))
+            current = branch_current(volts, col_node, row_node, r)
+            assert current == pytest.approx(arr.write_current, rel=1e-10, abs=0.0), tag
 
 
 class TestSourceBookkeeping:
@@ -736,13 +741,11 @@ class TestSourceBookkeeping:
         for _ in range(20):
             net = random_case(rng)
             sol = solve_network(net)
-            for col in net.cols:
+            for col in net.core.cols:
                 lb = net.bias.get(col)
                 if lb is None:
                     continue
-                through = sum(
-                    sol.device_currents[b.tag] for b in net.branches if b.col == col
-                )
+                through = sum(column_currents(net, sol, col).values())
                 assert sol.source_currents[col] == pytest.approx(
                     through, rel=1e-9, abs=1e-15
                 )
