@@ -22,9 +22,9 @@ Reference cells are larger junctions sized so their resistance sits at the
 midpoint between the two data states; they stay parallel and never switch.
 
 The plain (unbalanced) layout is a bare grid with one column per bit and
-no reference rows; it exists for sneak-path studies and density estimates,
-and its reads fall back to a two-cycle behavioural comparison against an
-ideal midpoint resistor.
+no reference rows or words; it exists for sneak-path studies and density
+estimates, and its reads compare against the ideal reference branch
+(``ideal_reference_resistance``) in a second, behavioural cycle.
 
 Cell numbering: cell ``k = word * n_bits + bit`` is the data cell of
 (word, bit); the reference cells follow the data cells. This is the order
@@ -260,10 +260,6 @@ class CrossbarArray:
             self._core, self.resistances, drivers, bias, self.v_dd,
             idle=RowDriver(self.row_driver_model),
         )
-
-    def ideal_branch_resistance(self, state):
-        """Series resistance of one isolated sense branch in a given state."""
-        return mtj_resistance(state, self.params) + self.row_driver_model.r_on
 
     def ideal_reference_resistance(self):
         return reference_branch_resistance(

@@ -48,7 +48,8 @@ Sections and keys, with defaults:
     ``word_addr`` (0); ``data``: a bit string or ``random``; ``mode``:
     ``parallel`` | ``serial`` | ``self_enable_serial`` |
     ``self_enable_parallel``; ``sweep_n_bits`` and ``sweep_m_words``:
-    comma-separated integers, ``a..b`` inclusive ranges allowed.
+    comma-separated integers, ``a..b`` inclusive ranges allowed, at most
+    4096 entries each and 4096 points in their grid.
 
 ``parse_config`` fully validates the scenario, including the device and
 drive invariants of the underlying models, before anything is simulated.
@@ -132,6 +133,9 @@ def _data(raw):
     return stripped
 
 
+_SWEEP_CAP = 4096  # entries per sweep list and points per sweep grid
+
+
 def _int_list(raw):
     out = []
     for part in raw.split(","):
@@ -143,9 +147,12 @@ def _int_list(raw):
             lo, hi = _int(lo_s), _int(hi_s)
             if hi < lo:
                 raise ValueError(f"empty range {part!r}")
-            out.extend(range(lo, hi + 1))
         else:
-            out.append(_int(part))
+            lo = hi = _int(part)
+        # sized from the bounds, so an oversized range is never built
+        if len(out) + hi - lo + 1 > _SWEEP_CAP:
+            raise ValueError(f"more than {_SWEEP_CAP} entries")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ValueError(f"expected at least one integer, got {raw!r}")
     return tuple(out)
@@ -320,14 +327,8 @@ def _cross_validate(cfg, flagged):
     errors = []
     arr, tr, op = cfg.array, cfg.transistor, cfg.operation
     if arr.balanced and arr.m_words >= 1 and arr.m_words % 2 != 0:
-        errors.append(
-            "array.m_words: the balanced layout needs an even word count"
-        )
-    if (
-        isinstance(tr.r_on, float)
-        and isinstance(tr.r_off, float)
-        and tr.r_off <= tr.r_on
-    ):
+        errors.append("array.m_words: the balanced layout needs an even word count")
+    if all(isinstance(r, float) for r in (tr.r_on, tr.r_off)) and tr.r_off <= tr.r_on:
         errors.append("transistor.r_off: must exceed r_on")
     # the derived models can fail (a 0 ohm junction, no voltage headroom at the
     # requested operating point, a threshold current the rate fit cannot use):
@@ -345,6 +346,10 @@ def _cross_validate(cfg, flagged):
                 errors.append(f"{section}.{exc}")
                 break
 
+    if len(op.sweep_n_bits) * len(op.sweep_m_words) > _SWEEP_CAP:
+        errors.append(
+            f"operation.sweep_m_words: more than {_SWEEP_CAP} sweep points with sweep_n_bits"
+        )
     if op.word_addr < 0 or (arr.m_words >= 1 and op.word_addr >= arr.m_words):
         errors.append(
             f"operation.word_addr: must be in [0, {arr.m_words}) "
@@ -459,6 +464,7 @@ def build_architecture(cfg):
     return ArchitectureConfig(
         n_bits=cfg.array.n_bits,
         m_words=cfg.array.m_words,
+        balanced=cfg.array.balanced,
         v_dd=cfg.drive.v_dd,
         **dataclasses.asdict(cfg.architecture),
     )

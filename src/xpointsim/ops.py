@@ -41,6 +41,8 @@ reduces to data resistance versus reference resistance. The cycle time is
 fixed by the slowest deciding branch, the reference branch. The plain
 layout has no reference rows: it compares against the ideal reference
 branch resistance instead and spends a second cycle on the compare.
+:func:`read_cycle_time` is the one sense clock of both layouts; the
+closed-form models of :mod:`xpointsim.perf` charge a read the same time.
 
 Energy bookkeeping: the supply current of an interval is the summed
 magnitude of the regulated source currents (writes) or of the driven
@@ -171,6 +173,7 @@ class SenseResult:
     sense_delay: float
     branch_currents: tuple  # (data, reference) A per bit
     per_bit_delay: tuple
+    source_currents: dict  # driven segment -> A, as the read's solve returned them
 
 
 @dataclass(frozen=True)
@@ -397,8 +400,9 @@ def _read_before_write(array, drive, trace, word_addr):
     """Sense the stored word as the first phase of a self-enable write."""
     trace.open_phase("read-before-write", drive.setup_time_s)
     sense = read_word(array, word_addr, drive)
-    currents = _read_currents_by_segment(array, word_addr, sense)
-    supply = sum(a + b for a, b in sense.branch_currents)
+    currents = sense.source_currents
+    # bit by bit, as the balanced sense amplifiers pair data and reference
+    supply = sum(sum(map(currents.get, array.segments_for_bit(j))) for j in range(array.n_bits))
     trace.sample(currents, supply)
     trace.t += sense.sense_delay
     trace.close_phase(currents, supply, 0.0)
@@ -472,10 +476,10 @@ def halving_time(r_ohm, c_f):
     return r_ohm * c_f * LN2
 
 
-def read_cycle_time(array, drive=None):
-    """Fixed sense clock: the halving time of the reference branch."""
-    drive = drive or DriveConfig()
-    return halving_time(array.ideal_reference_resistance(), drive.c_load_f)
+def read_cycle_time(r_ref_branch, c_load_f, balanced):
+    """Time to sense one read: the halving time of the reference branch,
+    twice on the plain layout, which spends a second cycle on the compare."""
+    return (1 if balanced else 2) * halving_time(r_ref_branch, c_load_f)
 
 
 def _read_solution(array, word_addr, drive, driven_bits=None):
@@ -504,16 +508,6 @@ def _assert_no_read_disturb(array, sol):
         )
 
 
-def _read_currents_by_segment(array, word_addr, sense):
-    currents = {}
-    for j in range(array.n_bits):
-        i_data, i_ref = sense.branch_currents[j]
-        currents[array.host_segment(word_addr, j)] = i_data
-        if array.balanced:
-            currents[array.sibling_segment(word_addr, j)] = i_ref
-    return currents
-
-
 def read_word(array, word_addr, drive=None):
     """Sense all bits of one word.
 
@@ -528,11 +522,7 @@ def read_word(array, word_addr, drive=None):
     drive = drive or DriveConfig()
     sol = _read_solution(array, word_addr, drive)
     _assert_no_read_disturb(array, sol)
-    if array.balanced:
-        cycles = 1
-    else:
-        cycles = 2
-        r_ideal = array.ideal_reference_resistance()
+    r_ideal = array.ideal_reference_resistance()
 
     bits = []
     margins = []
@@ -566,9 +556,10 @@ def read_word(array, word_addr, drive=None):
     return SenseResult(
         bits="".join(bits),
         per_bit_margin=tuple(margins),
-        sense_delay=cycles * read_cycle_time(array, drive),
+        sense_delay=read_cycle_time(r_ideal, drive.c_load_f, array.balanced),
         branch_currents=tuple(currents),
         per_bit_delay=tuple(delays),
+        source_currents=sol.source_currents,
     )
 
 
@@ -581,22 +572,18 @@ def compare_sensing_power(array, word_addr, drive=None):
     Serial sensing floats the idle columns, so each sub-cycle's source
     current picks up sneak current on top of the branch currents; parallel
     sensing drives every column and suppresses the sneak entirely. Both
-    modes are charged the same fixed cycle time per sense.
+    modes are charged the read's sense time per sense.
     """
     drive = drive or DriveConfig()
     if not array.balanced:
         raise ParameterError("compare_sensing_power: needs the balanced layout")
-    t_cycle = read_cycle_time(array, drive)
-    v_dd = array.v_dd
-
     sense = read_word(array, word_addr, drive)
+    t_cycle, v_dd = sense.sense_delay, array.v_dd
     e_parallel = []
     e_serial = []
     for j, (i_data, i_ref) in enumerate(sense.branch_currents):
-        host = array.host_segment(word_addr, j)
-        sibling = array.sibling_segment(word_addr, j)
         solo = _read_solution(array, word_addr, drive, driven_bits={j})
-        i_ser = solo.source_currents[host] + solo.source_currents[sibling]
+        i_ser = sum(map(solo.source_currents.get, array.segments_for_bit(j)))
         e_parallel.append(v_dd * (i_data + i_ref) * t_cycle)
         e_serial.append(v_dd * i_ser * t_cycle)
     parallel_j = sum(e_parallel)

@@ -2,7 +2,8 @@
 
 The area model counts only the CMOS periphery: sense amplifiers and write
 drivers (one each per bit column) and the word selection pair (one per
-word, including the two reference words). Dividing by the bit count gives
+word, plus one for each of the two reference words of the balanced
+layout; the plain layout has none). Dividing by the bit count gives
 the mean footprint per stored bit in units of F², the square of the CMOS
 feature size. The memory devices themselves sit above the logic, so for
 large arrays the per-bit figure is limited by the selection pair alone,
@@ -11,8 +12,9 @@ feature size).
 
 Timing and energy figures here are the analytic ideals (no sneak, no
 decode overhead): a serial word write costs one switching time per bit, a
-parallel write two switching times (one per polarity), and a read one
-sense cycle. The circuit-level numbers including sneak overhead come from
+parallel write two switching times (one per polarity), and a read the
+time :func:`~xpointsim.ops.read_cycle_time` charges the simulated read of
+its layout. Circuit-level numbers including sneak overhead come from
 :mod:`xpointsim.ops` traces; :func:`dynamic_energy` integrates those.
 """
 
@@ -33,7 +35,7 @@ from .device import (
     switching_delay,
 )
 from .errors import ParameterError
-from .ops import DriveConfig, halving_time
+from .ops import DriveConfig, halving_time, read_cycle_time
 
 __all__ = [
     "ArchitectureConfig",
@@ -61,6 +63,7 @@ class ArchitectureConfig:
 
     n_bits: int = 4
     m_words: int = 1024
+    balanced: bool = True
     a_sense_f2: float = 40.0
     a_write_f2: float = 112.0
     a_select_f2: float = 112.0
@@ -87,17 +90,15 @@ class ArchitectureConfig:
                 raise ParameterError(f"{name}: must be positive")
 
 
-def cell_area(cfg, include_reference_words=True):
+def cell_area(cfg):
     """Mean CMOS footprint per bit, in F².
 
     Sums one sense amplifier and one write driver per bit column plus one
     selection pair per word and divides by the stored bit count. The two
-    reference words need selection pairs but store no data; passing
-    ``include_reference_words=False`` drops them from the numerator,
-    which reproduces the slightly smaller figure quoted in some area
-    summaries.
+    reference words of the balanced layout need selection pairs but store
+    no data; the plain layout has no reference words.
     """
-    words_with_selectors = cfg.m_words + (2 if include_reference_words else 0)
+    words_with_selectors = cfg.m_words + (2 if cfg.balanced else 0)
     periphery = (
         cfg.n_bits * cfg.a_sense_f2
         + cfg.n_bits * cfg.a_write_f2
@@ -234,7 +235,7 @@ def _sweep_point(cfg, n, m, params, dynamics, drive, overdrive, r_cell_on):
     i_write = overdrive * critical_current(params)
     tau = switching_delay(i_write, params, dynamics)
     r_ref_branch = reference_branch_resistance(reference_params(params), r_cell_on, n)
-    t_read = halving_time(r_ref_branch, drive.c_load_f)
+    t_half = halving_time(r_ref_branch, drive.c_load_f)
     point = replace(cfg, n_bits=n, m_words=m)
     return PerfRow(
         n_bits=n,
@@ -243,11 +244,11 @@ def _sweep_point(cfg, n, m, params, dynamics, drive, overdrive, r_cell_on):
         area_asymptotic_f2=cell_area_asymptotic(n, cfg.a_select_f2),
         write_time_serial_s=n * tau,
         write_time_parallel_s=2 * tau,
-        read_time_s=t_read,
-        # ideal full-word figures: every bit switched at the regulated
-        # write current, both sense branches near the reference value
+        read_time_s=read_cycle_time(r_ref_branch, drive.c_load_f, cfg.balanced),
+        # ideal full-word figures: every bit switched at the regulated write
+        # current; two branch-cycles per bit near the reference, on both layouts
         write_energy_j=n * cfg.v_dd * i_write * tau,
-        read_energy_j=n * cfg.v_dd * (2 * drive.v_read / r_ref_branch) * t_read,
+        read_energy_j=n * cfg.v_dd * (2 * drive.v_read / r_ref_branch) * t_half,
     )
 
 

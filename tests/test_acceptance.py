@@ -85,10 +85,10 @@ def test_area_model_anchor_points():
     cfg = ArchitectureConfig(n_bits=4, m_words=1024)
     exact = cell_area(cfg)
     assert abs(exact - 28.203125) <= 1e-9
-    variant = cell_area(cfg, include_reference_words=False)
+    variant = cell_area(ArchitectureConfig(n_bits=4, m_words=1024, balanced=False))
     assert abs(variant - 28.1484375) <= 1e-9
     assert abs(variant - 28.14) < 0.05
-    return f"exact {exact} F^2/bit, {variant} without the reference words"
+    return f"exact {exact} F^2/bit, {variant} on the plain layout"
 
 
 @gate
@@ -172,7 +172,8 @@ def test_protocol_round_trip_and_timing():
     write_word(arr, WriteRequest(3, "1111", WriteMode.PARALLEL), drive)
     scans = [read_word(arr, w, drive).bits for w in range(4)]
     assert scans == ["0000", "0000", "0000", "1111"]
-    t_scan = 4 * (drive.setup_time_s + read_cycle_time(arr, drive))
+    t_cycle = read_cycle_time(arr.ideal_reference_resistance(), drive.c_load_f, arr.balanced)
+    t_scan = 4 * (drive.setup_time_s + t_cycle)
     assert 4e-9 <= t_scan <= 6e-9
     return (
         f"16 vectors x 3 modes round-trip, parallel <= 2 phases within "

@@ -217,9 +217,9 @@ def test_reference_cells_sit_at_the_midpoint():
     r_ref = resistance[("ref_e", "b0o")]
     assert r_ref == pytest.approx(1.75 * r_p, rel=1e-12)
     # and through the selector the ideal branches keep the ordering
-    r_lo = arr.ideal_branch_resistance(MtjState.P)
+    r_lo = mtj_resistance(MtjState.P, arr.params) + arr.row_driver_model.r_on
     r_mid = arr.ideal_reference_resistance()
-    r_hi = arr.ideal_branch_resistance(MtjState.AP)
+    r_hi = mtj_resistance(MtjState.AP, arr.params) + arr.row_driver_model.r_on
     assert r_lo < r_mid < r_hi
 
 

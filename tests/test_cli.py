@@ -17,7 +17,7 @@ import xpointsim
 from xpointsim.cli import CONFIG_ENV, main
 from xpointsim.config import build_array, build_drive, default_config, parse_config
 from xpointsim.errors import ConfigError
-from xpointsim.ops import read_cycle_time, read_word
+from xpointsim.ops import halving_time, read_word
 from xpointsim.perf import parse_sweep_csv
 
 
@@ -172,6 +172,34 @@ def test_analyze_read_cycle_follows_the_configured_transistor(tmp_path, capsys):
     assert analyzed_ns + setup_ns == pytest.approx(simulated_ns, abs=1e-5)
 
 
+@pytest.mark.parametrize("balanced, scan_ns, area", [
+    ("true", "5.17477", 80.0),
+    ("false", "9.94955", 66.0),
+])
+def test_analyze_and_sweep_agree_with_simulate_on_both_layouts(tmp_path, capsys, balanced, scan_ns, area):
+    # the closed-form read time and area describe the chip the scan runs:
+    # a plain-layout read takes two cycles, and it has no reference words
+    cfg = tmp_path / "layout.ini"
+    cfg.write_text(
+        f"[array]\nbalanced = {balanced}\n"
+        "[operation]\nscenario = read\nsweep_n_bits = 4\nsweep_m_words = 4\n"
+    )
+    assert main(["analyze", "--config", str(cfg)]) == 0
+    analyzed = capsys.readouterr().out
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 0
+    simulated = capsys.readouterr().out
+    assert re.search(r"full scan (\S+) ns", analyzed)[1] == scan_ns
+    assert re.search(r"read cycles: 4 x \S+ ns = (\S+) ns", simulated)[1] == scan_ns
+    area_line = re.compile(r"^cell area: (\S+) F\^2/bit.*$", re.M)
+    assert area_line.search(analyzed)[0] == area_line.search(simulated)[0]
+    assert float(area_line.search(simulated)[1]) == area
+    assert main(["sweep", "--config", str(cfg), "--out", "sw"]) == 0
+    (row,) = parse_sweep_csv((tmp_path / "sw" / "sweep.csv").read_text())
+    assert row["area_exact_f2"] == area
+    setup_ns = default_config().drive.setup_time_s * 1e9
+    assert f"{4 * (setup_ns + row['read_time_ns']):.6g}" == scan_ns
+
+
 def test_plain_layout_read_scan_charges_each_read_its_sense_delay(tmp_path, capsys):
     # a plain-layout read compares against the ideal reference branch in a
     # second cycle, so each read of the scan takes its setup plus two cycles
@@ -183,7 +211,8 @@ def test_plain_layout_read_scan_charges_each_read_its_sense_delay(tmp_path, caps
     parsed = parse_config(text)
     arr, drive = build_array(parsed), build_drive(parsed)
     sense = read_word(arr, 0, drive)
-    assert sense.sense_delay == pytest.approx(2 * read_cycle_time(arr, drive))
+    half = halving_time(arr.ideal_reference_resistance(), drive.c_load_f)
+    assert sense.sense_delay == pytest.approx(2 * half)
     assert count == "3"
     # the summary prints 6 significant digits
     assert float(cycle_ns) == pytest.approx((drive.setup_time_s + sense.sense_delay) * 1e9, rel=1e-5)

@@ -440,6 +440,29 @@ def test_build_transistor_sentinels():
     assert build_transistor(partial) == TransistorModel(100, 1000, base.i_sat)
 
 
+def test_oversized_sweep_range_is_refused_before_it_is_built():
+    # the size comes from the bounds, so this returns at once instead of
+    # asking for a list of 1e18 entries
+    with pytest.raises(ConfigError) as err:
+        parse_config("[operation]\nsweep_m_words = 1..1000000000000000000\n")
+    assert err.value.errors == ["operation.sweep_m_words: more than 4096 entries"]
+    # the cap counts every entry of the list, ranges and single values alike
+    with pytest.raises(ConfigError) as err:
+        parse_config("[operation]\nsweep_n_bits = 1..4000,5000..5095,7\n")
+    assert err.value.errors == ["operation.sweep_n_bits: more than 4096 entries"]
+    cfg = parse_config("[operation]\nsweep_n_bits = 1..4000,5000..5095\n")
+    assert len(cfg.operation.sweep_n_bits) == 4096
+
+
+def test_sweep_grid_is_capped_as_well_as_each_list():
+    # two lists under the cap can still span a grid that sweep_area cannot hold
+    grid_error = ["operation.sweep_m_words: more than 4096 sweep points with sweep_n_bits"]
+    assert errors_of("[operation]\nsweep_n_bits = 1..4096\nsweep_m_words = 1..4096\n") == grid_error
+    assert errors_of("[operation]\nsweep_n_bits = 1..64\nsweep_m_words = 1..65\n") == grid_error
+    cfg = parse_config("[operation]\nsweep_n_bits = 1..64\nsweep_m_words = 1..64\n")
+    assert len(cfg.operation.sweep_n_bits) * len(cfg.operation.sweep_m_words) == 4096
+
+
 def test_build_architecture_cross_module_consistency():
     cfg = default_config()
     arch = dataclasses.replace(build_architecture(cfg), n_bits=4, m_words=1024)

@@ -32,6 +32,7 @@ from xpointsim.ops import (
     WriteMode,
     WriteRequest,
     compare_sensing_power,
+    halving_time,
     read_cycle_time,
     read_word,
     sense_bit,
@@ -257,6 +258,19 @@ def test_self_enable_switch_count_equals_hamming_distance(mode):
         assert arr.get_word(1) == after
 
 
+@pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "plain"])
+def test_read_before_write_supply_is_its_line_currents(balanced):
+    # the read phase charges the currents its solve put on the driven
+    # segments; the plain layout's ideal reference branch carries none
+    arr = fresh(balanced=balanced)
+    arr.set_word(1, "0110")
+    trace = write_word(arr, WriteRequest(1, "1010", WriteMode.SELF_ENABLE_PARALLEL))
+    read = trace.phases[0]
+    assert read.label == "read-before-write"
+    assert sorted(read.source_currents) == sorted(arr.segments)
+    assert read.supply_a == pytest.approx(sum(read.source_currents.values()), rel=1e-12)
+
+
 def test_self_enable_identical_data_is_read_only():
     arr = fresh()
     arr.set_word(0, "0110")
@@ -321,9 +335,12 @@ def test_sense_bit_validation():
 def test_read_cycle_time_is_the_reference_halving_time():
     arr = fresh()
     drive = DriveConfig()
-    expected = arr.ideal_reference_resistance() * drive.c_load_f * math.log(2)
-    assert read_cycle_time(arr, drive) == pytest.approx(expected, rel=1e-12)
-    assert read_cycle_time(arr, drive) == pytest.approx(1.1937e-9, rel=1e-3)
+    r_ref = arr.ideal_reference_resistance()
+    expected = r_ref * drive.c_load_f * math.log(2)
+    assert read_cycle_time(r_ref, drive.c_load_f, True) == pytest.approx(expected, rel=1e-12)
+    assert read_cycle_time(r_ref, drive.c_load_f, True) == pytest.approx(1.1937e-9, rel=1e-3)
+    # the plain layout spends a second cycle on its compare
+    assert read_cycle_time(r_ref, drive.c_load_f, False) == pytest.approx(2 * expected, rel=1e-12)
 
 
 def test_read_is_non_destructive():
@@ -397,7 +414,8 @@ def test_read_delay_uses_fixed_sense_clock():
     arr.set_word(0, "1100")
     drive = DriveConfig()
     sense = read_word(arr, 0, drive)
-    assert sense.sense_delay == pytest.approx(read_cycle_time(arr, drive), rel=1e-12)
+    clock = read_cycle_time(arr.ideal_reference_resistance(), drive.c_load_f, True)
+    assert sense.sense_delay == pytest.approx(clock, rel=1e-12)
     # a '0' race is won by the low-resistance data branch, a '1' race by
     # the reference branch, so '0' decisions land first
     for j, bit in enumerate("1100"):
@@ -559,7 +577,8 @@ def test_plain_layout_read_costs_two_cycles():
     drive = DriveConfig()
     sense = read_word(arr, 0, drive)
     assert sense.bits == "1010"
-    assert sense.sense_delay == pytest.approx(2 * read_cycle_time(arr, drive), rel=1e-12)
+    half = halving_time(arr.ideal_reference_resistance(), drive.c_load_f)
+    assert sense.sense_delay == pytest.approx(2 * half, rel=1e-12)
 
 
 def test_four_word_readout_fits_the_nominal_cycle_budget():

@@ -4,7 +4,8 @@ Frozen expectations below are hand-evaluated from the model definitions:
 
 * default periphery at N=4, M=1024:
   (4*40 + 4*112 + 1026*112) / 4096 = 115520/4096 = 28.203125 F²
-  without the two reference words: 115296/4096 = 28.1484375 F²
+  on the plain layout, which has no reference words:
+  115296/4096 = 28.1484375 F²
 * N=1, M=1: (40 + 112 + 3*112) / 1 = 488 F²
 * asymptote: 112/4 = 28, 112/32 = 3.5, 112/64 = 1.75, 405/32 = 12.65625
 * junction-pitch floor at 65/40 nm: 4*(40/65)^2 = 6400/4225 = 1.51479...
@@ -21,7 +22,8 @@ from xpointsim.ops import (
     TraceSample,
     WriteMode,
     WriteRequest,
-    read_cycle_time,
+    halving_time,
+    read_word,
     write_word,
 )
 from xpointsim.perf import (
@@ -60,7 +62,7 @@ def staircase(points):
 def test_cell_area_default_point():
     cfg = ArchitectureConfig(n_bits=4, m_words=1024)
     assert cell_area(cfg) == pytest.approx(28.203125, abs=1e-9)
-    assert cell_area(cfg, include_reference_words=False) == pytest.approx(
+    assert cell_area(ArchitectureConfig(4, 1024, balanced=False)) == pytest.approx(
         28.1484375, abs=1e-9
     )
 
@@ -216,8 +218,17 @@ def test_sweep_read_time_matches_protocol_clock():
     report = sweep_area(ArchitectureConfig(), [4], [4])
     (row,) = report.rows
     assert row.read_time_s == pytest.approx(
-        read_cycle_time(CrossbarArray(4, 4), DriveConfig()), rel=1e-12
+        read_word(CrossbarArray(4, 4), 0, DriveConfig()).sense_delay, rel=1e-12
     )
+
+
+def test_plain_sweep_row_reads_in_two_halving_times_without_reference_words():
+    (row,) = sweep_area(ArchitectureConfig(balanced=False), [4], [1024]).rows
+    r_ref = CrossbarArray(4, 2, balanced=False).ideal_reference_resistance()
+    assert row.read_time_s == pytest.approx(
+        2 * halving_time(r_ref, DriveConfig().c_load_f), rel=1e-12
+    )
+    assert row.area_exact_f2 == pytest.approx(28.1484375, abs=1e-9)
 
 
 def test_sweep_write_energy_matches_protocol_scale():
