@@ -59,7 +59,7 @@ from .ops import (
     trace_to_csv,
     write_word,
 )
-from .perf import dynamic_power, sweep_area
+from .perf import dynamic_power, sweep_area, sweep_to_csv
 from .report import (
     fmt6,
     make_manifest,
@@ -194,19 +194,19 @@ def _sweep(cfg, n_range, m_range):
         m_range,
         params=build_device(cfg),
         dynamics=build_dynamics(cfg),
+        transistor=build_transistor(cfg),
         drive=build_drive(cfg),
         overdrive=cfg.drive.write_overdrive,
-        transistor=build_transistor(cfg),
     )
 
 
 def _run_sweep(cfg, args):
     op = cfg.operation
     t0 = time.perf_counter()
-    perf_report = _sweep(cfg, op.sweep_n_bits, op.sweep_m_words)
+    rows = _sweep(cfg, op.sweep_n_bits, op.sweep_m_words)
     wall = time.perf_counter() - t0
-    summary = summarize_sweep(perf_report) + "\n"
-    outputs = {"sweep.csv": perf_report.to_csv(), "summary.txt": summary}
+    summary = summarize_sweep(rows) + "\n"
+    outputs = {"sweep.csv": sweep_to_csv(rows), "summary.txt": summary}
     return _finish(cfg, args, outputs, wall, summary)
 
 
@@ -223,7 +223,7 @@ def _cmd_analyze(cfg, args):
     n, m = cfg.array.n_bits, cfg.array.m_words
     i_write = cfg.drive.write_overdrive * critical_current(params)
     tau = switching_delay(i_write, params, dynamics)
-    (row,) = _sweep(cfg, [n], [m]).rows
+    (row,) = _sweep(cfg, [n], [m])
     setup = drive.setup_time_s
     lines = (
         f"device: R_P {fmt6(mtj_resistance(MtjState.P, params))} ohm, "

@@ -27,12 +27,12 @@ Sections and keys, with defaults:
     polarization and moment).
 
 ``[transistor]``
-    ``r_on``, ``r_off``, ``i_sat``: numbers or ``auto`` (size the switch
-    for the configured write operating point).
+    ``r_on``, ``r_off``, ``i_sat``: numbers, never re-sized, or ``auto``
+    (size the switch for the configured write operating point).
 
 ``[array]``
-    ``n_bits`` (4), ``m_words`` (4), ``balanced`` (true),
-    ``line_resistance`` (0.0) in ohms per segment.
+    ``n_bits`` (4), ``m_words`` (4), at most 2^20 cells between them;
+    ``balanced`` (true), ``line_resistance`` (0.0) in ohms per segment.
 
 ``[drive]``
     ``v_dd`` (1.2), ``v_read`` (0.3), ``write_overdrive`` (1.3),
@@ -134,6 +134,7 @@ def _data(raw):
 
 
 _SWEEP_CAP = 4096  # entries per sweep list and points per sweep grid
+_CELL_CAP = 1 << 20  # data cells of one array, n_bits x m_words
 
 
 def _int_list(raw):
@@ -328,6 +329,8 @@ def _cross_validate(cfg, flagged):
     arr, tr, op = cfg.array, cfg.transistor, cfg.operation
     if arr.balanced and arr.m_words >= 1 and arr.m_words % 2 != 0:
         errors.append("array.m_words: the balanced layout needs an even word count")
+    if arr.n_bits * arr.m_words > _CELL_CAP:
+        errors.append(f"array.m_words: more than {_CELL_CAP} cells with n_bits")
     if all(isinstance(r, float) for r in (tr.r_on, tr.r_off)) and tr.r_off <= tr.r_on:
         errors.append("transistor.r_off: must exceed r_on")
     # the derived models can fail (a 0 ohm junction, no voltage headroom at the
@@ -423,17 +426,12 @@ def build_dynamics(cfg):
 
 
 def build_transistor(cfg):
-    """The cell's access switch; each key left ``auto`` is sized for the drive point."""
-    given = dataclasses.asdict(cfg.transistor)
-    if "auto" in given.values():
-        # only an r_on sized here is bounded by the file's r_off
-        given_off = {"r_off": given["r_off"]} if "auto" == given["r_on"] != given["r_off"] else {}
-        base = TransistorModel.default_for(
-            build_device(cfg), v_dd=cfg.drive.v_dd, overdrive=cfg.drive.write_overdrive,
-            **given_off,
-        )
-        given = {key: getattr(base, key) if v == "auto" else v for key, v in given.items()}
-    return TransistorModel(**given)
+    """The cell's access switch: the keys the file sets, the ``auto`` ones
+    sized for the drive point by :meth:`TransistorModel.default_for`."""
+    fixed = {k: v for k, v in dataclasses.asdict(cfg.transistor).items() if v != "auto"}
+    return TransistorModel.default_for(
+        build_device(cfg), v_dd=cfg.drive.v_dd, overdrive=cfg.drive.write_overdrive, **fixed
+    )
 
 
 def build_array(cfg):

@@ -240,30 +240,36 @@ class TransistorModel:
         _require(self.i_sat > 0.0, "i_sat", "must be positive")
 
     @classmethod
-    def default_for(cls, params, v_dd=1.2, overdrive=1.3, r_off=1e9):
+    def default_for(cls, params, v_dd=1.2, overdrive=1.3, **fixed):
         """Size the switch so the nominal write path carries ``overdrive`` x threshold.
 
-        The on-resistance absorbs whatever headroom the parallel-state
-        junction leaves at ``v_dd`` and must stay below ``r_off``;
-        saturation is set at twice the write current so normal operation
+        ``fixed`` gives any of ``r_on``, ``r_off`` and ``i_sat`` as they
+        are; each one it leaves out is sized here, the off resistance to
+        1e9 ohm. A sized on-resistance absorbs whatever headroom the
+        parallel-state junction leaves at ``v_dd`` and must stay below
+        ``r_off``; a fixed one is neither re-sized nor re-bounded.
+        Saturation is set at twice the write current so normal operation
         stays in the ohmic region.
         """
         i_write = overdrive * critical_current(params)
-        _require(
-            i_write > 0.0, "r_on", f"no write current: {overdrive:g}x threshold is 0 A"
-        )
-        r_on = v_dd / i_write - mtj_resistance(MtjState.P, params)
-        _require(
-            r_on > 0.0,
-            "r_on",
-            f"no headroom: {overdrive:g}x threshold through the junction "
-            f"already needs more than {v_dd:g} V",
-        )
-        _require(
-            r_on < r_off,
-            "r_on",
-            f"sized to {r_on:g} ohm for a {i_write:g} A write current, "
-            f"not below the {r_off:g} ohm off resistance",
-        )
-        return cls(r_on=r_on, r_off=r_off, i_sat=2.0 * i_write)
+        sized = {"r_off": 1e9, "i_sat": 2.0 * i_write}
+        if "r_on" not in fixed:
+            _require(
+                i_write > 0.0, "r_on", f"no write current: {overdrive:g}x threshold is 0 A"
+            )
+            r_on = sized["r_on"] = v_dd / i_write - mtj_resistance(MtjState.P, params)
+            r_off = fixed.get("r_off", sized["r_off"])
+            _require(
+                r_on > 0.0,
+                "r_on",
+                f"no headroom: {overdrive:g}x threshold through the junction "
+                f"already needs more than {v_dd:g} V",
+            )
+            _require(
+                r_on < r_off,
+                "r_on",
+                f"sized to {r_on:g} ohm for a {i_write:g} A write current, "
+                f"not below the {r_off:g} ohm off resistance",
+            )
+        return cls(**{**sized, **fixed})
 

@@ -19,14 +19,14 @@ eliminated node keeps its potential, adds no fill and moves its branch
 currents to the right-hand side.
 
 The kept nodes K carry the Schur complement
-``S = G_KK - W^T diag(1/D) W``, stamped from the inner edges and the
-eliminated-node lanes through one scatter table compiled on the core. A
-kept node held by a voltage bias is pinned: its row and column of ``S``
-turn to identity and its coupling moves to the right-hand side,
-through ``-G_KP x_P`` at the far ends of the inner edges and through the
-eliminated nodes, ``W^T diag(1/D) W_P x_P``, where ``W_P x_P`` sums whole
-lane rows (the other nodes sit at 0 V in ``x_P``). So ``S`` stays
-symmetric whatever is pinned. A solve factors ``S`` once and
+``S = G_KK - W^T diag(1/D) W``. The inner edges and the eliminated-node
+lanes are stamped through one scatter table compiled on the core; the
+fill, the outer product of each eliminated node's lanes over its ``D``,
+is added in blocks of rows. A kept node held by a voltage bias is
+pinned: its coupling moves to the right-hand side as ``-S_KP x_P``, one
+product of ``S`` with the pinned potentials (the free nodes sit at 0 V
+in ``x_P``), and its row and column of ``S`` turn to identity. So ``S``
+stays symmetric whatever is pinned. A solve factors ``S`` once and
 back-substitutes the eliminated potentials ``x_E = (b_E + W x_K) / D``. A
 read without wire resistance drives every bit-line segment, so every kept
 node is pinned and nothing is assembled or factored; a write pins none.
@@ -171,9 +171,8 @@ class NodalCore:
     Nodes split into the eliminated block E (``elim``) and the kept block K
     (``kept``); ``slot`` numbers each node within its block. Each E node's
     edges, all to K nodes, sit in one row of the ``lane_*`` arrays.
-    ``s_index`` holds the targets of the Schur complement over K in its
-    flattened ``nk * nk`` form, and ``near``/``far`` the kept end of each
-    inner edge and the node that drives it when pinned.
+    ``s_index`` holds the targets of the edge and lane stamps of the Schur
+    complement over K in its flattened ``nk * nk`` form.
     """
 
     def __init__(self, rows, cols, crossings, tags, line_resistance, resistance):
@@ -280,19 +279,14 @@ class NodalCore:
         self.lane_node = self.kept[self.lane_k]
         # targets in the flattened S over K: each inner edge on the diagonal
         # at both ends, then off it both ways; each lane on the diagonal at
-        # its kept end; the pairs of lanes of the first block of eliminated
-        # rows. The fill goes in blocks of rows, so wide words never hold
-        # all of it
+        # its kept end. The fill goes in blocks of rows, so wide words never
+        # hold all of it
         ka, kb = self.slot[a[self.inner]], self.slot[b[self.inner]]
         self.fill_rows = max(1, _FILL_BLOCK // max(width * width, 1))
         self.s_index = np.concatenate([
             ka * (nk + 1), kb * (nk + 1), ka * nk + kb, kb * nk + ka,
-            (self.lane_k * (nk + 1)).ravel(), _pair_index(self.lane_k[: self.fill_rows], nk),
+            (self.lane_k * (nk + 1)).ravel(),
         ])
-        # each inner edge, both ways round: its kept end, and the node at the
-        # far end, which drives it from the right-hand side when pinned
-        self.near = np.concatenate([ka, kb])
-        self.far = np.concatenate([b[self.inner], a[self.inner]])
         # the pull-up then the pull-down rail of each row, at its terminal
         self.rail_node = np.repeat(self.terminal[: len(self.rows)], 2)
         self.rail_slot = self.slot[self.rail_node]
@@ -337,21 +331,17 @@ class NodalCore:
         # S = G_KK - W^T diag(1/D) W; the fill of one eliminated node is the
         # outer product of its lane conductances over D
         g_inner = g[self.inner]
-        scaled = lanes * -inv_d[:, None]
-        fill = scaled[:step, :, None] * lanes[:step, None, :]
-        weights = np.concatenate((g_inner, g_inner, -g_inner, -g_inner, lanes.ravel(), fill.ravel()))
+        weights = np.concatenate((g_inner, g_inner, -g_inner, -g_inner, lanes.ravel()))
         s = np.bincount(self.s_index, weights, nk * nk)
-        for lo in range(step, len(lanes), step):
+        scaled = lanes * -inv_d[:, None]
+        for lo in range(0, len(lanes), step):
             block = slice(lo, lo + step)
             fill = scaled[block, :, None] * lanes[block, None, :]
             np.add.at(s, _pair_index(self.lane_k[block], nk), fill.ravel())
         s = s.reshape(nk, nk)
-        # the kept nodes see b_K + W^T (y + D^-1 W x_P) - G_KP x_P, where
-        # W x_P sums whole lane rows as the free nodes sit at 0 V in x_P
-        y = y.copy()
-        y[:, 0] += inv_d * (lanes * x_pinned[self.lane_node]).sum(axis=1)
+        # the kept nodes see b_K + W^T y - S_KP x_P; x_P is 0 V at the free nodes
         rhs = rhs_k.copy()
-        rhs[:, 0] += np.bincount(self.near, np.tile(g_inner, 2) * x_pinned[self.far], nk)
+        rhs[:, 0] -= s @ x_pinned[self.kept]
         # a column no eliminated node sees, such as a unit injection at a
         # bit line, gains nothing through them
         for col in np.flatnonzero(y.any(axis=0)):

@@ -26,21 +26,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .array import reference_branch_resistance
-from .device import (
-    MtjParams,
-    SwitchingParams,
-    TransistorModel,
-    critical_current,
-    reference_params,
-    switching_delay,
-)
+from .device import critical_current, reference_params, switching_delay
 from .errors import ParameterError
-from .ops import DriveConfig, halving_time, read_cycle_time
+from .ops import halving_time, read_cycle_time
 
 __all__ = [
     "ArchitectureConfig",
     "PerfRow",
-    "PerfReport",
     "SWEEP_CSV_HEADER",
     "cell_area",
     "cell_area_asymptotic",
@@ -48,6 +40,7 @@ __all__ = [
     "dynamic_energy",
     "dynamic_power",
     "sweep_area",
+    "sweep_to_csv",
     "parse_sweep_csv",
 ]
 
@@ -185,28 +178,18 @@ class PerfRow:
     write_energy_j: float
     read_energy_j: float
 
-    def csv_values(self):
-        return (
-            str(self.n_bits),
-            str(self.m_words),
-            repr(self.area_exact_f2),
-            repr(self.area_asymptotic_f2),
-            repr(self.write_time_serial_s * 1e9),
-            repr(self.write_time_parallel_s * 1e9),
-            repr(self.read_time_s * 1e9),
-            repr(self.write_energy_j * 1e12),
-            repr(self.read_energy_j * 1e12),
+
+def sweep_to_csv(rows):
+    """The sweep table under :data:`SWEEP_CSV_HEADER`, in its ns, pJ and F²."""
+    lines = [SWEEP_CSV_HEADER]
+    for row in rows:
+        values = (
+            row.area_exact_f2, row.area_asymptotic_f2, row.write_time_serial_s * 1e9,
+            row.write_time_parallel_s * 1e9, row.read_time_s * 1e9,
+            row.write_energy_j * 1e12, row.read_energy_j * 1e12,
         )
-
-
-@dataclass(frozen=True)
-class PerfReport:
-    rows: tuple
-
-    def to_csv(self):
-        lines = [SWEEP_CSV_HEADER]
-        lines.extend(",".join(row.csv_values()) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        lines.append(",".join([str(row.n_bits), str(row.m_words), *map(repr, values)]))
+    return "\n".join(lines) + "\n"
 
 
 def parse_sweep_csv(text):
@@ -252,28 +235,22 @@ def _sweep_point(cfg, n, m, params, dynamics, drive, overdrive, r_cell_on):
     )
 
 
-def sweep_area(cfg, n_range, m_range, params=None, dynamics=None, drive=None,
-               overdrive=1.3, transistor=None):
-    """Evaluate the closed-form models over a grid of word widths/counts.
+def sweep_area(cfg, n_range, m_range, params, dynamics, transistor, drive, overdrive):
+    """Evaluate the closed-form models of one chip over a grid of word widths/counts.
 
-    Points are independent pure evaluations; rows come back sorted by
-    (n_bits, m_words) so the report is order-deterministic regardless of
-    the ranges' own ordering. ``transistor`` is the cell access switch;
-    without one it is sized for the drive point, as
-    :class:`~xpointsim.array.CrossbarArray` does.
+    The chip is the built models: the junction ``params``, its switching
+    ``dynamics``, the cell ``transistor``, the ``drive`` and the write
+    ``overdrive``, as :func:`~xpointsim.config.build_array` hands them to
+    the simulator. Points are independent pure evaluations; rows come back
+    sorted by (n_bits, m_words) so the table is order-deterministic
+    regardless of the ranges' own ordering.
     """
     n_list = sorted(set(int(n) for n in n_range))
     m_list = sorted(set(int(m) for m in m_range))
     if not n_list or not m_list:
         raise ParameterError("sweep ranges: must be non-empty")
-    params = params if params is not None else MtjParams()
-    dynamics = dynamics if dynamics is not None else SwitchingParams.lumped_fit(params)
-    drive = drive or DriveConfig()
-    if transistor is None:
-        transistor = TransistorModel.default_for(params, v_dd=cfg.v_dd, overdrive=overdrive)
-    rows = tuple(
+    return tuple(
         _sweep_point(cfg, n, m, params, dynamics, drive, overdrive, transistor.r_on)
         for n in n_list
         for m in m_list
     )
-    return PerfReport(rows=rows)

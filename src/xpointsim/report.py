@@ -163,13 +163,13 @@ def summarize_reads(results, setup_s):
     return "\n".join(lines)
 
 
-def summarize_sweep(perf_report):
+def summarize_sweep(rows):
     lines = ["design-space sweep (areas in F^2/bit, times in ns, energy in pJ)"]
     lines.append(
         "  n_bits  m_words  area_exact  area_asymptotic  t_wr_serial  "
         "t_wr_parallel  t_read  e_write  e_read"
     )
-    for row in perf_report.rows:
+    for row in rows:
         lines.append(
             f"  {row.n_bits:6d}  {row.m_words:7d}  {fmt6(row.area_exact_f2):>10}  "
             f"{fmt6(row.area_asymptotic_f2):>15}  "

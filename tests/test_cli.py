@@ -232,6 +232,16 @@ def test_validate_accepts_good_and_rejects_bad(tmp_path, capsys):
     assert "config error: array.n_bits" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_oversized_array_exits_1_with_one_config_error(tmp_path, capsys, command):
+    big = tmp_path / "big.ini"
+    big.write_text("[array]\nm_words = 100000000\n[operation]\nscenario = read\n")
+    assert main([command, "--config", str(big)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: array.m_words: more than 1048576 cells with n_bits\n"
+    )
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "absent.ini")]) == 1
     assert "config file" in capsys.readouterr().err

@@ -30,7 +30,7 @@ from xpointsim.config import (
     parse_config,
     serialize_config,
 )
-from xpointsim.device import MtjParams, SwitchingParams, TransistorModel
+from xpointsim.device import MtjParams, SwitchingParams, TransistorModel, critical_current
 from xpointsim.errors import ConfigError, ParameterError
 from xpointsim.ops import DriveConfig, WriteMode
 from xpointsim.perf import ArchitectureConfig, cell_area
@@ -438,6 +438,21 @@ def test_build_transistor_sentinels():
     partial = parse_config("[transistor]\nr_on = 100\nr_off = 1000\n")
     base = TransistorModel.default_for(build_device(partial))
     assert build_transistor(partial) == TransistorModel(100, 1000, base.i_sat)
+
+    # nor to the bound of an r_on that would be sized: 1e-6 x threshold would
+    # size r_on to 6.3e9 ohm, past the 1e9 ohm off resistance
+    partial = parse_config("[transistor]\nr_on = 100\n[drive]\nwrite_overdrive = 1e-6\n")
+    i_write = 1e-6 * critical_current(build_device(partial))
+    assert build_transistor(partial) == TransistorModel(100, 1e9, 2.0 * i_write)
+
+
+def test_oversized_array_is_refused_before_it_is_built():
+    # refused at parse time, so simulate never asks for 4e8 cells
+    cell_error = ["array.m_words: more than 1048576 cells with n_bits"]
+    assert errors_of("[array]\nm_words = 100000000\n[operation]\nscenario = read\n") == cell_error
+    assert errors_of("[array]\nn_bits = 64\nm_words = 16386\n") == cell_error
+    cfg = parse_config("[array]\nn_bits = 64\nm_words = 16384\n")
+    assert cfg.array.n_bits * cfg.array.m_words == 1 << 20
 
 
 def test_oversized_sweep_range_is_refused_before_it_is_built():

@@ -267,3 +267,12 @@ class TestTransistor:
         # 3x I_C0 through R_P alone already exceeds 1.2 V
         with pytest.raises(ParameterError, match="r_on"):
             TransistorModel.default_for(params, overdrive=3.0)
+
+    def test_fixed_r_on_skips_the_headroom_check(self, params):
+        # 1.3x I_C0 through R_P needs 0.74 V: 0.1 V leaves no headroom to size
+        # r_on into, but a fixed r_on is not sized
+        with pytest.raises(ParameterError, match="no headroom"):
+            TransistorModel.default_for(params, v_dd=0.1)
+        t = TransistorModel.default_for(params, v_dd=0.1, r_on=100.0)
+        assert (t.r_on, t.r_off) == (100.0, 1e9)
+        assert t.i_sat == pytest.approx(2 * 1.3 * I_C0, rel=1e-12)

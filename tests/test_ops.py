@@ -472,12 +472,11 @@ def test_wide_word_write_forms_its_fill_in_bounded_blocks(monkeypatch):
     monkeypatch.setattr(network.NodalCore, "solve", marking)
     arr = fresh(64, 256)
     write_word(arr, WriteRequest(0, "1" * 64, WriteMode.PARALLEL))
-    # the core compiles the targets of its first block of rows once; each
-    # solve forms the rest
-    first, solves = calls[0], []
-    for call in calls[1:]:
+    # each solve forms all of its fill, block by block
+    solves = []
+    for call in calls:
         if call == "solve":
-            solves.append([first])
+            solves.append([])
         else:
             solves[-1].append(call)
     assert solves

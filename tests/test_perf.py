@@ -36,6 +36,7 @@ from xpointsim.perf import (
     dynamic_power,
     parse_sweep_csv,
     sweep_area,
+    sweep_to_csv,
 )
 
 
@@ -175,10 +176,17 @@ def test_dynamic_power_scales_energy_by_throughput():
 # -- sweeps ------------------------------------------------------------------
 
 
+def sweep(arch, n_range, m_range, arr=None):
+    """The sweep of the models ``arr`` simulates, a default 4x4 array's unless given."""
+    arr = arr or CrossbarArray(4, 4)
+    return sweep_area(
+        arch, n_range, m_range, arr.params, arr.dynamics, arr.cell_transistor, DriveConfig(), 1.3
+    )
+
+
 def test_sweep_single_point_matches_direct_evaluation():
     cfg = ArchitectureConfig()
-    report = sweep_area(cfg, [4], [1024])
-    (row,) = report.rows
+    (row,) = sweep(cfg, [4], [1024])
     assert row.area_exact_f2 == cell_area(ArchitectureConfig(4, 1024))
     assert row.area_asymptotic_f2 == cell_area_asymptotic(4)
     assert row.write_time_parallel_s == pytest.approx(20e-9, rel=1e-9)
@@ -186,14 +194,14 @@ def test_sweep_single_point_matches_direct_evaluation():
 
 
 def test_sweep_rows_are_sorted_and_deduplicated():
-    report = sweep_area(ArchitectureConfig(), [8, 2, 4, 4], [64, 16, 64])
-    keys = [(r.n_bits, r.m_words) for r in report.rows]
+    rows = sweep(ArchitectureConfig(), [8, 2, 4, 4], [64, 16, 64])
+    keys = [(r.n_bits, r.m_words) for r in rows]
     assert keys == [(2, 16), (2, 64), (4, 16), (4, 64), (8, 16), (8, 64)]
 
 
 def test_sweep_area_decreases_with_word_count():
-    report = sweep_area(ArchitectureConfig(), [4], [16, 64, 256, 1024, 4096])
-    areas = [r.area_exact_f2 for r in report.rows]
+    rows = sweep(ArchitectureConfig(), [4], [16, 64, 256, 1024, 4096])
+    areas = [r.area_exact_f2 for r in rows]
     assert all(a > b for a, b in zip(areas, areas[1:]))
     assert areas[-1] > 28.0  # approaches the asymptote from above
 
@@ -202,8 +210,7 @@ def test_sweep_speed_density_tradeoff():
     """Doubling the word width halves the asymptotic area but the serial
     write time keeps growing linearly."""
     ns = [2, 4, 8, 16, 32, 64]
-    report = sweep_area(ArchitectureConfig(), ns, [1024])
-    by_n = {r.n_bits: r for r in report.rows}
+    by_n = {r.n_bits: r for r in sweep(ArchitectureConfig(), ns, [1024])}
     for a, b in zip(ns, ns[1:]):
         assert by_n[b].area_asymptotic_f2 == pytest.approx(
             by_n[a].area_asymptotic_f2 / 2, rel=1e-12
@@ -215,15 +222,15 @@ def test_sweep_speed_density_tradeoff():
 
 
 def test_sweep_read_time_matches_protocol_clock():
-    report = sweep_area(ArchitectureConfig(), [4], [4])
-    (row,) = report.rows
+    arr = CrossbarArray(4, 4)
+    (row,) = sweep(ArchitectureConfig(), [4], [4], arr)
     assert row.read_time_s == pytest.approx(
-        read_word(CrossbarArray(4, 4), 0, DriveConfig()).sense_delay, rel=1e-12
+        read_word(arr, 0, DriveConfig()).sense_delay, rel=1e-12
     )
 
 
 def test_plain_sweep_row_reads_in_two_halving_times_without_reference_words():
-    (row,) = sweep_area(ArchitectureConfig(balanced=False), [4], [1024]).rows
+    (row,) = sweep(ArchitectureConfig(balanced=False), [4], [1024])
     r_ref = CrossbarArray(4, 2, balanced=False).ideal_reference_resistance()
     assert row.read_time_s == pytest.approx(
         2 * halving_time(r_ref, DriveConfig().c_load_f), rel=1e-12
@@ -233,36 +240,35 @@ def test_plain_sweep_row_reads_in_two_halving_times_without_reference_words():
 
 def test_sweep_write_energy_matches_protocol_scale():
     # ideal full-word figure: one switching energy per bit
-    report = sweep_area(ArchitectureConfig(), [4], [4])
-    (row,) = report.rows
     arr = CrossbarArray(4, 4)
+    (row,) = sweep(ArchitectureConfig(), [4], [4], arr)
     trace = write_word(arr, WriteRequest(0, "1111", WriteMode.PARALLEL))
     assert row.write_energy_j == pytest.approx(trace.total_energy, rel=0.01)
 
 
 def test_sweep_rejects_empty_ranges():
     with pytest.raises(ParameterError, match="ranges"):
-        sweep_area(ArchitectureConfig(), [], [4])
+        sweep(ArchitectureConfig(), [], [4])
 
 
 # -- CSV contract ------------------------------------------------------------
 
 
 def test_sweep_csv_header_and_shape():
-    report = sweep_area(ArchitectureConfig(), [2, 4], [16, 1024])
-    csv = report.to_csv()
+    rows = sweep(ArchitectureConfig(), [2, 4], [16, 1024])
+    csv = sweep_to_csv(rows)
     lines = csv.split("\n")
     assert lines[0] == SWEEP_CSV_HEADER
     assert csv.endswith("\n")
-    assert len(lines) == 2 + len(report.rows)  # header + rows + trailing ""
+    assert len(lines) == 2 + len(rows)  # header + rows + trailing ""
 
 
 def test_sweep_csv_round_trips_bit_exactly():
-    report = sweep_area(ArchitectureConfig(), [2, 4, 8], [16, 256])
-    csv = report.to_csv()
+    rows = sweep(ArchitectureConfig(), [2, 4, 8], [16, 256])
+    csv = sweep_to_csv(rows)
     parsed = parse_sweep_csv(csv)
-    assert len(parsed) == len(report.rows)
-    for row, back in zip(report.rows, parsed):
+    assert len(parsed) == len(rows)
+    for row, back in zip(rows, parsed):
         assert back["n_bits"] == row.n_bits
         assert back["m_words"] == row.m_words
         assert back["area_exact_f2"] == row.area_exact_f2
@@ -285,6 +291,6 @@ def test_sweep_csv_round_trips_bit_exactly():
 def test_parse_sweep_csv_rejects_bad_input():
     with pytest.raises(ParameterError, match="header"):
         parse_sweep_csv("nope\n1,2\n")
-    good = sweep_area(ArchitectureConfig(), [2], [4]).to_csv()
+    good = sweep_to_csv(sweep(ArchitectureConfig(), [2], [4]))
     with pytest.raises(ParameterError, match="malformed"):
         parse_sweep_csv(good + "1,2,3\n")
