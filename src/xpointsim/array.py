@@ -161,6 +161,7 @@ class CrossbarArray:
             self.word_rows + self.ref_rows, self.segments, self.cell_keys, tags,
             line_resistance, self.resistances,
         )
+        self.read_base = None  # the idle read solution ops.read_word keeps
 
     # -- addressing ----------------------------------------------------
 

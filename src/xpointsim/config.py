@@ -67,7 +67,7 @@ import math
 from dataclasses import dataclass
 
 from .array import CrossbarArray
-from .device import MtjParams, SwitchingParams, TransistorModel
+from .device import MtjParams, SwitchingParams, TransistorModel, critical_current
 from .errors import ConfigError, ParameterError
 from .ops import DriveConfig, WriteMode
 from .perf import ArchitectureConfig
@@ -340,14 +340,16 @@ def _cross_validate(cfg, flagged):
     if not errors and flagged.isdisjoint(
         ("device", "array", "drive", "architecture", "dynamics", "transistor")
     ):
-        builds = (("device", build_device), ("transistor", build_transistor),
-                  ("dynamics", build_dynamics))
-        for section, build in builds:
-            try:
+        section = "device"
+        try:
+            if not cfg.drive.write_overdrive * critical_current(build_device(cfg)) > 0.0:
+                section = "drive"  # refused before a switch is sized for it
+                raise ParameterError(f"write_overdrive: no write current: "
+                                     f"{cfg.drive.write_overdrive:g}x threshold is 0 A")
+            for section, build in (("transistor", build_transistor), ("dynamics", build_dynamics)):
                 build(cfg)
-            except ParameterError as exc:
-                errors.append(f"{section}.{exc}")
-                break
+        except ParameterError as exc:
+            errors.append(f"{section}.{exc}")
 
     if len(op.sweep_n_bits) * len(op.sweep_m_words) > _SWEEP_CAP:
         errors.append(

@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -70,6 +70,7 @@ from .errors import (
     ConvergenceError,
     InvariantError,
     ParameterError,
+    ReadDisturbError,
     SimulationError,
     SingularNetworkError,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "LineBias",
     "NetworkSolution",
     "NodalCore",
+    "ReadBase",
     "RowDriver",
     "build_network",
     "equivalent_resistance",
@@ -616,6 +618,159 @@ class NetworkSolution:
     @cached_property
     def line_voltages(self):
         return dict(zip(self.core.lines, self.volts[self.core.terminal].tolist()))
+
+
+class ReadBase:
+    """``net`` (every column at a voltage, every row idle) solved once, and
+    reads as corrections of it at the rows whose selectors differ (W. W.
+    Hager, SIAM Review 31(2), 1989). An injection at row terminal r moves
+    every node by ``resp[:, r]`` with wires; without, its own by ``z[r]``.
+    ``solve`` is :func:`solve_network`; no current may reach ``limits``."""
+
+    def __init__(self, net, limits, solve=solve_network):
+        asm = self.asm = build_network(net)
+        _check_anchored(asm)
+        core = self.core = net.core
+        self.net, self.limits, self.full_solve = net, limits, solve
+        n_rows = len(core.rows)
+        self.rails = np.arange(2 * n_rows).reshape(n_rows, 2)
+        self.rail_g = 1.0 / asm.rail_r
+        # no potential leaves the span of the drives, nor a rail current its reach
+        span = np.ptp(np.concatenate([asm.rail_volts, asm.fixed_volts]))
+        self.settled = bool((span * self.rail_g <= asm.rail_isat * _CLAMP_SLACK).all())
+        self.wired = len(asm.fixed) < len(core.kept)  # some kept node is free
+        self.free = np.delete(np.arange(core.n_nodes), asm.fixed)
+        self.edges = np.arange(len(core.edge_a))
+        # each row's cells in cell order, and the column of every cell
+        self.row_cells = core.node_line[core.cell_row].argsort(kind="stable").reshape(n_rows, -1)
+        self.cell_col = core.node_line[core.cell_col] - n_rows
+        self.solve(net.resistance)
+
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is named by _checked
+    def solve(self, resistance, changed=None):
+        """The base for branch ``resistance``; without wires only the rows of
+        the ``changed`` branches are re-solved, in place, where they are named."""
+        core, asm = self.core, self.asm
+        if changed is not None and self.settled and not self.wired:
+            rows = np.unique(core.node_line[core.cell_row[changed]])
+            edges, rails = self.row_cells[rows].ravel(), self.rails[rows].ravel()
+            self.g[edges] = 1.0 / resistance[edges]
+            self.z[rows], self.volts[core.terminal[rows]] = self._rows(rows, self.volts)
+            args = (edges, core.terminal[rows], rails, self.rail_g[rails], self.clamp[rails])
+            self.edge_i[edges] = self._checked(self.volts, *args)
+            self.sources = np.bincount(self.cell_col, self.edge_i[: len(core.tags)], len(core.cols))
+            return
+        self.g = 1.0 / np.concatenate([resistance, core.wire_r])
+        clamp = np.zeros(len(self.rail_g))
+        if not (self.wired and self.settled):
+            volts = self.full_solve(replace(self.net, resistance=resistance)).volts
+            i_lin = (asm.rail_volts - volts[core.rail_node]) * self.rail_g
+            over = np.abs(i_lin) > asm.rail_isat * _CLAMP_SLACK
+            clamp = np.where(over, np.copysign(asm.rail_isat, i_lin), 0.0)
+        self.clamp, self.ohmic_g = clamp, np.where(clamp == 0.0, self.rail_g, 0.0)
+        ne, terminals = len(core.elim), core.terminal[: len(core.rows)]
+        self.shunt = np.bincount(core.rail_slot, self.ohmic_g, ne)
+        self.rhs = np.bincount(core.rail_slot, self.ohmic_g * asm.rail_volts + clamp, ne)
+        if self.wired:
+            rhs_e = np.zeros((ne, 1 + len(terminals)))  # then a unit injection per row terminal
+            rhs_e[:, 0], rhs_e[core.slot[terminals], 1 + np.arange(len(terminals))] = self.rhs, 1.0
+            rhs_k = np.zeros((len(core.kept), rhs_e.shape[1]))
+            x = core.solve(self.g, self.shunt, rhs_e, rhs_k, asm.fixed, asm.fixed_volts)
+            volts, self.resp = x[:, 0], x[:, 1:]
+            self.z = self.resp[terminals]  # row terminal by row terminal
+        else:
+            self.z = self._rows(np.arange(len(terminals)), volts)[0]
+        self.volts, rails = volts, self.rails.ravel()
+        self.edge_i = self._checked(volts, self.edges, self.free, rails, self.rail_g, clamp)
+        self.sources = np.bincount(self.cell_col, self.edge_i[: len(core.tags)], len(core.cols))
+
+    def _rows(self, rows, volts):
+        """``1/D`` and potential of ``rows``, kept nodes at ``volts``, as NodalCore.solve."""
+        core = self.core
+        e = core.slot[core.terminal[rows]]
+        lanes = self.g[core.lane_edge[e]] * core.lane_live[e]
+        inv_d = 1.0 / (lanes.sum(axis=1) + self.shunt[e])
+        fill = np.matmul(lanes[:, None, :], volts[core.lane_node[e]][:, :, None])[:, 0, 0]
+        return inv_d, self.rhs[e] * inv_d + inv_d * fill
+
+    def _checked(self, x, edges, nodes, rails, rail_g, clamp):
+        """Currents of ``edges`` (cells first) at ``x``, checked for KCL at ``nodes``."""
+        core, n = self.core, self.core.n_nodes
+        overflow = nodes[~np.isfinite(x[nodes])]  # named, as by _finish_solution
+        if overflow.size:
+            lines = sorted({core.lines[line] for line in core.node_line[overflow].tolist()})
+            raise SimulationError("node potentials beyond float range on: " + ", ".join(lines))
+        xa, xb = x[core.edge_a[edges]], x[core.edge_b[edges]]
+        i = (xa - xb) * self.g[edges]
+        ohmic, volts, rail_v = clamp == 0.0, self.asm.rail_volts[rails], x[core.rail_node[rails]]
+        rail_i = np.where(ohmic, (volts - rail_v) * rail_g, clamp)
+        flow = np.bincount(core.edge_b[edges], i, n) - np.bincount(core.edge_a[edges], i, n)
+        flow += np.bincount(core.rail_node[rails], rail_i, n)
+        # normalised as in _finish_solution, by the gross stamped terms
+        gross = max(((np.abs(xa) + np.abs(xb)) * self.g[edges]).max(initial=0.0),
+                    ((np.abs(volts) + np.abs(rail_v)) * rail_g)[ohmic].max(initial=0.0),
+                    np.abs(rail_i).max(initial=0.0))
+        residual = float(np.abs(flow[nodes]).max(initial=0.0) / max(gross, 1e-12))
+        if not residual <= _KCL_LIMIT:
+            raise InvariantError(f"current conservation violated: relative residual {residual:.3e}")
+        cells = edges[: len(core.tags)]
+        for k in np.flatnonzero(np.abs(i[: len(cells)]) >= self.limits[cells])[:1].tolist():
+            raise ReadDisturbError(
+                f"read current {abs(i[k]) * 1e6:.1f} uA reaches the switching "
+                f"threshold of {core.tags[cells[k]]}"
+            )
+        return i
+
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is named by _checked
+    def read(self, drivers):
+        """Column currents of the read of ``drivers``, and each driver's cells' columns."""
+        core, asm = self.core, self.asm
+        rows = np.array([core.line_index[row] for row in drivers])
+        # the rows that may leave the base: with wires every terminal moves
+        cand = np.arange(len(core.rows)) if self.wired else rows
+        sel = self.rails[rows if self.wired else np.arange(len(rows))].ravel()
+        rails = self.rails[cand].ravel()
+        g, isat = self.rail_g[rails], asm.rail_isat[rails]
+        pairs = np.array([_rail_pair(d) for d in drivers.values()]).reshape(-1, 2)
+        g[sel], isat[sel] = 1.0 / pairs[:, 0], pairs[:, 1]
+        base_g, base_c, volts = self.ohmic_g[rails], self.clamp[rails], asm.rail_volts[rails]
+        z = self.z if self.wired else self.z[rows]
+        v0, clamp, seen = self.volts[core.terminal[cand]], base_c.copy(), set()
+        clamp[sel] = 0.0
+        for _ in range(_MAX_CLAMP_ITERATIONS):
+            # a row stamping dg, dc over the base injects u = alpha - beta v, v = v0 + z u
+            dg, dc = np.where(clamp == 0.0, g, 0.0) - base_g, clamp - base_c
+            alpha = (dg * volts + dc).reshape(-1, 2).sum(axis=1)
+            beta = dg.reshape(-1, 2).sum(axis=1)
+            if self.wired:
+                act = np.flatnonzero((alpha != 0.0) | (beta != 0.0))
+                lhs = np.eye(len(act)) + beta[act, None] * z[act][:, act]
+                u = np.linalg.solve(lhs, alpha[act] - beta[act] * v0[act])
+                v = v0 + z[:, act] @ u
+            else:
+                v = v0 + z * (alpha - beta * v0) / (1.0 + beta * z)
+            i_lin = (volts - np.repeat(v, 2)) * g
+            over = np.abs(i_lin) > isat * _CLAMP_SLACK
+            proposal = np.where(over, np.copysign(isat, i_lin), 0.0)
+            if np.array_equal(proposal, clamp):
+                break
+            if proposal.tobytes() in seen:
+                raise ConvergenceError("saturation assignment oscillates; no consistent "
+                                       "operating point")
+            seen.add(proposal.tobytes())
+            clamp = proposal
+        else:
+            raise ConvergenceError("saturation iteration exceeded the step limit")
+        if self.wired:
+            x, edges, nodes = self.volts + self.resp[:, act] @ u, self.edges, self.free
+        else:  # only the selected terminals move
+            x, edges, nodes = self.volts.copy(), self.row_cells[cand].ravel(), core.terminal[cand]
+            x[nodes] = v
+        i = self._checked(x, edges, nodes, rails, g, clamp)
+        cells = edges[: len(core.tags)]
+        delta = i[: len(cells)] - self.edge_i[cells]
+        sources = self.sources + np.bincount(self.cell_col[cells], delta, len(self.sources))
+        return sources, self.cell_col[self.row_cells[rows]]
 
 
 def equivalent_resistance(net, line_a, line_b):

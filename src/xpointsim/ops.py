@@ -44,6 +44,11 @@ branch resistance instead and spends a second cycle on the compare.
 :func:`read_cycle_time` is the one sense clock of both layouts; the
 closed-form models of :mod:`xpointsim.perf` charge a read the same time.
 
+Reads differ only at their selected rows. The array caches a
+:class:`~xpointsim.network.ReadBase`, the read drive with every row idle,
+solved and checked (KCL, read disturb) once per stored state and
+``v_read``; a read corrects it at its rows' selectors, checks what it moves.
+
 Energy bookkeeping: the supply current of an interval is the summed
 magnitude of the regulated source currents (writes) or of the driven
 segment currents (reads); energy integrates V_dd times that current over
@@ -63,10 +68,9 @@ from .errors import (
     ConvergenceError,
     IndeterminateReadError,
     ParameterError,
-    ReadDisturbError,
     WriteFailureError,
 )
-from .network import LineBias, RowDriver, solve_network
+from .network import LineBias, ReadBase, RowDriver, solve_network
 
 __all__ = [
     "BitDecision",
@@ -483,29 +487,29 @@ def read_cycle_time(r_ref_branch, c_load_f, balanced):
 
 
 def _read_solution(array, word_addr, drive, driven_bits=None):
-    """Solve the read bias; optionally drive only some bits (serial sensing).
+    """Solve the read bias in full; optionally drive only some bits (serial sensing).
 
     The segments of every driven bit sit at the read voltage; the rest float.
     """
     drivers = select_word(array, word_addr, "read")
+    bits = [j for j in range(array.n_bits) if driven_bits is None or j in driven_bits]
     on = LineBias.voltage(drive.v_read)
-    bias = {
-        seg: on
-        for j in range(array.n_bits)
-        if driven_bits is None or j in driven_bits
-        for seg in array.segments_for_bit(j)
-    }
+    bias = {seg: on for j in bits for seg in array.segments_for_bit(j)}
     return solve_network(array.to_network(bias, drivers))
 
 
-def _assert_no_read_disturb(array, sol):
-    over = np.flatnonzero(np.abs(sol.currents) >= array.critical_currents)
-    if over.size:
-        i = float(sol.currents[over[0]])
-        raise ReadDisturbError(
-            f"read current {abs(i) * 1e6:.1f} uA reaches the switching "
-            f"threshold of {array.tag(*array.cell_keys[over[0]])}"
-        )
+def _read_base(array, v_read):
+    """The array's :class:`ReadBase` for ``v_read``, solved for the stored states."""
+    cached, array.read_base = array.read_base, None  # dropped if this raises
+    key = (v_read, array.row_driver_model)
+    if cached is None or cached[0] != key:
+        net = array.to_network(dict.fromkeys(array.segments, LineBias.voltage(v_read)), {})
+        cached = (key, ReadBase(net, array.critical_currents, solve_network), array.states.copy())
+    elif not np.array_equal(cached[2], array.states):
+        cached[1].solve(array.resistances, np.flatnonzero(cached[2] != array.states))
+        cached = (key, cached[1], array.states.copy())
+    array.read_base = cached
+    return cached[1]
 
 
 def read_word(array, word_addr, drive=None):
@@ -520,46 +524,31 @@ def read_word(array, word_addr, drive=None):
     branch resistance, and the compare step costs a second cycle.
     """
     drive = drive or DriveConfig()
-    sol = _read_solution(array, word_addr, drive)
-    _assert_no_read_disturb(array, sol)
-    r_ideal = array.ideal_reference_resistance()
-
-    bits = []
-    margins = []
-    currents = []
-    delays = []
-
-    def segment_current(bit, segment):
-        # a segment that returns current has no branch resistance to sense
-        i = sol.source_currents[segment]
-        if not i > 0.0:
-            raise IndeterminateReadError(
-                f"word {word_addr} bit {bit}: segment {segment} carries "
-                f"{i:.3g} A, so its branch resistance cannot be sensed"
-            )
-        return i
-
-    for j in range(array.n_bits):
-        i_data = segment_current(j, array.host_segment(word_addr, j))
-        if array.balanced:
-            i_ref = segment_current(j, array.sibling_segment(word_addr, j))
-            r_ref = drive.v_read / i_ref
-        else:
-            r_ref = r_ideal
-            i_ref = drive.v_read / r_ref
-        r_data = drive.v_read / i_data
-        decision = sense_bit(r_data, r_ref, drive.c_load_f)
-        bits.append(decision.bit)
-        margins.append(r_ref - r_data)
-        currents.append((i_data, i_ref))
-        delays.append(decision.delay)
+    src, segs = _read_base(array, drive.v_read).read(select_word(array, word_addr, "read"))
+    # a bit is sensed on its cell's segment against the reference cell's
+    v, r_ideal, i_seg = drive.v_read, array.ideal_reference_resistance(), src[segs]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_data = v / i_seg[0]
+        r_ref = v / i_seg[1] if array.balanced else np.full(array.n_bits, r_ideal)
+        spread = np.abs(r_data - r_ref) / np.maximum(r_data, r_ref)
+    bad = ~(i_seg > 0.0).all(axis=0) | (spread <= _TIE_REL)
+    if bad.any():  # the first bit that cannot be sensed raises, data segment first
+        j = int(bad.argmax())
+        for k in segs[:, j].tolist():
+            if not src[k] > 0.0:  # a segment returning current has no branch to sense
+                raise IndeterminateReadError(
+                    f"word {word_addr} bit {j}: segment {array.segments[k]} carries "
+                    f"{src[k]:.3g} A, so its branch resistance cannot be sensed"
+                )
+        sense_bit(float(r_data[j]), float(r_ref[j]), drive.c_load_f)
+    i_ref = i_seg[1] if array.balanced else v / r_ref
     return SenseResult(
-        bits="".join(bits),
-        per_bit_margin=tuple(margins),
+        bits="".join("01"[one] for one in (r_data > r_ref).tolist()),
+        per_bit_margin=tuple((r_ref - r_data).tolist()),
         sense_delay=read_cycle_time(r_ideal, drive.c_load_f, array.balanced),
-        branch_currents=tuple(currents),
-        per_bit_delay=tuple(delays),
-        source_currents=sol.source_currents,
+        branch_currents=tuple(zip(i_seg[0].tolist(), i_ref.tolist())),
+        per_bit_delay=tuple(halving_time(np.minimum(r_data, r_ref), drive.c_load_f).tolist()),
+        source_currents=dict(zip(array.segments, src.tolist())),
     )
 
 
@@ -646,3 +635,4 @@ def trace_to_csv(trace):
             cells.append(f"{s.source_currents.get(line, 0.0) * 1e6:.6f}")
         rows.append(",".join(cells))
     return "\n".join(rows) + "\n"
+

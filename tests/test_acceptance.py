@@ -182,6 +182,26 @@ def test_protocol_round_trip_and_timing():
 
 
 @gate
+def test_full_scan_at_the_paper_word_width():
+    # every word of a seeded 64-bit x 1024-word array at 0 ohm reads back
+    # what it stores; the margin floor waits for a placement that gives the
+    # reference cells the wire of their data cells
+    arr = CrossbarArray(64, 1024)
+    rng = random.Random(64)
+    for w in range(arr.m_words):
+        arr.set_word(w, "".join(rng.choice("01") for _ in range(arr.n_bits)))
+    drive = DriveConfig()
+    start = time.perf_counter()
+    worst = math.inf
+    for w in range(arr.m_words):
+        sense = read_word(arr, w, drive)
+        assert sense.bits == arr.get_word(w), w
+        worst = min(worst, min(map(abs, sense.per_bit_margin)))
+    elapsed = time.perf_counter() - start
+    return f"1024 words x 64 bits in {elapsed:.2f} s, smallest |margin| {worst:.0f} Ohm"
+
+
+@gate
 def test_self_enable_switch_counts():
     arr = CrossbarArray(4, 4)
     arr.set_word(2, "1011")

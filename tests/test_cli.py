@@ -398,6 +398,20 @@ def test_underflowing_physics_rate_names_the_moment(tmp_path, capsys, command):
     assert "dynamics.moment_a_m2:" in capsys.readouterr().err
 
 
+def test_zero_write_current_is_one_config_error(tmp_path, capsys):
+    # a fully fixed switch used to pass validation and fail in the write
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text(
+        "[transistor]\nr_on = 1000\nr_off = 1e9\ni_sat = 1e-3\n[drive]\nwrite_overdrive = 1e-320\n"
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "config error: drive.write_overdrive: no write current: 9.99989e-321x threshold is 0 A"
+    ]
+    assert not (tmp_path / "run").exists()
+
+
 def test_env_search_path_supplies_default_config(tmp_path, monkeypatch, capsys):
     cfgdir = tmp_path / "cfgs"
     cfgdir.mkdir()

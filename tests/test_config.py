@@ -201,8 +201,8 @@ def test_section_defaults_are_the_models_defaults():
 @pytest.mark.parametrize(
     "text, first",
     [
-        ("[device]\nsurface_nm2 = 5e-324\n", "transistor.r_on: "),
-        ("[drive]\nwrite_overdrive = 5e-324\n", "transistor.r_on: "),
+        ("[device]\nsurface_nm2 = 5e-324\n", "drive.write_overdrive: "),
+        ("[drive]\nwrite_overdrive = 5e-324\n", "drive.write_overdrive: "),
         (
             "[device]\nsurface_nm2 = 1e-310\n"
             "[transistor]\nr_on = 1000\nr_off = 1e9\ni_sat = 1e-3\n",
@@ -216,6 +216,17 @@ def test_underflowing_write_current_is_a_config_error(text, first):
     # junction resistance is 0
     (err,) = errors_of(text)
     assert err.startswith(first)
+
+
+@pytest.mark.parametrize(
+    "switch", ["r_on = 1000\nr_off = 1e9\ni_sat = 1e-3\n", "r_on = 1000\n"], ids=["fixed", "sized"]
+)
+def test_zero_write_current_is_refused_under_the_overdrive(switch):
+    # a write current of 0 A is a drive problem whether or not a switch key
+    # is left to be sized for it; before, a fully fixed switch passed and
+    # the write failed to regulate, and r_on alone named the sized i_sat
+    errs = errors_of(f"[transistor]\n{switch}[drive]\nwrite_overdrive = 1e-320\n")
+    assert errs == ["drive.write_overdrive: no write current: 9.99989e-321x threshold is 0 A"]
 
 
 # -- error collection --------------------------------------------------------
