@@ -50,7 +50,7 @@ from .device import (
     reference_params,
 )
 from .errors import ParameterError
-from .network import CrossbarNetwork, NodalCore, RowDriver
+from .network import _KCL_LIMIT, CrossbarNetwork, NodalCore, RowDriver
 
 __all__ = ["CrossbarArray", "REF_ROWS", "reference_branch_resistance"]
 
@@ -152,6 +152,15 @@ class CrossbarArray:
             mtj_resistance(MtjState.AP, self.params),
         )
         self._r_refs = np.full(len(refs), mtj_resistance(MtjState.P, self.ref_params))
+        # a selector rail that buries the branch conductances below the float
+        # resolution of the row sums loses their currents (as wires would)
+        r_max = max(*self._r_data, *self._r_refs[:1])
+        floor = n_bits * r_max * np.finfo(float).eps / _KCL_LIMIT
+        if not self.cell_transistor.r_on >= floor:
+            raise ParameterError(
+                f"transistor.r_on: {self.cell_transistor.r_on:g} ohm is below the "
+                f"{floor:g} ohm floor of a {n_bits}-bit word next to {r_max:g} ohm cells"
+            )
         self.critical_currents = np.concatenate([
             np.full(len(data), critical_current(self.params)),
             np.full(len(refs), critical_current(self.ref_params)),

@@ -290,7 +290,14 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return args.func(cfg, args)
+        status = args.func(cfg, args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # standard output was closed early (``| head -1``): the outputs are
+        # written, so end quietly, and send the interpreter's last flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)

@@ -14,22 +14,20 @@ The topology is compiled once into integer index arrays, a
 change. Row nodes at even positions along their chain (every row node
 without wire resistance) touch only column nodes and the odd nodes of
 their own row, so they form an independent set E and their block of the
-nodal matrix is diagonal. A solve eliminates them first. A pinned
-eliminated node keeps its potential, adds no fill and moves its branch
-currents to the right-hand side.
+nodal matrix is diagonal. A solve eliminates them first; a pinned one adds
+no fill and moves its branch currents to the right-hand side.
 
-The kept nodes K carry the Schur complement
-``S = G_KK - W^T diag(1/D) W``. The inner edges and the eliminated-node
-lanes are stamped through one scatter table compiled on the core; the
-fill, the outer product of each eliminated node's lanes over its ``D``,
-is added in blocks of rows. A kept node held by a voltage bias is
-pinned: its coupling moves to the right-hand side as ``-S_KP x_P``, one
-product of ``S`` with the pinned potentials (the free nodes sit at 0 V
-in ``x_P``), and its row and column of ``S`` turn to identity. So ``S``
-stays symmetric whatever is pinned. A solve factors ``S`` once and
-back-substitutes the eliminated potentials ``x_E = (b_E + W x_K) / D``. A
-read without wire resistance drives every bit-line segment, so every kept
-node is pinned and nothing is assembled or factored; a write pins none.
+The kept nodes K carry the Schur complement ``S = G_KK - W^T diag(1/D) W``.
+A kept node's layer is its BFS level in the graph of S from the column
+terminals, so every coupling spans at most two adjacent layers and S is
+block tridiagonal (one layer without wires). One compiled scatter table
+stamps the inner edges and lanes into diagonal, upper and lower blocks
+padded to the widest layer; the fill of the eliminated nodes whose lanes
+start at one layer is one product of their lanes. A pinned kept node's
+coupling moves to the right-hand side and its row and column turn to
+identity, so S stays symmetric positive definite. Forward block
+elimination and back-substitution solve it, then ``x_E = (b_E + W x_K)
+/ D``. Without wires a read pins every kept node and solves nothing.
 
 Every row owns a pull-up and a pull-down rail at its terminal, fixed on
 the core. A network names the drivers of its selected rows only; every
@@ -91,8 +89,6 @@ _CLAMP_SLACK = 1.0 + 1e-12
 _MAX_CLAMP_ITERATIONS = 100
 _KCL_LIMIT = 1e-9
 _REG_TOL = 1e-10
-# fill products formed at once; an eliminated row of a w-bit word has w * w
-_FILL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -152,9 +148,39 @@ def _component_labels(n_nodes, a, b):
         labels = lower
 
 
-def _pair_index(lane_k, nk):
-    """Flat targets in an nk x nk matrix of every pair of lanes of each row of ``lane_k``."""
-    return (lane_k[:, :, None] * nk + lane_k[:, None, :]).ravel()
+def _ranks(keys, n_keys):
+    """Each entry's rank among the entries of its key, in order, and the count of each key."""
+    counts = np.bincount(keys, minlength=n_keys)
+    order = np.argsort(keys, kind="stable")
+    rank = np.empty_like(keys)
+    rank[order] = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys[order]]
+    return rank, counts
+
+
+def _levels(n_nodes, a, b, hop, seeds):
+    """Steps from ``seeds`` to every node over the edges ``a``-``b``, where
+    entering a ``hop`` node is free; -1 where no seed reaches."""
+    ends, other = np.concatenate([a, b]), np.concatenate([b, a])
+    order = np.argsort(ends, kind="stable")
+    start = np.searchsorted(ends[order], np.arange(n_nodes + 1))
+    level, claim = np.full(n_nodes, -1), np.full(n_nodes, -1)
+
+    def step(nodes, hops):
+        """The unvisited neighbours of ``nodes`` that are ``hops`` or not, once each."""
+        counts = start[nodes + 1] - start[nodes]
+        reach = other[order[np.arange(counts.sum()) + np.repeat(start[nodes] - np.cumsum(counts) + counts, counts)]]
+        reach = reach[(level[reach] < 0) & (hop[reach] == hops)]
+        claim[reach] = np.arange(len(reach))  # one copy of each node keeps its claim
+        return reach[claim[reach] == np.arange(len(reach))]
+
+    frontier, depth = seeds, 0
+    level[seeds] = 0
+    while frontier.size:
+        via = step(frontier, True)
+        level[via] = depth
+        frontier, depth = step(np.concatenate([frontier, via]), False), depth + 1
+        level[frontier] = depth
+    return level
 
 
 class NodalCore:
@@ -172,9 +198,10 @@ class NodalCore:
 
     Nodes split into the eliminated block E (``elim``) and the kept block K
     (``kept``); ``slot`` numbers each node within its block. Each E node's
-    edges, all to K nodes, sit in one row of the ``lane_*`` arrays.
-    ``s_index`` holds the targets of the edge and lane stamps of the Schur
-    complement over K in its flattened ``nk * nk`` form.
+    edges, all to K nodes, sit in one row of the ``lane_*`` arrays. Kept
+    node k is at ``pack[k]`` in ``n_layers`` layers of ``width`` places;
+    ``block_index`` places the edge and lane stamps of S in its blocks and
+    ``fill_index`` each lane in its group's rows of ``span`` places.
     """
 
     def __init__(self, rows, cols, crossings, tags, line_resistance, resistance):
@@ -228,11 +255,7 @@ class NodalCore:
         row_of, col_of = np.array(row_of, dtype=np.intp), np.array(col_of, dtype=np.intp)
         if line_resistance > 0.0:
             # one node per crossing, numbered along the line in branch order
-            ends = np.concatenate([row_of, col_of])
-            counts = np.bincount(ends, minlength=n_lines)
-            order = np.argsort(ends, kind="stable")
-            position = np.empty_like(ends)
-            position[order] = np.arange(len(ends)) - (np.cumsum(counts) - counts)[ends[order]]
+            position, counts = _ranks(np.concatenate([row_of, col_of]), n_lines)
             row_pos, col_pos = np.split(position, 2)
             sizes = np.maximum(counts, 1)
         else:
@@ -266,29 +289,50 @@ class NodalCore:
         # the cross edges of each eliminated node, one lane each, padded to
         # the largest degree with lanes of zero weight that point at slot 0
         cross_e = self.slot[np.where(a_elim, a, b)[cross]]
-        cross_k = self.slot[np.where(a_elim, b, a)[cross]]
-        degree = np.bincount(cross_e, minlength=ne)
-        order = np.argsort(cross_e, kind="stable")
-        e_of = cross_e[order]
-        lane = np.arange(len(order)) - (np.cumsum(degree) - degree)[e_of]
+        lane, degree = _ranks(cross_e, ne)
         width = int(degree.max(initial=0))
         self.lane_edge = np.zeros((ne, width), dtype=np.intp)
-        self.lane_k = np.zeros((ne, width), dtype=np.intp)
+        lane_k = np.zeros((ne, width), dtype=np.intp)
         self.lane_live = np.zeros((ne, width))
-        self.lane_edge[e_of, lane] = np.flatnonzero(cross)[order]
-        self.lane_k[e_of, lane] = cross_k[order]
-        self.lane_live[e_of, lane] = 1.0
-        self.lane_node = self.kept[self.lane_k]
-        # targets in the flattened S over K: each inner edge on the diagonal
-        # at both ends, then off it both ways; each lane on the diagonal at
-        # its kept end. The fill goes in blocks of rows, so wide words never
-        # hold all of it
-        ka, kb = self.slot[a[self.inner]], self.slot[b[self.inner]]
-        self.fill_rows = max(1, _FILL_BLOCK // max(width * width, 1))
-        self.s_index = np.concatenate([
-            ka * (nk + 1), kb * (nk + 1), ka * nk + kb, kb * nk + ka,
-            (self.lane_k * (nk + 1)).ravel(),
-        ])
+        self.lane_edge[cross_e, lane] = np.flatnonzero(cross)
+        lane_k[cross_e, lane] = self.slot[np.where(a_elim, b, a)[cross]]
+        self.lane_live[cross_e, lane] = 1.0
+        self.lane_node = self.kept[lane_k]
+
+        # a kept node's layer is its BFS level from the column terminals; a
+        # component no bit line reaches stays whole in layer 0. Without
+        # wires every kept node is a column terminal: one layer, no walk.
+        # An eliminated node's level is the first layer of its lanes
+        cols = self.terminal[len(self.rows):]
+        levels = _levels(n, a, b, self.is_elim, cols) if len(cols) < nk else np.zeros(n, dtype=int)
+        levels = np.maximum(levels, 0)
+        self.layer = layer = levels[self.kept]
+        self.n_layers = n_layers = int(layer.max(initial=0)) + 1
+        pos, sizes = _ranks(layer, n_layers)
+        self.width = p = int(sizes.max(initial=0))
+        self.pack = layer * p + pos  # each kept node's place in the padded layers
+        pads = np.flatnonzero(np.bincount(self.pack, minlength=n_layers * p) == 0)
+        self.pads = pads * p + pads % p  # the padding's diagonal, identity in every solve
+
+        def place(i, j):  # of S[i, j] among the diagonal, then upper, then lower blocks
+            li, lj = layer[i], layer[j]
+            block = np.array([0, n_layers, 2 * n_layers - 1])[(lj - li) % 3] + np.minimum(li, lj)
+            return (block * p + pos[i]) * p + pos[j]
+
+        # each inner edge on the diagonal at both ends, then off it both
+        # ways; each lane on the diagonal at its kept end
+        ka, kb, diagonal = self.slot[a[self.inner]], self.slot[b[self.inner]], self.pack * p + pos
+        self.block_index = np.concatenate(
+            [diagonal[ka], diagonal[kb], place(ka, kb), place(kb, ka), diagonal[lane_k].ravel()]
+        )
+        # the eliminated nodes whose lanes start at layer l are group l; each
+        # has a row of the group, its lanes at their place in layers l, l + 1
+        group = levels[self.elim]
+        row, counts = _ranks(group, n_layers)
+        self.group_rows, self.span = int(counts.max(initial=0)), p * min(n_layers, 2)
+        self.e_pack = group * self.group_rows + row
+        lane_place = np.where(self.lane_live > 0.0, (layer[lane_k] - group[:, None]) * p + pos[lane_k], 0)
+        self.fill_index = (self.e_pack[:, None] * self.span + lane_place).ravel()
         # the pull-up then the pull-down rail of each row, at its terminal
         self.rail_node = np.repeat(self.terminal[: len(self.rows)], 2)
         self.rail_slot = self.slot[self.rail_node]
@@ -302,7 +346,7 @@ class NodalCore:
         at their ``volts`` in column 0 and at 0 V in the rest.
         """
         in_e = self.is_elim[fixed]
-        pin_e, pin_k = self.slot[fixed[in_e]], fixed[~in_e]
+        pin_e, pin_k = self.slot[fixed[in_e]], self.slot[fixed[~in_e]]
         lanes = g[self.lane_edge] * self.lane_live
         d = lanes.sum(axis=1) + shunt
         d[pin_e] = 1.0  # a pinned node: 1/D = 0 below, so it adds no fill
@@ -314,52 +358,83 @@ class NodalCore:
         y = rhs_e * inv_d[:, None]
         y[pin_e, 0] = volts[in_e]
         x = np.zeros((self.n_nodes, y.shape[1]))
-        x[pin_k, 0] = volts[~in_e]
+        x[self.kept[pin_k], 0] = volts[~in_e]
         if len(pin_k) < len(self.kept):  # some kept node is free
-            x[self.kept] = self._solve_kept(g, lanes, inv_d, y, rhs_k, x[:, 0], pin_k)
+            x[self.kept] = self._solve_kept(g, lanes, inv_d, y, rhs_k, x[self.kept, 0], pin_k)
         # x_E = y + (W x_K) / D
         x[self.elim] = y + inv_d[:, None] * np.matmul(lanes[:, None, :], x[self.lane_node])[:, 0]
         return x
 
     def _solve_kept(self, g, lanes, inv_d, y, rhs_k, x_pinned, pin_k):
-        """Kept potentials, one column per column of ``y``.
-
-        ``lanes`` holds the conductance of every lane, ``y`` ``b_E / D`` (a
-        pinned eliminated node's volts), and ``x_pinned`` the potential of
-        every node at the base drive: the volts of the pinned kept nodes
-        ``pin_k``, 0 V elsewhere.
-        """
-        nk, step = len(self.kept), self.fill_rows
-        # S = G_KK - W^T diag(1/D) W; the fill of one eliminated node is the
-        # outer product of its lane conductances over D
+        """Kept potentials, one column per column of ``y`` (``b_E / D``, or a
+        pinned eliminated node's volts); the kept slots ``pin_k`` are held at
+        ``x_pinned``, which is 0 V at the free nodes."""
+        n_layers, p, q, span, cols = self.n_layers, self.width, self.group_rows, self.span, y.shape[1]
         g_inner = g[self.inner]
         weights = np.concatenate((g_inner, g_inner, -g_inner, -g_inner, lanes.ravel()))
-        s = np.bincount(self.s_index, weights, nk * nk)
-        scaled = lanes * -inv_d[:, None]
-        for lo in range(0, len(lanes), step):
-            block = slice(lo, lo + step)
-            fill = scaled[block, :, None] * lanes[block, None, :]
-            np.add.at(s, _pair_index(self.lane_k[block], nk), fill.ravel())
-        s = s.reshape(nk, nk)
-        # the kept nodes see b_K + W^T y - S_KP x_P; x_P is 0 V at the free nodes
-        rhs = rhs_k.copy()
-        rhs[:, 0] -= s @ x_pinned[self.kept]
-        # a column no eliminated node sees, such as a unit injection at a
-        # bit line, gains nothing through them
-        for col in np.flatnonzero(y.any(axis=0)):
-            rhs[:, col] += np.bincount(self.lane_k.ravel(), (lanes * y[:, col, None]).ravel(), nk)
-        # a pinned node is a symmetric Dirichlet row: its coupling is on the
-        # right-hand side above, so its row and column turn to identity
-        pin = self.slot[pin_k]
-        s[pin] = 0.0
-        s[:, pin] = 0.0
-        s[pin, pin] = 1.0
-        rhs[pin] = 0.0
-        rhs[pin, 0] = x_pinned[pin_k]
+        blocks = np.bincount(self.block_index, weights, (3 * n_layers - 2) * p * p).reshape(-1, p, p)
+        blocks.reshape(-1)[self.pads] = 1.0
+        diag, upper, lower = blocks[:n_layers], blocks[n_layers : 2 * n_layers - 1], blocks[2 * n_layers - 1 :]
+        # each layer's upper block, then its right-hand side
+        system = np.empty((n_layers, p, p + cols))
+        system[:-1, :, :p] = upper
+        upper, b = system[:-1, :, :p], system[:, :, p:]
+        # S = G_KK - W^T diag(1/D) W, and the kept nodes see b_K + W^T y:
+        # both are products of each group's lanes with that group's rows
+        # of -1/D and y
+        w = np.bincount(self.fill_index, lanes.ravel(), n_layers * q * span).reshape(n_layers, q, span)
+        rows = np.zeros((n_layers * q, 1 + cols))
+        rows[self.e_pack, 0], rows[self.e_pack, 1:] = -inv_d, y
+        rows = rows.reshape(n_layers, q, 1 + cols)
+        w_t, w_d = w.transpose(0, 2, 1), w * rows[:, :, :1]
+        diag += w_t[:, :p] @ w_d[:, :, :p]
+        b[:] = w_t[:, :p] @ rows[:, :, 1:]
+        if n_layers > 1:  # a group's lanes into the next layer
+            diag[1:] += w_t[:-1, p:] @ w_d[:-1, :, p:]
+            upper += w_t[:-1, :p] @ w_d[:-1, :, p:]
+            lower += w_t[:-1, p:] @ w_d[:-1, :, :p]
+            b[1:] += w_t[:-1, p:] @ rows[:-1, :, 1:]
+        b.reshape(-1, cols)[self.pack] += rhs_k
+        if len(pin_k):
+            # a pinned node is a symmetric Dirichlet row: its coupling
+            # -S_KP x_P goes to the right-hand side (x_P is 0 V at the
+            # free nodes), and its row and column turn to identity
+            x_p, free = np.zeros(n_layers * p), np.ones(n_layers * p)
+            x_p[self.pack], free[self.pack[pin_k]] = x_pinned, 0.0
+            x_p, free = x_p.reshape(n_layers, p, 1), free.reshape(n_layers, p, 1)
+            b[:, :, :1] -= diag @ x_p
+            b[:-1, :, :1] -= upper @ x_p[1:]
+            b[1:, :, :1] -= lower @ x_p[:-1]
+            diag *= free * free.transpose(0, 2, 1)
+            upper *= free[:-1] * free[1:].transpose(0, 2, 1)
+            lower *= free[1:] * free[:-1].transpose(0, 2, 1)
+            diag.reshape(n_layers, -1)[:, :: p + 1] += 1.0 - free[:, :, 0]
+            b *= free
+            b[:, :, :1] += x_p
         try:
-            return np.linalg.solve(s, rhs)
+            return _sweep(diag, lower, system).reshape(-1, cols)[self.pack]
         except np.linalg.LinAlgError as exc:
             raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
+
+
+def _sweep(diag, lower, system):
+    """Solve in place the block tridiagonal system of ``diag``, ``lower[l]`` (layer l + 1
+    to l) and ``system[l]``, layer l's block to l + 1 then its right-hand side: S is
+    positive definite, so forward block elimination and back-substitution (Golub & Van
+    Loan, *Matrix Computations*) need no pivoting across blocks."""
+    p, last = diag.shape[1], len(diag) - 1
+    for l in range(last + 1):
+        a = diag[l]
+        if l:
+            done = lower[l - 1] @ system[l - 1]
+            a = a - done[:, :p]
+            system[l, :, p:] -= done[:, p:]
+        start = p if l == last else 0  # no upper block past the last layer
+        system[l, :, start:] = np.linalg.solve(a, system[l, :, start:])
+    x = system[:, :, p:]
+    for l in range(last - 1, -1, -1):
+        x[l] -= system[l, :, :p] @ x[l + 1]
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,6 +518,8 @@ class AssembledNetwork:
             table[k : k + 2] = _rail_pair(driver)
         self.rail_r, self.rail_isat = table.T
         self.rail_volts = np.tile([net.v_dd, 0.0], n_rows)
+        self.free = np.ones(core.n_nodes, dtype=bool)  # the nodes KCL is checked at
+        self.free[self.fixed] = False
         self.unknown_count = core.n_nodes - len(self.fixed)
 
 
@@ -520,9 +597,29 @@ def solve_network(net):
     return _finish_solution(asm, volts, sources, g, clamp, rail_g)
 
 
+def _balance(core, x, edges, g, rails, rail_volts, rail_g, clamp, nodes, injection=None):
+    """Currents of ``edges`` and ``rails`` at ``x``, the net current into
+    each node, and its largest imbalance at ``nodes``: relative to the gross
+    magnitude of the stamped terms, not the (possibly cancelled) net
+    currents, and checked so that a NaN fails."""
+    xa, xb, rail_v = x[core.edge_a[edges]], x[core.edge_b[edges]], x[core.rail_node[rails]]
+    i, ohmic, n = (xa - xb) * g, clamp == 0.0, core.n_nodes
+    rail_i = np.where(ohmic, (rail_volts - rail_v) * rail_g, clamp)
+    flow = np.bincount(core.edge_b[edges], i, n) - np.bincount(core.edge_a[edges], i, n)
+    flow += np.bincount(core.rail_node[rails], rail_i, n)
+    gross = [((np.abs(xa) + np.abs(xb)) * g).max(initial=0.0), np.abs(rail_i).max(initial=0.0),
+             ((np.abs(rail_volts) + np.abs(rail_v)) * rail_g)[ohmic].max(initial=0.0)]
+    if injection is not None:
+        flow += injection
+        gross.append(np.abs(injection).max(initial=0.0))
+    residual = float(np.abs(flow[nodes]).max(initial=0.0) / max(*gross, 1e-12))
+    if not residual <= _KCL_LIMIT:
+        raise InvariantError(f"current conservation violated: relative residual {residual:.3e}")
+    return i, rail_i, flow, residual
+
+
 def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     net, core = asm.net, asm.core
-    n = core.n_nodes
     # a finite drive whose potentials overflow float range, as inf or as the
     # NaN of inf - inf inside the solve: no conservation check can judge
     # that solution (a NaN drive fails the check below)
@@ -531,37 +628,13 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     if overflow.any() and all(np.isfinite(x).all() for x in drive):
         lines = sorted({core.lines[line] for line in core.node_line[overflow].tolist()})
         raise SimulationError("node potentials beyond float range on: " + ", ".join(lines))
-    va, vb = volts[core.edge_a], volts[core.edge_b]
-    edge_i = (va - vb) * g
-    ohmic = clamp == 0.0
-    rail_v = volts[core.rail_node]
-    rail_i = np.where(ohmic, (asm.rail_volts - rail_v) * rail_g, clamp)
     injection = asm.injection.copy()
     injection[asm.reg_nodes] += sources
     # net current into each node, over the full edge set, so the check is
     # independent of the elimination
-    flow = (
-        np.bincount(core.edge_b, edge_i, n)
-        - np.bincount(core.edge_a, edge_i, n)
-        + np.bincount(core.rail_node, rail_i, n)
-        + injection
-    )
-    # the conservation check is normalised by the gross magnitude of the
-    # stamped terms, not the (possibly cancelled) net branch currents
-    gross = max(
-        ((np.abs(va) + np.abs(vb)) * g).max(initial=0.0),
-        ((np.abs(asm.rail_volts) + np.abs(rail_v)) * rail_g)[ohmic].max(initial=0.0),
-        np.abs(rail_i).max(initial=0.0),
-        np.abs(injection).max(initial=0.0),
-    )
-    source_flow = flow[asm.fixed]
-    flow[asm.fixed] = 0.0
-    kcl_residual = float(np.abs(flow).max(initial=0.0) / max(gross, 1e-12))
-    # written so that a NaN fails every check
-    if not kcl_residual <= _KCL_LIMIT:
-        raise InvariantError(
-            f"current conservation violated: relative residual {kcl_residual:.3e}"
-        )
+    every = slice(None)
+    edge_i, rail_i, flow, kcl_residual = _balance(core, volts, every, g, every, asm.rail_volts,
+                                                  rail_g, clamp, asm.free, injection)
 
     currents = edge_i[: len(core.tags)]
     miss = np.abs(currents[asm.reg_cells] - asm.reg_targets)
@@ -577,7 +650,7 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     source_currents = dict(zip(asm.regulated, sources.tolist()))
     source_currents.update((line, lb.value) for line, lb in net.bias.items() if lb.kind == "current")
     # an ideal source supplies whatever the node fails to balance
-    source_currents.update(zip(asm.fixed_lines, (-source_flow).tolist()))
+    source_currents.update(zip(asm.fixed_lines, (-flow[asm.fixed]).tolist()))
 
     return NetworkSolution(
         core=core,
@@ -585,7 +658,7 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
         currents=currents,
         rail_currents=rail_i,
         source_currents=source_currents,
-        clamped=frozenset(core.rows[r // 2] for r in np.flatnonzero(~ohmic)),
+        clamped=frozenset(core.rows[r // 2] for r in np.flatnonzero(clamp)),
         kcl_residual=kcl_residual,
     )
 
@@ -639,7 +712,7 @@ class ReadBase:
         span = np.ptp(np.concatenate([asm.rail_volts, asm.fixed_volts]))
         self.settled = bool((span * self.rail_g <= asm.rail_isat * _CLAMP_SLACK).all())
         self.wired = len(asm.fixed) < len(core.kept)  # some kept node is free
-        self.free = np.delete(np.arange(core.n_nodes), asm.fixed)
+        self.free = np.flatnonzero(asm.free)
         self.edges = np.arange(len(core.edge_a))
         # each row's cells in cell order, and the column of every cell
         self.row_cells = core.node_line[core.cell_row].argsort(kind="stable").reshape(n_rows, -1)
@@ -674,8 +747,7 @@ class ReadBase:
         if self.wired:
             rhs_e = np.zeros((ne, 1 + len(terminals)))  # then a unit injection per row terminal
             rhs_e[:, 0], rhs_e[core.slot[terminals], 1 + np.arange(len(terminals))] = self.rhs, 1.0
-            rhs_k = np.zeros((len(core.kept), rhs_e.shape[1]))
-            x = core.solve(self.g, self.shunt, rhs_e, rhs_k, asm.fixed, asm.fixed_volts)
+            x = core.solve(self.g, self.shunt, rhs_e, 0.0, asm.fixed, asm.fixed_volts)
             volts, self.resp = x[:, 0], x[:, 1:]
             self.z = self.resp[terminals]  # row terminal by row terminal
         else:
@@ -695,24 +767,13 @@ class ReadBase:
 
     def _checked(self, x, edges, nodes, rails, rail_g, clamp):
         """Currents of ``edges`` (cells first) at ``x``, checked for KCL at ``nodes``."""
-        core, n = self.core, self.core.n_nodes
+        core = self.core
         overflow = nodes[~np.isfinite(x[nodes])]  # named, as by _finish_solution
         if overflow.size:
             lines = sorted({core.lines[line] for line in core.node_line[overflow].tolist()})
             raise SimulationError("node potentials beyond float range on: " + ", ".join(lines))
-        xa, xb = x[core.edge_a[edges]], x[core.edge_b[edges]]
-        i = (xa - xb) * self.g[edges]
-        ohmic, volts, rail_v = clamp == 0.0, self.asm.rail_volts[rails], x[core.rail_node[rails]]
-        rail_i = np.where(ohmic, (volts - rail_v) * rail_g, clamp)
-        flow = np.bincount(core.edge_b[edges], i, n) - np.bincount(core.edge_a[edges], i, n)
-        flow += np.bincount(core.rail_node[rails], rail_i, n)
-        # normalised as in _finish_solution, by the gross stamped terms
-        gross = max(((np.abs(xa) + np.abs(xb)) * self.g[edges]).max(initial=0.0),
-                    ((np.abs(volts) + np.abs(rail_v)) * rail_g)[ohmic].max(initial=0.0),
-                    np.abs(rail_i).max(initial=0.0))
-        residual = float(np.abs(flow[nodes]).max(initial=0.0) / max(gross, 1e-12))
-        if not residual <= _KCL_LIMIT:
-            raise InvariantError(f"current conservation violated: relative residual {residual:.3e}")
+        volts = self.asm.rail_volts[rails]
+        i = _balance(core, x, edges, self.g[edges], rails, volts, rail_g, clamp, nodes)[0]
         cells = edges[: len(core.tags)]
         for k in np.flatnonzero(np.abs(i[: len(cells)]) >= self.limits[cells])[:1].tolist():
             raise ReadDisturbError(

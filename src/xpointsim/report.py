@@ -72,45 +72,27 @@ def make_manifest(cfg, version, outputs, wall_clock_s):
 # -- machine outputs ---------------------------------------------------------
 
 
+def _csv(header, rows):
+    """``header``, then one line per row; floats at ``repr`` precision."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
 def reads_to_csv(results):
     """Per-bit sense outcome table for ``(word_addr, SenseResult)`` pairs."""
-    rows = [READS_CSV_HEADER]
-    for addr, res in results:
-        for j, bit in enumerate(res.bits):
-            i_data, i_ref = res.branch_currents[j]
-            rows.append(
-                ",".join(
-                    (
-                        str(addr),
-                        str(j),
-                        bit,
-                        repr(res.per_bit_margin[j]),
-                        repr(i_data * 1e6),
-                        repr(i_ref * 1e6),
-                        repr(res.per_bit_delay[j] * 1e9),
-                    )
-                )
-            )
-    return "\n".join(rows) + "\n"
+    return _csv(READS_CSV_HEADER, (
+        (addr, j, bit, res.per_bit_margin[j], i_data * 1e6, i_ref * 1e6, res.per_bit_delay[j] * 1e9)
+        for addr, res in results
+        for j, (bit, (i_data, i_ref)) in enumerate(zip(res.bits, res.branch_currents))
+    ))
 
 
 def phases_to_csv(trace):
     """Per-phase energy and sneak-overhead table for one write trace."""
-    rows = [PHASES_CSV_HEADER]
-    for ph in trace.phases:
-        rows.append(
-            ",".join(
-                (
-                    ph.label,
-                    repr(ph.t_start * 1e9),
-                    repr(ph.t_end * 1e9),
-                    repr(ph.energy_j * 1e12),
-                    repr(ph.supply_a * 1e6),
-                    repr(ph.sneak_overhead * 100.0),
-                )
-            )
-        )
-    return "\n".join(rows) + "\n"
+    return _csv(PHASES_CSV_HEADER, (
+        (ph.label, ph.t_start * 1e9, ph.t_end * 1e9, ph.energy_j * 1e12, ph.supply_a * 1e6,
+         ph.sneak_overhead * 100.0)
+        for ph in trace.phases
+    ))
 
 
 # -- human summary blocks ----------------------------------------------------

@@ -358,6 +358,62 @@ def test_line_resistance_above_the_floor_runs(tmp_path, capsys, ohms):
     assert "word 3 -> '1111'" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("ohms", ["1e-300", "1e-10"])
+def test_tiny_transistor_r_on_names_the_key(tmp_path, capsys, ohms):
+    # the selected row's rail would bury its cells' conductances below the
+    # rounding error of the row potential, and current conservation fails
+    cfg = tmp_path / "switch.ini"
+    cfg.write_text(f"[transistor]\nr_on = {ohms}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: transistor.r_on: "), err
+    assert err.count("\n") == 1
+
+
+def test_transistor_r_on_above_the_floor_runs(tmp_path, capsys):
+    cfg = tmp_path / "switch.ini"
+    cfg.write_text("[transistor]\nr_on = 1e-2\n")
+    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 0
+    assert "word 3 -> '1111'" in capsys.readouterr().out
+
+
+def run_cli(*command, stdout=subprocess.PIPE, **env):
+    """``xpointsim`` in a child process with ``env`` added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(xpointsim.__file__).parents[1]), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "xpointsim", *command],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+    )
+
+
+def test_wired_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    cfg = tmp_path / "wired.ini"
+    cfg.write_text("[array]\nn_bits = 16\nm_words = 64\nline_resistance = 1.0\n")
+    for threads in ("1", "2"):
+        run = run_cli("simulate", "--config", str(cfg), "--seed", "1", "--out", threads,
+                      OPENBLAS_NUM_THREADS=threads)
+        assert run.returncode == 0, run.stderr
+    for name in sorted(DEMO_FILES):
+        one, two = read_out(tmp_path / "1", name), read_out(tmp_path / "2", name)
+        if name == "manifest.txt":
+            keep = lambda text: [l for l in text.split("\n") if not l.startswith("wall_clock")]
+            one, two = keep(one), keep(two)
+        assert one == two, name
+
+
+def test_closed_stdout_ends_the_run_quietly(tmp_path):
+    # the read end of the pipe is closed before the child starts, so its
+    # first print meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = run_cli("simulate", "--out", "run", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert {p.name for p in (tmp_path / "run").iterdir()} == DEMO_FILES
+
+
 @pytest.mark.parametrize("ohms", ["1e6", "1e8"])
 def test_unsensable_read_exits_2(tmp_path, capsys, ohms):
     # a segment that returns current to its source is a read the sense

@@ -172,11 +172,12 @@ def test_every_key_declaration_rejects_by_name_or_builds(text):
     try:
         build_array(cfg)
     except ParameterError as exc:
-        # checks only the compiled array makes: a line resistance the
-        # solver cannot resolve, or a word selector or reference cell whose
-        # derived value underflows
+        # checks only the compiled array makes: a line resistance or a
+        # selector on-resistance the solver cannot resolve, or a word
+        # selector or reference cell whose derived value underflows
         allowed = (
-            "line_resistance:", "r_on: must be positive", "surface_nm2: must be positive"
+            "line_resistance:", "transistor.r_on:", "r_on: must be positive",
+            "surface_nm2: must be positive",
         )
         assert str(exc).startswith(allowed), exc
     assert parse_config(serialize_config(cfg)) == cfg

@@ -144,11 +144,12 @@ def assert_matches_oracle(net, rel=1e-9, floor=1e-9):
     return sol
 
 
-def random_case(rng, wired=False):
-    """A random grid with random bias and drivers; ``wired`` draws 1-50 ohm/segment."""
+def random_case(rng, wired=False, n=None):
+    """A random grid with random bias and drivers; ``wired`` draws 1-50 ohm/segment.
+    ``n`` fixes the column count."""
     line_resistance = rng.uniform(1.0, 50.0) if wired else 0.0
     m = rng.randint(1, 5)
-    n = rng.randint(1, 5)
+    n = n or rng.randint(1, 5)
     states = [[rng.choice(["P", "AP"]) for _ in range(n)] for _ in range(m)]
     bias = {}
     fixed_any = False
@@ -204,13 +205,17 @@ class TestOracleEquivalence:
             assert_matches_oracle(random_case(rng, wired), floor=floor)
 
     @pytest.mark.parametrize("wired, floor", [(False, 1e-9), (True, 1e-7)], ids=["bare", "wired"])
-    def test_fill_formed_one_node_at_a_time(self, monkeypatch, wired, floor):
-        # a wide word forms its fill in several blocks of eliminated nodes;
-        # a one-product budget puts every eliminated node in a block of its own
-        monkeypatch.setattr(network, "_FILL_BLOCK", 1)
+    def test_fill_formed_one_node_at_a_time(self, wired, floor):
+        # one bit line: with wires its chain nodes are layers of one node
+        # each, and each group of eliminated nodes is one row node; without,
+        # the one layer is the line's one node
         rng = random.Random(20260815)
         for _ in range(40):
-            assert_matches_oracle(random_case(rng, wired), floor=floor)
+            net = random_case(rng, wired, n=1)
+            core = net.core
+            assert core.width == 1 and core.n_layers == len(core.kept)
+            assert core.group_rows == 1 or not wired
+            assert_matches_oracle(net, floor=floor)
 
     def test_wire_resistance_expansion(self):
         rng = random.Random(7)
@@ -293,15 +298,18 @@ class TestPartialPinning:
 
     @pytest.mark.parametrize("kind", ["read", "write"])
     def test_factored_block_is_the_free_nodes_and_symmetric(self, monkeypatch, kind):
-        # the factored matrix spans every kept node; a wired read pins the
+        # the factored blocks span every kept node; a wired read pins the
         # 2n segment terminals, whose rows and columns turn to identity, so
         # its free block is the rest; a write pins nothing. The fill
         # products a*b/D and b*a/D may differ in the last bit only
         arr = stored_array(4, 8, 2.0, seed=15)
         core = arr.to_network({}, {}).core
-        matrices = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: matrices.append(a) or solve(a, b))
+        captured = []
+        sweep = network._sweep
+        monkeypatch.setattr(
+            network, "_sweep",
+            lambda *blocks: captured.append([a.copy() for a in blocks]) or sweep(*blocks),
+        )
         if kind == "read":
             read_word(arr, 3)
             pinned = core.slot[core.terminal[[core.line_index[seg] for seg in arr.segments]]]
@@ -309,9 +317,19 @@ class TestPartialPinning:
         else:
             ops.write_word(arr, ops.WriteRequest(3, "1010", ops.WriteMode.PARALLEL))
             pinned = np.zeros(0, dtype=int)
+        diag, lower, system = captured[0]
+        n_layers, p = core.n_layers, core.width
+        assert diag.shape == (n_layers, p, p) and n_layers > 1
+        assert np.abs(diag - diag.transpose(0, 2, 1)).max() <= 1e-15 * np.abs(diag).max()
+        # the dense S over the kept nodes, put together from its blocks
+        padded = np.zeros((n_layers * p, n_layers * p))
+        for layer in range(n_layers):
+            here, after = slice(layer * p, (layer + 1) * p), slice((layer + 1) * p, (layer + 2) * p)
+            padded[here, here] = diag[layer]
+            if layer + 1 < n_layers:
+                padded[here, after], padded[after, here] = system[layer, :, :p], lower[layer]
+        s = padded[np.ix_(core.pack, core.pack)]
         nk = len(core.kept)
-        s = matrices[0]
-        assert s.shape == (nk, nk)
         assert np.abs(s - s.T).max() <= 1e-15 * np.abs(s).max()
         identity = np.eye(nk)
         assert np.array_equal(s[pinned], identity[pinned])
@@ -323,17 +341,63 @@ class TestPartialPinning:
 
     def test_zero_ohm_read_factors_an_empty_system(self, monkeypatch):
         # every kept node of a 0 ohm read is a bit-line segment at v_read:
-        # nothing is left to factor, so no fill may be formed either
+        # nothing is left to factor, so nothing may be stamped or filled
+        # either; the tables that place the stamps and the fill are gone
         arr = stored_array(64, 32, 0.0, seed=14)
-        shapes, pairs = [], []
-        solve, pair_index = np.linalg.solve, network._pair_index
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: shapes.append(a.shape) or solve(a, b))
-        monkeypatch.setattr(
-            network, "_pair_index", lambda k, nk: pairs.append(k.size) or pair_index(k, nk)
-        )
+        core = arr.to_network({}, {}).core
+        core.block_index = core.fill_index = None
+        calls = []
+        sweep, solve = network._sweep, np.linalg.solve
+        monkeypatch.setattr(network, "_sweep", lambda *a: calls.append("sweep") or sweep(*a))
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append("solve") or solve(a, b))
         read_word(arr, 5)
-        assert shapes == []
-        assert pairs == []
+        assert calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    wired=st.booleans(),
+    layout=st.sampled_from(["grid", "plain", "balanced"]),
+    cuts=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.booleans()), max_size=14),
+)
+def test_layers_hold_every_coupling_of_the_schur_complement(m, n, wired, layout, cuts):
+    # grids lose the crossings in ``cuts`` (open branches, or no branch at
+    # all, which can leave lines and whole components with no bit line)
+    line_resistance = 2.0 if wired else 0.0
+    if layout == "grid":
+        branches = [
+            (f"w{i}", f"b{j}", math.inf if (i, j, True) in cuts else R_P, f"w{i}b{j}")
+            for i in range(m)
+            for j in range(n)
+            if (i, j, False) not in cuts
+        ]
+        core = compile_network(
+            [f"w{i}" for i in range(m)], [f"b{j}" for j in range(n)], branches,
+            line_resistance=line_resistance,
+        ).core
+    else:
+        balanced = layout == "balanced"
+        core = CrossbarArray(n, 2 * m, balanced=balanced, line_resistance=line_resistance).to_network(
+            {}, {}
+        ).core
+    layer, nk = core.layer, len(core.kept)
+    # every kept node has one layer and one place in its layer's padding
+    assert layer.shape == (nk,) and ((layer >= 0) & (layer < core.n_layers)).all()
+    assert len(set(core.pack.tolist())) == nk
+    assert np.array_equal(core.pack // max(core.width, 1), layer)
+    assert np.bincount(layer, minlength=core.n_layers).max(initial=0) == core.width
+    # an inner edge, and the lanes of an eliminated node, span at most two
+    # adjacent layers; without wires there is one layer
+    ka, kb = core.slot[core.edge_a[core.inner]], core.slot[core.edge_b[core.inner]]
+    assert np.abs(layer[ka] - layer[kb]).max(initial=0) <= 1
+    live = core.lane_live > 0.0
+    lane_layer = layer[core.slot[core.lane_node]]
+    top = np.where(live, lane_layer, -1).max(axis=1, initial=-1)
+    bottom = np.where(live, lane_layer, core.n_layers).min(axis=1, initial=core.n_layers)
+    assert (top[live.any(axis=1)] - bottom[live.any(axis=1)] <= 1).all()
+    assert wired or core.n_layers == 1
 
 
 class TestDriveTables:

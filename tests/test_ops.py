@@ -454,38 +454,46 @@ def test_read_scan_allocates_no_dense_nodal_matrix():
     assert peak < 2e6
 
 
-def test_wide_word_write_forms_its_fill_in_bounded_blocks(monkeypatch):
-    # a write pins no kept node, so each of the 258 eliminated rows of a
-    # 64-bit word adds 64 x 64 fill products; formed all at once they would
-    # take 8.5 MB per array, so they go in blocks of at most _FILL_BLOCK
-    calls = []
-    pair_index, core_solve = network._pair_index, network.NodalCore.solve
-
-    def recording(lane_k, nk):
-        calls.append(lane_k.shape)
-        return pair_index(lane_k, nk)
-
-    def marking(core, *args):
-        calls.append("solve")
-        return core_solve(core, *args)
-
-    monkeypatch.setattr(network, "_pair_index", recording)
-    monkeypatch.setattr(network.NodalCore, "solve", marking)
+def test_wide_word_write_bounds_the_fill_of_each_group(monkeypatch):
+    # a write pins no kept node; without wires the 128 segments of a 64-bit
+    # word are one layer, and its 258 eliminated rows one group whose fill
+    # is one 128 x 258 x 128 product. Its 258 x 64 x 64 pair products at
+    # once would take 8.5 MB
     arr = fresh(64, 256)
-    write_word(arr, WriteRequest(0, "1" * 64, WriteMode.PARALLEL))
-    # each solve forms all of its fill, block by block
-    solves = []
-    for call in calls:
-        if call == "solve":
-            solves.append([])
-        else:
-            solves[-1].append(call)
-    assert solves
-    for shapes in solves:
-        assert all(rows * width**2 <= network._FILL_BLOCK for rows, width in shapes)
-        assert {width for _rows, width in shapes} == {64}
-        assert sum(rows for rows, _width in shapes) == 258
-        assert len(shapes) == 17
+    core = arr.to_network({}, {}).core
+    assert (core.n_layers, core.width, core.group_rows, core.span) == (1, 128, 258, 128)
+    peaks, solve_kept = [], network.NodalCore._solve_kept
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        x = solve_kept(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return x
+
+    monkeypatch.setattr(network.NodalCore, "_solve_kept", measured)
+    tracemalloc.start()
+    try:
+        write_word(arr, WriteRequest(0, "1" * 64, WriteMode.PARALLEL))
+    finally:
+        tracemalloc.stop()
+    assert peaks and max(peaks) < 2e6
+
+
+def test_wired_write_allocates_no_dense_schur_complement():
+    # a 16x128 array with wires keeps 3,120 nodes: a dense S over them is
+    # 78 MB, its blocks over 66 layers of at most 48 nodes 3.6 MB
+    arr = fresh(16, 128, line_resistance=1.0)
+    rng = random.Random(1)
+    for w in range(128):
+        arr.set_word(w, "".join(rng.choice("01") for _ in range(16)))
+    tracemalloc.start()
+    try:
+        write_word(arr, WriteRequest(5, "1010" * 4, WriteMode.PARALLEL))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_repeated_writes_leave_no_memory_on_the_core():
