@@ -192,7 +192,7 @@ def switching_delay(current_a, params, dyn):
         return math.inf
     speed = dyn.rate() * overdrive
     _require(
-        speed > 0.0 and 1.0 / speed < math.inf,
+        0.0 < speed < math.inf and 1.0 / speed < math.inf,
         "rate_per_amp",
         f"a switching rate of {speed:g} /s at {overdrive:g} A over threshold "
         "puts the switching delay beyond float range",

@@ -89,6 +89,7 @@ _CLAMP_SLACK = 1.0 + 1e-12
 _MAX_CLAMP_ITERATIONS = 100
 _KCL_LIMIT = 1e-9
 _REG_TOL = 1e-10
+_OSCILLATES = "saturation assignment oscillates; no consistent operating point"
 
 
 @dataclass(frozen=True)
@@ -586,9 +587,7 @@ def solve_network(net):
             break
         marker = proposal.tobytes()
         if marker in seen_sets:
-            raise ConvergenceError(
-                "saturation assignment oscillates; no consistent operating point"
-            )
+            raise ConvergenceError(_OSCILLATES)
         seen_sets.add(marker)
         clamp = proposal
     else:
@@ -697,8 +696,11 @@ class ReadBase:
     """``net`` (every column at a voltage, every row idle) solved once, and
     reads as corrections of it at the rows whose selectors differ (W. W.
     Hager, SIAM Review 31(2), 1989). An injection at row terminal r moves
-    every node by ``resp[:, r]`` with wires; without, its own by ``z[r]``.
-    ``solve`` is :func:`solve_network`; no current may reach ``limits``."""
+    every node by ``resp[:, r]`` with wires. Without, only its own, by
+    ``z[r]``: a read is its rows read alone, and the first read after a full
+    solve enters every row in ``table``; a row re-solved in place is entered
+    again when read. ``solve`` is :func:`solve_network`; no current may
+    reach ``limits``."""
 
     def __init__(self, net, limits, solve=solve_network):
         asm = self.asm = build_network(net)
@@ -717,6 +719,11 @@ class ReadBase:
         # each row's cells in cell order, and the column of every cell
         self.row_cells = core.node_line[core.cell_row].argsort(kind="stable").reshape(n_rows, -1)
         self.cell_col = core.node_line[core.cell_col] - n_rows
+        # a row read alone through ``selector``: terminal potential, cell currents
+        # less the base's, rail clamps, a cycling saturated set, ok: fresh, passes _checked
+        self.entry = np.dtype([("v", float), ("delta", float, self.row_cells.shape[1:]), ("clamp", float, (2,)),
+                               ("unsettled", bool), ("ok", bool)])
+        self.selector, self.table = None, np.zeros(n_rows, self.entry)
         self.solve(net.resistance)
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is named by _checked
@@ -732,7 +739,9 @@ class ReadBase:
             args = (edges, core.terminal[rows], rails, self.rail_g[rails], self.clamp[rails])
             self.edge_i[edges] = self._checked(self.volts, *args)
             self.sources = np.bincount(self.cell_col, self.edge_i[: len(core.tags)], len(core.cols))
+            self.table["ok"][rows] = False  # entered again when read
             return
+        self.selector = None  # the next read enters every row
         self.g = 1.0 / np.concatenate([resistance, core.wire_r])
         clamp = np.zeros(len(self.rail_g))
         if not (self.wired and self.settled):
@@ -782,56 +791,96 @@ class ReadBase:
             )
         return i
 
-    @np.errstate(over="ignore", invalid="ignore")  # overflow is named by _checked
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow is named
     def read(self, drivers):
         """Column currents of the read of ``drivers``, and each driver's cells' columns."""
         core, asm = self.core, self.asm
         rows = np.array([core.line_index[row] for row in drivers])
-        # the rows that may leave the base: with wires every terminal moves
-        cand = np.arange(len(core.rows)) if self.wired else rows
-        sel = self.rails[rows if self.wired else np.arange(len(rows))].ravel()
-        rails = self.rails[cand].ravel()
-        g, isat = self.rail_g[rails], asm.rail_isat[rails]
-        pairs = np.array([_rail_pair(d) for d in drivers.values()]).reshape(-1, 2)
-        g[sel], isat[sel] = 1.0 / pairs[:, 0], pairs[:, 1]
-        base_g, base_c, volts = self.ohmic_g[rails], self.clamp[rails], asm.rail_volts[rails]
-        z = self.z if self.wired else self.z[rows]
-        v0, clamp, seen = self.volts[core.terminal[cand]], base_c.copy(), set()
+        pairs = np.array([_rail_pair(d) for d in drivers.values()])  # row, rail, (r, i_sat)
+        if not self.wired:
+            return self._look_up(rows, pairs)
+        # every row terminal may leave the base
+        sel, rails = self.rails[rows].ravel(), self.rails.ravel()
+        g, isat = self.rail_g.copy(), asm.rail_isat.copy()
+        g[sel], isat[sel] = 1.0 / pairs[..., 0].ravel(), pairs[..., 1].ravel()
+        base_g, base_c, volts, z = self.ohmic_g, self.clamp, asm.rail_volts, self.z
+        v0, clamp, seen = self.volts[core.terminal[: len(core.rows)]], base_c.copy(), set()
         clamp[sel] = 0.0
         for _ in range(_MAX_CLAMP_ITERATIONS):
             # a row stamping dg, dc over the base injects u = alpha - beta v, v = v0 + z u
             dg, dc = np.where(clamp == 0.0, g, 0.0) - base_g, clamp - base_c
             alpha = (dg * volts + dc).reshape(-1, 2).sum(axis=1)
             beta = dg.reshape(-1, 2).sum(axis=1)
-            if self.wired:
-                act = np.flatnonzero((alpha != 0.0) | (beta != 0.0))
-                lhs = np.eye(len(act)) + beta[act, None] * z[act][:, act]
-                u = np.linalg.solve(lhs, alpha[act] - beta[act] * v0[act])
-                v = v0 + z[:, act] @ u
-            else:
-                v = v0 + z * (alpha - beta * v0) / (1.0 + beta * z)
+            act = np.flatnonzero((alpha != 0.0) | (beta != 0.0))
+            lhs = np.eye(len(act)) + beta[act, None] * z[act][:, act]
+            u = np.linalg.solve(lhs, alpha[act] - beta[act] * v0[act])
+            v = v0 + z[:, act] @ u
             i_lin = (volts - np.repeat(v, 2)) * g
             over = np.abs(i_lin) > isat * _CLAMP_SLACK
             proposal = np.where(over, np.copysign(isat, i_lin), 0.0)
             if np.array_equal(proposal, clamp):
                 break
             if proposal.tobytes() in seen:
-                raise ConvergenceError("saturation assignment oscillates; no consistent "
-                                       "operating point")
+                raise ConvergenceError(_OSCILLATES)
             seen.add(proposal.tobytes())
             clamp = proposal
         else:
             raise ConvergenceError("saturation iteration exceeded the step limit")
-        if self.wired:
-            x, edges, nodes = self.volts + self.resp[:, act] @ u, self.edges, self.free
-        else:  # only the selected terminals move
-            x, edges, nodes = self.volts.copy(), self.row_cells[cand].ravel(), core.terminal[cand]
-            x[nodes] = v
-        i = self._checked(x, edges, nodes, rails, g, clamp)
-        cells = edges[: len(core.tags)]
+        i = self._checked(self.volts + self.resp[:, act] @ u, self.edges, self.free, rails, g, clamp)
+        cells = self.edges[: len(core.tags)]
         delta = i[: len(cells)] - self.edge_i[cells]
         sources = self.sources + np.bincount(self.cell_col[cells], delta, len(self.sources))
         return sources, self.cell_col[self.row_cells[rows]]
+
+    def _look_up(self, rows, pairs):
+        """The read of ``rows`` without wires, from their entries in ``table``."""
+        if self.selector is None:  # after a full solve: every row, through this read's selector
+            self.selector = np.broadcast_to(pairs[0], (len(self.table), 2, 2)).copy()
+            self.table = self._entries(np.arange(len(self.table)), self.selector)
+        e = self.table[rows]
+        if not (e["ok"].all() and (self.selector[rows] == pairs).all()):  # marked, at fault or reselected
+            redo = rows[~e["ok"] | (self.selector[rows] != pairs).any(axis=(1, 2))]
+            self.selector[rows] = pairs
+            self.table[redo] = self._entries(redo, self.selector[redo])
+            e = self.table[rows]
+        if not e["ok"].all():  # the base's checks at these rows name the fault
+            if e["unsettled"].any():
+                raise ConvergenceError(_OSCILLATES)
+            x, nodes, g = self.volts.copy(), self.core.terminal[rows], (1.0 / pairs[..., 0]).ravel()
+            x[nodes] = e["v"]
+            self._checked(x, self.row_cells[rows].ravel(), nodes, self.rails[rows].ravel(), g, e["clamp"].ravel())
+        cols = self.cell_col[self.row_cells[rows]]
+        return self.sources + np.bincount(cols.ravel(), e["delta"].ravel(), len(self.sources)), cols
+
+    def _entries(self, rows, pairs):
+        """Each of ``rows`` read alone through its selector's rail ``pairs`` (resistance,
+        saturation current) of the pull-up then the pull-down, vectorised over rows."""
+        core, rails, cells = self.core, self.rails[rows], self.row_cells[rows]
+        g, isat = 1.0 / pairs[..., 0], pairs[..., 1]
+        base_g, base_c, volts = self.ohmic_g[rails], self.clamp[rails], self.asm.rail_volts[rails]
+        z, v0, clamp = self.z[rows], self.volts[core.terminal[rows]], np.zeros(rails.shape)
+        for _ in range(_MAX_CLAMP_ITERATIONS):  # a row not settled by now cycles
+            dg, dc = np.where(clamp == 0.0, g, 0.0) - base_g, clamp - base_c
+            alpha, beta = (dg * volts + dc).sum(axis=1), dg.sum(axis=1)
+            v = v0 + z * (alpha - beta * v0) / (1.0 + beta * z)
+            i_lin = (volts - v[:, None]) * g
+            over = np.abs(i_lin) > isat * _CLAMP_SLACK
+            proposal = np.where(over, np.copysign(isat, i_lin), 0.0)
+            unsettled = (proposal != clamp).any(axis=1)
+            if not unsettled.any():
+                break
+            clamp = proposal
+        e, x_col, g_cell = np.empty(len(rows), self.entry), self.volts[core.cell_col[cells]], self.g[cells]
+        i = (x_col - v[:, None]) * g_cell
+        e["v"], e["clamp"], e["unsettled"], e["delta"] = v, clamp, unsettled, i - self.edge_i[cells]
+        # _checked's terms; a read of rows that each pass alone passes
+        rail_i = np.where(clamp == 0.0, i_lin, clamp)
+        flow = np.cumsum(i, axis=1)[:, -1] + rail_i.sum(axis=1)
+        gross = np.concatenate([(np.abs(x_col) + np.abs(v[:, None])) * g_cell, np.abs(rail_i),
+                                np.where(clamp == 0.0, (np.abs(volts) + np.abs(v[:, None])) * g, 0.0)], axis=1)
+        kcl = np.abs(flow) / np.maximum(gross.max(axis=1), 1e-12) <= _KCL_LIMIT
+        e["ok"] = ~unsettled & np.isfinite(v) & kcl & (np.abs(i) < self.limits[cells]).all(axis=1)
+        return e
 
 
 def equivalent_resistance(net, line_a, line_b):

@@ -46,8 +46,9 @@ closed-form models of :mod:`xpointsim.perf` charge a read the same time.
 
 Reads differ only at their selected rows. The array caches a
 :class:`~xpointsim.network.ReadBase`, the read drive with every row idle,
-solved and checked (KCL, read disturb) once per stored state and
-``v_read``; a read corrects it at its rows' selectors, checks what it moves.
+solved and checked (KCL, read disturb) once per stored state and ``v_read``.
+With wires a read corrects it at its rows' selectors and checks what moves;
+without, each row's read is its own, and a read looks up its two rows' reads.
 
 Energy bookkeeping: the supply current of an interval is the summed
 magnitude of the regulated source currents (writes) or of the driven

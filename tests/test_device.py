@@ -201,6 +201,12 @@ class TestSwitchingDelay:
         with pytest.raises(ParameterError, match="rate_per_amp:"):
             switching_delay(1.3 * I_C0, params, SwitchingParams(rate_per_amp=rate))
 
+    def test_infinite_switching_rate_names_the_rate(self, params):
+        # rate x overdrive overflows to inf: the delay would be 0, and a
+        # write step would divide its time step by it
+        with pytest.raises(ParameterError, match="rate_per_amp:"):
+            switching_delay(1e296, params, SwitchingParams(rate_per_amp=1e13))
+
 
 class TestSwitchingStep:
     def test_flip_after_exactly_tau(self, params, dyn):

@@ -645,6 +645,96 @@ def test_mixed_sequence_reads_like_a_fresh_array():
         assert read_word(arr, w) == read_word(alone, w)
 
 
+def random_words(arr, seed):
+    rng = random.Random(seed)
+    for w in range(arr.m_words):
+        arr.set_word(w, "".join(rng.choice("01") for _ in range(arr.n_bits)))
+
+
+def test_a_row_at_fault_raises_only_in_the_reads_that_select_it():
+    # without wires the first read enters every row's read in the table,
+    # faulty rows too: word 5 disturbs a cell whose threshold is set to half
+    # its read current, and word 6's idle potential is set beyond what its
+    # selector can pull without overflow. Each raises in its own reads only,
+    # with the text of the checks of the read's rows, and no other read
+    # moves from what a base without the faults gives
+    arr = fresh(4, 8)
+    random_words(arr, 7)
+    drive = DriveConfig()
+    net = arr.to_network(dict.fromkeys(arr.segments, LineBias.voltage(drive.v_read)), {})
+    hot = arr.cell_keys.index(("w5", arr.host_segment(5, 2)))
+    i_read = ops._read_solution(arr, 5, drive).currents[hot]
+    limits = arr.critical_currents.copy()
+    limits[hot] = abs(i_read) / 2
+    base, clean = network.ReadBase(net, limits), network.ReadBase(net, arr.critical_currents)
+    base.volts[base.core.terminal[base.core.line_index["w6"]]] = np.finfo(float).max
+    for _ in range(2):
+        for w in (0, 1, 2, 3, 4, 7):  # the first of them builds the table
+            drivers = select_word(arr, w, "read")
+            assert np.array_equal(base.read(drivers)[0], clean.read(drivers)[0])
+        with pytest.raises(ReadDisturbError) as info:
+            base.read(select_word(arr, 5, "read"))
+        assert str(info.value) == (
+            f"read current {abs(i_read) * 1e6:.1f} uA reaches the switching "
+            f"threshold of {arr.tag('w5', arr.host_segment(5, 2))}"
+        )
+        with pytest.raises(SimulationError, match=r"^node potentials beyond float range on: w6$"):
+            base.read(select_word(arr, 6, "read"))
+
+
+def test_zero_ohm_read_through_other_selectors_matches_the_full_solve():
+    # the table holds each row's read through the selector that last read
+    # it; a read whose word row is pulled up instead re-enters that row, and
+    # a read through the read selector then re-enters it again
+    arr = fresh(4, 8)
+    random_words(arr, 5)
+    drive = DriveConfig()
+    bias = dict.fromkeys(arr.segments, LineBias.voltage(drive.v_read))
+    base = network.ReadBase(arr.to_network(bias, {}), arr.critical_currents)
+    pulled_up = {**select_word(arr, 3, "0"), arr.serving_ref_row(3): select_word(arr, 3, "read")["ref_o"]}
+    for drivers in (select_word(arr, 3, "read"), pulled_up, select_word(arr, 3, "read")):
+        full = solve_network(arr.to_network(bias, drivers)).source_currents
+        sources = base.read(drivers)[0]
+        assert np.allclose(sources, [full[s] for s in arr.segments], rtol=1e-12, atol=0.0)
+
+
+def test_zero_ohm_reads_look_their_rows_up(monkeypatch):
+    # once the table of a 0 ohm array exists a read solves and balances
+    # nothing; a write re-solves the base in place at its word's row, and
+    # that row alone is entered again, when a read first selects it
+    arr = fresh(4, 16)
+    random_words(arr, 11)
+    read_word(arr, 0)
+    calls, entered = [], []
+
+    def counted(name, fn):
+        def count(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return count
+
+    monkeypatch.setattr(network, "_balance", counted("_balance", network._balance))
+    monkeypatch.setattr(network.ReadBase, "_rows", counted("_rows", network.ReadBase._rows))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    entries = network.ReadBase._entries
+
+    def entering(self, rows, pairs):
+        entered.append([self.core.rows[r] for r in rows.tolist()])
+        return entries(self, rows, pairs)
+
+    monkeypatch.setattr(network.ReadBase, "_entries", entering)
+    for w in range(arr.m_words):
+        read_word(arr, w)
+    assert calls == [] and entered == []
+    write_word(arr, WriteRequest(9, complement(arr.get_word(9)), WriteMode.PARALLEL))
+    for w in (2, 3, 8):  # word 3 shares word 9's reference row
+        read_word(arr, w)
+    assert entered == []
+    for _ in range(2):
+        assert read_word(arr, 9).bits == arr.get_word(9)
+    assert entered == [["w9"]]
+
+
 def test_overdriven_read_raises_disturb():
     arr = fresh()
     hot = DriveConfig(v_read=1.2)
