@@ -26,9 +26,11 @@ no reference rows or words; it exists for sneak-path studies and density
 estimates, and its reads compare against the ideal reference branch
 (``ideal_reference_resistance``) in a second, behavioural cycle.
 
-Cell numbering: cell ``k = word * n_bits + bit`` is the data cell of
-(word, bit); the reference cells follow the data cells. This is the order
-of ``cell_keys`` and of the network's branches. The array stores one
+Cell numbering: a cell is its index ``k``, also its network branch. Cell
+``k = word * n_bits + bit`` is the data cell of (word, bit); the reference
+cells follow, each bit's ``ref_e`` then ``ref_o``. The network gets each
+cell's row and segment index as integer arrays, and a cell's
+``row:segment`` tag is formatted only for a message. The array stores one
 boolean per data cell (``states``, True for antiparallel) and derives the
 branch resistances from it whenever it builds a network.
 
@@ -50,7 +52,7 @@ from .device import (
     reference_params,
 )
 from .errors import ParameterError
-from .network import _KCL_LIMIT, CrossbarNetwork, NodalCore, RowDriver
+from .network import _KCL_LIMIT, CrossbarNetwork, NodalCore, RowDriver, _check_wires
 
 __all__ = ["CrossbarArray", "REF_ROWS", "reference_branch_resistance"]
 
@@ -68,14 +70,44 @@ def reference_branch_resistance(ref_params, cell_r_on, n_bits):
     return mtj_resistance(MtjState.P, ref_params) + cell_r_on / n_bits
 
 
+def _checked_models(params, transistor, n_bits, balanced, line_resistance):
+    """An array's word selector, reference junction, (P, AP) and reference
+    resistances; refuses, as ``section.key``, a switch or wire its solves
+    cannot resolve. The build and the scenario check both call it."""
+    section = "transistor"
+    try:
+        # the word selector carries all n_bits cell currents at once,
+        # so it is an n_bits-wide device
+        r_on, r_off, i_sat = transistor.r_on, transistor.r_off, transistor.i_sat
+        selector = TransistorModel(r_on / n_bits, r_off, n_bits * i_sat)
+        section = "device"
+        ref_params = reference_params(params)
+        r_data = mtj_resistance(MtjState.P, params), mtj_resistance(MtjState.AP, params)
+        r_ref = mtj_resistance(MtjState.P, ref_params)
+        built = np.array([r_data[0], r_ref][: 1 + balanced])  # every data cell starts parallel
+        # a selector rail that buries the branch conductances below the float
+        # resolution of the row sums loses their currents (as wires would)
+        r_max = max(*r_data, *built)
+        floor = n_bits * r_max * np.finfo(float).eps / _KCL_LIMIT
+        section = "transistor"
+        if not r_on >= floor:
+            raise ParameterError(f"r_on: {r_on:g} ohm is below the {floor:g} ohm floor "
+                                 f"of a {n_bits}-bit word next to {r_max:g} ohm cells")
+        section = "array"
+        _check_wires(line_resistance, built)
+    except ParameterError as exc:
+        raise ParameterError(f"{section}.{exc}") from None
+    return selector, ref_params, r_data, r_ref
+
+
 class CrossbarArray:
     """One cross-point array holding live device states.
 
     The array owns the data-cell states in ``states``, which
     :mod:`xpointsim.ops` flips while running protocols. Rows, segments and
     cells never change, so the nodal core is compiled once;
-    ``resistances`` and ``critical_currents`` follow the cells in
-    ``cell_keys`` order, which is also the network's branch order.
+    ``resistances`` and ``critical_currents`` follow the cells in index
+    order, which is also the network's branch order.
     """
 
     def __init__(
@@ -114,60 +146,30 @@ class CrossbarArray:
             else TransistorModel.default_for(self.params, v_dd=v_dd, overdrive=write_overdrive)
         )
         self.write_current = write_overdrive * critical_current(self.params)
-        # the word selector carries all n_bits cell currents at once,
-        # so it is an n_bits-wide device
-        self.row_driver_model = TransistorModel(
-            r_on=self.cell_transistor.r_on / n_bits,
-            r_off=self.cell_transistor.r_off,
-            i_sat=n_bits * self.cell_transistor.i_sat,
+        self.row_driver_model, self.ref_params, self._r_data, r_ref = _checked_models(
+            self.params, self.cell_transistor, n_bits, balanced, line_resistance
         )
-        self.ref_params = reference_params(self.params)
 
         self.word_rows = [f"w{i}" for i in range(m_words)]
         self.ref_rows = list(REF_ROWS) if balanced else []
+        # data cell k = word * n_bits + bit sits on row `word` and, balanced,
+        # on b{bit}e for an even word and on b{bit}o for an odd one
+        word, bit = np.repeat(np.arange(m_words), n_bits), np.tile(np.arange(n_bits), m_words)
+        cell_row, cell_col = word, bit
         if balanced:
-            self.segments = [
-                f"b{j}{half}" for j in range(n_bits) for half in ("e", "o")
-            ]
+            self.segments = [f"b{j}{half}" for j in range(n_bits) for half in ("e", "o")]
+            # each bit's ref_e then ref_o cell, on the segment its words do not use
+            ref = np.arange(2 * n_bits)
+            cell_row = np.concatenate([word, m_words + ref % 2])
+            cell_col = np.concatenate([2 * bit + word % 2, ref ^ 1])
         else:
             self.segments = [f"b{j}" for j in range(n_bits)]
-
-        data = [
-            (self.word_row(w), self.host_segment(w, j))
-            for w in range(m_words)
-            for j in range(n_bits)
-        ]
-        refs = []
-        if balanced:
-            # each reference row covers the segments its words do not use
-            refs = [
-                cell
-                for j in range(n_bits)
-                for cell in (("ref_e", f"b{j}o"), ("ref_o", f"b{j}e"))
-            ]
-        self.cell_keys = data + refs
-        self.states = np.zeros(len(data), dtype=bool)
-        self._r_data = (
-            mtj_resistance(MtjState.P, self.params),
-            mtj_resistance(MtjState.AP, self.params),
-        )
-        self._r_refs = np.full(len(refs), mtj_resistance(MtjState.P, self.ref_params))
-        # a selector rail that buries the branch conductances below the float
-        # resolution of the row sums loses their currents (as wires would)
-        r_max = max(*self._r_data, *self._r_refs[:1])
-        floor = n_bits * r_max * np.finfo(float).eps / _KCL_LIMIT
-        if not self.cell_transistor.r_on >= floor:
-            raise ParameterError(
-                f"transistor.r_on: {self.cell_transistor.r_on:g} ohm is below the "
-                f"{floor:g} ohm floor of a {n_bits}-bit word next to {r_max:g} ohm cells"
-            )
-        self.critical_currents = np.concatenate([
-            np.full(len(data), critical_current(self.params)),
-            np.full(len(refs), critical_current(self.ref_params)),
-        ])
-        tags = [self.tag(*key) for key in self.cell_keys]
+        self.states = np.zeros(word.size, dtype=bool)
+        self._r_refs = np.full(len(cell_row) - word.size, r_ref)
+        i_c = critical_current(self.params), critical_current(self.ref_params)
+        self.critical_currents = np.repeat(i_c, [word.size, self._r_refs.size])
         self._core = NodalCore(
-            self.word_rows + self.ref_rows, self.segments, self.cell_keys, tags,
+            self.word_rows + self.ref_rows, self.segments, cell_row, cell_col,
             line_resistance, self.resistances,
         )
         self.read_base = None  # the idle read solution ops.read_word keeps
@@ -219,13 +221,13 @@ class CrossbarArray:
 
     # -- device state --------------------------------------------------
 
-    @staticmethod
-    def tag(row, segment):
-        return f"{row}:{segment}"
+    def tag(self, k):
+        """Cell ``k``'s ``row:segment`` name, for messages."""
+        return self._core.tag(k)
 
     @property
     def resistances(self):
-        """Branch resistances in ``cell_keys`` order, derived from ``states``."""
+        """Branch resistances in cell order, derived from ``states``."""
         r_p, r_ap = self._r_data
         return np.concatenate([np.where(self.states, r_ap, r_p), self._r_refs])
 

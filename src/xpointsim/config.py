@@ -66,7 +66,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .array import CrossbarArray
+from .array import CrossbarArray, _checked_models
 from .device import MtjParams, SwitchingParams, TransistorModel, critical_current
 from .errors import ConfigError, ParameterError
 from .ops import DriveConfig, WriteMode
@@ -334,9 +334,10 @@ def _cross_validate(cfg, flagged):
     if all(isinstance(r, float) for r in (tr.r_on, tr.r_off)) and tr.r_off <= tr.r_on:
         errors.append("transistor.r_off: must exceed r_on")
     # the derived models can fail (a 0 ohm junction, no voltage headroom at the
-    # requested operating point, a threshold current the rate fit cannot use):
-    # surface that at parse time, but only for a device, array, drive and switch
-    # that are otherwise valid, so that one bad value is not reported twice
+    # requested operating point, a threshold current the rate fit cannot use, a
+    # switch or wire the array cannot resolve): surface that at parse time, but
+    # only for a device, array, drive and switch that are otherwise valid, so
+    # that one bad value is not reported twice; no array is built
     if not errors and flagged.isdisjoint(
         ("device", "array", "drive", "architecture", "dynamics", "transistor")
     ):
@@ -348,8 +349,11 @@ def _cross_validate(cfg, flagged):
                                      f"{cfg.drive.write_overdrive:g}x threshold is 0 A")
             for section, build in (("transistor", build_transistor), ("dynamics", build_dynamics)):
                 build(cfg)
+            section = None  # the array's refusals name their own keys
+            _checked_models(build_device(cfg), build_transistor(cfg), arr.n_bits, arr.balanced,
+                            arr.line_resistance)
         except ParameterError as exc:
-            errors.append(f"{section}.{exc}")
+            errors.append(f"{section}.{exc}" if section else str(exc))
 
     if len(op.sweep_n_bits) * len(op.sweep_m_words) > _SWEEP_CAP:
         errors.append(

@@ -1,7 +1,7 @@
 """Resistive network solver for one cross-point array.
 
 The array is described as a bipartite mesh: word lines (rows) and bit lines
-(columns) joined by two-terminal device branches at the crossings. A line
+(columns) joined by two-terminal device branches where they cross. A line
 is held by an ideal voltage source, fed by an ideal or a regulated current
 source, or (rows only) tied to the rails through a pull-up/pull-down
 transistor pair; a line the bias does not name floats. Nodal analysis (Ho,
@@ -11,10 +11,11 @@ sneak currents go.
 
 The topology is compiled once into integer index arrays, a
 :class:`NodalCore`; between solves only conductances, biases and drivers
-change. Row nodes at even positions along their chain (every row node
-without wire resistance) touch only column nodes and the odd nodes of
-their own row, so they form an independent set E and their block of the
-nodal matrix is diagonal. A solve eliminates them first; a pinned one adds
+change. A branch is its index; its ``row:col`` tag is formatted only for
+a message or ``device_currents``. Row nodes at even positions along their
+chain (every row node without wire resistance) touch only column nodes
+and the odd nodes of their own row, so they form an independent set E and
+their block of the nodal matrix is diagonal. A solve eliminates them first; a pinned one adds
 no fill and moves its branch currents to the right-hand side.
 
 The kept nodes K carry the Schur complement ``S = G_KK - W^T diag(1/D) W``.
@@ -39,9 +40,9 @@ iterates on the set of saturated switches: solve, clamp any switch whose
 ohmic current exceeds its saturation limit, replace it with a fixed
 injection, and repeat until the saturated set is stable.
 
-A regulated source injects whatever current makes one named device branch
-carry a target current. For a fixed saturated set the network is affine in
-the source currents, so unit injections at the k regulated lines, solved
+A regulated source injects whatever current makes one device branch (an
+index) carry a target current. For a fixed saturated set the network is
+affine in the source currents, so unit injections at the k regulated lines, solved
 as extra right-hand-side columns of the same factorisation, give the exact
 transfer resistances; a k x k solve then places the operating point.
 
@@ -96,13 +97,13 @@ _OSCILLATES = "saturation assignment oscillates; no consistent operating point"
 class LineBias:
     """How one line is driven externally; a line with no bias floats.
 
-    A regulated source supplies whatever current makes the device branch
-    tagged ``cell`` carry ``value`` amperes.
+    A regulated source supplies whatever current makes device branch
+    ``cell`` (its index in the core) carry ``value`` amperes.
     """
 
     kind: str  # "voltage" | "current" | "regulated"
     value: float = 0.0
-    cell: str | None = None
+    cell: int | None = None
 
     _KINDS = ("voltage", "current", "regulated")
 
@@ -184,18 +185,39 @@ def _levels(n_nodes, a, b, hop, seeds):
     return level
 
 
+def _check_wires(line_resistance, resistance):
+    """Refuse a ``line_resistance`` per segment the nodal sums cannot resolve next to ``resistance``."""
+    if not 0.0 <= line_resistance < math.inf:
+        raise ParameterError("line_resistance: must be finite and non-negative")
+    # a wire conductance below the float resolution of the branch
+    # conductances is rounded away in the nodal sums: the lines are open
+    r_min = np.min(resistance, initial=math.inf)
+    if line_resistance * sys.float_info.epsilon > r_min:
+        raise ParameterError(f"line_resistance: {line_resistance:g} ohm per segment leaves the lines "
+                             f"open next to {r_min:g} ohm branches")
+    # a wire conductance so large that the branch conductances drop
+    # below the rounding error of the chain sums loses the branch
+    # currents: the answer would be wrong with no sign of it
+    r_max = np.max(resistance[np.isfinite(resistance)], initial=0.0)
+    floor = r_max * sys.float_info.epsilon / _KCL_LIMIT
+    if 0.0 < line_resistance < floor:
+        raise ParameterError(f"line_resistance: {line_resistance:g} ohm per segment is below the {floor:g} "
+                             f"ohm floor next to {r_max:g} ohm branches; 0 means ideal wires")
+
+
 class NodalCore:
     """Integer-indexed topology of one mesh; independent of any drive.
 
-    The only place a mesh is compiled and checked. Branch ``k`` sits at the
-    ``(row, col)`` crossing ``crossings[k]``, is named ``tags[k]`` and has
-    the positive ``resistance[k]`` when compiled.
+    The only place a mesh is compiled and checked. Branch ``k``, alone at its
+    crossing, joins ``rows[cell_row[k]]`` to ``cols[cell_col[k]]`` and has the
+    positive ``resistance[k]`` when compiled; :meth:`tag` names it.
 
     Line ``l`` (rows first, then columns) owns the nodes ``terminal[l]``
-    onwards; its bias and a row's rails attach at ``terminal[l]``. Branch
-    ``k`` joins node ``cell_col[k]`` on its column to node ``cell_row[k]``
-    on its row. Mesh edges are the branches followed by the wire segments.
-    Branches of infinite resistance are open for the lifetime of the core.
+    onwards; its bias and a row's rails attach at ``terminal[l]``. Compiled,
+    branch ``k`` joins node ``cell_col[k]`` on its column to node
+    ``cell_row[k]`` on its row. Mesh edges are the branches followed by the
+    wire segments. Branches of infinite resistance are open for the lifetime
+    of the core.
 
     Nodes split into the eliminated block E (``elim``) and the kept block K
     (``kept``); ``slot`` numbers each node within its block. Each E node's
@@ -205,58 +227,22 @@ class NodalCore:
     ``fill_index`` each lane in its group's rows of ``span`` places.
     """
 
-    def __init__(self, rows, cols, crossings, tags, line_resistance, resistance):
+    def __init__(self, rows, cols, cell_row, cell_col, line_resistance, resistance):
         self.rows, self.cols = list(rows), list(cols)
         self.row_set = frozenset(self.rows)
         self.lines = self.rows + self.cols
         self.line_index = {line: k for k, line in enumerate(self.lines)}
         if len(self.line_index) != len(self.lines):
             raise ParameterError("line names: rows and cols must be distinct")
-        self.crossings = list(crossings)
-        self.tags = list(tags)
-        self.tag_index = {tag: k for k, tag in enumerate(self.tags)}
-        n_rows = len(self.rows)
-        row_of, col_of = [], []
-        branches = zip(self.crossings, self.tags, resistance.tolist())
-        for k, ((row, col), tag, r) in enumerate(branches):
-            i, j = self.line_index.get(row, n_rows), self.line_index.get(col, -1)
-            if i >= n_rows:
-                raise ParameterError(f"branch {tag}: unknown row {row!r}")
-            if j < n_rows:
-                raise ParameterError(f"branch {tag}: unknown col {col!r}")
-            if not r > 0.0:
-                raise ParameterError(f"branch {tag}: resistance must be positive")
-            if self.tag_index[tag] != k:
-                raise ParameterError(f"branch tag {tag!r} appears twice")
-            row_of.append(i)
-            col_of.append(j)
-        if not 0.0 <= line_resistance < math.inf:
-            raise ParameterError("line_resistance: must be finite and non-negative")
-        # a wire conductance below the float resolution of the branch
-        # conductances is rounded away in the nodal sums: the lines are open
-        r_min = np.min(resistance, initial=math.inf)
-        if line_resistance * sys.float_info.epsilon > r_min:
-            raise ParameterError(
-                f"line_resistance: {line_resistance:g} ohm per segment leaves "
-                f"the lines open next to {r_min:g} ohm branches"
-            )
-        # a wire conductance so large that the branch conductances drop
-        # below the rounding error of the chain sums loses the branch
-        # currents: the answer would be wrong with no sign of it
-        r_max = np.max(resistance[np.isfinite(resistance)], initial=0.0)
-        floor = r_max * sys.float_info.epsilon / _KCL_LIMIT
-        if 0.0 < line_resistance < floor:
-            raise ParameterError(
-                f"line_resistance: {line_resistance:g} ohm per segment is below "
-                f"the {floor:g} ohm floor next to {r_max:g} ohm branches; "
-                f"0 means ideal wires"
-            )
+        n_rows, n_cols, n_lines = len(self.rows), len(self.cols), len(self.lines)
+        row_of, col_of = np.asarray(cell_row, dtype=np.intp), np.asarray(cell_col, dtype=np.intp)
+        for name, index, n in (("row", row_of, n_rows), ("col", col_of, n_cols)):
+            for k in np.flatnonzero((index < 0) | (index >= n))[:1]:
+                raise ParameterError(f"branch {k}: {name} {index[k]} outside 0..{n - 1}")
         self.line_resistance = line_resistance
-        n_lines = len(self.lines)
-        row_of, col_of = np.array(row_of, dtype=np.intp), np.array(col_of, dtype=np.intp)
         if line_resistance > 0.0:
             # one node per crossing, numbered along the line in branch order
-            position, counts = _ranks(np.concatenate([row_of, col_of]), n_lines)
+            position, counts = _ranks(np.concatenate([row_of, n_rows + col_of]), n_lines)
             row_pos, col_pos = np.split(position, 2)
             sizes = np.maximum(counts, 1)
         else:
@@ -265,8 +251,16 @@ class NodalCore:
         self.terminal = np.cumsum(sizes) - sizes
         self.n_nodes = n = int(sizes.sum())
         self.node_line = np.repeat(np.arange(n_lines), sizes)
-        self.cell_col = self.terminal[col_of] + col_pos
+        self.cell_col = self.terminal[n_rows + col_of] + col_pos
         self.cell_row = self.terminal[row_of] + row_pos
+        for k in np.flatnonzero(~(resistance > 0.0))[:1]:
+            raise ParameterError(f"branch {self.tag(k)}: resistance must be positive")
+        crossing = row_of * n_cols + col_of
+        order = np.argsort(crossing, kind="stable")  # the first branch at a crossing first
+        crossing = crossing[order]
+        for k in np.sort(order[1:][crossing[1:] == crossing[:-1]])[:1]:
+            raise ParameterError(f"branch {k}: crossing {self.tag(k)} appears twice")
+        _check_wires(line_resistance, resistance)
         # a wire segment joins each pair of consecutive nodes on one line
         wire = np.flatnonzero(np.diff(self.node_line) == 0)
         self.wire_r = np.full(len(wire), float(line_resistance))
@@ -337,6 +331,10 @@ class NodalCore:
         # the pull-up then the pull-down rail of each row, at its terminal
         self.rail_node = np.repeat(self.terminal[: len(self.rows)], 2)
         self.rail_slot = self.slot[self.rail_node]
+
+    def tag(self, k):
+        """Branch ``k``'s name in messages: ``row:col``."""
+        return f"{self.lines[self.node_line[self.cell_row[k]]]}:{self.lines[self.node_line[self.cell_col[k]]]}"
 
     def solve(self, g, shunt, rhs_e, rhs_k, fixed, volts):
         """Potentials of every node, one column per right-hand side.
@@ -491,12 +489,11 @@ class AssembledNetwork:
             elif lb.kind == "current":
                 self.injection[node] += lb.value
             elif lb.kind == "regulated":
-                cell = core.tag_index.get(lb.cell)
-                if cell is None:
+                if not 0 <= lb.cell < len(core.cell_row):
                     raise ParameterError(f"bias {line!r}: unknown cell {lb.cell!r}")
                 self.regulated.append(line)
                 reg_nodes.append(node)
-                cells.append(cell)
+                cells.append(lb.cell)
                 targets.append(lb.value)
         k = len(self.regulated)
         self.fixed = np.array(fixed, dtype=np.intp)
@@ -635,13 +632,13 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     edge_i, rail_i, flow, kcl_residual = _balance(core, volts, every, g, every, asm.rail_volts,
                                                   rail_g, clamp, asm.free, injection)
 
-    currents = edge_i[: len(core.tags)]
+    currents = edge_i[: len(core.cell_row)]
     miss = np.abs(currents[asm.reg_cells] - asm.reg_targets)
     if not np.all(miss <= _REG_TOL * np.abs(asm.reg_targets)):
         # the cell furthest past its tolerance, or the first NaN
         k = int(np.argmax(miss - _REG_TOL * np.abs(asm.reg_targets)))
         raise ConvergenceError(
-            f"write-drive regulation did not settle: {core.tags[asm.reg_cells[k]]} "
+            f"write-drive regulation did not settle: {core.tag(asm.reg_cells[k])} "
             f"on {asm.regulated[k]} carries {currents[asm.reg_cells[k]]:.6g} A, "
             f"{miss[k]:.2g} A off its target {asm.reg_targets[k]:.6g} A"
         )
@@ -680,7 +677,7 @@ class NetworkSolution:
 
     @cached_property
     def device_currents(self):
-        return dict(zip(self.core.tags, self.currents.tolist()))
+        return {self.core.tag(k): i for k, i in enumerate(self.currents.tolist())}
 
     @cached_property
     def transistor_currents(self):
@@ -738,7 +735,7 @@ class ReadBase:
             self.z[rows], self.volts[core.terminal[rows]] = self._rows(rows, self.volts)
             args = (edges, core.terminal[rows], rails, self.rail_g[rails], self.clamp[rails])
             self.edge_i[edges] = self._checked(self.volts, *args)
-            self.sources = np.bincount(self.cell_col, self.edge_i[: len(core.tags)], len(core.cols))
+            self.sources = np.bincount(self.cell_col, self.edge_i[: len(core.cell_row)], len(core.cols))
             self.table["ok"][rows] = False  # entered again when read
             return
         self.selector = None  # the next read enters every row
@@ -763,7 +760,7 @@ class ReadBase:
             self.z = self._rows(np.arange(len(terminals)), volts)[0]
         self.volts, rails = volts, self.rails.ravel()
         self.edge_i = self._checked(volts, self.edges, self.free, rails, self.rail_g, clamp)
-        self.sources = np.bincount(self.cell_col, self.edge_i[: len(core.tags)], len(core.cols))
+        self.sources = np.bincount(self.cell_col, self.edge_i[: len(core.cell_row)], len(core.cols))
 
     def _rows(self, rows, volts):
         """``1/D`` and potential of ``rows``, kept nodes at ``volts``, as NodalCore.solve."""
@@ -783,11 +780,11 @@ class ReadBase:
             raise SimulationError("node potentials beyond float range on: " + ", ".join(lines))
         volts = self.asm.rail_volts[rails]
         i = _balance(core, x, edges, self.g[edges], rails, volts, rail_g, clamp, nodes)[0]
-        cells = edges[: len(core.tags)]
+        cells = edges[: len(core.cell_row)]
         for k in np.flatnonzero(np.abs(i[: len(cells)]) >= self.limits[cells])[:1].tolist():
             raise ReadDisturbError(
                 f"read current {abs(i[k]) * 1e6:.1f} uA reaches the switching "
-                f"threshold of {core.tags[cells[k]]}"
+                f"threshold of {core.tag(cells[k])}"
             )
         return i
 
@@ -827,7 +824,7 @@ class ReadBase:
         else:
             raise ConvergenceError("saturation iteration exceeded the step limit")
         i = self._checked(self.volts + self.resp[:, act] @ u, self.edges, self.free, rails, g, clamp)
-        cells = self.edges[: len(core.tags)]
+        cells = self.edges[: len(core.cell_row)]
         delta = i[: len(cells)] - self.edge_i[cells]
         sources = self.sources + np.bincount(self.cell_col[cells], delta, len(self.sources))
         return sources, self.cell_col[self.row_cells[rows]]

@@ -221,18 +221,16 @@ def _write_sources(array, word_addr, phase, bits):
     """Regulated sources that hold the write current of ``phase`` in ``bits``.
 
     Segment -> source, in the order of ``bits``. A source makes the solver
-    drive its cell at exactly the write current: into the cell for phase
-    '1', out of it for phase '0'. The solver forms the exact transfer
-    resistances from its own factorisation (see :mod:`xpointsim.network`)
-    and checks each cell within 1e-10 relative.
+    drive its cell (by index) at exactly the write current: into the cell
+    for phase '1', out of it for phase '0'. The solver forms the exact
+    transfer resistances from its own factorisation (see
+    :mod:`xpointsim.network`) and checks each cell within 1e-10 relative.
     """
-    row = array.word_row(word_addr)
     amps = array.write_current if phase == "1" else -array.write_current
-    sources = {}
-    for bit in bits:
-        seg = array.host_segment(word_addr, bit)
-        sources[seg] = LineBias.regulated(array.tag(row, seg), amps)
-    return sources
+    return {
+        array.host_segment(word_addr, bit): LineBias.regulated(word_addr * array.n_bits + bit, amps)
+        for bit in bits
+    }
 
 
 # -- trace assembly --------------------------------------------------------
@@ -333,13 +331,13 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s):
 
     drivers = select_word(array, word_addr, phase)
     target = phase == "1"
-    cells = [word_addr * array.n_bits + bit for bit in bits]
-    sources = list(zip(cells, _write_sources(array, word_addr, phase, bits).items()))
+    sources = _write_sources(array, word_addr, phase, bits)
+    cells = {lb.cell for lb in sources.values()}
     phase_sources, phase_supply, overhead = {}, 0.0, 0.0
     reported_disturb = set()
     progress = {}  # cell index -> switching progress, dropped with the phase
     guard = 0
-    while pending := dict(source for k, source in sources if array.states[k] != target):
+    while pending := {seg: lb for seg, lb in sources.items() if array.states[lb.cell] != target}:
         guard += 1
         if guard > 4 * array.n_bits + 16:
             raise ConvergenceError(f"{label}: switching cascade did not terminate")
@@ -360,17 +358,16 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s):
         for k in np.flatnonzero(np.abs(sol.currents) > array.critical_currents).tolist():
             i = float(sol.currents[k])
             if k >= array.states.size:
-                tag = array.tag(*array.cell_keys[k])
-                if i > 0.0 and tag not in reported_disturb:
-                    reported_disturb.add(tag)
-                    trace.event("disturb", tag, i)
+                if i > 0.0 and k not in reported_disturb:
+                    reported_disturb.add(k)
+                    trace.event("disturb", array.tag(k), i)
             elif (i > 0.0) == array.states[k]:
                 progress.pop(k, None)
             else:
                 tau = switching_delay(i, array.params, array.dynamics)
                 flips.append(((1.0 - progress.get(k, 0.0)) * tau, k, i))
         if not flips:
-            stuck = next(iter(pending.values())).cell
+            stuck = array.tag(next(iter(pending.values())).cell)
             raise WriteFailureError(
                 f"{label}: insufficient drive, {stuck} never reaches its switching threshold"
             )
@@ -385,7 +382,7 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s):
             if new is not state:
                 array.states[k] = new is MtjState.AP
                 kind = "switch" if k in cells else "disturb-switch"
-                trace.event(kind, array.tag(*array.cell_keys[k]), i)
+                trace.event(kind, array.tag(k), i)
 
     trace.close_phase(phase_sources, phase_supply, overhead)
 
@@ -393,11 +390,10 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s):
 def _verify_written(array, req):
     stored = array.get_word(req.word_addr)
     if stored != req.data:
-        row = array.word_row(req.word_addr)
         bad = next(j for j in range(array.n_bits) if stored[j] != req.data[j])
         raise WriteFailureError(
             f"word {req.word_addr} reads back {stored!r}, wanted {req.data!r} "
-            f"({array.tag(row, array.host_segment(req.word_addr, bad))})"
+            f"({array.tag(req.word_addr * array.n_bits + bad)})"
         )
 
 

@@ -133,15 +133,11 @@ def summarize_reads(results, setup_s):
         f"read cycles: {len(results)} x {fmt6(cycle_s * 1e9)} ns = "
         f"{fmt6(len(results) * cycle_s * 1e9)} ns"
     ]
-    for addr, res in results:
-        lines.append(f"  word {addr} -> '{res.bits}'")
-        for j, bit in enumerate(res.bits):
-            i_data, i_ref = res.branch_currents[j]
-            lines.append(
-                f"    bit {j}: '{bit}', margin {fmt6(res.per_bit_margin[j])} ohm, "
-                f"i_data {fmt6(i_data * 1e6)} uA, i_ref {fmt6(i_ref * 1e6)} uA, "
-                f"delay {fmt6(res.per_bit_delay[j] * 1e9)} ns"
-            )
+    lines.extend(f"  word {addr} -> '{res.bits}'" for addr, res in results)
+    # the per-bit figures are in reads.csv; the summary names the closest call
+    addr, res = min(results, key=lambda r: min(map(abs, r[1].per_bit_margin)))
+    j = min(range(len(res.bits)), key=lambda j: abs(res.per_bit_margin[j]))
+    lines.append(f"  minimum margin: {fmt6(res.per_bit_margin[j])} ohm at word {addr} bit {j}")
     return "\n".join(lines)
 
 

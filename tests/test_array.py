@@ -11,8 +11,15 @@ from hypothesis import strategies as st
 from xpointsim.array import CrossbarArray, REF_ROWS
 from xpointsim.device import MtjState, TransistorModel, critical_current, mtj_resistance
 from xpointsim.errors import ParameterError
-from xpointsim.network import CrossbarNetwork, LineBias, RowDriver, build_network, solve_network
+from xpointsim.network import (
+    CrossbarNetwork, LineBias, NodalCore, RowDriver, build_network, solve_network,
+)
 from xpointsim.ops import WriteMode, WriteRequest, select_word, write_word
+
+
+def cells(arr):
+    """``(row, segment)`` of every cell, in index order, read from its tag."""
+    return [tuple(arr.tag(k).split(":")) for k in range(arr.resistances.size)]
 
 
 def test_balanced_layout_lines():
@@ -27,39 +34,39 @@ def test_balanced_layout_lines():
 def test_balanced_cell_count_and_placement():
     arr = CrossbarArray(4, 6)
     # one data cell per (word, bit) plus one reference cell per segment
-    assert len(arr.cell_keys) == len(arr.resistances) == 6 * 4 + 2 * 4
+    keys = cells(arr)
+    assert len(keys) == len(arr.resistances) == 6 * 4 + 2 * 4
     assert arr.states.size == 6 * 4
-    cells = set(arr.cell_keys)
-    assert len(cells) == len(arr.cell_keys)
+    assert len(set(keys)) == len(keys)
 
     for w in range(6):
         for j in range(4):
             host = arr.host_segment(w, j)
             assert host.endswith("e" if w % 2 == 0 else "o")
             # cell k = word * n_bits + bit
-            assert arr.cell_keys[w * 4 + j] == (arr.word_row(w), host)
+            assert keys[w * 4 + j] == (arr.word_row(w), host)
             # no cell on the sibling segment for this word
             sib = arr.sibling_segment(w, j)
-            assert (arr.word_row(w), sib) not in cells
+            assert (arr.word_row(w), sib) not in keys
 
 
 def test_reference_rows_cover_opposite_parity_segments():
     arr = CrossbarArray(3, 4)
-    cells = set(arr.cell_keys)
+    keys = cells(arr)
     # the reference cells follow the data cells
-    assert all(row in REF_ROWS for row, _seg in arr.cell_keys[arr.states.size:])
+    assert all(row in REF_ROWS for row, _seg in keys[arr.states.size:])
     for j in range(3):
-        assert ("ref_e", f"b{j}o") in cells
-        assert ("ref_o", f"b{j}e") in cells
-        assert ("ref_e", f"b{j}e") not in cells
-        assert ("ref_o", f"b{j}o") not in cells
+        assert ("ref_e", f"b{j}o") in keys
+        assert ("ref_o", f"b{j}e") in keys
+        assert ("ref_e", f"b{j}e") not in keys
+        assert ("ref_o", f"b{j}o") not in keys
 
 
 def test_every_segment_carries_same_device_count():
     """Both halves of a bit column load the sense amplifier identically."""
     arr = CrossbarArray(4, 8)
     per_segment = {seg: 0 for seg in arr.segments}
-    for _row, seg in arr.cell_keys:
+    for _row, seg in cells(arr):
         per_segment[seg] += 1
     counts = set(per_segment.values())
     assert counts == {8 // 2 + 1}  # half the words plus one reference cell
@@ -70,9 +77,9 @@ def test_serving_reference_row_matches_parity():
     assert arr.serving_ref_row(0) == "ref_e"
     assert arr.serving_ref_row(1) == "ref_o"
     assert arr.serving_ref_row(2) == "ref_e"
-    refs = {row for row, _seg in arr.cell_keys[arr.states.size:]}
+    refs = {row for row, _seg in cells(arr)[arr.states.size:]}
     assert refs == {"ref_e", "ref_o"}
-    assert all(row.startswith("w") for row, _seg in arr.cell_keys[:arr.states.size])
+    assert all(row.startswith("w") for row, _seg in cells(arr)[:arr.states.size])
 
 
 def test_host_and_sibling_segments():
@@ -88,7 +95,7 @@ def test_plain_layout_structure():
     arr = CrossbarArray(4, 4, balanced=False)
     assert arr.ref_rows == []
     assert arr.segments == ["b0", "b1", "b2", "b3"]
-    assert len(arr.cell_keys) == arr.states.size == 16
+    assert len(cells(arr)) == arr.states.size == 16
     assert arr.host_segment(1, 2) == "b2"
     with pytest.raises(ParameterError):
         arr.sibling_segment(0, 0)
@@ -134,7 +141,7 @@ def test_word_state_round_trip():
     assert arr.state(0, 0) is MtjState.AP
     assert arr.state(0, 1) is MtjState.P
     # '1' cells sit at the high-resistance state
-    resistance = dict(zip(arr.cell_keys, arr.resistances))
+    resistance = dict(zip(cells(arr), arr.resistances))
     r_ap = resistance[("w0", "b0e")]
     r_p = resistance[("w0", "b1e")]
     assert r_ap > r_p
@@ -212,7 +219,7 @@ def test_rows_left_unselected_carry_the_idle_selector():
 
 def test_reference_cells_sit_at_the_midpoint():
     arr = CrossbarArray(4, 4)
-    resistance = dict(zip(arr.cell_keys, arr.resistances))
+    resistance = dict(zip(cells(arr), arr.resistances))
     r_p = resistance[("w0", "b0e")]
     r_ref = resistance[("ref_e", "b0o")]
     assert r_ref == pytest.approx(1.75 * r_p, rel=1e-12)
@@ -235,17 +242,16 @@ def test_to_network_is_solvable():
     assert sol.kcl_residual < 1e-12
     # the grounded word's cells carry visibly more than leakage
     for j in range(4):
-        tag = arr.tag("w2", arr.host_segment(2, j))
+        tag = f"w2:{arr.host_segment(2, j)}"
         assert abs(sol.device_currents[tag]) > 1e-5
 
 
 def test_network_tags_are_row_colon_segment():
     arr = CrossbarArray(2, 2)
-    assert arr.tag("w0", "b1e") == "w0:b1e"
-    net = arr.to_network({}, {})
-    tags = set(net.core.tags)
+    assert arr.tag(1) == "w0:b1e"
+    tags = list(arr.to_network({}, {}).core.tag(k) for k in range(arr.resistances.size))
     assert "w0:b0e" in tags and "ref_o:b0e" in tags
-    assert len(tags) == len(net.core.tags)
+    assert len(set(tags)) == len(tags)
 
 
 def test_single_bit_array_works():
@@ -264,7 +270,7 @@ def test_line_resistance_flows_into_network():
 def assert_network_follows_the_states(arr):
     """Each data cell's branch sits at the resistance of the state the
     array reports for it; each reference cell at the reference resistance."""
-    resistance = dict(zip(arr.cell_keys, arr.to_network({}, {}).resistance))
+    resistance = dict(zip(cells(arr), arr.to_network({}, {}).resistance))
     for w in range(arr.m_words):
         word = arr.get_word(w)
         for j in range(arr.n_bits):
@@ -298,3 +304,32 @@ def test_network_resistances_follow_the_stored_states(line_resistance, stores, s
         write_word(arr, WriteRequest(w, data, mode))
         assert arr.get_word(w) == data
         assert_network_follows_the_states(arr)
+
+
+@pytest.mark.parametrize("balanced, n_bits, m_words", [
+    (True, 1, 2), (True, 4, 6), (True, 3, 8), (False, 1, 1), (False, 4, 5), (False, 5, 3),
+])
+def test_cell_index_names_its_word_row_and_host_segment(balanced, n_bits, m_words):
+    arr = CrossbarArray(n_bits, m_words, balanced=balanced)
+    assert arr.resistances.size == arr.states.size + (2 * n_bits if balanced else 0)
+    for w in range(m_words):
+        for j in range(n_bits):
+            assert arr.tag(w * n_bits + j) == f"{arr.word_row(w)}:{arr.host_segment(w, j)}"
+    # each reference cell sits on a segment none of the words it serves uses
+    for k in range(arr.states.size, arr.resistances.size):
+        row, seg = arr.tag(k).split(":")
+        served = [w for w in range(m_words) if arr.serving_ref_row(w) == row]
+        assert served and seg not in {arr.host_segment(w, j) for w in served for j in range(n_bits)}
+
+
+def test_build_formats_no_cell_names(monkeypatch):
+    # cells are index arrays from the array to the core: a build at the
+    # paper's word width names no cell, row or segment one cell at a time
+    calls = []
+    for owner, name in ((CrossbarArray, "word_row"), (CrossbarArray, "host_segment"),
+                        (CrossbarArray, "tag"), (NodalCore, "tag")):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, m=method, n=name: calls.append(n) or m(*a))
+    arr = CrossbarArray(64, 4096)
+    assert calls == []
+    assert arr.tag(4095 * 64 + 63) == "w4095:b63o" and calls == ["tag", "tag"]

@@ -53,6 +53,25 @@ def test_demo_scenario_runs_and_reads_back(tmp_path, capsys):
     assert len(rows) == 16
 
 
+def test_read_scan_summary_gives_one_line_per_word(tmp_path, capsys):
+    # the per-bit figures stay in reads.csv; the summary gives the cycle
+    # total, each word's bits and the smallest margin, with its sign
+    cfg = tmp_path / "scan.ini"
+    cfg.write_text("[array]\nn_bits = 8\nm_words = 6\n[operation]\nscenario = read\n")
+    assert main(["simulate", "--config", str(cfg), "--seed", "2", "--out", "run"]) == 0
+    summary = read_out(tmp_path / "run", "summary.txt")
+    assert summary in capsys.readouterr().out
+    block = summary[summary.index("read cycles: "):].rstrip("\n").split("\n")
+    rows = [row.split(",") for row in read_out(tmp_path / "run", "reads.csv").split("\n")[1:-1]]
+    words = {}
+    for addr, _bit, value, *_ in rows:
+        words[addr] = words.get(addr, "") + value
+    assert block[0].startswith("read cycles: 6 x ")
+    assert block[1:-1] == [f"  word {addr} -> '{bits}'" for addr, bits in words.items()]
+    addr, bit, _value, margin = min(rows, key=lambda row: abs(float(row[3])))[:4]
+    assert block[-1] == f"  minimum margin: {float(margin):.6g} ohm at word {addr} bit {bit}"
+
+
 def test_reruns_are_byte_identical(tmp_path):
     assert main(["simulate", "--out", "a"]) == 0
     assert main(["simulate", "--out", "b"]) == 0
@@ -331,10 +350,12 @@ def test_any_scenario_file_exits_0_1_or_2(text):
 
 @pytest.mark.parametrize("ohms", ["1e20", "1e300"])
 def test_huge_line_resistance_names_the_key(tmp_path, capsys, ohms):
+    # refused by the scenario check, so validate and analyze refuse it too
     cfg = tmp_path / "open.ini"
     cfg.write_text(f"[array]\nline_resistance = {ohms}\n")
-    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 1
-    assert "parameter error: line_resistance:" in capsys.readouterr().err
+    for command in ("validate", "analyze", "simulate"):
+        assert main([command, "--config", str(cfg), "--out", "run"]) == 1
+        assert capsys.readouterr().err.startswith("config error: array.line_resistance: ")
 
 
 @pytest.mark.parametrize("ohms", ["1e-11", "1e-18", "1e-300"])
@@ -343,11 +364,12 @@ def test_tiny_line_resistance_names_the_key(tmp_path, capsys, ohms):
     # wire chain sums and the demo would read or write wrong bits
     cfg = tmp_path / "tiny.ini"
     cfg.write_text(f"[array]\nline_resistance = {ohms}\n")
-    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("parameter error: line_resistance: "), err
-    assert err.count("\n") == 1
-    assert "0 means ideal wires" in err
+    for command in ("validate", "analyze", "simulate"):
+        assert main([command, "--config", str(cfg), "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: array.line_resistance: "), err
+        assert err.count("\n") == 1
+        assert "0 means ideal wires" in err
 
 
 @pytest.mark.parametrize("ohms", ["2e-3", "1.0"])
@@ -364,10 +386,11 @@ def test_tiny_transistor_r_on_names_the_key(tmp_path, capsys, ohms):
     # rounding error of the row potential, and current conservation fails
     cfg = tmp_path / "switch.ini"
     cfg.write_text(f"[transistor]\nr_on = {ohms}\n")
-    assert main(["simulate", "--config", str(cfg), "--out", "run"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("parameter error: transistor.r_on: "), err
-    assert err.count("\n") == 1
+    for command in ("validate", "analyze", "simulate"):
+        assert main([command, "--config", str(cfg), "--out", "run"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: transistor.r_on: "), err
+        assert err.count("\n") == 1
 
 
 def test_transistor_r_on_above_the_floor_runs(tmp_path, capsys):

@@ -31,7 +31,7 @@ from xpointsim.config import (
     serialize_config,
 )
 from xpointsim.device import MtjParams, SwitchingParams, TransistorModel, critical_current
-from xpointsim.errors import ConfigError, ParameterError
+from xpointsim.errors import ConfigError
 from xpointsim.ops import DriveConfig, WriteMode
 from xpointsim.perf import ArchitectureConfig, cell_area
 
@@ -98,7 +98,8 @@ def test_customized_round_trip_is_exact():
     surface=st.floats(1e3, 1e4),
     v_read=st.floats(0.05, 0.5),
     overdrive=st.floats(1.05, 2.0),
-    line_r=st.floats(0.0, 50.0),
+    # ideal wires, or wires above the floor the parse check refuses below
+    line_r=st.one_of(st.just(0.0), st.floats(0.01, 50.0)),
     n_bits=st.integers(1, 8),
     rate=st.one_of(st.just("auto"), st.just("physics"), st.floats(1e6, 1e12)),
 )
@@ -169,18 +170,29 @@ def test_every_key_declaration_rejects_by_name_or_builds(text):
     build_transistor(cfg)
     build_drive(cfg)
     build_architecture(cfg)
-    try:
-        build_array(cfg)
-    except ParameterError as exc:
-        # checks only the compiled array makes: a line resistance or a
-        # selector on-resistance the solver cannot resolve, or a word
-        # selector or reference cell whose derived value underflows
-        allowed = (
-            "line_resistance:", "transistor.r_on:", "r_on: must be positive",
-            "surface_nm2: must be positive",
-        )
-        assert str(exc).startswith(allowed), exc
+    # the scenario check refuses whatever the array's build would: a line
+    # resistance or a selector on-resistance the solver cannot resolve, a
+    # word selector or reference cell whose derived value underflows
+    build_array(cfg)
     assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("text, key", [
+    ("[array]\nline_resistance = 1e-11\n", "array.line_resistance: "),
+    ("[array]\nline_resistance = 1e20\n", "array.line_resistance: "),
+    ("[array]\nn_bits = 2\nm_words = 2\nline_resistance = 1e-3\n[operation]\ndata = 11\n",
+     "array.line_resistance: "),
+    ("[transistor]\nr_on = 1e-4\n", "transistor.r_on: "),
+    # the 4-bit word selector's r_on / 4 underflows to 0 ohm
+    ("[device]\nra_ohm_um2 = 5e-324\n[transistor]\nr_on = 5e-324\n", "transistor.r_on: "),
+    # the reference junction's surface, s / (1 + tmr / 2), underflows
+    ("[device]\nsurface_nm2 = 5e-324\ntmr = 3\njc0_a_cm2 = 1e300\n[transistor]\nr_on = 100\n",
+     "device.surface_nm2: "),
+], ids=["tiny-wire", "open-wire", "2x2-wire", "tiny-r_on", "selector-underflow", "reference-underflow"])
+def test_build_time_refusals_are_config_errors(text, key):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert len(info.value.errors) == 1 and info.value.errors[0].startswith(key), info.value.errors
 
 
 def test_section_defaults_are_the_models_defaults():

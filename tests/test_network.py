@@ -39,12 +39,12 @@ R_AP = mtj_resistance(MtjState.AP, PARAMS)
 
 
 def compile_network(rows, cols, branches, bias=None, drivers=None, v_dd=1.2, line_resistance=0.0):
-    """A network over ``(row, col, resistance, tag)`` branches, in that order."""
-    resistance = np.array([r for _, _, r, _ in branches], dtype=float)
-    core = NodalCore(
-        rows, cols, [(row, col) for row, col, _, _ in branches], [tag for *_, tag in branches],
-        line_resistance, resistance,
-    )
+    """A network over ``(row, col, resistance)`` branches, in that order; the
+    core gets each branch's row and column as index arrays."""
+    resistance = np.array([r for _, _, r in branches], dtype=float)
+    cell_row = np.array([rows.index(row) for row, _, _ in branches], dtype=int)
+    cell_col = np.array([cols.index(col) for _, col, _ in branches], dtype=int)
+    core = NodalCore(rows, cols, cell_row, cell_col, line_resistance, resistance)
     return CrossbarNetwork(core, resistance, drivers or {}, bias or {}, v_dd)
 
 
@@ -52,7 +52,7 @@ def grid_network(states, bias, drivers=None, v_dd=1.2, line_resistance=0.0, skip
     """Full m x n grid with given device states ('P'/'AP' strings)."""
     m, n = len(states), len(states[0])
     branches = [
-        (f"w{i}", f"b{j}", R_P if states[i][j] == "P" else R_AP, f"w{i}b{j}")
+        (f"w{i}", f"b{j}", R_P if states[i][j] == "P" else R_AP)
         for i in range(m)
         for j in range(n)
         if (i, j) not in skip
@@ -65,8 +65,12 @@ def grid_network(states, bias, drivers=None, v_dd=1.2, line_resistance=0.0, skip
 
 def net_branches(net):
     """``(row, col, resistance, tag)`` of each branch, in core order."""
-    values = zip(net.core.crossings, net.resistance.tolist(), net.core.tags)
-    return [(row, col, r, tag) for (row, col), r, tag in values]
+    core = net.core
+    lines = zip(core.node_line[core.cell_row].tolist(), core.node_line[core.cell_col].tolist())
+    return [
+        (core.lines[i], core.lines[j], r, core.tag(k))
+        for k, ((i, j), r) in enumerate(zip(lines, net.resistance.tolist()))
+    ]
 
 
 def column_currents(net, sol, col):
@@ -82,7 +86,7 @@ def oracle_description(net):
     injected = {}
     crossings_per_row = {r: [] for r in core.rows}
     crossings_per_col = {c: [] for c in core.cols}
-    for row, col in core.crossings:
+    for row, col, _, _ in net_branches(net):
         crossings_per_row[row].append(col)
         crossings_per_col[col].append(row)
 
@@ -99,7 +103,7 @@ def oracle_description(net):
     def terminal(line):
         return line if core.line_resistance == 0.0 else (line, 0)
 
-    for (row, col), r, _ in zip(core.crossings, net.resistance.tolist(), core.tags):
+    for row, col, r, _ in net_branches(net):
         resistors.append(
             (node(row, col, crossings_per_row), node(col, row, crossings_per_col), r)
         )
@@ -126,7 +130,7 @@ def assert_matches_oracle(net, rel=1e-9, floor=1e-9):
     core = net.core
     crossings_per_row = {r: [] for r in core.rows}
     crossings_per_col = {c: [] for c in core.cols}
-    for row, col in core.crossings:
+    for row, col, _, _ in net_branches(net):
         crossings_per_row[row].append(col)
         crossings_per_col[col].append(row)
     # abs floor: below ``floor`` amps both solvers are returning float noise
@@ -190,7 +194,7 @@ class TestOracleEquivalence:
     def test_single_cell_ohms_law(self):
         net = grid_network([["P"]], {"b0": LineBias.voltage(1.0), "w0": LineBias.voltage(0.0)})
         sol = assert_matches_oracle(net)
-        assert sol.device_currents["w0b0"] == pytest.approx(1.0 / R_P, rel=1e-12)
+        assert sol.device_currents["w0:b0"] == pytest.approx(1.0 / R_P, rel=1e-12)
 
     # without wire resistance every row node is eliminated before the
     # factorisation; with it, every other row node, on chains of odd and
@@ -368,7 +372,7 @@ def test_layers_hold_every_coupling_of_the_schur_complement(m, n, wired, layout,
     line_resistance = 2.0 if wired else 0.0
     if layout == "grid":
         branches = [
-            (f"w{i}", f"b{j}", math.inf if (i, j, True) in cuts else R_P, f"w{i}b{j}")
+            (f"w{i}", f"b{j}", math.inf if (i, j, True) in cuts else R_P)
             for i in range(m)
             for j in range(n)
             if (i, j, False) not in cuts
@@ -529,30 +533,33 @@ class TestInputChecks:
     @pytest.mark.parametrize("build, message", [
         (lambda: compile_network(["w0"], ["w0"], []),
          "line names: rows and cols must be distinct"),
-        (lambda: compile_network(["w0"], ["b0"], [("w1", "b0", R_P, "t")]),
-         "branch t: unknown row 'w1'"),
-        (lambda: compile_network(["w0"], ["b0"], [("w0", "b1", R_P, "t")]),
-         "branch t: unknown col 'b1'"),
-        (lambda: compile_network(["w0"], ["b0"], [("w0", "b0", 0.0, "t")]),
-         "branch t: resistance must be positive"),
-        (lambda: compile_network(["w0"], ["b0"], [("w0", "b0", math.nan, "t")]),
-         "branch t: resistance must be positive"),
-        (lambda: compile_network(["w0"], ["b0", "b1"], [
-            ("w0", "b0", R_P, "t"), ("w0", "b1", R_P, "t")]),
-         "branch tag 't' appears twice"),
+        (lambda: NodalCore(["w0"], ["b0"], [0, 1], [0, 0], 0.0, np.array([R_P, R_P])),
+         "branch 1: row 1 outside 0..0"),
+        (lambda: NodalCore(["w0"], ["b0"], [0, 0], [-1, 1], 0.0, np.array([R_P, R_P])),
+         "branch 0: col -1 outside 0..0"),
+        (lambda: compile_network(["w0"], ["b0"], [("w0", "b0", 0.0)]),
+         "branch w0:b0: resistance must be positive"),
+        (lambda: compile_network(["w0"], ["b0"], [("w0", "b0", math.nan)]),
+         "branch w0:b0: resistance must be positive"),
+        (lambda: compile_network(["w0", "w1"], ["b0", "b1"], [
+            ("w0", "b0", R_P), ("w1", "b1", R_P), ("w0", "b1", R_P), ("w1", "b1", R_P), ("w0", "b0", R_P)]),
+         "branch 3: crossing w1:b1 appears twice"),
+        (lambda: compile_network(["w0"], ["b0", "b1", "b2"], [
+            ("w0", "b0", R_P), ("w0", "b1", -R_P), ("w0", "b2", 0.0)]),
+         "branch w0:b1: resistance must be positive"),
         (lambda: TestInputChecks.bound({"b9": LineBias.voltage(0.3)}),
          "bias: unknown line 'b9'"),
-        (lambda: TestInputChecks.bound({"b0": LineBias.regulated("w9b0", 1e-4)}),
-         "bias 'b0': unknown cell 'w9b0'"),
+        (lambda: TestInputChecks.bound({"b0": LineBias.regulated(4, 1e-4)}),
+         "bias 'b0': unknown cell 4"),
         (lambda: equivalent_resistance(grid_network([["P", "AP"], ["AP", "P"]], {}), "b9", "w0"),
          "equivalent_resistance: unknown line 'b9'"),
-        (lambda: LineBias("voltage", 0.3, cell="w0b0"),
+        (lambda: LineBias("voltage", 0.3, cell=0),
          "bias cell: names the branch of a regulated source only"),
         (lambda: LineBias("regulated", 1e-4),
          "bias cell: names the branch of a regulated source only"),
     ], ids=[
         "shared-line", "unknown-row", "unknown-col", "zero-resistance", "nan-resistance",
-        "duplicate-tag", "bias-unknown-line", "regulated-unknown-cell",
+        "duplicate-tag", "first-bad-resistance", "bias-unknown-line", "regulated-unknown-cell",
         "resistance-unknown-line", "cell-on-voltage", "regulated-without-cell",
     ])
     def test_bad_input_is_named(self, build, message):
@@ -575,7 +582,7 @@ class TestSaturation:
         )
         sol = solve_network(net)
         # unclamped current would be 1.2 / (R_P + r_on) = 299 uA
-        assert sol.device_currents["w0b0"] == pytest.approx(1e-4, rel=1e-9)
+        assert sol.device_currents["w0:b0"] == pytest.approx(1e-4, rel=1e-9)
         assert sol.transistor_currents["w0"] == pytest.approx(-1e-4, rel=1e-9)
         assert sol.line_voltages["w0"] == pytest.approx(1.2 - 1e-4 * R_P, rel=1e-9)
         assert "w0" in sol.clamped
@@ -588,7 +595,7 @@ class TestSaturation:
         )
         net = grid_network([["P"]], {"b0": LineBias.voltage(1.2)}, drivers={"w0": drv})
         sol = solve_network(net)
-        assert sol.device_currents["w0b0"] == pytest.approx(1.2 / (R_P + 1e3), rel=1e-9)
+        assert sol.device_currents["w0:b0"] == pytest.approx(1.2 / (R_P + 1e3), rel=1e-9)
         assert not sol.clamped
 
 
@@ -598,8 +605,8 @@ class TestSneakStructure:
         bias = {"b0": LineBias.voltage(0.3), "w0": LineBias.voltage(0.0)}
         net = grid_network([["P", "P"], ["P", "P"]], bias)
         sol = assert_matches_oracle(net)
-        assert sol.device_currents["w0b0"] == pytest.approx(0.3 / R_P, rel=1e-12)
-        assert sol.device_currents["w1b0"] == pytest.approx(0.3 / (3 * R_P), rel=1e-12)
+        assert sol.device_currents["w0:b0"] == pytest.approx(0.3 / R_P, rel=1e-12)
+        assert sol.device_currents["w1:b0"] == pytest.approx(0.3 / (3 * R_P), rel=1e-12)
         # the column's current splits into the addressed branch and the sneak
         # branches, each the first hop of one parasitic path
         through = column_currents(net, sol, "b0")
@@ -635,9 +642,9 @@ class TestSneakStructure:
         # measured component and must be grounded for the solve to anchor it
         states = [["P", "AP"], ["AP", "P"]]
         grid = grid_network(states, {}, line_resistance=line_resistance)
-        open_row = [("wx", f"b{j}", math.inf, f"wxb{j}") for j in range(2)]
+        open_row = [("wx", f"b{j}", math.inf) for j in range(2)]
         net = compile_network(
-            ["w0", "wx", "w1"], ["b0", "b1"], net_branches(grid) + open_row,
+            ["w0", "wx", "w1"], ["b0", "b1"], [b[:3] for b in net_branches(grid)] + open_row,
             line_resistance=line_resistance,
         )
         for a, b in (("b0", "w0"), ("b1", "w0"), ("w1", "b0")):
@@ -779,19 +786,19 @@ class TestRegulatedSources:
         arr.set_word(0, "0110")
         arr.set_word(2, "1011")
         drivers = select_word(arr, 1, "1")
-        cells = {arr.host_segment(1, j): arr.tag("w1", arr.host_segment(1, j)) for j in range(4)}
-        bias = {seg: LineBias.regulated(tag, arr.write_current) for seg, tag in cells.items()}
+        cells = {arr.host_segment(1, j): 4 + j for j in range(4)}  # cell k = word * n_bits + bit
+        bias = {seg: LineBias.regulated(k, arr.write_current) for seg, k in cells.items()}
         sol = solve_network(arr.to_network(bias, drivers))
         fixed_drive = {seg: LineBias.current(sol.source_currents[seg]) for seg in cells}
         net = arr.to_network(fixed_drive, drivers)
         resistors, fixed, injected = oracle_description(net)
         volts = solve_nodes(resistors, fixed, injected)
         crossings = {line: [] for line in net.core.lines}
-        for row, col in net.core.crossings:
+        for row, col, _, _ in net_branches(net):
             crossings[row].append(col)
             crossings[col].append(row)
-        for row, col, r, tag in net_branches(net):
-            if tag not in cells.values():
+        for k, (row, col, r, tag) in enumerate(net_branches(net)):
+            if k not in cells.values():
                 continue
             col_node = (col, crossings[col].index(row))
             row_node = (row, crossings[row].index(col))

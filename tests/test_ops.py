@@ -662,7 +662,7 @@ def test_a_row_at_fault_raises_only_in_the_reads_that_select_it():
     random_words(arr, 7)
     drive = DriveConfig()
     net = arr.to_network(dict.fromkeys(arr.segments, LineBias.voltage(drive.v_read)), {})
-    hot = arr.cell_keys.index(("w5", arr.host_segment(5, 2)))
+    hot = 5 * arr.n_bits + 2  # cell k = word * n_bits + bit
     i_read = ops._read_solution(arr, 5, drive).currents[hot]
     limits = arr.critical_currents.copy()
     limits[hot] = abs(i_read) / 2
@@ -676,7 +676,7 @@ def test_a_row_at_fault_raises_only_in_the_reads_that_select_it():
             base.read(select_word(arr, 5, "read"))
         assert str(info.value) == (
             f"read current {abs(i_read) * 1e6:.1f} uA reaches the switching "
-            f"threshold of {arr.tag('w5', arr.host_segment(5, 2))}"
+            f"threshold of w5:{arr.host_segment(5, 2)}"
         )
         with pytest.raises(SimulationError, match=r"^node potentials beyond float range on: w6$"):
             base.read(select_word(arr, 6, "read"))
