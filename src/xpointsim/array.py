@@ -79,6 +79,8 @@ def _checked_models(params, transistor, n_bits, balanced, line_resistance):
         # the word selector carries all n_bits cell currents at once,
         # so it is an n_bits-wide device
         r_on, r_off, i_sat = transistor.r_on, transistor.r_off, transistor.i_sat
+        if not r_on / n_bits > 0.0:
+            raise ParameterError(f"r_on: {r_on:g} ohm over {n_bits} cells leaves the word selector at 0 ohm")
         selector = TransistorModel(r_on / n_bits, r_off, n_bits * i_sat)
         section = "device"
         ref_params = reference_params(params)
@@ -103,8 +105,9 @@ def _checked_models(params, transistor, n_bits, balanced, line_resistance):
 class CrossbarArray:
     """One cross-point array holding live device states.
 
-    The array owns the data-cell states in ``states``, which
-    :mod:`xpointsim.ops` flips while running protocols. Rows, segments and
+    The array owns the data-cell states: ``states`` shows them read-only, and
+    :meth:`store`, their one writer, marks the words it writes in
+    ``changed_words`` and ``changed`` for the read base. Rows, segments and
     cells never change, so the nodal core is compiled once;
     ``resistances`` and ``critical_currents`` follow the cells in index
     order, which is also the network's branch order.
@@ -164,7 +167,10 @@ class CrossbarArray:
             cell_col = np.concatenate([2 * bit + word % 2, ref ^ 1])
         else:
             self.segments = [f"b{j}" for j in range(n_bits)]
-        self.states = np.zeros(word.size, dtype=bool)
+        self._states = np.zeros(word.size, dtype=bool)
+        self.states = self._states.view()
+        self.states.flags.writeable = False
+        self.changed_words, self.changed = np.zeros(m_words, dtype=bool), False
         self._r_refs = np.full(len(cell_row) - word.size, r_ref)
         i_c = critical_current(self.params), critical_current(self.ref_params)
         self.critical_currents = np.repeat(i_c, [word.size, self._r_refs.size])
@@ -238,7 +244,7 @@ class CrossbarArray:
 
     def _word_cells(self, word):
         self._check_word(word)
-        return slice(word * self.n_bits, (word + 1) * self.n_bits)
+        return word * self.n_bits + np.arange(self.n_bits)
 
     def get_word(self, word):
         return "".join("1" if ap else "0" for ap in self.states[self._word_cells(word)])
@@ -257,7 +263,12 @@ class CrossbarArray:
     def set_word(self, word, data):
         """Directly assign stored data, bypassing the write protocol."""
         self.check_data(word, data)
-        self.states[self._word_cells(word)] = [ch == "1" for ch in data]
+        self.store(self._word_cells(word), [ch == "1" for ch in data])
+
+    def store(self, cells, values):
+        """Set data ``cells`` to ``values`` (True antiparallel) and mark their words changed."""
+        self._states[cells] = values
+        self.changed_words[cells // self.n_bits] = self.changed = True
 
     # -- network extraction ---------------------------------------------
 

@@ -36,9 +36,9 @@ other row takes the network's idle driver, and with none its rails are
 open (infinite resistance), so they carry no current and anchor nothing.
 
 Transistor saturation makes the system piecewise linear. The solver
-iterates on the set of saturated switches: solve, clamp any switch whose
-ohmic current exceeds its saturation limit, replace it with a fixed
-injection, and repeat until the saturated set is stable.
+iterates on the set of saturated switches (``_saturate``): solve, clamp any
+switch whose ohmic current exceeds its saturation limit (``_clamps``),
+replace it with a fixed injection, and repeat until the set is stable.
 
 A regulated source injects whatever current makes one device branch (an
 index) carry a target current. For a fixed saturated set the network is
@@ -53,7 +53,10 @@ at the first node of the chain.
 
 Sign conventions: device current is positive from the bit-line side to the
 word-line side; transistor current is positive from the rail into the row;
-source current is positive out of the source into the line.
+source current is positive out of the source into the line. A voltage
+source's current is what its line's cells and rails draw, summed over the
+line: with wires, not the wire current at its terminal, a difference of
+nearby potentials.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -541,7 +544,7 @@ def _check_anchored(asm):
 
 
 def _solve_linear(asm, g, clamp, rail_g):
-    """Node potentials and regulated source currents for one saturated set."""
+    """Node potentials and regulated source currents for one saturated set, and each rail's ohmic current."""
     core = asm.core
     ne = len(core.elim)
     ohmic_g = np.where(clamp == 0.0, rail_g, 0.0)
@@ -549,19 +552,41 @@ def _solve_linear(asm, g, clamp, rail_g):
     rhs_e[:, 0] += np.bincount(core.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
     shunt = np.bincount(core.rail_slot, ohmic_g, ne)
     x = core.solve(g, shunt, rhs_e, asm.rhs_k, asm.fixed, asm.fixed_volts)
-    if not asm.regulated:
-        return x[:, 0], np.zeros(0)
-    # columns: target-cell currents at the base drive, then per unit injection
-    cells, r = asm.reg_cells, asm.net.resistance[asm.reg_cells, None]
-    per_cell = (x[core.cell_col[cells]] - x[core.cell_row[cells]]) / r
-    try:
-        sources = np.linalg.solve(per_cell[:, 1:], asm.reg_targets - per_cell[:, 0])
-    except np.linalg.LinAlgError:
-        raise ConvergenceError(
-            "write-drive regulation lost authority over an addressed cell on "
-            + ", ".join(asm.regulated)
-        ) from None
-    return x[:, 0] + x[:, 1:] @ sources, sources
+    volts, sources = x[:, 0], np.zeros(0)
+    if asm.regulated:
+        # columns: target-cell currents at the base drive, then per unit injection
+        cells, r = asm.reg_cells, asm.net.resistance[asm.reg_cells, None]
+        per_cell = (x[core.cell_col[cells]] - x[core.cell_row[cells]]) / r
+        try:
+            sources = np.linalg.solve(per_cell[:, 1:], asm.reg_targets - per_cell[:, 0])
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                "write-drive regulation lost authority over an addressed cell on "
+                + ", ".join(asm.regulated)
+            ) from None
+        volts = volts + x[:, 1:] @ sources
+    return (volts, sources), (asm.rail_volts - volts[core.rail_node]) * rail_g
+
+
+def _clamps(i_lin, isat):
+    """The saturation rule: ``isat`` in the sign of an ohmic current ``i_lin`` past it, else 0.0 (ohmic)."""
+    return np.where(np.abs(i_lin) > isat * _CLAMP_SLACK, np.copysign(isat, i_lin), 0.0)
+
+
+def _saturate(clamp, step, isat):
+    """The result of ``step`` and the saturated set it settles at, from ``clamp`` on: ``step(clamp)``
+    solves one set, returning its result and each rail's ohmic current for :func:`_clamps`."""
+    seen = set()
+    for _ in range(_MAX_CLAMP_ITERATIONS):
+        result, i_lin = step(clamp)
+        proposal = _clamps(i_lin, isat)
+        if np.array_equal(proposal, clamp):
+            return result, clamp
+        if proposal.tobytes() in seen:
+            raise ConvergenceError(_OSCILLATES)
+        seen.add(proposal.tobytes())
+        clamp = proposal
+    raise ConvergenceError("saturation iteration exceeded the step limit")
 
 
 # potentials that overflow float range are named by _finish_solution as a
@@ -573,29 +598,14 @@ def solve_network(net):
     _check_anchored(asm)
     g = 1.0 / np.concatenate([net.resistance, net.core.wire_r])  # per mesh edge
     rail_g = 1.0 / asm.rail_r  # 0.0 for an open rail, which never saturates
-    clamp = np.zeros(len(rail_g))  # clamped rail currents; 0.0 where ohmic
-    seen_sets = set()
-    for _ in range(_MAX_CLAMP_ITERATIONS):
-        volts, sources = _solve_linear(asm, g, clamp, rail_g)
-        i_lin = (asm.rail_volts - volts[net.core.rail_node]) * rail_g
-        over = np.abs(i_lin) > asm.rail_isat * _CLAMP_SLACK
-        proposal = np.where(over, np.copysign(asm.rail_isat, i_lin), 0.0)
-        if np.array_equal(proposal, clamp):
-            break
-        marker = proposal.tobytes()
-        if marker in seen_sets:
-            raise ConvergenceError(_OSCILLATES)
-        seen_sets.add(marker)
-        clamp = proposal
-    else:
-        raise ConvergenceError("saturation iteration exceeded the step limit")
-
+    step = partial(_solve_linear, asm, g, rail_g=rail_g)
+    (volts, sources), clamp = _saturate(np.zeros(len(rail_g)), step, asm.rail_isat)
     return _finish_solution(asm, volts, sources, g, clamp, rail_g)
 
 
 def _balance(core, x, edges, g, rails, rail_volts, rail_g, clamp, nodes, injection=None):
-    """Currents of ``edges`` and ``rails`` at ``x``, the net current into
-    each node, and its largest imbalance at ``nodes``: relative to the gross
+    """Currents of ``edges`` and ``rails`` at ``x``, and the largest
+    imbalance of the net current into ``nodes``: relative to the gross
     magnitude of the stamped terms, not the (possibly cancelled) net
     currents, and checked so that a NaN fails."""
     xa, xb, rail_v = x[core.edge_a[edges]], x[core.edge_b[edges]], x[core.rail_node[rails]]
@@ -611,7 +621,13 @@ def _balance(core, x, edges, g, rails, rail_volts, rail_g, clamp, nodes, injecti
     residual = float(np.abs(flow[nodes]).max(initial=0.0) / max(*gross, 1e-12))
     if not residual <= _KCL_LIMIT:
         raise InvariantError(f"current conservation violated: relative residual {residual:.3e}")
-    return i, rail_i, flow, residual
+    return i, rail_i, residual
+
+
+def _overflowed(core, nodes):
+    """The error naming the lines of ``nodes``, whose potentials left float range."""
+    lines = sorted({core.lines[line] for line in core.node_line[nodes].tolist()})
+    return SimulationError("node potentials beyond float range on: " + ", ".join(lines))
 
 
 def _finish_solution(asm, volts, sources, g, clamp, rail_g):
@@ -622,15 +638,14 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
     overflow = ~np.isfinite(volts)
     drive = (asm.fixed_volts, asm.injection, asm.rail_volts, asm.reg_targets)
     if overflow.any() and all(np.isfinite(x).all() for x in drive):
-        lines = sorted({core.lines[line] for line in core.node_line[overflow].tolist()})
-        raise SimulationError("node potentials beyond float range on: " + ", ".join(lines))
+        raise _overflowed(core, overflow)
     injection = asm.injection.copy()
     injection[asm.reg_nodes] += sources
     # net current into each node, over the full edge set, so the check is
     # independent of the elimination
     every = slice(None)
-    edge_i, rail_i, flow, kcl_residual = _balance(core, volts, every, g, every, asm.rail_volts,
-                                                  rail_g, clamp, asm.free, injection)
+    edge_i, rail_i, kcl_residual = _balance(core, volts, every, g, every, asm.rail_volts,
+                                            rail_g, clamp, asm.free, injection)
 
     currents = edge_i[: len(core.cell_row)]
     miss = np.abs(currents[asm.reg_cells] - asm.reg_targets)
@@ -645,8 +660,12 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
 
     source_currents = dict(zip(asm.regulated, sources.tolist()))
     source_currents.update((line, lb.value) for line, lb in net.bias.items() if lb.kind == "current")
-    # an ideal source supplies whatever the node fails to balance
-    source_currents.update(zip(asm.fixed_lines, (-flow[asm.fixed]).tolist()))
+    if asm.fixed_lines:
+        # an ideal source supplies what its line's cells and rails draw (see the module docstring)
+        line, n = core.node_line, len(core.lines)
+        drawn = (np.bincount(line[core.cell_col], currents, n) - np.bincount(line[core.cell_row], currents, n)
+                 - np.bincount(line[core.rail_node], rail_i, n))
+        source_currents.update(zip(asm.fixed_lines, drawn[line[asm.fixed]].tolist()))
 
     return NetworkSolution(
         core=core,
@@ -696,8 +715,8 @@ class ReadBase:
     every node by ``resp[:, r]`` with wires. Without, only its own, by
     ``z[r]``: a read is its rows read alone, and the first read after a full
     solve enters every row in ``table``; a row re-solved in place is entered
-    again when read. ``solve`` is :func:`solve_network`; no current may
-    reach ``limits``."""
+    again when read. ``solve`` is :func:`solve_network`; a column's current is
+    what its cells draw, as a voltage source's there. No current may reach ``limits``."""
 
     def __init__(self, net, limits, solve=solve_network):
         asm = self.asm = build_network(net)
@@ -724,12 +743,11 @@ class ReadBase:
         self.solve(net.resistance)
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is named by _checked
-    def solve(self, resistance, changed=None):
-        """The base for branch ``resistance``; without wires only the rows of
-        the ``changed`` branches are re-solved, in place, where they are named."""
+    def solve(self, resistance, rows=None):
+        """The base for branch ``resistance``; without wires only ``rows``, whose
+        branches changed, are re-solved, in place, where they are named."""
         core, asm = self.core, self.asm
-        if changed is not None and self.settled and not self.wired:
-            rows = np.unique(core.node_line[core.cell_row[changed]])
+        if rows is not None and self.settled and not self.wired:
             edges, rails = self.row_cells[rows].ravel(), self.rails[rows].ravel()
             self.g[edges] = 1.0 / resistance[edges]
             self.z[rows], self.volts[core.terminal[rows]] = self._rows(rows, self.volts)
@@ -743,9 +761,7 @@ class ReadBase:
         clamp = np.zeros(len(self.rail_g))
         if not (self.wired and self.settled):
             volts = self.full_solve(replace(self.net, resistance=resistance)).volts
-            i_lin = (asm.rail_volts - volts[core.rail_node]) * self.rail_g
-            over = np.abs(i_lin) > asm.rail_isat * _CLAMP_SLACK
-            clamp = np.where(over, np.copysign(asm.rail_isat, i_lin), 0.0)
+            clamp = _clamps((asm.rail_volts - volts[core.rail_node]) * self.rail_g, asm.rail_isat)
         self.clamp, self.ohmic_g = clamp, np.where(clamp == 0.0, self.rail_g, 0.0)
         ne, terminals = len(core.elim), core.terminal[: len(core.rows)]
         self.shunt = np.bincount(core.rail_slot, self.ohmic_g, ne)
@@ -774,10 +790,9 @@ class ReadBase:
     def _checked(self, x, edges, nodes, rails, rail_g, clamp):
         """Currents of ``edges`` (cells first) at ``x``, checked for KCL at ``nodes``."""
         core = self.core
-        overflow = nodes[~np.isfinite(x[nodes])]  # named, as by _finish_solution
+        overflow = nodes[~np.isfinite(x[nodes])]
         if overflow.size:
-            lines = sorted({core.lines[line] for line in core.node_line[overflow].tolist()})
-            raise SimulationError("node potentials beyond float range on: " + ", ".join(lines))
+            raise _overflowed(core, overflow)
         volts = self.asm.rail_volts[rails]
         i = _balance(core, x, edges, self.g[edges], rails, volts, rail_g, clamp, nodes)[0]
         cells = edges[: len(core.cell_row)]
@@ -801,28 +816,19 @@ class ReadBase:
         g, isat = self.rail_g.copy(), asm.rail_isat.copy()
         g[sel], isat[sel] = 1.0 / pairs[..., 0].ravel(), pairs[..., 1].ravel()
         base_g, base_c, volts, z = self.ohmic_g, self.clamp, asm.rail_volts, self.z
-        v0, clamp, seen = self.volts[core.terminal[: len(core.rows)]], base_c.copy(), set()
+        v0, clamp = self.volts[core.terminal[: len(core.rows)]], base_c.copy()
         clamp[sel] = 0.0
-        for _ in range(_MAX_CLAMP_ITERATIONS):
+
+        def step(clamp):
             # a row stamping dg, dc over the base injects u = alpha - beta v, v = v0 + z u
             dg, dc = np.where(clamp == 0.0, g, 0.0) - base_g, clamp - base_c
-            alpha = (dg * volts + dc).reshape(-1, 2).sum(axis=1)
-            beta = dg.reshape(-1, 2).sum(axis=1)
+            alpha, beta = (dg * volts + dc).reshape(-1, 2).sum(axis=1), dg.reshape(-1, 2).sum(axis=1)
             act = np.flatnonzero((alpha != 0.0) | (beta != 0.0))
             lhs = np.eye(len(act)) + beta[act, None] * z[act][:, act]
             u = np.linalg.solve(lhs, alpha[act] - beta[act] * v0[act])
-            v = v0 + z[:, act] @ u
-            i_lin = (volts - np.repeat(v, 2)) * g
-            over = np.abs(i_lin) > isat * _CLAMP_SLACK
-            proposal = np.where(over, np.copysign(isat, i_lin), 0.0)
-            if np.array_equal(proposal, clamp):
-                break
-            if proposal.tobytes() in seen:
-                raise ConvergenceError(_OSCILLATES)
-            seen.add(proposal.tobytes())
-            clamp = proposal
-        else:
-            raise ConvergenceError("saturation iteration exceeded the step limit")
+            return (act, u), (volts - np.repeat(v0 + z[:, act] @ u, 2)) * g
+
+        (act, u), clamp = _saturate(clamp, step, isat)
         i = self._checked(self.volts + self.resp[:, act] @ u, self.edges, self.free, rails, g, clamp)
         cells = self.edges[: len(core.cell_row)]
         delta = i[: len(cells)] - self.edge_i[cells]
@@ -861,8 +867,7 @@ class ReadBase:
             alpha, beta = (dg * volts + dc).sum(axis=1), dg.sum(axis=1)
             v = v0 + z * (alpha - beta * v0) / (1.0 + beta * z)
             i_lin = (volts - v[:, None]) * g
-            over = np.abs(i_lin) > isat * _CLAMP_SLACK
-            proposal = np.where(over, np.copysign(isat, i_lin), 0.0)
+            proposal = _clamps(i_lin, isat)
             unsettled = (proposal != clamp).any(axis=1)
             if not unsettled.any():
                 break

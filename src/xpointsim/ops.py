@@ -74,7 +74,6 @@ from .errors import (
 from .network import LineBias, ReadBase, RowDriver, solve_network
 
 __all__ = [
-    "BitDecision",
     "DriveConfig",
     "OperationTrace",
     "PhaseSummary",
@@ -89,7 +88,6 @@ __all__ = [
     "read_cycle_time",
     "read_word",
     "select_word",
-    "sense_bit",
     "serial_sneak_profile",
     "trace_to_csv",
     "write_word",
@@ -179,12 +177,6 @@ class SenseResult:
     branch_currents: tuple  # (data, reference) A per bit
     per_bit_delay: tuple
     source_currents: dict  # driven segment -> A, as the read's solve returned them
-
-
-@dataclass(frozen=True)
-class BitDecision:
-    bit: str
-    delay: float
 
 
 @dataclass(frozen=True)
@@ -380,7 +372,7 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s):
                 state, progress.get(k, 0.0), i, array.params, dt, array.dynamics
             )
             if new is not state:
-                array.states[k] = new is MtjState.AP
+                array.store(k, new is MtjState.AP)
                 kind = "switch" if k in cells else "disturb-switch"
                 trace.event(kind, array.tag(k), i)
 
@@ -450,28 +442,6 @@ def write_word(array, req, drive=None):
 # -- reading ---------------------------------------------------------------
 
 
-def sense_bit(r_data_branch, r_ref_branch, c_load):
-    """Behavioural discharge race between the two precharged branches.
-
-    The faster (lower-resistance) branch crosses the latch threshold first;
-    the data bit is '1' when the data branch is the slower one. The delay
-    is the winning branch's RC halving time.
-    """
-    if not (r_data_branch > 0.0 and r_ref_branch > 0.0):
-        raise ParameterError("branch resistance: must be positive")
-    if not c_load > 0.0:
-        raise ParameterError("sense amplifier: c_load must be positive")
-    spread = abs(r_data_branch - r_ref_branch) / max(r_data_branch, r_ref_branch)
-    if spread <= _TIE_REL:
-        raise IndeterminateReadError(
-            f"sense race too close to call: {r_data_branch:.6g} vs "
-            f"{r_ref_branch:.6g} Ohm"
-        )
-    bit = "1" if r_data_branch > r_ref_branch else "0"
-    delay = halving_time(min(r_data_branch, r_ref_branch), c_load)
-    return BitDecision(bit=bit, delay=delay)
-
-
 def halving_time(r_ohm, c_f):
     """Time for a branch of ``r_ohm`` to discharge ``c_f`` to half its voltage."""
     return r_ohm * c_f * LN2
@@ -496,15 +466,17 @@ def _read_solution(array, word_addr, drive, driven_bits=None):
 
 
 def _read_base(array, v_read):
-    """The array's :class:`ReadBase` for ``v_read``, solved for the stored states."""
+    """The array's :class:`ReadBase` for ``v_read``, re-solved at the words
+    the array marks changed since it was last used (a word's row is its index)."""
     cached, array.read_base = array.read_base, None  # dropped if this raises
     key = (v_read, array.row_driver_model)
     if cached is None or cached[0] != key:
         net = array.to_network(dict.fromkeys(array.segments, LineBias.voltage(v_read)), {})
-        cached = (key, ReadBase(net, array.critical_currents, solve_network), array.states.copy())
-    elif not np.array_equal(cached[2], array.states):
-        cached[1].solve(array.resistances, np.flatnonzero(cached[2] != array.states))
-        cached = (key, cached[1], array.states.copy())
+        cached = (key, ReadBase(net, array.critical_currents, solve_network))
+    elif array.changed:
+        cached[1].solve(array.resistances, np.flatnonzero(array.changed_words))
+    if array.changed:  # a base just built holds every stored word
+        array.changed_words[:] = array.changed = False
     array.read_base = cached
     return cached[1]
 
@@ -519,6 +491,12 @@ def read_word(array, word_addr, drive=None):
     the same sneak current, and one cycle decides. The plain layout has
     no reference rows: each bit is compared against the ideal reference
     branch resistance, and the compare step costs a second cycle.
+
+    Each bit is a behavioural discharge race between its two precharged
+    branches: the faster (lower-resistance) one crosses the latch threshold
+    first, so the bit is '1' when the data branch is slower, and its delay is
+    the winner's RC halving time. The first bit whose branches are within
+    1e-6 relative or whose segment returns current raises, naming the bit.
     """
     drive = drive or DriveConfig()
     src, segs = _read_base(array, drive.v_read).read(select_word(array, word_addr, "read"))
@@ -537,7 +515,8 @@ def read_word(array, word_addr, drive=None):
                     f"word {word_addr} bit {j}: segment {array.segments[k]} carries "
                     f"{src[k]:.3g} A, so its branch resistance cannot be sensed"
                 )
-        sense_bit(float(r_data[j]), float(r_ref[j]), drive.c_load_f)
+        raise IndeterminateReadError(f"word {word_addr} bit {j}: sense race too close to call: "
+                                     f"{r_data[j]:.6g} vs {r_ref[j]:.6g} Ohm")
     i_ref = i_seg[1] if array.balanced else v / r_ref
     return SenseResult(
         bits="".join("01"[one] for one in (r_data > r_ref).tolist()),

@@ -41,7 +41,6 @@ __all__ = [
     "dynamic_power",
     "sweep_area",
     "sweep_to_csv",
-    "parse_sweep_csv",
 ]
 
 
@@ -190,28 +189,6 @@ def sweep_to_csv(rows):
         )
         lines.append(",".join([str(row.n_bits), str(row.m_words), *map(repr, values)]))
     return "\n".join(lines) + "\n"
-
-
-def parse_sweep_csv(text):
-    """Parse a sweep CSV back into per-row value dictionaries.
-
-    Values come back in the CSV's own units (ns, pJ, F²); floats
-    round-trip exactly because the writer uses shortest-repr formatting.
-    """
-    lines = text.strip("\n").split("\n")
-    if not lines or lines[0] != SWEEP_CSV_HEADER:
-        raise ParameterError("sweep csv: missing or unexpected header row")
-    columns = SWEEP_CSV_HEADER.split(",")
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ParameterError(f"sweep csv: malformed row {line!r}")
-        row = {"n_bits": int(cells[0]), "m_words": int(cells[1])}
-        for key, cell in zip(columns[2:], cells[2:]):
-            row[key] = float(cell)
-        out.append(row)
-    return out
 
 
 def _sweep_point(cfg, n, m, params, dynamics, drive, overdrive, r_cell_on):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line driver, in-process except where a
 run could hang."""
 
+import csv
 import hashlib
 import os
 import re
@@ -18,7 +19,6 @@ from xpointsim.cli import CONFIG_ENV, main
 from xpointsim.config import build_array, build_drive, default_config, parse_config
 from xpointsim.errors import ConfigError
 from xpointsim.ops import halving_time, read_word
-from xpointsim.perf import parse_sweep_csv
 
 
 @pytest.fixture(autouse=True)
@@ -150,12 +150,12 @@ def test_sweep_subcommand_forces_sweep(tmp_path):
     cfg = tmp_path / "sw.ini"
     cfg.write_text("[operation]\nsweep_n_bits = 2,4\nsweep_m_words = 16,64\n")
     assert main(["sweep", "--config", str(cfg), "--out", "run"]) == 0
-    parsed = parse_sweep_csv(read_out(tmp_path / "run", "sweep.csv"))
+    parsed = csv.DictReader(read_out(tmp_path / "run", "sweep.csv").splitlines())
     assert [(p["n_bits"], p["m_words"]) for p in parsed] == [
-        (2, 16),
-        (2, 64),
-        (4, 16),
-        (4, 64),
+        ("2", "16"),
+        ("2", "64"),
+        ("4", "16"),
+        ("4", "64"),
     ]
 
 
@@ -213,10 +213,10 @@ def test_analyze_and_sweep_agree_with_simulate_on_both_layouts(tmp_path, capsys,
     assert area_line.search(analyzed)[0] == area_line.search(simulated)[0]
     assert float(area_line.search(simulated)[1]) == area
     assert main(["sweep", "--config", str(cfg), "--out", "sw"]) == 0
-    (row,) = parse_sweep_csv((tmp_path / "sw" / "sweep.csv").read_text())
-    assert row["area_exact_f2"] == area
+    (row,) = csv.DictReader((tmp_path / "sw" / "sweep.csv").read_text().splitlines())
+    assert float(row["area_exact_f2"]) == area
     setup_ns = default_config().drive.setup_time_s * 1e9
-    assert f"{4 * (setup_ns + row['read_time_ns']):.6g}" == scan_ns
+    assert f"{4 * (setup_ns + float(row['read_time_ns'])):.6g}" == scan_ns
 
 
 def test_plain_layout_read_scan_charges_each_read_its_sense_delay(tmp_path, capsys):

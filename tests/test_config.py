@@ -184,7 +184,8 @@ def test_every_key_declaration_rejects_by_name_or_builds(text):
      "array.line_resistance: "),
     ("[transistor]\nr_on = 1e-4\n", "transistor.r_on: "),
     # the 4-bit word selector's r_on / 4 underflows to 0 ohm
-    ("[device]\nra_ohm_um2 = 5e-324\n[transistor]\nr_on = 5e-324\n", "transistor.r_on: "),
+    ("[device]\nra_ohm_um2 = 5e-324\n[transistor]\nr_on = 5e-324\n",
+     "transistor.r_on: 4.94066e-324 ohm over 4 cells leaves the word selector at 0 ohm"),
     # the reference junction's surface, s / (1 + tmr / 2), underflows
     ("[device]\nsurface_nm2 = 5e-324\ntmr = 3\njc0_a_cm2 = 1e300\n[transistor]\nr_on = 100\n",
      "device.surface_nm2: "),

@@ -20,7 +20,7 @@ from oracle import branch_current, solve_nodes
 from xpointsim.array import CrossbarArray
 from xpointsim.device import MtjParams, MtjState, TransistorModel, mtj_resistance
 from xpointsim import network
-from xpointsim.errors import InvariantError, ParameterError, SingularNetworkError
+from xpointsim.errors import ConvergenceError, InvariantError, ParameterError, SingularNetworkError
 from xpointsim.network import (
     CrossbarNetwork,
     LineBias,
@@ -598,6 +598,30 @@ class TestSaturation:
         assert sol.device_currents["w0:b0"] == pytest.approx(1.2 / (R_P + 1e3), rel=1e-9)
         assert not sol.clamped
 
+    def test_saturate_settles_cycles_and_stops(self):
+        # the one saturation iteration: a set proposed again is kept, a set
+        # that flips back and forth has no consistent operating point, and a
+        # binary counter over 7 rails never repeats a set in 100 steps
+        isat = np.ones(3)
+        result, clamp = network._saturate(np.zeros(3), lambda c: ("solved", np.array([3.0, -3.0, 0.5])), isat)
+        assert result == "solved" and clamp.tolist() == [1.0, -1.0, 0.0]
+
+        def flip(clamp):
+            return None, np.where(clamp == 0.0, 2.0, 0.0)
+
+        with pytest.raises(ConvergenceError, match=f"^{network._OSCILLATES}$"):
+            network._saturate(np.zeros(2), flip, np.ones(2))
+        steps, bits = [], np.arange(7)
+
+        def count(clamp):
+            steps.append(clamp)
+            n = int((clamp != 0.0) @ 2**bits) + 1
+            return None, 2.0 * ((n >> bits) & 1)
+
+        with pytest.raises(ConvergenceError, match="^saturation iteration exceeded the step limit$"):
+            network._saturate(np.zeros(7), count, np.ones(7))
+        assert len(steps) == 100
+
 
 class TestSneakStructure:
     def test_two_by_two_single_sneak_path(self):
@@ -820,6 +844,23 @@ class TestSourceBookkeeping:
                 assert sol.source_currents[col] == pytest.approx(
                     through, rel=1e-9, abs=1e-15
                 )
+
+    def test_wired_voltage_source_supplies_what_its_cells_draw(self):
+        # with wires a voltage-driven column's current is the sum of its
+        # cells' currents, not the wire current at its terminal, which
+        # differs from that sum by rounding of about 1e-11 of itself
+        arr = CrossbarArray(8, 16, line_resistance=1.0)
+        rng = random.Random(5)
+        for w in range(arr.m_words):
+            arr.set_word(w, "".join(rng.choice("01") for _ in range(arr.n_bits)))
+        for bits in (None, {0, 5}):
+            sol = ops._read_solution(arr, 3, DriveConfig(), driven_bits=bits)
+            core = sol.core
+            col = core.node_line[core.cell_col] - len(core.rows)
+            for j, seg in enumerate(core.cols):
+                if seg in sol.source_currents:
+                    drawn = sum(sol.currents[col == j].tolist())
+                    assert sol.source_currents[seg] == pytest.approx(drawn, rel=1e-15, abs=0.0), seg
 
     def test_current_bias_reports_injection(self):
         bias = {"b0": LineBias.current(1e-4), "w0": LineBias.voltage(0.0)}

@@ -36,7 +36,6 @@ from xpointsim.ops import (
     read_cycle_time,
     read_word,
     select_word,
-    sense_bit,
     serial_sneak_profile,
     trace_to_csv,
     write_word,
@@ -304,32 +303,6 @@ def test_underdriven_write_raises_write_failure():
         write_word(arr, WriteRequest(0, "1111", WriteMode.PARALLEL))
 
 
-# -- sensing primitive -------------------------------------------------------
-
-
-def test_sense_bit_frozen_values():
-    decision = sense_bit(5e3, 3e3, 1e-15)
-    assert decision.bit == "1"
-    assert decision.delay == pytest.approx(3e3 * 1e-15 * math.log(2), rel=1e-12)
-    other = sense_bit(2e3, 3e3, 1e-15)
-    assert other.bit == "0"
-    assert other.delay == pytest.approx(2e3 * 1e-15 * math.log(2), rel=1e-12)
-
-
-def test_sense_bit_tie_is_indeterminate():
-    with pytest.raises(IndeterminateReadError):
-        sense_bit(5e3, 5e3, 1e-15)
-    with pytest.raises(IndeterminateReadError):
-        sense_bit(5e3, 5e3 * (1 + 1e-9), 1e-15)
-
-
-def test_sense_bit_validation():
-    with pytest.raises(ParameterError):
-        sense_bit(-1.0, 5e3, 1e-15)
-    with pytest.raises(ParameterError):
-        sense_bit(5e3, 5e3, 0.0)
-
-
 # -- reading -----------------------------------------------------------------
 
 
@@ -423,6 +396,10 @@ def test_read_delay_uses_fixed_sense_clock():
         for k, other in enumerate("1100"):
             if bit == "0" and other == "1":
                 assert sense.per_bit_delay[j] < sense.per_bit_delay[k]
+    # each bit's delay is the halving time of the faster of its branches
+    v = drive.v_read
+    for (i_data, i_ref), delay in zip(sense.branch_currents, sense.per_bit_delay):
+        assert delay == pytest.approx(halving_time(min(v / i_data, v / i_ref), drive.c_load_f), rel=1e-12)
 
 
 def test_read_matches_isolated_branch_prediction():
@@ -577,16 +554,16 @@ def test_read_is_its_base_plus_a_rank_two_correction(
 ):
     # every read of the cached idle solution and its correction matches a
     # solve of the whole read network. Without wires the two agree to
-    # rounding. With wires the full solve's segment currents are off an
-    # extended-precision solve by up to 4e-11 of themselves (a wire current
-    # is a difference of nearby potentials); over 450 random arrays of this
-    # space the two differed by at most 1.3e-10 in a margin
+    # rounding. With wires both take a segment's current as the sum of its
+    # cells' currents; over 450 random arrays of this space they differed by
+    # at most 5.6e-12 in a margin and 2.7e-12 in a branch current (8.9e-11
+    # when the full solve took the wire current at the segment terminal)
     arr = fresh(n_bits, 2 * half_words, balanced=balanced, line_resistance=line_resistance)
     rng = random.Random(seed)
     for w in range(arr.m_words):
         arr.set_word(w, "".join(rng.choice("01") for _ in range(n_bits)))
     drive = DriveConfig()
-    rel = 1e-12 if line_resistance == 0.0 else 3e-10
+    rel = 1e-12 if line_resistance == 0.0 else 2e-11
     for w in rng.sample(range(arr.m_words), min(arr.m_words, 4)):
         sense = read_word(arr, w, drive)
         bits, margins, currents = full_solve_read(arr, w, drive)
@@ -733,6 +710,50 @@ def test_zero_ohm_reads_look_their_rows_up(monkeypatch):
     for _ in range(2):
         assert read_word(arr, 9).bits == arr.get_word(9)
     assert entered == [["w9"]]
+
+
+def test_a_read_re_solves_the_words_stored_since_the_last(monkeypatch):
+    # the array's one writer marks each word it stores: the next read
+    # re-solves exactly that word's row of the cached base, a read after no
+    # store re-solves nothing, and states take no write past the writer
+    arr, alone = fresh(4, 8), fresh(4, 8)
+    random_words(arr, 4)
+    read_word(arr, 0)
+    solved, solve = [], network.ReadBase.solve
+
+    def recorded(self, resistance, rows=None):
+        solved.append(rows.tolist())
+        return solve(self, resistance, rows)
+
+    monkeypatch.setattr(network.ReadBase, "solve", recorded)
+    read_word(arr, 1)
+    assert solved == []
+    arr.set_word(5, complement(arr.get_word(5)))
+    assert read_word(arr, 2).bits == arr.get_word(2)
+    assert read_word(arr, 5).bits == arr.get_word(5)
+    assert solved == [[5]]
+    monkeypatch.undo()
+    for w in range(arr.m_words):
+        alone.set_word(w, arr.get_word(w))
+    assert [read_word(arr, w) for w in range(8)] == [read_word(alone, w) for w in range(8)]
+    with pytest.raises(ValueError):
+        arr.states[0] = True
+
+
+def test_a_sense_tie_names_the_word_and_bit():
+    # without tunnel magnetoresistance a data cell and its reference have
+    # one resistance, and the race between their branches cannot be called
+    arr = fresh(params=MtjParams(tmr=0.0))
+    with pytest.raises(IndeterminateReadError, match=r"^word 1 bit 0: sense race too close to call: \S+ vs \S+ Ohm$"):
+        read_word(arr, 1)
+
+
+def test_sense_load_must_be_positive():
+    # the race's halving times need a positive load; a branch that carries
+    # no positive current is refused by read_word, by segment
+    for c_load in (0.0, -1e-15):
+        with pytest.raises(ParameterError, match="^c_load_f: must be positive$"):
+            DriveConfig(c_load_f=c_load)
 
 
 def test_overdriven_read_raises_disturb():
