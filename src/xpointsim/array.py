@@ -108,7 +108,7 @@ class CrossbarArray:
     The array owns the data-cell states: ``states`` shows them read-only, and
     :meth:`store`, their one writer, marks the words it writes in
     ``changed_words`` and ``changed`` for the read base. Rows, segments and
-    cells never change, so the nodal core is compiled once;
+    cells never change, so the nodal ``core`` is compiled once;
     ``resistances`` and ``critical_currents`` follow the cells in index
     order, which is also the network's branch order.
     """
@@ -174,7 +174,7 @@ class CrossbarArray:
         self._r_refs = np.full(len(cell_row) - word.size, r_ref)
         i_c = critical_current(self.params), critical_current(self.ref_params)
         self.critical_currents = np.repeat(i_c, [word.size, self._r_refs.size])
-        self._core = NodalCore(
+        self.core = NodalCore(
             self.word_rows + self.ref_rows, self.segments, cell_row, cell_col,
             line_resistance, self.resistances,
         )
@@ -229,7 +229,7 @@ class CrossbarArray:
 
     def tag(self, k):
         """Cell ``k``'s ``row:segment`` name, for messages."""
-        return self._core.tag(k)
+        return self.core.tag(k)
 
     @property
     def resistances(self):
@@ -280,7 +280,7 @@ class CrossbarArray:
         ``row_driver_model`` with both switches off.
         """
         return CrossbarNetwork(
-            self._core, self.resistances, drivers, bias, self.v_dd,
+            self.core, self.resistances, drivers, bias, self.v_dd,
             idle=RowDriver(self.row_driver_model),
         )
 

@@ -191,12 +191,13 @@ def switching_delay(current_a, params, dyn):
     if overdrive <= 0.0:
         return math.inf
     speed = dyn.rate() * overdrive
-    _require(
-        0.0 < speed < math.inf and 1.0 / speed < math.inf,
-        "rate_per_amp",
-        f"a switching rate of {speed:g} /s at {overdrive:g} A over threshold "
-        "puts the switching delay beyond float range",
-    )
+    # the phase engine asks twice per switching cell and solve: the message
+    # is formatted only when the check fails
+    if not (0.0 < speed < math.inf and 1.0 / speed < math.inf):
+        raise ParameterError(
+            f"rate_per_amp: a switching rate of {speed:g} /s at {overdrive:g} A over "
+            "threshold puts the switching delay beyond float range"
+        )
     return 1.0 / speed
 
 

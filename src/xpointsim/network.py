@@ -46,6 +46,21 @@ affine in the source currents, so unit injections at the k regulated lines, solv
 as extra right-hand-side columns of the same factorisation, give the exact
 transfer resistances; a k x k solve then places the operating point.
 
+The phases of one write select one row and drive some of one word's cells,
+so they differ only at a few nodes: the write's reach, the terminals of the
+driven cells' lines and, with wires, the cells' own two chain nodes. A
+:class:`WriteSolver` stands in for ``NodalCore.solve`` through every solve
+of one write. Its first solve is a full one that also solves a unit
+injection at each reach node. A later solve whose conductances, shunts and
+drive differ from that base at reach nodes only is the base's Woodbury
+correction (W. W. Hager, SIAM Review 31(2), 1989): a flipped cell is a
+dipole, a rail change of the selected row one place, a source a combination
+of the unit columns. A change beyond the reach, such as a disturbed cell of
+another word, re-bases with a full solve. A corrected solution runs the
+same saturation loop, regulated transfer and checks (KCL, regulation,
+overflow) as a full one; one that fails a check is solved again in full,
+and that result or error stands.
+
 With ``line_resistance > 0`` every line is expanded into a chain of nodes,
 one per crossing, joined by the per-segment wire resistance. Crossing
 order along a line follows the order of branch declaration. Sources attach
@@ -84,6 +99,7 @@ __all__ = [
     "NodalCore",
     "ReadBase",
     "RowDriver",
+    "WriteSolver",
     "build_network",
     "equivalent_resistance",
     "solve_network",
@@ -93,6 +109,8 @@ _CLAMP_SLACK = 1.0 + 1e-12
 _MAX_CLAMP_ITERATIONS = 100
 _KCL_LIMIT = 1e-9
 _REG_TOL = 1e-10
+_GATHER = 1 << 16  # potentials gathered per block of eliminated rows
+_ROOT_MAX = math.sqrt(sys.float_info.max)  # a conductance whose square overflows
 _OSCILLATES = "saturation assignment oscillates; no consistent operating point"
 
 
@@ -363,8 +381,12 @@ class NodalCore:
         x[self.kept[pin_k], 0] = volts[~in_e]
         if len(pin_k) < len(self.kept):  # some kept node is free
             x[self.kept] = self._solve_kept(g, lanes, inv_d, y, rhs_k, x[self.kept, 0], pin_k)
-        # x_E = y + (W x_K) / D
-        x[self.elim] = y + inv_d[:, None] * np.matmul(lanes[:, None, :], x[self.lane_node])[:, 0]
+        # x_E = y + (W x_K) / D, a block of rows at a time so that the gather of
+        # their lanes' potentials stays in cache (np.take: a fraction of the cost of x[lane_node])
+        step = max(1, _GATHER // max(1, lanes.shape[1] * y.shape[1]))
+        for rows in (slice(s, s + step) for s in range(0, len(self.elim), step)):
+            fill = np.matmul(lanes[rows, None, :], np.take(x, self.lane_node[rows], axis=0))[:, 0]
+            x[self.elim[rows]] = y[rows] + inv_d[rows, None] * fill
         return x
 
     def _solve_kept(self, g, lanes, inv_d, y, rhs_k, x_pinned, pin_k):
@@ -378,24 +400,28 @@ class NodalCore:
         blocks.reshape(-1)[self.pads] = 1.0
         diag, upper, lower = blocks[:n_layers], blocks[n_layers : 2 * n_layers - 1], blocks[2 * n_layers - 1 :]
         # each layer's upper block, then its right-hand side
-        system = np.empty((n_layers, p, p + cols))
+        system = np.zeros((n_layers, p, p + cols))
         system[:-1, :, :p] = upper
         upper, b = system[:-1, :, :p], system[:, :, p:]
         # S = G_KK - W^T diag(1/D) W, and the kept nodes see b_K + W^T y:
         # both are products of each group's lanes with that group's rows
-        # of -1/D and y
+        # of -1/D and y. The columns of y past its last nonzero one (unit
+        # injections at kept nodes, which callers put last) add nothing
+        nonzero = np.flatnonzero(y.any(axis=0))
+        live = nonzero[-1] + 1 if len(nonzero) else 0
+        b_live = b[:, :, :live]
         w = np.bincount(self.fill_index, lanes.ravel(), n_layers * q * span).reshape(n_layers, q, span)
-        rows = np.zeros((n_layers * q, 1 + cols))
-        rows[self.e_pack, 0], rows[self.e_pack, 1:] = -inv_d, y
-        rows = rows.reshape(n_layers, q, 1 + cols)
+        rows = np.zeros((n_layers * q, 1 + live))
+        rows[self.e_pack, 0], rows[self.e_pack, 1:] = -inv_d, y[:, :live]
+        rows = rows.reshape(n_layers, q, 1 + live)
         w_t, w_d = w.transpose(0, 2, 1), w * rows[:, :, :1]
         diag += w_t[:, :p] @ w_d[:, :, :p]
-        b[:] = w_t[:, :p] @ rows[:, :, 1:]
+        b_live[:] = w_t[:, :p] @ rows[:, :, 1:]
         if n_layers > 1:  # a group's lanes into the next layer
             diag[1:] += w_t[:-1, p:] @ w_d[:-1, :, p:]
             upper += w_t[:-1, :p] @ w_d[:-1, :, p:]
             lower += w_t[:-1, p:] @ w_d[:-1, :, :p]
-            b[1:] += w_t[:-1, p:] @ rows[:-1, :, 1:]
+            b_live[1:] += w_t[:-1, p:] @ rows[:-1, :, 1:]
         b.reshape(-1, cols)[self.pack] += rhs_k
         if len(pin_k):
             # a pinned node is a symmetric Dirichlet row: its coupling
@@ -416,6 +442,13 @@ class NodalCore:
         try:
             return _sweep(diag, lower, system).reshape(-1, cols)[self.pack]
         except np.linalg.LinAlgError as exc:
+            # every node is anchored (the callers check), so a singular block
+            # rounded its anchors away; when conductances whose products leave
+            # float range did that, the error names their lines as an overflow
+            hot = np.abs(g) > _ROOT_MAX
+            if hot.any():
+                nodes = np.concatenate([self.edge_a[hot], self.edge_b[hot]])
+                raise _overflowed(self, nodes, "conductance products") from exc
             raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
 
 
@@ -437,6 +470,83 @@ def _sweep(diag, lower, system):
     for l in range(last - 1, -1, -1):
         x[l] -= system[l, :, :p] @ x[l + 1]
     return x
+
+
+class WriteSolver:
+    """:meth:`NodalCore.solve` for the phases of one write of branches ``cells``.
+
+    The write's reach is the terminals of the cells' lines and the cells'
+    own two nodes (the terminals themselves without wires). A call that
+    finds no base solves its drive and a unit injection at each reach node
+    in full, and that is the base. A later call whose ``g``, ``shunt`` and
+    drive differ from the base's at reach nodes only is the base's Woodbury
+    correction (W. W. Hager, SIAM Review 31(2), 1989): a flipped cell is a
+    dipole, a rail change of the selected row one place. Every further
+    right-hand side, a source's unit injection at a reach node, is a
+    combination of the base's columns. Any other change, or a singular
+    correction, re-bases. A call that pins nodes or injects beyond the reach
+    is solved by ``core.solve``. A correction sets ``corrected``, which
+    :func:`solve_network` clears.
+    """
+
+    def __init__(self, core, cells):
+        nodes = np.concatenate([core.cell_row[cells], core.cell_col[cells]])
+        self.core, self.place = core, np.full(core.n_nodes, -1)  # each node's place in the reach, or -1
+        self.place[core.terminal[core.node_line[nodes]]] = self.place[nodes] = 0
+        reach = np.flatnonzero(self.place == 0)
+        # eliminated nodes first: the kept ones' unit columns, last, cost the fill nothing
+        self.reach = np.concatenate([reach[core.is_elim[reach]], reach[~core.is_elim[reach]]])
+        self.place[self.reach] = np.arange(len(self.reach))
+        self.base, self.corrected = None, False
+
+    def __call__(self, g, shunt, rhs_e, rhs_k, fixed, volts):
+        core, reach = self.core, self.reach
+        rhs = np.zeros((core.n_nodes, rhs_e.shape[1]))
+        rhs[core.elim], rhs[core.kept] = rhs_e, rhs_k
+        if len(fixed) or (self.place[np.flatnonzero(rhs[:, 1:].any(axis=1))] < 0).any():
+            return core.solve(g, shunt, rhs_e, rhs_k, fixed, volts)
+        coef = None if self.base is None else self._corrected(g, shunt, rhs)
+        if coef is None:
+            both = np.zeros((core.n_nodes, 1 + len(reach)))
+            both[:, 0], both[reach, 1 + np.arange(len(reach))] = rhs[:, 0], 1.0
+            self.base = (g, shunt, rhs[:, 0], core.solve(g, shunt, both[core.elim], both[core.kept], fixed, volts))
+            coef = rhs[reach]
+            coef[:, 0] = 0.0  # the base's own drive
+        # the base's drive plus its unit responses weighted by coef
+        base = self.base[-1]
+        x = base[:, 1:] @ coef
+        x[:, 0] += base[:, 0]
+        return x
+
+    def _corrected(self, g, shunt, rhs):
+        """The weights of the base's unit responses that solve ``rhs`` as the
+        base's correction, or None where a change leaves the reach or the
+        correction is singular."""
+        core, place, reach = self.core, self.place, self.reach
+        g0, shunt0, drive0, base = self.base
+        edges, shunts = np.flatnonzero(g != g0), np.flatnonzero(shunt != shunt0)
+        moved = np.flatnonzero(rhs[:, 0] != drive0)
+        if (place[np.concatenate([core.edge_a[edges], core.edge_b[edges], core.elim[shunts], moved])] < 0).any():
+            return None
+        coef = rhs[reach]
+        coef[:, 0] -= drive0[reach]
+        if len(edges) or len(shunts):
+            # the change C of the nodal matrix within the reach moves the
+            # solution by -Z (I + C Z_U)^-1 C x_U, x_U the reach's potentials
+            # of the base's solution for rhs
+            m, a, b, dg = len(reach), place[core.edge_a[edges]], place[core.edge_b[edges]], g[edges] - g0[edges]
+            s, ds = place[core.elim[shunts]], shunt[shunts] - shunt0[shunts]
+            c = np.bincount(np.concatenate([a * m + a, b * m + b, a * m + b, b * m + a, s * (m + 1)]),
+                            np.concatenate([dg, dg, -dg, -dg, ds]), m * m).reshape(m, m)
+            z = base[reach, 1:]
+            x_u = z @ coef
+            x_u[:, 0] += base[reach, 0]
+            try:
+                coef -= np.linalg.solve(np.eye(m) + c @ z, c @ x_u)
+            except np.linalg.LinAlgError:
+                return None
+        self.corrected = True
+        return coef
 
 
 @dataclass(frozen=True, eq=False)
@@ -543,15 +653,16 @@ def _check_anchored(asm):
         )
 
 
-def _solve_linear(asm, g, clamp, rail_g):
-    """Node potentials and regulated source currents for one saturated set, and each rail's ohmic current."""
+def _solve_linear(asm, g, clamp, rail_g, solve):
+    """Node potentials and regulated source currents for one saturated set, and each rail's
+    ohmic current; ``solve`` has the contract of :meth:`NodalCore.solve`."""
     core = asm.core
     ne = len(core.elim)
     ohmic_g = np.where(clamp == 0.0, rail_g, 0.0)
     rhs_e = asm.rhs_e.copy()
     rhs_e[:, 0] += np.bincount(core.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
     shunt = np.bincount(core.rail_slot, ohmic_g, ne)
-    x = core.solve(g, shunt, rhs_e, asm.rhs_k, asm.fixed, asm.fixed_volts)
+    x = solve(g, shunt, rhs_e, asm.rhs_k, asm.fixed, asm.fixed_volts)
     volts, sources = x[:, 0], np.zeros(0)
     if asm.regulated:
         # columns: target-cell currents at the base drive, then per unit injection
@@ -592,13 +703,31 @@ def _saturate(clamp, step, isat):
 # potentials that overflow float range are named by _finish_solution as a
 # SimulationError, so numpy's own warnings about them stay quiet
 @np.errstate(over="ignore", invalid="ignore")
-def solve_network(net):
-    """Solve a CrossbarNetwork, iterating transistor saturation to a fixed point."""
+def solve_network(net, solve=None):
+    """Solve a CrossbarNetwork, iterating transistor saturation to a fixed point.
+
+    ``solve``, a :class:`WriteSolver`, stands in for ``net.core.solve``; when
+    a solution it corrected fails a check, the network is solved again with
+    ``net.core.solve``, whose result or error stands, and it re-bases next.
+    """
     asm = build_network(net)
     _check_anchored(asm)
     g = 1.0 / np.concatenate([net.resistance, net.core.wire_r])  # per mesh edge
     rail_g = 1.0 / asm.rail_r  # 0.0 for an open rail, which never saturates
-    step = partial(_solve_linear, asm, g, rail_g=rail_g)
+    if solve is not None:
+        solve.corrected = False
+        try:
+            return _settle(asm, g, rail_g, solve)
+        except (SimulationError, InvariantError):
+            if not solve.corrected:
+                raise
+            solve.base = None
+    return _settle(asm, g, rail_g, net.core.solve)
+
+
+def _settle(asm, g, rail_g, solve):
+    """The checked solution at the saturated set the solves of ``solve`` settle at."""
+    step = partial(_solve_linear, asm, g, rail_g=rail_g, solve=solve)
     (volts, sources), clamp = _saturate(np.zeros(len(rail_g)), step, asm.rail_isat)
     return _finish_solution(asm, volts, sources, g, clamp, rail_g)
 
@@ -624,10 +753,10 @@ def _balance(core, x, edges, g, rails, rail_volts, rail_g, clamp, nodes, injecti
     return i, rail_i, residual
 
 
-def _overflowed(core, nodes):
-    """The error naming the lines of ``nodes``, whose potentials left float range."""
+def _overflowed(core, nodes, what="node potentials"):
+    """The error naming the lines of ``nodes``, whose ``what`` left float range."""
     lines = sorted({core.lines[line] for line in core.node_line[nodes].tolist()})
-    return SimulationError("node potentials beyond float range on: " + ", ".join(lines))
+    return SimulationError(f"{what} beyond float range on: " + ", ".join(lines))
 
 
 def _finish_solution(asm, volts, sources, g, clamp, rail_g):

@@ -71,7 +71,7 @@ from .errors import (
     ParameterError,
     WriteFailureError,
 )
-from .network import LineBias, ReadBase, RowDriver, solve_network
+from .network import LineBias, ReadBase, RowDriver, WriteSolver, solve_network
 
 __all__ = [
     "DriveConfig",
@@ -303,7 +303,7 @@ class _TraceBuilder:
 # -- the phase engine ------------------------------------------------------
 
 
-def _run_phase(array, trace, label, word_addr, phase, bits, setup_s):
+def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve):
     """Drive ``bits`` of one word until they hold the state of ``phase``.
 
     ``phase`` is '0' (parallel) or '1' (antiparallel). ``setup_s`` is the
@@ -317,7 +317,9 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s):
     high resistance, and that potential couples through the floating
     mesh hard enough to disturb the word's own idle cells. Segments
     without a source float; tying them to a rail would open two-junction
-    leak paths from every driven segment into the rail.
+    leak paths from every driven segment into the rail. ``solve`` is the
+    write's :class:`~xpointsim.network.WriteSolver`, which every solve of the
+    phase passes to :func:`~xpointsim.network.solve_network`.
     """
     trace.open_phase(label, setup_s)
 
@@ -333,7 +335,7 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s):
         guard += 1
         if guard > 4 * array.n_bits + 16:
             raise ConvergenceError(f"{label}: switching cascade did not terminate")
-        sol = solve_network(array.to_network(pending, drivers))
+        sol = solve_network(array.to_network(pending, drivers), solve)
         supply = sum(abs(v) for v in sol.source_currents.values())
         if not phase_sources:
             # reported phase numbers: captured with every pending source on
@@ -419,12 +421,14 @@ def write_word(array, req, drive=None):
     if req.mode in (WriteMode.SELF_ENABLE_SERIAL, WriteMode.SELF_ENABLE_PARALLEL):
         stored = _read_before_write(array, drive, trace, req.word_addr)
         bits = [j for j in bits if stored[j] != req.data[j]]
+    # every phase drives some of these cells of the one selected row
+    solve = WriteSolver(array.core, req.word_addr * array.n_bits + np.asarray(bits, dtype=np.intp))
     if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
         for j in bits:
             phase = req.data[j]
             _run_phase(
                 array, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, [j],
-                drive.setup_time_s,
+                drive.setup_time_s, solve,
             )
     else:
         setup = drive.setup_time_s
@@ -432,7 +436,7 @@ def write_word(array, req, drive=None):
             targets = [j for j in bits if req.data[j] == phase]
             if targets:
                 _run_phase(
-                    array, trace, f"phase-{phase}", req.word_addr, phase, targets, setup
+                    array, trace, f"phase-{phase}", req.word_addr, phase, targets, setup, solve
                 )
                 setup = 0.0  # phase-1 reuses the word selection of phase-0
     _verify_written(array, req)

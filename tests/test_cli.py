@@ -469,6 +469,18 @@ def test_simulation_errors_name_where_they_failed(tmp_path, capsys, ini, where):
     assert "word 3: word" not in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_solve_is_one_error_line(tmp_path, capsys):
+    # the demo writes word 3 of an array of 1e-293 ohm junctions before it
+    # reads: products of their conductances leave float range, and the
+    # write's solve names that overflow on one line, with no numpy warning
+    cfg = tmp_path / "over.ini"
+    cfg.write_text("[device]\nsurface_nm2 = 1e300\n[drive]\nv_read = 1e300\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "over"), "--seed", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(r"simulation error:.*beyond float range", err[0]), err
+
+
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_underflowing_physics_rate_names_the_moment(tmp_path, capsys, command):
     cfg = tmp_path / "moment.ini"

@@ -187,6 +187,16 @@ class TestSwitchingDelay:
         with pytest.raises(ParameterError, match="xi"):
             switching_delay(2 * I_C0, params, bad)
 
+    def test_delay_beyond_float_range_names_the_rate(self, params):
+        # 1e308 /(A s) times 10 A over threshold overflows the rate
+        fast = SwitchingParams(rate_per_amp=1e308)
+        with pytest.raises(ParameterError) as info:
+            switching_delay(I_C0 + 10.0, params, fast)
+        assert str(info.value) == (
+            "rate_per_amp: a switching rate of inf /s at 10 A over threshold "
+            "puts the switching delay beyond float range"
+        )
+
     def test_underflowing_moment_rejected_at_construction(self):
         # q * 5e-324 underflows to 0: the rate would divide by zero
         with pytest.raises(ParameterError, match="moment_a_m2"):
