@@ -55,5 +55,9 @@ class IndeterminateReadError(SimulationError):
     """Sense amplifier race too close to call."""
 
 
+class MisreadError(SimulationError):
+    """A read sensed bits other than the ones the array stores."""
+
+
 class InvariantError(XPointError):
     """An internal self-check failed; results are not trustworthy."""

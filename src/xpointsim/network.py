@@ -838,14 +838,14 @@ class NetworkSolution:
 
 
 class ReadBase:
-    """``net`` (every column at a voltage, every row idle) solved once, and
-    reads as corrections of it at the rows whose selectors differ (W. W.
-    Hager, SIAM Review 31(2), 1989). An injection at row terminal r moves
-    every node by ``resp[:, r]`` with wires. Without, only its own, by
-    ``z[r]``: a read is its rows read alone, and the first read after a full
-    solve enters every row in ``table``; a row re-solved in place is entered
-    again when read. ``solve`` is :func:`solve_network`; a column's current is
-    what its cells draw, as a voltage source's there. No current may reach ``limits``."""
+    """``net`` (every column at a voltage, every row idle) solved once, and reads as
+    corrections of it at the rows they ground, by index, through ``net.idle`` with its
+    pull-down on (W. W. Hager, SIAM Review 31(2), 1989). An injection at row terminal r
+    moves every node by ``resp[:, r]`` with wires. Without, only its own, by ``z[r]``:
+    a read is its rows read alone, and the first read after a full solve enters every
+    row in ``table``; a row re-solved in place is entered again when read. ``solve`` is
+    :func:`solve_network`; a column's current is what its cells draw, as a voltage
+    source's there. No current may reach ``limits``."""
 
     def __init__(self, net, limits, solve=solve_network):
         asm = self.asm = build_network(net)
@@ -855,6 +855,8 @@ class ReadBase:
         n_rows = len(core.rows)
         self.rails = np.arange(2 * n_rows).reshape(n_rows, 2)
         self.rail_g = 1.0 / asm.rail_r
+        # the one selector every read grounds its rows through: pull-up, then pull-down
+        self.sel_r, self.sel_isat = np.array(_rail_pair(replace(net.idle, nmos_on=True))).T
         # no potential leaves the span of the drives, nor a rail current its reach
         span = np.ptp(np.concatenate([asm.rail_volts, asm.fixed_volts]))
         self.settled = bool((span * self.rail_g <= asm.rail_isat * _CLAMP_SLACK).all())
@@ -864,11 +866,11 @@ class ReadBase:
         # each row's cells in cell order, and the column of every cell
         self.row_cells = core.node_line[core.cell_row].argsort(kind="stable").reshape(n_rows, -1)
         self.cell_col = core.node_line[core.cell_col] - n_rows
-        # a row read alone through ``selector``: terminal potential, cell currents
+        # a row read alone: terminal potential, cell currents
         # less the base's, rail clamps, a cycling saturated set, ok: fresh, passes _checked
         self.entry = np.dtype([("v", float), ("delta", float, self.row_cells.shape[1:]), ("clamp", float, (2,)),
                                ("unsettled", bool), ("ok", bool)])
-        self.selector, self.table = None, np.zeros(n_rows, self.entry)
+        self.table = np.zeros(n_rows, self.entry)
         self.solve(net.resistance)
 
     @np.errstate(over="ignore", invalid="ignore")  # overflow is named by _checked
@@ -885,7 +887,7 @@ class ReadBase:
             self.sources = np.bincount(self.cell_col, self.edge_i[: len(core.cell_row)], len(core.cols))
             self.table["ok"][rows] = False  # entered again when read
             return
-        self.selector = None  # the next read enters every row
+        self.table["ok"] = False  # the next read enters every row
         self.g = 1.0 / np.concatenate([resistance, core.wire_r])
         clamp = np.zeros(len(self.rail_g))
         if not (self.wired and self.settled):
@@ -933,17 +935,15 @@ class ReadBase:
         return i
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow is named
-    def read(self, drivers):
-        """Column currents of the read of ``drivers``, and each driver's cells' columns."""
-        core, asm = self.core, self.asm
-        rows = np.array([core.line_index[row] for row in drivers])
-        pairs = np.array([_rail_pair(d) for d in drivers.values()])  # row, rail, (r, i_sat)
+    def read(self, rows):
+        """Column currents of the read grounding row indices ``rows``, and their cells' columns."""
+        core, asm, rows = self.core, self.asm, np.asarray(rows, dtype=np.intp)
         if not self.wired:
-            return self._look_up(rows, pairs)
+            return self._look_up(rows)
         # every row terminal may leave the base
-        sel, rails = self.rails[rows].ravel(), self.rails.ravel()
+        sel, rails = self.rails[rows], self.rails.ravel()
         g, isat = self.rail_g.copy(), asm.rail_isat.copy()
-        g[sel], isat[sel] = 1.0 / pairs[..., 0].ravel(), pairs[..., 1].ravel()
+        g[sel], isat[sel] = 1.0 / self.sel_r, self.sel_isat
         base_g, base_c, volts, z = self.ohmic_g, self.clamp, asm.rail_volts, self.z
         v0, clamp = self.volts[core.terminal[: len(core.rows)]], base_c.copy()
         clamp[sel] = 0.0
@@ -964,31 +964,26 @@ class ReadBase:
         sources = self.sources + np.bincount(self.cell_col[cells], delta, len(self.sources))
         return sources, self.cell_col[self.row_cells[rows]]
 
-    def _look_up(self, rows, pairs):
+    def _look_up(self, rows):
         """The read of ``rows`` without wires, from their entries in ``table``."""
-        if self.selector is None:  # after a full solve: every row, through this read's selector
-            self.selector = np.broadcast_to(pairs[0], (len(self.table), 2, 2)).copy()
-            self.table = self._entries(np.arange(len(self.table)), self.selector)
         e = self.table[rows]
-        if not (e["ok"].all() and (self.selector[rows] == pairs).all()):  # marked, at fault or reselected
-            redo = rows[~e["ok"] | (self.selector[rows] != pairs).any(axis=(1, 2))]
-            self.selector[rows] = pairs
-            self.table[redo] = self._entries(redo, self.selector[redo])
+        if not e["ok"].all():  # marked or at fault: every such row is entered again
+            redo = np.flatnonzero(~self.table["ok"])
+            self.table[redo] = self._entries(redo)
             e = self.table[rows]
         if not e["ok"].all():  # the base's checks at these rows name the fault
             if e["unsettled"].any():
                 raise ConvergenceError(_OSCILLATES)
-            x, nodes, g = self.volts.copy(), self.core.terminal[rows], (1.0 / pairs[..., 0]).ravel()
+            x, nodes, g = self.volts.copy(), self.core.terminal[rows], np.tile(1.0 / self.sel_r, len(rows))
             x[nodes] = e["v"]
             self._checked(x, self.row_cells[rows].ravel(), nodes, self.rails[rows].ravel(), g, e["clamp"].ravel())
         cols = self.cell_col[self.row_cells[rows]]
         return self.sources + np.bincount(cols.ravel(), e["delta"].ravel(), len(self.sources)), cols
 
-    def _entries(self, rows, pairs):
-        """Each of ``rows`` read alone through its selector's rail ``pairs`` (resistance,
-        saturation current) of the pull-up then the pull-down, vectorised over rows."""
+    def _entries(self, rows):
+        """Each of ``rows`` read alone, vectorised over rows."""
         core, rails, cells = self.core, self.rails[rows], self.row_cells[rows]
-        g, isat = 1.0 / pairs[..., 0], pairs[..., 1]
+        g, isat = 1.0 / self.sel_r, self.sel_isat
         base_g, base_c, volts = self.ohmic_g[rails], self.clamp[rails], self.asm.rail_volts[rails]
         z, v0, clamp = self.z[rows], self.volts[core.terminal[rows]], np.zeros(rails.shape)
         for _ in range(_MAX_CLAMP_ITERATIONS):  # a row not settled by now cycles

@@ -44,11 +44,15 @@ branch resistance instead and spends a second cycle on the compare.
 :func:`read_cycle_time` is the one sense clock of both layouts; the
 closed-form models of :mod:`xpointsim.perf` charge a read the same time.
 
-Reads differ only at their selected rows. The array caches a
-:class:`~xpointsim.network.ReadBase`, the read drive with every row idle,
-solved and checked (KCL, read disturb) once per stored state and ``v_read``.
-With wires a read corrects it at its rows' selectors and checks what moves;
-without, each row's read is its own, and a read looks up its two rows' reads.
+Reads differ only at the two rows they ground, which a read names by
+index: the word's row and the reference row of its parity. The array
+caches a :class:`~xpointsim.network.ReadBase`, the read drive with every
+row idle, solved and checked (KCL, read disturb) once per stored state and
+``v_read``. With wires a read corrects it at its two rows and checks what
+moves; without, each row's read is its own, and a read looks up its two
+rows' reads. A read that senses bits other than the stored ones raises
+:class:`~xpointsim.errors.MisreadError`, naming the first wrong cell: a
+misread is never returned as a bit string.
 
 Energy bookkeeping: the supply current of an interval is the summed
 magnitude of the regulated source currents (writes) or of the driven
@@ -68,6 +72,7 @@ from .device import MtjState, switching_delay, switching_step
 from .errors import (
     ConvergenceError,
     IndeterminateReadError,
+    MisreadError,
     ParameterError,
     WriteFailureError,
 )
@@ -501,9 +506,13 @@ def read_word(array, word_addr, drive=None):
     first, so the bit is '1' when the data branch is slower, and its delay is
     the winner's RC halving time. The first bit whose branches are within
     1e-6 relative or whose segment returns current raises, naming the bit.
+    A word that senses other bits than it stores raises ``MisreadError``,
+    naming the first wrong cell.
     """
     drive = drive or DriveConfig()
-    src, segs = _read_base(array, drive.v_read).read(select_word(array, word_addr, "read"))
+    # the word's row and, balanced, its parity's reference row; parity() checks the word
+    rows = [word_addr, array.m_words + array.parity(word_addr)][: 1 + array.balanced]
+    src, segs = _read_base(array, drive.v_read).read(rows)
     # a bit is sensed on its cell's segment against the reference cell's
     v, r_ideal, i_seg = drive.v_read, array.ideal_reference_resistance(), src[segs]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -521,9 +530,15 @@ def read_word(array, word_addr, drive=None):
                 )
         raise IndeterminateReadError(f"word {word_addr} bit {j}: sense race too close to call: "
                                      f"{r_data[j]:.6g} vs {r_ref[j]:.6g} Ohm")
+    ones, first = r_data > r_ref, word_addr * array.n_bits
+    bits = "".join("01"[one] for one in ones.tolist())
+    wrong = ones != array.states[first : first + array.n_bits]
+    if wrong.any():
+        raise MisreadError(f"word {word_addr} reads {bits!r}, stored {array.get_word(word_addr)!r} "
+                           f"({array.tag(first + int(wrong.argmax()))})")
     i_ref = i_seg[1] if array.balanced else v / r_ref
     return SenseResult(
-        bits="".join("01"[one] for one in (r_data > r_ref).tolist()),
+        bits=bits,
         per_bit_margin=tuple((r_ref - r_data).tolist()),
         sense_delay=read_cycle_time(r_ideal, drive.c_load_f, array.balanced),
         branch_currents=tuple(zip(i_seg[0].tolist(), i_ref.tolist())),

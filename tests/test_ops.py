@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 from xpointsim import network, ops
 from xpointsim.array import CrossbarArray
-from xpointsim.device import MtjParams, MtjState, TransistorModel, critical_current
+from xpointsim.device import MtjParams, MtjState, TransistorModel, critical_current, switching_delay
 from xpointsim.errors import (
+    ConvergenceError,
     IndeterminateReadError,
+    MisreadError,
     ParameterError,
     ReadDisturbError,
     SimulationError,
@@ -301,6 +303,60 @@ def test_underdriven_write_raises_write_failure():
     arr = fresh(4, 4, write_overdrive=0.9)  # below the switching threshold
     with pytest.raises(WriteFailureError, match="w0"):
         write_word(arr, WriteRequest(0, "1111", WriteMode.PARALLEL))
+
+
+def test_a_write_that_misses_a_bit_names_it(monkeypatch):
+    # a phase that never runs leaves its bits unwritten; the read-back after
+    # the write names the word, both bit strings and the first wrong cell
+    arr = fresh()
+    run = ops._run_phase
+
+    def skipping(array, trace, label, word_addr, phase, *rest):
+        if phase != "1":
+            run(array, trace, label, word_addr, phase, *rest)
+
+    monkeypatch.setattr(ops, "_run_phase", skipping)
+    with pytest.raises(WriteFailureError, match=r"^word 2 reads back '0000', wanted '0110' \(w2:b1e\)$"):
+        write_word(arr, WriteRequest(2, "0110", WriteMode.PARALLEL))
+
+
+def test_a_cell_that_never_flips_ends_the_phase(monkeypatch):
+    # a cell whose flip is never stored stays pending through every step:
+    # the phase gives up after its step budget instead of looping forever
+    arr = fresh()
+    store = arr.store
+    monkeypatch.setattr(arr, "store", lambda k, value: None if k == 9 else store(k, value))
+    with pytest.raises(ConvergenceError, match="^phase-1: switching cascade did not terminate$"):
+        write_word(arr, WriteRequest(2, "0110", WriteMode.PARALLEL))
+
+
+def test_a_pinned_network_is_solved_in_full():
+    # a network that pins nodes is not a write phase: the write's solver
+    # hands it to the core and keeps no base
+    arr = fresh(4, 8)
+    random_words(arr, 2)
+    net = arr.to_network(dict.fromkeys(arr.segments, LineBias.voltage(0.3)), select_word(arr, 3, "read"))
+    solver = network.WriteSolver(arr.core, 3 * 4 + np.arange(4))
+    sol, full = solve_network(net, solver), solve_network(net)
+    assert solver.base is None and not solver.corrected
+    assert np.array_equal(sol.volts, full.volts) and np.array_equal(sol.currents, full.currents)
+    assert sol.source_currents == full.source_currents
+
+
+def test_write_times_at_the_design_point_match_the_closed_form():
+    # a 64-bit word of a scrambled 64x1024 array: a parallel write of its
+    # complement takes one setup and two switching delays at the write
+    # current, a serial write one setup and one delay per bit, as analyze
+    # charges them
+    arr = fresh(64, 1024)
+    rng = np.random.default_rng(1)
+    arr.store(np.arange(arr.states.size), rng.random(arr.states.size) < 0.5)
+    drive, w = DriveConfig(), arr.m_words // 2 + 1
+    tau = switching_delay(arr.write_current, arr.params, arr.dynamics)
+    for mode, want in ((WriteMode.PARALLEL, 2 * tau + drive.setup_time_s),
+                       (WriteMode.SERIAL, 64 * (tau + drive.setup_time_s))):
+        trace = write_word(arr, WriteRequest(w, complement(arr.get_word(w)), mode), drive)
+        assert trace.total_time == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 # -- reading -----------------------------------------------------------------
@@ -733,6 +789,11 @@ def random_words(arr, seed):
         arr.set_word(w, "".join(rng.choice("01") for _ in range(arr.n_bits)))
 
 
+def read_rows(arr, w):
+    """The rows a balanced read of word ``w`` grounds: its own and its parity's reference row."""
+    return [w, arr.m_words + w % 2]
+
+
 def test_a_row_at_fault_raises_only_in_the_reads_that_select_it():
     # without wires the first read enters every row's read in the table,
     # faulty rows too: word 5 disturbs a cell whose threshold is set to half
@@ -752,32 +813,16 @@ def test_a_row_at_fault_raises_only_in_the_reads_that_select_it():
     base.volts[base.core.terminal[base.core.line_index["w6"]]] = np.finfo(float).max
     for _ in range(2):
         for w in (0, 1, 2, 3, 4, 7):  # the first of them builds the table
-            drivers = select_word(arr, w, "read")
-            assert np.array_equal(base.read(drivers)[0], clean.read(drivers)[0])
+            rows = read_rows(arr, w)
+            assert np.array_equal(base.read(rows)[0], clean.read(rows)[0])
         with pytest.raises(ReadDisturbError) as info:
-            base.read(select_word(arr, 5, "read"))
+            base.read(read_rows(arr, 5))
         assert str(info.value) == (
             f"read current {abs(i_read) * 1e6:.1f} uA reaches the switching "
             f"threshold of w5:{arr.host_segment(5, 2)}"
         )
         with pytest.raises(SimulationError, match=r"^node potentials beyond float range on: w6$"):
-            base.read(select_word(arr, 6, "read"))
-
-
-def test_zero_ohm_read_through_other_selectors_matches_the_full_solve():
-    # the table holds each row's read through the selector that last read
-    # it; a read whose word row is pulled up instead re-enters that row, and
-    # a read through the read selector then re-enters it again
-    arr = fresh(4, 8)
-    random_words(arr, 5)
-    drive = DriveConfig()
-    bias = dict.fromkeys(arr.segments, LineBias.voltage(drive.v_read))
-    base = network.ReadBase(arr.to_network(bias, {}), arr.critical_currents)
-    pulled_up = {**select_word(arr, 3, "0"), arr.serving_ref_row(3): select_word(arr, 3, "read")["ref_o"]}
-    for drivers in (select_word(arr, 3, "read"), pulled_up, select_word(arr, 3, "read")):
-        full = solve_network(arr.to_network(bias, drivers)).source_currents
-        sources = base.read(drivers)[0]
-        assert np.allclose(sources, [full[s] for s in arr.segments], rtol=1e-12, atol=0.0)
+            base.read(read_rows(arr, 6))
 
 
 def test_zero_ohm_reads_look_their_rows_up(monkeypatch):
@@ -800,9 +845,9 @@ def test_zero_ohm_reads_look_their_rows_up(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     entries = network.ReadBase._entries
 
-    def entering(self, rows, pairs):
+    def entering(self, rows):
         entered.append([self.core.rows[r] for r in rows.tolist()])
-        return entries(self, rows, pairs)
+        return entries(self, rows)
 
     monkeypatch.setattr(network.ReadBase, "_entries", entering)
     for w in range(arr.m_words):
@@ -843,6 +888,36 @@ def test_a_read_re_solves_the_words_stored_since_the_last(monkeypatch):
     assert [read_word(arr, w) for w in range(8)] == [read_word(alone, w) for w in range(8)]
     with pytest.raises(ValueError):
         arr.states[0] = True
+
+
+@pytest.mark.parametrize("line_resistance", [0.0, 1.0], ids=["bare", "wired"])
+def test_a_read_names_its_rows(monkeypatch, line_resistance):
+    # once the base exists, a read passes its two row indices to it: a scan
+    # of every word builds no row drivers and parses no selector
+    arr = fresh(4, 16, line_resistance=line_resistance)
+    random_words(arr, 13)
+    read_word(arr, 0)
+    calls = []
+    monkeypatch.setattr(ops, "select_word", lambda *a: calls.append("select_word"))
+    monkeypatch.setattr(network, "_rail_pair", lambda *a: calls.append("_rail_pair"))
+    assert [read_word(arr, w).bits for w in range(arr.m_words)] == [arr.get_word(w) for w in range(arr.m_words)]
+    assert calls == []
+
+
+def test_a_misread_is_an_error():
+    # the reference cells sit at the far end of their segments, so 20 ohm
+    # per segment leaves word 62's data cells a different wire than their
+    # references: the read senses '0000', which is not what the word
+    # stores, and raises naming the first wrong cell instead of returning it
+    def word_62(line_resistance):
+        arr = fresh(4, 64, line_resistance=line_resistance)
+        for w in (0, 62):
+            arr.set_word(w, "0101")
+        return read_word(arr, 62)
+
+    assert word_62(0.0).bits == "0101"
+    with pytest.raises(MisreadError, match=r"^word 62 reads '0000', stored '0101' \(w62:b1e\)$"):
+        word_62(20.0)
 
 
 def test_a_sense_tie_names_the_word_and_bit():
