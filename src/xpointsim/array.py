@@ -31,8 +31,10 @@ Cell numbering: a cell is its index ``k``, also its network branch. Cell
 cells follow, each bit's ``ref_e`` then ``ref_o``. The network gets each
 cell's row and segment index as integer arrays, and a cell's
 ``row:segment`` tag is formatted only for a message. The array stores one
-boolean per data cell (``states``, True for antiparallel) and derives the
-branch resistances from it whenever it builds a network.
+boolean per data cell (``states``, True for antiparallel) and keeps the
+branch resistances and edge conductances that follow from it live: its one
+writer updates them in place at the cells it changes, and a network built
+from the array takes a snapshot of them.
 
 Word data convention: a word's content is a string like ``"1011"`` where
 character j describes bit j, and '1' is the antiparallel state.
@@ -52,7 +54,7 @@ from .device import (
     reference_params,
 )
 from .errors import ParameterError
-from .network import _KCL_LIMIT, CrossbarNetwork, NodalCore, RowDriver, _check_wires
+from .network import _KCL_LIMIT, CrossbarNetwork, NodalCore, RowDriver, _check_wires, _conductances
 
 __all__ = ["CrossbarArray", "REF_ROWS", "reference_branch_resistance"]
 
@@ -102,15 +104,25 @@ def _checked_models(params, transistor, n_bits, balanced, line_resistance):
     return selector, ref_params, r_data, r_ref
 
 
+def _read_only(a):
+    """A view of ``a`` that refuses writes."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 class CrossbarArray:
     """One cross-point array holding live device states.
 
     The array owns the data-cell states: ``states`` shows them read-only, and
     :meth:`store`, their one writer, marks the words it writes in
     ``changed_words`` and ``changed`` for the read base. Rows, segments and
-    cells never change, so the nodal ``core`` is compiled once;
+    cells never change, so the nodal ``core`` is compiled once.
     ``resistances`` and ``critical_currents`` follow the cells in index
-    order, which is also the network's branch order.
+    order, which is also the network's branch order, and ``conductances``
+    the core's edges, branches then wires. ``store`` keeps the resistances
+    and conductances live, shown read-only, and records each cell whose
+    state it changes in ``flips`` while a write's solver holds it there.
     """
 
     def __init__(
@@ -167,16 +179,21 @@ class CrossbarArray:
             cell_col = np.concatenate([2 * bit + word % 2, ref ^ 1])
         else:
             self.segments = [f"b{j}" for j in range(n_bits)]
+        # every data cell starts parallel
         self._states = np.zeros(word.size, dtype=bool)
-        self.states = self._states.view()
-        self.states.flags.writeable = False
-        self.changed_words, self.changed = np.zeros(m_words, dtype=bool), False
-        self._r_refs = np.full(len(cell_row) - word.size, r_ref)
+        self._resistances = np.repeat([self._r_data[0], r_ref], [word.size, len(cell_row) - word.size])
+        self.changed_words, self.changed, self.flips = np.zeros(m_words, dtype=bool), False, None
         i_c = critical_current(self.params), critical_current(self.ref_params)
-        self.critical_currents = np.repeat(i_c, [word.size, self._r_refs.size])
+        self.critical_currents = np.repeat(i_c, [word.size, len(cell_row) - word.size])
         self.core = NodalCore(
             self.word_rows + self.ref_rows, self.segments, cell_row, cell_col,
-            line_resistance, self.resistances,
+            line_resistance, self._resistances,
+        )
+        self._conductances = _conductances(self.core, self._resistances)
+        with np.errstate(over="ignore"):  # a conductance beyond float range is named by the solve that meets it
+            self._g_data = tuple(1.0 / np.array(self._r_data))  # a data cell's, P then AP
+        self.states, self.resistances, self.conductances = (
+            _read_only(a) for a in (self._states, self._resistances, self._conductances)
         )
         self.read_base = None  # the idle read solution ops.read_word keeps
 
@@ -231,12 +248,6 @@ class CrossbarArray:
         """Cell ``k``'s ``row:segment`` name, for messages."""
         return self.core.tag(k)
 
-    @property
-    def resistances(self):
-        """Branch resistances in cell order, derived from ``states``."""
-        r_p, r_ap = self._r_data
-        return np.concatenate([np.where(self.states, r_ap, r_p), self._r_refs])
-
     def state(self, word, bit):
         self._check_word(word)
         self._check_bit(bit)
@@ -266,9 +277,17 @@ class CrossbarArray:
         self.store(self._word_cells(word), [ch == "1" for ch in data])
 
     def store(self, cells, values):
-        """Set data ``cells`` to ``values`` (True antiparallel) and mark their words changed."""
+        """Set data ``cells`` to ``values`` (True antiparallel): their branch
+        resistances and conductances follow in place, their words are marked
+        changed, and they join ``flips`` if a write's solver holds it."""
+        cells = np.asarray(cells)
         self._states[cells] = values
+        (r_p, r_ap), (g_p, g_ap), ap = self._r_data, self._g_data, self._states[cells]
+        self._resistances[cells] = np.where(ap, r_ap, r_p)
+        self._conductances[cells] = np.where(ap, g_ap, g_p)
         self.changed_words[cells // self.n_bits] = self.changed = True
+        if self.flips is not None:
+            self.flips.update(cells.reshape(-1).tolist())
 
     # -- network extraction ---------------------------------------------
 
@@ -280,7 +299,7 @@ class CrossbarArray:
         ``row_driver_model`` with both switches off.
         """
         return CrossbarNetwork(
-            self.core, self.resistances, drivers, bias, self.v_dd,
+            self.core, self._resistances.copy(), drivers, bias, self.v_dd,
             idle=RowDriver(self.row_driver_model),
         )
 

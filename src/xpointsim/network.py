@@ -46,20 +46,30 @@ affine in the source currents, so unit injections at the k regulated lines, solv
 as extra right-hand-side columns of the same factorisation, give the exact
 transfer resistances; a k x k solve then places the operating point.
 
-The phases of one write select one row and drive some of one word's cells,
-so they differ only at a few nodes: the write's reach, the terminals of the
-driven cells' lines and, with wires, the cells' own two chain nodes. A
-:class:`WriteSolver` stands in for ``NodalCore.solve`` through every solve
-of one write. Its first solve is a full one that also solves a unit
-injection at each reach node. A later solve whose conductances, shunts and
-drive differ from that base at reach nodes only is the base's Woodbury
-correction (W. W. Hager, SIAM Review 31(2), 1989): a flipped cell is a
-dipole, a rail change of the selected row one place, a source a combination
-of the unit columns. A change beyond the reach, such as a disturbed cell of
-another word, re-bases with a full solve. A corrected solution runs the
-same saturation loop, regulated transfer and checks (KCL, regulation,
-overflow) as a full one; one that fails a check is solved again in full,
-and that result or error stands.
+A write binds its drive once (:func:`build_network`): the idle rails, the
+rail potentials, the anchoring check and the nodes KCL is checked at hold
+for the whole write. A phase changes only its selected row's rail pair
+(:meth:`AssembledNetwork.select`) and its regulated sources
+(:meth:`AssembledNetwork.regulate`), and a step drops the sources whose
+cells its flips released (:meth:`AssembledNetwork.keep`). The drive solves
+the array's live conductances, which the array's one writer updates in
+place at the cells it changes.
+
+The phases of one write differ only at a few nodes: the write's reach, the
+terminals of the driven cells' lines and, with wires, the cells' own two
+chain nodes. A :class:`WriteSolver` stands in for the full solve through
+every solve of one write. Its first solve is a full one that also solves a
+unit injection at each reach node. The array tells the solver which cells
+it changed since that base, and the solver compares only the rail vector,
+two entries per row, with the base's. A later solve whose flipped cells and
+moved rails lie within the reach is the base's Woodbury correction (W. W.
+Hager, SIAM Review 31(2), 1989): a flipped cell is a dipole, a rail change
+of the selected row one place, a source a combination of the unit columns.
+A change beyond the reach, such as a disturbed cell of another word,
+re-bases with a full solve. A corrected solution runs the same saturation
+loop, regulated transfer and checks (KCL over every edge and node,
+regulation, overflow) as a full one; one that fails a check is solved again
+in full, and that result or error stands.
 
 With ``line_resistance > 0`` every line is expanded into a chain of nodes,
 one per crossing, joined by the per-segment wire resistance. Crossing
@@ -112,6 +122,7 @@ _REG_TOL = 1e-10
 _GATHER = 1 << 16  # potentials gathered per block of eliminated rows
 _ROOT_MAX = math.sqrt(sys.float_info.max)  # a conductance whose square overflows
 _OSCILLATES = "saturation assignment oscillates; no consistent operating point"
+_DIPOLE = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # a conductance's signs at (a, a), (b, b), (a, b), (b, a)
 
 
 @dataclass(frozen=True)
@@ -287,6 +298,7 @@ class NodalCore:
         self.wire_r = np.full(len(wire), float(line_resistance))
         a = self.edge_a = np.concatenate([self.cell_col, wire])
         b = self.edge_b = np.concatenate([self.cell_row, wire + 1])
+        self.ends = np.stack([a, b])
         live = np.isfinite(np.concatenate([resistance, self.wire_r]))
         self.labels = _component_labels(n, a[live], b[live])
 
@@ -473,80 +485,99 @@ def _sweep(diag, lower, system):
 
 
 class WriteSolver:
-    """:meth:`NodalCore.solve` for the phases of one write of branches ``cells``.
+    """:func:`_solve_full` for the phases of one write of ``array``'s branches ``cells``.
 
     The write's reach is the terminals of the cells' lines and the cells'
     own two nodes (the terminals themselves without wires). A call that
     finds no base solves its drive and a unit injection at each reach node
-    in full, and that is the base. A later call whose ``g``, ``shunt`` and
-    drive differ from the base's at reach nodes only is the base's Woodbury
-    correction (W. W. Hager, SIAM Review 31(2), 1989): a flipped cell is a
-    dipole, a rail change of the selected row one place. Every further
-    right-hand side, a source's unit injection at a reach node, is a
+    in full, and that is the base. The array's :meth:`store` records in
+    ``flips`` each cell it changes, and the solver empties it when it takes
+    a base. A later call whose flipped cells and rail vector (two entries
+    per row) differ from the base's at reach nodes only is the base's
+    Woodbury correction (W. W. Hager, SIAM Review 31(2), 1989): a flipped
+    cell is a dipole, a rail change of the selected row one place. Every
+    further right-hand side, a source's unit injection at a reach node, is a
     combination of the base's columns. Any other change, or a singular
-    correction, re-bases. A call that pins nodes or injects beyond the reach
-    is solved by ``core.solve``. A correction sets ``corrected``, which
-    :func:`solve_network` clears.
+    correction, re-bases. A call that pins nodes, injects a plain current or
+    regulates a line beyond the reach is solved in full. A correction sets
+    ``corrected``, which :func:`solve_network` clears.
     """
 
-    def __init__(self, core, cells):
+    def __init__(self, array, cells):
+        core = self.core = array.core
         nodes = np.concatenate([core.cell_row[cells], core.cell_col[cells]])
-        self.core, self.place = core, np.full(core.n_nodes, -1)  # each node's place in the reach, or -1
+        self.place = np.full(core.n_nodes, -1)  # each node's place in the reach, or -1
         self.place[core.terminal[core.node_line[nodes]]] = self.place[nodes] = 0
         reach = np.flatnonzero(self.place == 0)
         # eliminated nodes first: the kept ones' unit columns, last, cost the fill nothing
         self.reach = np.concatenate([reach[core.is_elim[reach]], reach[~core.is_elim[reach]]])
         self.place[self.reach] = np.arange(len(self.reach))
+        self.flips = array.flips = set()
         self.base, self.corrected = None, False
 
-    def __call__(self, g, shunt, rhs_e, rhs_k, fixed, volts):
-        core, reach = self.core, self.reach
-        rhs = np.zeros((core.n_nodes, rhs_e.shape[1]))
-        rhs[core.elim], rhs[core.kept] = rhs_e, rhs_k
-        if len(fixed) or (self.place[np.flatnonzero(rhs[:, 1:].any(axis=1))] < 0).any():
-            return core.solve(g, shunt, rhs_e, rhs_k, fixed, volts)
-        coef = None if self.base is None else self._corrected(g, shunt, rhs)
-        if coef is None:
-            both = np.zeros((core.n_nodes, 1 + len(reach)))
-            both[:, 0], both[reach, 1 + np.arange(len(reach))] = rhs[:, 0], 1.0
-            self.base = (g, shunt, rhs[:, 0], core.solve(g, shunt, both[core.elim], both[core.kept], fixed, volts))
-            coef = rhs[reach]
-            coef[:, 0] = 0.0  # the base's own drive
+    def __call__(self, asm, ohmic_g, clamp):
+        units = self.place[asm.reg_nodes]
+        if len(asm.fixed) or asm.injection.any() or (units < 0).any():
+            return _solve_full(asm, ohmic_g, clamp)
+        # each rail's ohmic conductance, then its stamp on the drive at its row terminal
+        stamps = np.empty((2, len(ohmic_g)))
+        stamps[0] = ohmic_g
+        np.multiply(ohmic_g, asm.rail_volts, out=stamps[1])
+        stamps[1] += clamp
+        coef = np.zeros((len(self.reach), 1 + len(units)))
+        coef[units, np.arange(1, 1 + len(units))] = 1.0  # the sources' unit injections
+        if self.base is None or not self._corrected(asm.g, stamps, coef):
+            self.flips.clear()
+            self.base = (asm.g.copy(), stamps, _solve_full(asm, ohmic_g, clamp, self.reach))
+            coef[:, 0] = 0.0
         # the base's drive plus its unit responses weighted by coef
         base = self.base[-1]
         x = base[:, 1:] @ coef
         x[:, 0] += base[:, 0]
         return x
 
-    def _corrected(self, g, shunt, rhs):
-        """The weights of the base's unit responses that solve ``rhs`` as the
-        base's correction, or None where a change leaves the reach or the
-        correction is singular."""
+    def _corrected(self, g, stamps, coef):
+        """Turn ``coef``, the unit injections of a drive's sources, into the
+        weights of the base's unit responses that solve the drive of edge
+        conductances ``g`` and rail ``stamps`` as the base's correction; False
+        where a change leaves the reach or the correction is singular."""
         core, place, reach = self.core, self.place, self.reach
-        g0, shunt0, drive0, base = self.base
-        edges, shunts = np.flatnonzero(g != g0), np.flatnonzero(shunt != shunt0)
-        moved = np.flatnonzero(rhs[:, 0] != drive0)
-        if (place[np.concatenate([core.edge_a[edges], core.edge_b[edges], core.elim[shunts], moved])] < 0).any():
-            return None
-        coef = rhs[reach]
-        coef[:, 0] -= drive0[reach]
+        g0, stamps0, base = self.base
+        flips = np.fromiter(self.flips, np.intp, len(self.flips))
+        flips.sort()
+        edges = flips[g[flips] != g0[flips]]
+        ab = place[core.ends[:, edges]]  # each changed edge's two places in the reach
+        if (ab < 0).any():
+            return False
+        shunts, ds = np.zeros(0, dtype=np.intp), np.zeros(0)
+        rails = np.flatnonzero((stamps != stamps0).any(axis=0))
+        if len(rails):
+            # a row's two rails sum into the shunt and the drive at its terminal
+            rows = np.unique(rails >> 1)
+            ds, dd = stamps.reshape(2, -1, 2)[:, rows].sum(axis=2) - stamps0.reshape(2, -1, 2)[:, rows].sum(axis=2)
+            terminal = place[core.rail_node[2 * rows]]
+            shunts, ds, moved, dd = terminal[ds != 0.0], ds[ds != 0.0], terminal[dd != 0.0], dd[dd != 0.0]
+            if (shunts < 0).any() or (moved < 0).any():
+                return False
+            coef[moved, 0] = dd
         if len(edges) or len(shunts):
             # the change C of the nodal matrix within the reach moves the
             # solution by -Z (I + C Z_U)^-1 C x_U, x_U the reach's potentials
-            # of the base's solution for rhs
-            m, a, b, dg = len(reach), place[core.edge_a[edges]], place[core.edge_b[edges]], g[edges] - g0[edges]
-            s, ds = place[core.elim[shunts]], shunt[shunts] - shunt0[shunts]
-            c = np.bincount(np.concatenate([a * m + a, b * m + b, a * m + b, b * m + a, s * (m + 1)]),
-                            np.concatenate([dg, dg, -dg, -dg, ds]), m * m).reshape(m, m)
+            # of the base's solution for the drive: a flipped edge stamps dg
+            # at (a, a), (b, b) and -dg at (a, b), (b, a), a shunt ds at (s, s)
+            m, dg = len(reach), g[edges] - g0[edges]
+            stamp_at = (ab[[0, 1, 0, 1]] * m + ab[[0, 1, 1, 0]]).ravel()
+            c = np.bincount(np.concatenate([stamp_at, shunts * (m + 1)]),
+                            np.concatenate([(dg * _DIPOLE).ravel(), ds]), m * m).reshape(m, m)
             z = base[reach, 1:]
             x_u = z @ coef
             x_u[:, 0] += base[reach, 0]
             try:
                 coef -= np.linalg.solve(np.eye(m) + c @ z, c @ x_u)
             except np.linalg.LinAlgError:
-                return None
+                return False
         self.corrected = True
-        return coef
+        return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,18 +608,27 @@ def _rail_pair(driver):
     )
 
 
+@np.errstate(over="ignore")  # a conductance beyond float range is named by the solve that meets it
+def _conductances(core, resistance):
+    """Each mesh edge's conductance, derived from the branch ``resistance``: branches, then wires."""
+    return 1.0 / np.concatenate([resistance, core.wire_r])
+
+
 class AssembledNetwork:
     """A network's bias and drivers bound to node indices, ready to solve.
 
     Rails come in pairs per row, pull-up first; they attach at row
-    terminals, which are always eliminated nodes.
+    terminals, which are always eliminated nodes. Binding checks that every
+    node is anchored. ``g`` holds the edge conductances, derived from the
+    network's resistances unless the binder sets the live ones of an array.
     """
 
     def __init__(self, net):
         core = self.core = net.core
-        self.net = net
-        fixed, volts, self.regulated, reg_nodes, cells, targets = [], [], [], [], [], []
+        self.resistance = net.resistance
+        fixed, volts, regulated = [], [], {}
         self.fixed_lines = []  # the line of each entry of self.fixed
+        self.currents = {}  # the plain current sources, line -> A
         self.injection = np.zeros(core.n_nodes)  # amps from plain current sources
         for line, lb in net.bias.items():
             index = core.line_index.get(line)
@@ -600,38 +640,62 @@ class AssembledNetwork:
                 fixed.append(node)
                 volts.append(lb.value)
             elif lb.kind == "current":
+                self.currents[line] = lb.value
                 self.injection[node] += lb.value
-            elif lb.kind == "regulated":
-                if not 0 <= lb.cell < len(core.cell_row):
-                    raise ParameterError(f"bias {line!r}: unknown cell {lb.cell!r}")
-                self.regulated.append(line)
-                reg_nodes.append(node)
-                cells.append(lb.cell)
-                targets.append(lb.value)
-        k = len(self.regulated)
+            else:
+                regulated[line] = lb
         self.fixed = np.array(fixed, dtype=np.intp)
         self.fixed_volts = np.array(volts)
-        self.reg_nodes = np.array(reg_nodes, dtype=np.intp)
-        self.reg_cells = np.array(cells, dtype=np.intp)
-        self.reg_targets = np.array(targets)
-        # column 0 is the base drive, column 1 + j a unit injection at regulated line j
-        rhs = np.zeros((core.n_nodes, 1 + k))
-        rhs[:, 0] = self.injection
-        rhs[self.reg_nodes, 1 + np.arange(k)] = 1.0
-        self.rhs_e, self.rhs_k = rhs[core.elim], rhs[core.kept]
+        self.regulate(regulated)
 
         n_rows = len(core.rows)
-        table = np.tile(_rail_pair(net.idle), (n_rows, 1))
-        for row, driver in net.drivers.items():
-            if row not in core.row_set:
-                raise ParameterError(f"driver: {row!r} is not a row")
-            k = 2 * core.line_index[row]
-            table[k : k + 2] = _rail_pair(driver)
-        self.rail_r, self.rail_isat = table.T
+        self.rails = np.tile(_rail_pair(net.idle), (n_rows, 1))  # (resistance, saturation current) per rail
+        self.rail_r, self.rail_isat = self.rails.T
+        self.rail_g = 1.0 / self.rail_r  # 0.0 for an open rail, which never saturates
+        self.select(net.drivers)
         self.rail_volts = np.tile([net.v_dd, 0.0], n_rows)
         self.free = np.ones(core.n_nodes, dtype=bool)  # the nodes KCL is checked at
         self.free[self.fixed] = False
         self.unknown_count = core.n_nodes - len(self.fixed)
+        _check_anchored(self)
+
+    @cached_property
+    def g(self):
+        """Edge conductances, derived from ``resistance`` when first needed."""
+        return _conductances(self.core, self.resistance)
+
+    def select(self, drivers):
+        """Tie each row ``drivers`` names to the rails through its driver; the
+        other rows keep theirs. A write's phases select one row, each with one
+        switch on, so the nodes anchored stay those checked at binding."""
+        core = self.core
+        for row, driver in drivers.items():
+            if row not in core.row_set:
+                raise ParameterError(f"driver: {row!r} is not a row")
+            k = 2 * core.line_index[row]
+            self.rails[k : k + 2] = _rail_pair(driver)
+            self.rail_g[k : k + 2] = 1.0 / self.rail_r[k : k + 2]
+
+    def regulate(self, sources):
+        """Bind the regulated ``sources`` (line -> :class:`LineBias`), in place of any before, all on."""
+        core, lines = self.core, list(sources)
+        for line, lb in sources.items():
+            if not 0 <= lb.cell < len(core.cell_row):
+                raise ParameterError(f"bias {line!r}: unknown cell {lb.cell!r}")
+        k = len(lines)
+        self.sources = (lines, core.terminal[[core.line_index[line] for line in lines]],
+                        np.fromiter((lb.cell for lb in sources.values()), np.intp, k),
+                        np.fromiter((lb.value for lb in sources.values()), float, k))
+        self.on = [True] * k
+        self.regulated, self.reg_nodes, self.reg_cells, self.reg_targets = self.sources
+
+    def keep(self, on):
+        """Keep on the bound regulated sources where ``on`` and drop the rest."""
+        flags = on.tolist()
+        if flags != self.on:
+            lines, nodes, cells, targets = self.sources
+            self.on, self.regulated = flags, [line for line, keep in zip(lines, flags) if keep]
+            self.reg_nodes, self.reg_cells, self.reg_targets = nodes[on], cells[on], targets[on]
 
 
 def build_network(net):
@@ -653,21 +717,32 @@ def _check_anchored(asm):
         )
 
 
-def _solve_linear(asm, g, clamp, rail_g, solve):
-    """Node potentials and regulated source currents for one saturated set, and each rail's
-    ohmic current; ``solve`` has the contract of :meth:`NodalCore.solve`."""
-    core = asm.core
-    ne = len(core.elim)
-    ohmic_g = np.where(clamp == 0.0, rail_g, 0.0)
-    rhs_e = asm.rhs_e.copy()
+def _solve_full(asm, ohmic_g, clamp, units=None):
+    """``asm`` solved by :meth:`NodalCore.solve` with rails of ohmic conductance
+    ``ohmic_g`` and clamped currents ``clamp``: column 0 the drive, 1 + j a unit
+    injection at node ``units[j]``, by default at regulated line j."""
+    core, ne = asm.core, len(asm.core.elim)
+    units = asm.reg_nodes if units is None else units
+    rhs = np.zeros((core.n_nodes, 1 + len(units)))
+    rhs[:, 0] = asm.injection
+    rhs[units, 1 + np.arange(len(units))] = 1.0
+    rhs_e = rhs[core.elim]
     rhs_e[:, 0] += np.bincount(core.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
     shunt = np.bincount(core.rail_slot, ohmic_g, ne)
-    x = solve(g, shunt, rhs_e, asm.rhs_k, asm.fixed, asm.fixed_volts)
+    return core.solve(asm.g, shunt, rhs_e, rhs[core.kept], asm.fixed, asm.fixed_volts)
+
+
+def _solve_linear(asm, clamp, solve):
+    """Node potentials and regulated source currents for one saturated set, and each rail's
+    ohmic current; ``solve`` has the contract of :func:`_solve_full`."""
+    core = asm.core
+    x = solve(asm, np.where(clamp == 0.0, asm.rail_g, 0.0), clamp)
     volts, sources = x[:, 0], np.zeros(0)
     if asm.regulated:
         # columns: target-cell currents at the base drive, then per unit injection
-        cells, r = asm.reg_cells, asm.net.resistance[asm.reg_cells, None]
-        per_cell = (x[core.cell_col[cells]] - x[core.cell_row[cells]]) / r
+        cells, r = asm.reg_cells, asm.resistance[asm.reg_cells, None]
+        col, row = x[core.ends[:, cells]]
+        per_cell = (col - row) / r
         try:
             sources = np.linalg.solve(per_cell[:, 1:], asm.reg_targets - per_cell[:, 0])
         except np.linalg.LinAlgError:
@@ -676,7 +751,7 @@ def _solve_linear(asm, g, clamp, rail_g, solve):
                 + ", ".join(asm.regulated)
             ) from None
         volts = volts + x[:, 1:] @ sources
-    return (volts, sources), (asm.rail_volts - volts[core.rail_node]) * rail_g
+    return (volts, sources), (asm.rail_volts - volts[core.rail_node]) * asm.rail_g
 
 
 def _clamps(i_lin, isat):
@@ -691,7 +766,7 @@ def _saturate(clamp, step, isat):
     for _ in range(_MAX_CLAMP_ITERATIONS):
         result, i_lin = step(clamp)
         proposal = _clamps(i_lin, isat)
-        if np.array_equal(proposal, clamp):
+        if (proposal == clamp).all():
             return result, clamp
         if proposal.tobytes() in seen:
             raise ConvergenceError(_OSCILLATES)
@@ -704,45 +779,51 @@ def _saturate(clamp, step, isat):
 # SimulationError, so numpy's own warnings about them stay quiet
 @np.errstate(over="ignore", invalid="ignore")
 def solve_network(net, solve=None):
-    """Solve a CrossbarNetwork, iterating transistor saturation to a fixed point.
+    """Solve a CrossbarNetwork, or a drive :func:`build_network` bound, iterating
+    transistor saturation to a fixed point.
 
-    ``solve``, a :class:`WriteSolver`, stands in for ``net.core.solve``; when
-    a solution it corrected fails a check, the network is solved again with
-    ``net.core.solve``, whose result or error stands, and it re-bases next.
+    ``solve``, a :class:`WriteSolver`, stands in for the full solve; when a
+    solution it corrected fails a check, the network is solved again in
+    full, and that result or error stands, and it re-bases next.
     """
-    asm = build_network(net)
-    _check_anchored(asm)
-    g = 1.0 / np.concatenate([net.resistance, net.core.wire_r])  # per mesh edge
-    rail_g = 1.0 / asm.rail_r  # 0.0 for an open rail, which never saturates
+    asm = net if isinstance(net, AssembledNetwork) else build_network(net)
     if solve is not None:
         solve.corrected = False
         try:
-            return _settle(asm, g, rail_g, solve)
+            return _settle(asm, solve)
         except (SimulationError, InvariantError):
             if not solve.corrected:
                 raise
             solve.base = None
-    return _settle(asm, g, rail_g, net.core.solve)
+    return _settle(asm, _solve_full)
 
 
-def _settle(asm, g, rail_g, solve):
+def _settle(asm, solve):
     """The checked solution at the saturated set the solves of ``solve`` settle at."""
-    step = partial(_solve_linear, asm, g, rail_g=rail_g, solve=solve)
-    (volts, sources), clamp = _saturate(np.zeros(len(rail_g)), step, asm.rail_isat)
-    return _finish_solution(asm, volts, sources, g, clamp, rail_g)
+    step = partial(_solve_linear, asm, solve=solve)
+    (volts, sources), clamp = _saturate(np.zeros(len(asm.rail_g)), step, asm.rail_isat)
+    return _finish_solution(asm, volts, sources, clamp)
 
 
 def _balance(core, x, edges, g, rails, rail_volts, rail_g, clamp, nodes, injection=None):
     """Currents of ``edges`` and ``rails`` at ``x``, and the largest
     imbalance of the net current into ``nodes``: relative to the gross
     magnitude of the stamped terms, not the (possibly cancelled) net
-    currents, and checked so that a NaN fails."""
-    xa, xb, rail_v = x[core.edge_a[edges]], x[core.edge_b[edges]], x[core.rail_node[rails]]
-    i, ohmic, n = (xa - xb) * g, clamp == 0.0, core.n_nodes
+    currents, and checked so that a NaN fails. ``edges`` index the core's
+    compiled incidence, ``ends``; the edge-sized terms are formed in place."""
+    ends, n = core.ends[:, edges], core.n_nodes
+    pots = x.take(ends)  # each edge's two end potentials
+    i = pots[0] - pots[1]
+    i *= g
+    flow = np.bincount(ends[1], i, n)
+    flow -= np.bincount(ends[0], i, n)
+    rail_v, ohmic = x[core.rail_node[rails]], clamp == 0.0
     rail_i = np.where(ohmic, (rail_volts - rail_v) * rail_g, clamp)
-    flow = np.bincount(core.edge_b[edges], i, n) - np.bincount(core.edge_a[edges], i, n)
     flow += np.bincount(core.rail_node[rails], rail_i, n)
-    gross = [((np.abs(xa) + np.abs(xb)) * g).max(initial=0.0), np.abs(rail_i).max(initial=0.0),
+    terms = np.abs(pots, out=pots)[0]
+    terms += pots[1]
+    terms *= g
+    gross = [terms.max(initial=0.0), np.abs(rail_i).max(initial=0.0),
              ((np.abs(rail_volts) + np.abs(rail_v)) * rail_g)[ohmic].max(initial=0.0)]
     if injection is not None:
         flow += injection
@@ -759,26 +840,25 @@ def _overflowed(core, nodes, what="node potentials"):
     return SimulationError(f"{what} beyond float range on: " + ", ".join(lines))
 
 
-def _finish_solution(asm, volts, sources, g, clamp, rail_g):
-    net, core = asm.net, asm.core
+def _finish_solution(asm, volts, sources, clamp):
+    core = asm.core
     # a finite drive whose potentials overflow float range, as inf or as the
     # NaN of inf - inf inside the solve: no conservation check can judge
     # that solution (a NaN drive fails the check below)
-    overflow = ~np.isfinite(volts)
-    drive = (asm.fixed_volts, asm.injection, asm.rail_volts, asm.reg_targets)
-    if overflow.any() and all(np.isfinite(x).all() for x in drive):
-        raise _overflowed(core, overflow)
+    if not np.isfinite(volts).all():
+        drive = (asm.fixed_volts, asm.injection, asm.rail_volts, asm.reg_targets)
+        if all(np.isfinite(x).all() for x in drive):
+            raise _overflowed(core, ~np.isfinite(volts))
     injection = asm.injection.copy()
     injection[asm.reg_nodes] += sources
     # net current into each node, over the full edge set, so the check is
     # independent of the elimination
     every = slice(None)
-    edge_i, rail_i, kcl_residual = _balance(core, volts, every, g, every, asm.rail_volts,
-                                            rail_g, clamp, asm.free, injection)
-
+    edge_i, rail_i, kcl_residual = _balance(core, volts, every, asm.g, every, asm.rail_volts,
+                                            asm.rail_g, clamp, asm.free, injection)
     currents = edge_i[: len(core.cell_row)]
     miss = np.abs(currents[asm.reg_cells] - asm.reg_targets)
-    if not np.all(miss <= _REG_TOL * np.abs(asm.reg_targets)):
+    if not (miss <= _REG_TOL * np.abs(asm.reg_targets)).all():
         # the cell furthest past its tolerance, or the first NaN
         k = int(np.argmax(miss - _REG_TOL * np.abs(asm.reg_targets)))
         raise ConvergenceError(
@@ -788,7 +868,7 @@ def _finish_solution(asm, volts, sources, g, clamp, rail_g):
         )
 
     source_currents = dict(zip(asm.regulated, sources.tolist()))
-    source_currents.update((line, lb.value) for line, lb in net.bias.items() if lb.kind == "current")
+    source_currents.update(asm.currents)
     if asm.fixed_lines:
         # an ideal source supplies what its line's cells and rails draw (see the module docstring)
         line, n = core.node_line, len(core.lines)
@@ -849,12 +929,11 @@ class ReadBase:
 
     def __init__(self, net, limits, solve=solve_network):
         asm = self.asm = build_network(net)
-        _check_anchored(asm)
         core = self.core = net.core
         self.net, self.limits, self.full_solve = net, limits, solve
         n_rows = len(core.rows)
         self.rails = np.arange(2 * n_rows).reshape(n_rows, 2)
-        self.rail_g = 1.0 / asm.rail_r
+        self.rail_g = asm.rail_g
         # the one selector every read grounds its rows through: pull-up, then pull-down
         self.sel_r, self.sel_isat = np.array(_rail_pair(replace(net.idle, nmos_on=True))).T
         # no potential leaves the span of the drives, nor a rail current its reach
@@ -888,7 +967,7 @@ class ReadBase:
             self.table["ok"][rows] = False  # entered again when read
             return
         self.table["ok"] = False  # the next read enters every row
-        self.g = 1.0 / np.concatenate([resistance, core.wire_r])
+        self.g = _conductances(core, resistance)
         clamp = np.zeros(len(self.rail_g))
         if not (self.wired and self.settled):
             volts = self.full_solve(replace(self.net, resistance=resistance)).volts

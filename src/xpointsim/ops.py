@@ -76,6 +76,7 @@ from .errors import (
     ParameterError,
     WriteFailureError,
 )
+from . import network
 from .network import LineBias, ReadBase, RowDriver, WriteSolver, solve_network
 
 __all__ = [
@@ -308,7 +309,7 @@ class _TraceBuilder:
 # -- the phase engine ------------------------------------------------------
 
 
-def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve):
+def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve, asm):
     """Drive ``bits`` of one word until they hold the state of ``phase``.
 
     ``phase`` is '0' (parallel) or '1' (antiparallel). ``setup_s`` is the
@@ -322,30 +323,37 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve):
     high resistance, and that potential couples through the floating
     mesh hard enough to disturb the word's own idle cells. Segments
     without a source float; tying them to a rail would open two-junction
-    leak paths from every driven segment into the rail. ``solve`` is the
-    write's :class:`~xpointsim.network.WriteSolver`, which every solve of the
-    phase passes to :func:`~xpointsim.network.solve_network`.
+    leak paths from every driven segment into the rail.
+
+    ``asm`` is the write's drive, bound once: the phase selects its row's
+    rail pair and binds its sources on it, and each step keeps on only the
+    sources of cells still pending. ``solve`` is the write's
+    :class:`~xpointsim.network.WriteSolver`, which every solve of the phase
+    passes to :func:`~xpointsim.network.solve_network` with ``asm``.
     """
     trace.open_phase(label, setup_s)
 
-    drivers = select_word(array, word_addr, phase)
+    asm.select(select_word(array, word_addr, phase))
     target = phase == "1"
     sources = _write_sources(array, word_addr, phase, bits)
-    cells = {lb.cell for lb in sources.values()}
+    asm.regulate(sources)
+    cells = asm.sources[2]
+    sources_cells = set(cells.tolist())
     phase_sources, phase_supply, overhead = {}, 0.0, 0.0
     reported_disturb = set()
     progress = {}  # cell index -> switching progress, dropped with the phase
     guard = 0
-    while pending := {seg: lb for seg, lb in sources.items() if array.states[lb.cell] != target}:
+    while (pending := array.states[cells] != target).any():
         guard += 1
         if guard > 4 * array.n_bits + 16:
             raise ConvergenceError(f"{label}: switching cascade did not terminate")
-        sol = solve_network(array.to_network(pending, drivers), solve)
+        asm.keep(pending)
+        sol = solve_network(asm, solve)
         supply = sum(abs(v) for v in sol.source_currents.values())
         if not phase_sources:
             # reported phase numbers: captured with every pending source on
             phase_sources, phase_supply = dict(sol.source_currents), supply
-            ideal_drive = len(pending) * array.write_current
+            ideal_drive = len(asm.regulated) * array.write_current
             overhead = (supply - ideal_drive) / ideal_drive if ideal_drive else 0.0
         trace.sample(sol.source_currents, supply)
 
@@ -366,7 +374,7 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve):
                 tau = switching_delay(i, array.params, array.dynamics)
                 flips.append(((1.0 - progress.get(k, 0.0)) * tau, k, i))
         if not flips:
-            stuck = array.tag(next(iter(pending.values())).cell)
+            stuck = array.tag(asm.reg_cells[0])
             raise WriteFailureError(
                 f"{label}: insufficient drive, {stuck} never reaches its switching threshold"
             )
@@ -380,7 +388,7 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve):
             )
             if new is not state:
                 array.store(k, new is MtjState.AP)
-                kind = "switch" if k in cells else "disturb-switch"
+                kind = "switch" if k in sources_cells else "disturb-switch"
                 trace.event(kind, array.tag(k), i)
 
     trace.close_phase(phase_sources, phase_supply, overhead)
@@ -426,24 +434,31 @@ def write_word(array, req, drive=None):
     if req.mode in (WriteMode.SELF_ENABLE_SERIAL, WriteMode.SELF_ENABLE_PARALLEL):
         stored = _read_before_write(array, drive, trace, req.word_addr)
         bits = [j for j in bits if stored[j] != req.data[j]]
-    # every phase drives some of these cells of the one selected row
-    solve = WriteSolver(array.core, req.word_addr * array.n_bits + np.asarray(bits, dtype=np.intp))
-    if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
-        for j in bits:
-            phase = req.data[j]
-            _run_phase(
-                array, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, [j],
-                drive.setup_time_s, solve,
-            )
-    else:
-        setup = drive.setup_time_s
-        for phase in "01":
-            targets = [j for j in bits if req.data[j] == phase]
-            if targets:
+    # every phase selects the word's row and drives some of these of its
+    # cells: the drive is bound once, to the array's live branches, and the
+    # solver learns the cells each flip changes from the array's store
+    asm = network.build_network(array.to_network({}, select_word(array, req.word_addr, "1")))
+    asm.resistance, asm.g = array.resistances, array.conductances
+    solve = WriteSolver(array, req.word_addr * array.n_bits + np.asarray(bits, dtype=np.intp))
+    try:
+        if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
+            for j in bits:
+                phase = req.data[j]
                 _run_phase(
-                    array, trace, f"phase-{phase}", req.word_addr, phase, targets, setup, solve
+                    array, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, [j],
+                    drive.setup_time_s, solve, asm,
                 )
-                setup = 0.0  # phase-1 reuses the word selection of phase-0
+        else:
+            setup = drive.setup_time_s
+            for phase in "01":
+                targets = [j for j in bits if req.data[j] == phase]
+                if targets:
+                    _run_phase(
+                        array, trace, f"phase-{phase}", req.word_addr, phase, targets, setup, solve, asm
+                    )
+                    setup = 0.0  # phase-1 reuses the word selection of phase-0
+    finally:
+        array.flips = None
     _verify_written(array, req)
     return trace.finish()
 

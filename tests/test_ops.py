@@ -336,7 +336,7 @@ def test_a_pinned_network_is_solved_in_full():
     arr = fresh(4, 8)
     random_words(arr, 2)
     net = arr.to_network(dict.fromkeys(arr.segments, LineBias.voltage(0.3)), select_word(arr, 3, "read"))
-    solver = network.WriteSolver(arr.core, 3 * 4 + np.arange(4))
+    solver = network.WriteSolver(arr, 3 * 4 + np.arange(4))
     sol, full = solve_network(net, solver), solve_network(net)
     assert solver.base is None and not solver.corrected
     assert np.array_equal(sol.volts, full.volts) and np.array_equal(sol.currents, full.currents)
@@ -377,7 +377,7 @@ def test_read_is_non_destructive():
     arr = fresh()
     arr.set_word(0, "1010")
     arr.set_word(1, "0110")
-    before = arr.resistances
+    before = arr.resistances.copy()  # the live resistances, as they are now
     read_word(arr, 0)
     read_word(arr, 1)
     assert np.array_equal(arr.resistances, before)
@@ -647,7 +647,7 @@ def test_a_flip_outside_the_write_re_bases(line_resistance):
     # not, and the next solve is a full one that becomes the new base
     arr = fresh(4, 8, line_resistance=line_resistance)
     random_words(arr, 3)
-    solver = network.WriteSolver(arr.core, 2 * 4 + np.arange(4))
+    solver = network.WriteSolver(arr, 2 * 4 + np.arange(4))
     solve_network(phase_network(arr, 2, "0", [0, 1]), solver)
     first = solver.base
     arr.store(2 * 4 + 1, not arr.states[2 * 4 + 1])
@@ -668,7 +668,7 @@ def test_a_corrupted_base_falls_back_to_the_full_solve():
     # drops the base, and its next solve re-bases
     arr = fresh(4, 8)
     random_words(arr, 4)
-    solver = network.WriteSolver(arr.core, 3 * 4 + np.arange(4))
+    solver = network.WriteSolver(arr, 3 * 4 + np.arange(4))
     solve_network(phase_network(arr, 3, "0", [0]), solver)
     source = arr.core.terminal[arr.core.line_index[arr.host_segment(3, 1)]]
     solver.base[-1][:, 1 + solver.place[source]] *= 1.5
@@ -1161,7 +1161,7 @@ def test_sneak_profile_grows_with_floating_lines():
 def test_sneak_profile_does_not_touch_state():
     arr = fresh()
     arr.set_word(0, "0101")
-    before = arr.resistances
+    before = arr.resistances.copy()  # the live resistances, as they are now
     serial_sneak_profile(arr, 0, 2, "1")
     serial_sneak_profile(arr, 0, 1, "0")
     assert np.array_equal(arr.resistances, before)
