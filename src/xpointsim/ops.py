@@ -77,7 +77,7 @@ from .errors import (
     WriteFailureError,
 )
 from . import network
-from .network import LineBias, ReadBase, RowDriver, WriteSolver, solve_network
+from .network import _REG_TOL, LineBias, ReadBase, RowDriver, WriteSolver, solve_network
 
 __all__ = [
     "DriveConfig",
@@ -100,6 +100,11 @@ __all__ = [
 ]
 
 _TIE_REL = 1e-6
+# the flips of one step that are one group: the regulation holds each
+# addressed cell within _REG_TOL of the write current, so two cells of a
+# phase carry currents up to twice that apart, and a switching delay
+# 1 / (rate (|i| - i_c)) moves |i| / (|i| - i_c) times as much as its current
+_GROUP_TOL = 2.0 * _REG_TOL
 LN2 = math.log(2.0)
 
 
@@ -379,12 +384,16 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve, asm)
                 f"{label}: insufficient drive, {stuck} never reaches its switching threshold"
             )
 
-        dt = min(f[0] for f in flips) * (1.0 + 1e-12)
+        # the step lasts until the first flip is due; its group, the flips due
+        # within the regulation's spread of it, completes in it too, each cell
+        # its own delay. The cells flip in index order
+        dt, due = _group(flips, array.critical_currents)
         trace.t += dt
-        for _remaining, k, i in flips:
+        for remaining, k, i in flips:
             state = MtjState.AP if array.states[k] else MtjState.P
             new, progress[k] = switching_step(
-                state, progress.get(k, 0.0), i, array.params, dt, array.dynamics
+                state, progress.get(k, 0.0), i, array.params,
+                remaining * (1.0 + 1e-12) if remaining <= due else dt, array.dynamics,
             )
             if new is not state:
                 array.store(k, new is MtjState.AP)
@@ -392,6 +401,14 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve, asm)
                 trace.event(kind, array.tag(k), i)
 
     trace.close_phase(phase_sources, phase_supply, overhead)
+
+
+def _group(flips, critical_currents):
+    """How long a step of ``flips``, each (remaining time, cell, current),
+    lasts: until the first is due, with a margin that carries its progress
+    past 1.0; and the latest remaining time of the first's group."""
+    first, k, i = min(flips)
+    return first * (1.0 + 1e-12), first * (1.0 + _GROUP_TOL * abs(i) / (abs(i) - critical_currents[k]))
 
 
 def _verify_written(array, req):

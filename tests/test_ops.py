@@ -359,6 +359,39 @@ def test_write_times_at_the_design_point_match_the_closed_form():
         assert trace.total_time == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
+def test_random_writes_at_the_design_point_take_one_solve_per_phase(monkeypatch):
+    # a phase's addressed cells carry the write current to within the
+    # regulation's tolerance, so they flip as one group: 20 random parallel
+    # writes to a scrambled 64x1024 array solve once per phase, each writes
+    # its word, and no other cell changes
+    arr = fresh(64, 1024)
+    rng = np.random.default_rng(1)
+    arr.store(np.arange(arr.states.size), rng.random(arr.states.size) < 0.5)
+    solves, solve = [], ops.solve_network
+    monkeypatch.setattr(ops, "solve_network", lambda *a: solves.append(1) or solve(*a))
+    for _ in range(20):
+        w = int(rng.integers(arr.m_words))
+        data = "".join("01"[b] for b in rng.integers(0, 2, arr.n_bits).tolist())
+        before, solves[:] = arr.states.copy(), []
+        trace = write_word(arr, WriteRequest(w, data, WriteMode.PARALLEL))
+        assert len(solves) == len(trace.phases) == 2
+        others = np.ones(arr.states.size, dtype=bool)
+        others[w * 64 : (w + 1) * 64] = False
+        assert arr.get_word(w) == data and np.array_equal(arr.states[others], before[others])
+
+
+def test_flips_within_the_regulation_spread_are_one_group():
+    # a step lasts until its first flip is due; remaining times 1e-11 apart,
+    # as regulation rounding leaves them, are in its group and a flip 1e-6
+    # later is not. The bound follows the delay's sensitivity to its current,
+    # 1.3 / 0.3 times the doubled tolerance at 1.3x overdrive: 8e-10 apart
+    # still groups, 1e-9 does not
+    i_c = critical_current(MtjParams())
+    i, limits = -1.3 * i_c, np.full(16, i_c)
+    dt, due = ops._group([(1.0 + 1e-6, 12, i), (1.0, 5, i), (1.0 + 1e-11, 9, i)], limits)
+    assert dt == 1.0 + 1e-12 and 1.0 + 8e-10 < due < 1.0 + 1e-9
+
+
 # -- reading -----------------------------------------------------------------
 
 
