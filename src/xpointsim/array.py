@@ -121,8 +121,8 @@ class CrossbarArray:
     ``resistances`` and ``critical_currents`` follow the cells in index
     order, which is also the network's branch order, and ``conductances``
     the core's edges, branches then wires. ``store`` keeps the resistances
-    and conductances live, shown read-only, and records each cell whose
-    state it changes in ``flips`` while a write's solver holds it there.
+    and conductances live, shown read-only, and records the cells it stores
+    in ``flips`` while a write's solver holds that set there.
     """
 
     def __init__(
@@ -189,9 +189,10 @@ class CrossbarArray:
             self.word_rows + self.ref_rows, self.segments, cell_row, cell_col,
             line_resistance, self._resistances,
         )
-        self._conductances = _conductances(self.core, self._resistances)
-        with np.errstate(over="ignore"):  # a conductance beyond float range is named by the solve that meets it
-            self._g_data = tuple(1.0 / np.array(self._r_data))  # a data cell's, P then AP
+        self._conductances = _conductances(self._resistances, self.core.wire_r)
+        # a data cell's resistance and conductance, parallel then antiparallel
+        self._r_pair = np.array(self._r_data)
+        self._g_pair = _conductances(self._r_pair)
         self.states, self.resistances, self.conductances = (
             _read_only(a) for a in (self._states, self._resistances, self._conductances)
         )
@@ -282,9 +283,8 @@ class CrossbarArray:
         changed, and they join ``flips`` if a write's solver holds it."""
         cells = np.asarray(cells)
         self._states[cells] = values
-        (r_p, r_ap), (g_p, g_ap), ap = self._r_data, self._g_data, self._states[cells]
-        self._resistances[cells] = np.where(ap, r_ap, r_p)
-        self._conductances[cells] = np.where(ap, g_ap, g_p)
+        ap = self._states[cells]
+        self._resistances[cells], self._conductances[cells] = self._r_pair.take(ap), self._g_pair.take(ap)
         self.changed_words[cells // self.n_bits] = self.changed = True
         if self.flips is not None:
             self.flips.update(cells.reshape(-1).tolist())

@@ -248,8 +248,9 @@ class NodalCore:
     onwards; its bias and a row's rails attach at ``terminal[l]``. Compiled,
     branch ``k`` joins node ``cell_col[k]`` on its column to node
     ``cell_row[k]`` on its row. Mesh edges are the branches followed by the
-    wire segments. Branches of infinite resistance are open for the lifetime
-    of the core.
+    wire segments; ``ends`` holds the incidence, each edge's node ``edge_a``
+    over its node ``edge_b``. Branches of infinite resistance are open for
+    the lifetime of the core.
 
     Nodes split into the eliminated block E (``elim``) and the kept block K
     (``kept``); ``slot`` numbers each node within its block. Each E node's
@@ -296,9 +297,8 @@ class NodalCore:
         # a wire segment joins each pair of consecutive nodes on one line
         wire = np.flatnonzero(np.diff(self.node_line) == 0)
         self.wire_r = np.full(len(wire), float(line_resistance))
-        a = self.edge_a = np.concatenate([self.cell_col, wire])
-        b = self.edge_b = np.concatenate([self.cell_row, wire + 1])
-        self.ends = np.stack([a, b])
+        self.ends = np.stack([np.concatenate([self.cell_col, wire]), np.concatenate([self.cell_row, wire + 1])])
+        a, b = self.edge_a, self.edge_b = self.ends
         live = np.isfinite(np.concatenate([resistance, self.wire_r]))
         self.labels = _component_labels(n, a[live], b[live])
 
@@ -609,9 +609,9 @@ def _rail_pair(driver):
 
 
 @np.errstate(over="ignore")  # a conductance beyond float range is named by the solve that meets it
-def _conductances(core, resistance):
-    """Each mesh edge's conductance, derived from the branch ``resistance``: branches, then wires."""
-    return 1.0 / np.concatenate([resistance, core.wire_r])
+def _conductances(resistance, wire_r=()):
+    """The conductance of each branch of ``resistance``, then of each wire segment of ``wire_r``."""
+    return 1.0 / np.concatenate([resistance, wire_r])
 
 
 class AssembledNetwork:
@@ -662,7 +662,7 @@ class AssembledNetwork:
     @cached_property
     def g(self):
         """Edge conductances, derived from ``resistance`` when first needed."""
-        return _conductances(self.core, self.resistance)
+        return _conductances(self.resistance, self.core.wire_r)
 
     def select(self, drivers):
         """Tie each row ``drivers`` names to the rails through its driver; the
@@ -967,7 +967,7 @@ class ReadBase:
             self.table["ok"][rows] = False  # entered again when read
             return
         self.table["ok"] = False  # the next read enters every row
-        self.g = _conductances(core, resistance)
+        self.g = _conductances(resistance, core.wire_r)
         clamp = np.zeros(len(self.rail_g))
         if not (self.wired and self.settled):
             volts = self.full_solve(replace(self.net, resistance=resistance)).volts

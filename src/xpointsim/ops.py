@@ -21,9 +21,10 @@ junctions has accumulated a full switching delay, so a phase whose targets
 already hold their data costs only the setup interval. Switching progress
 is integrated between consecutive flip events, during which every branch
 current is constant, so the integration is exact rather than sampled.
-Progress belongs to the phase that built it: when the phase's pulse ends,
-a partial reversal relaxes back, so no cell carries progress into the
-next phase or operation.
+Flips due within the spread the regulation leaves between a phase's cells
+are one event. Progress belongs to the phase that built it: when the
+phase's pulse ends, a partial reversal relaxes back, so no cell carries
+progress into the next phase or operation.
 
 In every mode a segment without a source floats. A serial write
 therefore floats every bit line but one, and the sneak current through
@@ -343,7 +344,7 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve, asm)
     sources = _write_sources(array, word_addr, phase, bits)
     asm.regulate(sources)
     cells = asm.sources[2]
-    sources_cells = set(cells.tolist())
+    driven = set(cells.tolist())
     phase_sources, phase_supply, overhead = {}, 0.0, 0.0
     reported_disturb = set()
     progress = {}  # cell index -> switching progress, dropped with the phase
@@ -397,7 +398,7 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve, asm)
             )
             if new is not state:
                 array.store(k, new is MtjState.AP)
-                kind = "switch" if k in sources_cells else "disturb-switch"
+                kind = "switch" if k in driven else "disturb-switch"
                 trace.event(kind, array.tag(k), i)
 
     trace.close_phase(phase_sources, phase_supply, overhead)
@@ -452,7 +453,8 @@ def write_word(array, req, drive=None):
         stored = _read_before_write(array, drive, trace, req.word_addr)
         bits = [j for j in bits if stored[j] != req.data[j]]
     # every phase selects the word's row and drives some of these of its
-    # cells: the drive is bound once, to the array's live branches, and the
+    # cells: the drive is bound once, to the array's live branches, through
+    # the network module's build_network as the read base's is, and the
     # solver learns the cells each flip changes from the array's store
     asm = network.build_network(array.to_network({}, select_word(array, req.word_addr, "1")))
     asm.resistance, asm.g = array.resistances, array.conductances

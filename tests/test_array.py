@@ -306,6 +306,57 @@ def test_network_resistances_follow_the_stored_states(line_resistance, stores, s
         assert_network_follows_the_states(arr)
 
 
+def derived_branches(arr):
+    """The branch resistances and edge conductances of ``arr``'s states, derived from scratch."""
+    r_p, r_ap = mtj_resistance(MtjState.P, arr.params), mtj_resistance(MtjState.AP, arr.params)
+    r_ref = mtj_resistance(MtjState.P, arr.ref_params)
+    refs = np.full(arr.resistances.size - arr.states.size, r_ref)
+    resistance = np.concatenate([np.where(arr.states, r_ap, r_p), refs])
+    return resistance, 1.0 / np.concatenate([resistance, arr.core.wire_r])
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just("set_word"), st.integers(0, 5), st.text("01", min_size=4, max_size=4)),
+    st.tuples(st.just("store"), st.lists(st.integers(0, 23), unique=True), st.booleans()),
+    st.tuples(st.just("store one"), st.integers(0, 23), st.booleans()),
+    st.tuples(st.just("write_word"), st.integers(0, 5), st.text("01", min_size=4, max_size=4),
+              st.sampled_from(list(WriteMode))),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(line_resistance=st.sampled_from([0.0, 1.0]), steps=st.lists(_STEPS, max_size=8))
+def test_live_branches_follow_the_states(line_resistance, steps):
+    # the array keeps its branch resistances and edge conductances live, and
+    # store, their one writer, updates them: after any sequence of stores,
+    # word sets and writes they are, bit for bit, what the states give when
+    # derived from scratch. The states and both live arrays refuse writes,
+    # and a network taken earlier keeps the resistances it was built with
+    arr = CrossbarArray(4, 6, line_resistance=line_resistance)
+    taken = []
+    for op, *args in steps:
+        net = arr.to_network({}, {})
+        taken.append((net, net.resistance.copy()))
+        if op == "set_word":
+            arr.set_word(*args)
+        elif op == "store":
+            arr.store(np.array(args[0], dtype=np.intp), args[1])
+        elif op == "store one":
+            arr.store(*args)
+        else:
+            word, data, mode = args
+            write_word(arr, WriteRequest(word, data, mode))
+        resistance, conductance = derived_branches(arr)
+        assert arr.resistances.tobytes() == resistance.tobytes()
+        assert arr.conductances.tobytes() == conductance.tobytes()
+        for live in (arr.states, arr.resistances, arr.conductances):
+            with pytest.raises(ValueError):
+                live[0] = live[1]
+        for net, resistance in taken:
+            assert net.resistance.tobytes() == resistance.tobytes()
+    assert arr.flips is None  # no write's solver holds a record past its write
+
+
 @pytest.mark.parametrize("balanced, n_bits, m_words", [
     (True, 1, 2), (True, 4, 6), (True, 3, 8), (False, 1, 1), (False, 4, 5), (False, 5, 3),
 ])

@@ -937,6 +937,27 @@ def test_a_read_names_its_rows(monkeypatch, line_resistance):
     assert calls == []
 
 
+@pytest.mark.parametrize("line_resistance", [0.0, 1.0], ids=["bare", "wired"])
+def test_a_write_binds_its_drive_once(monkeypatch, line_resistance):
+    # a self-enable serial write of a 16-bit word in which every bit differs
+    # runs 16 phases; its drive is bound and checked for anchoring once, and
+    # its steps solve the array's live conductances: no step derives branch
+    # resistances or conductances from scratch, and the one network the
+    # write takes is the one it binds
+    arr = fresh(16, 16, line_resistance=line_resistance)
+    random_words(arr, 17)
+    read_word(arr, 5)  # the read base is solved before the write
+    calls = []
+    for owner, name in ((network, "build_network"), (network, "_check_anchored"),
+                        (network, "_conductances"), (CrossbarArray, "to_network")):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, m=method, n=name: calls.append(n) or m(*a))
+    data = complement(arr.get_word(5))
+    trace = write_word(arr, WriteRequest(5, data, WriteMode.SELF_ENABLE_SERIAL))
+    assert [ph.label for ph in trace.phases[1:]] == [f"bit{j}-phase-{data[j]}" for j in range(16)]
+    assert sorted(calls) == ["_check_anchored", "build_network", "to_network"]
+
+
 def test_a_misread_is_an_error():
     # the reference cells sit at the far end of their segments, so 20 ohm
     # per segment leaves word 62's data cells a different wire than their
