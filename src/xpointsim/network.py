@@ -517,13 +517,15 @@ class WriteSolver:
 
     def __call__(self, asm, ohmic_g, clamp):
         units = self.place[asm.reg_nodes]
-        if len(asm.fixed) or asm.injection.any() or (units < 0).any():
+        if len(asm.fixed) or asm.currents or (units < 0).any():
             return _solve_full(asm, ohmic_g, clamp)
-        # each rail's ohmic conductance, then its stamp on the drive at its row terminal
-        stamps = np.empty((2, len(ohmic_g)))
-        stamps[0] = ohmic_g
-        np.multiply(ohmic_g, asm.rail_volts, out=stamps[1])
-        stamps[1] += clamp
+        # each rail's ohmic conductance and its drive; a row's two sum into the
+        # shunt and the drive its rails stamp at its terminal
+        rails = np.empty((2, len(ohmic_g)))
+        rails[0] = ohmic_g
+        np.multiply(ohmic_g, asm.rail_volts, out=rails[1])
+        rails[1] += clamp
+        stamps = rails[:, ::2] + rails[:, 1::2]
         coef = np.zeros((len(self.reach), 1 + len(units)))
         coef[units, np.arange(1, 1 + len(units))] = 1.0  # the sources' unit injections
         if self.base is None or not self._corrected(asm.g, stamps, coef):
@@ -539,27 +541,21 @@ class WriteSolver:
     def _corrected(self, g, stamps, coef):
         """Turn ``coef``, the unit injections of a drive's sources, into the
         weights of the base's unit responses that solve the drive of edge
-        conductances ``g`` and rail ``stamps`` as the base's correction; False
-        where a change leaves the reach or the correction is singular."""
+        conductances ``g`` and row ``stamps`` (each row's shunt, then drive)
+        as the base's correction; False where a change leaves the reach or
+        the correction is singular."""
         core, place, reach = self.core, self.place, self.reach
         g0, stamps0, base = self.base
         flips = np.fromiter(self.flips, np.intp, len(self.flips))
         flips.sort()
         edges = flips[g[flips] != g0[flips]]
         ab = place[core.ends[:, edges]]  # each changed edge's two places in the reach
-        if (ab < 0).any():
+        ds, dd = stamps - stamps0
+        shunts, moved = ds.nonzero()[0], dd.nonzero()[0]  # the rows whose stamps changed
+        ds, dd, shunts, moved = ds[shunts], dd[moved], place[core.terminal[shunts]], place[core.terminal[moved]]
+        if min(ab.min(initial=0), shunts.min(initial=0), moved.min(initial=0)) < 0:
             return False
-        shunts, ds = np.zeros(0, dtype=np.intp), np.zeros(0)
-        rails = np.flatnonzero((stamps != stamps0).any(axis=0))
-        if len(rails):
-            # a row's two rails sum into the shunt and the drive at its terminal
-            rows = np.unique(rails >> 1)
-            ds, dd = stamps.reshape(2, -1, 2)[:, rows].sum(axis=2) - stamps0.reshape(2, -1, 2)[:, rows].sum(axis=2)
-            terminal = place[core.rail_node[2 * rows]]
-            shunts, ds, moved, dd = terminal[ds != 0.0], ds[ds != 0.0], terminal[dd != 0.0], dd[dd != 0.0]
-            if (shunts < 0).any() or (moved < 0).any():
-                return False
-            coef[moved, 0] = dd
+        coef[moved, 0] = dd
         if len(edges) or len(shunts):
             # the change C of the nodal matrix within the reach moves the
             # solution by -Z (I + C Z_U)^-1 C x_U, x_U the reach's potentials
@@ -649,11 +645,13 @@ class AssembledNetwork:
         self.regulate(regulated)
 
         n_rows = len(core.rows)
-        self.rails = np.tile(_rail_pair(net.idle), (n_rows, 1))  # (resistance, saturation current) per rail
-        self.rail_r, self.rail_isat = self.rails.T
+        self.rails = np.empty((n_rows, 2, 2))  # (resistance, saturation current) per rail
+        self.rails[:] = _rail_pair(net.idle)
+        self.rail_r, self.rail_isat = self.rails.reshape(-1, 2).T
         self.rail_g = 1.0 / self.rail_r  # 0.0 for an open rail, which never saturates
         self.select(net.drivers)
-        self.rail_volts = np.tile([net.v_dd, 0.0], n_rows)
+        self.rail_volts = np.zeros(2 * n_rows)
+        self.rail_volts[::2] = net.v_dd
         self.free = np.ones(core.n_nodes, dtype=bool)  # the nodes KCL is checked at
         self.free[self.fixed] = False
         self.unknown_count = core.n_nodes - len(self.fixed)
@@ -672,9 +670,9 @@ class AssembledNetwork:
         for row, driver in drivers.items():
             if row not in core.row_set:
                 raise ParameterError(f"driver: {row!r} is not a row")
-            k = 2 * core.line_index[row]
-            self.rails[k : k + 2] = _rail_pair(driver)
-            self.rail_g[k : k + 2] = 1.0 / self.rail_r[k : k + 2]
+            k = core.line_index[row]
+            self.rails[k] = _rail_pair(driver)
+            self.rail_g[2 * k : 2 * k + 2] = 1.0 / self.rail_r[2 * k : 2 * k + 2]
 
     def regulate(self, sources):
         """Bind the regulated ``sources`` (line -> :class:`LineBias`), in place of any before, all on."""
@@ -882,7 +880,7 @@ def _finish_solution(asm, volts, sources, clamp):
         currents=currents,
         rail_currents=rail_i,
         source_currents=source_currents,
-        clamped=frozenset(core.rows[r // 2] for r in np.flatnonzero(clamp)),
+        clamped=frozenset(map(core.rows.__getitem__, (clamp.nonzero()[0] // 2).tolist())),
         kcl_residual=kcl_residual,
     )
 
