@@ -249,8 +249,8 @@ class NodalCore:
     branch ``k`` joins node ``cell_col[k]`` on its column to node
     ``cell_row[k]`` on its row. Mesh edges are the branches followed by the
     wire segments; ``ends`` holds the incidence, each edge's node ``edge_a``
-    over its node ``edge_b``, and ``runs`` the edges' runs of one ``b`` end.
-    Branches of infinite resistance are open for the lifetime of the core.
+    over its node ``edge_b``. Branches of infinite resistance are open for
+    the lifetime of the core.
 
     Nodes split into the eliminated block E (``elim``) and the kept block K
     (``kept``); ``slot`` numbers each node within its block. Each E node's
@@ -299,10 +299,6 @@ class NodalCore:
         self.wire_r = np.full(len(wire), float(line_resistance))
         self.ends = np.stack([np.concatenate([self.cell_col, wire]), np.concatenate([self.cell_row, wire + 1])])
         a, b = self.edge_a, self.edge_b = self.ends
-        # the first edge of each run of edges with one b end, and that node:
-        # without wires the cells of one row are one run
-        start = np.flatnonzero(np.diff(b, prepend=-1))
-        self.runs = np.stack([start, b[start]])
         live = np.isfinite(np.concatenate([resistance, self.wire_r]))
         self.labels = _component_labels(n, a[live], b[live])
 
@@ -812,17 +808,12 @@ def _balance(core, x, edges, g, rails, rail_volts, rail_g, clamp, nodes, injecti
     imbalance of the net current into ``nodes``: relative to the gross
     magnitude of the stamped terms, not the (possibly cancelled) net
     currents, and checked so that a NaN fails. ``edges`` index the core's
-    compiled incidence, ``ends``, or are None for every edge, whose ``b``
-    ends are summed run by run (``runs``); the edge-sized terms are formed
-    in place."""
-    ends, n = (core.ends if edges is None else core.ends[:, edges]), core.n_nodes
+    compiled incidence, ``ends``; the edge-sized terms are formed in place."""
+    ends, n = core.ends[:, edges], core.n_nodes
     pots = x.take(ends)  # each edge's two end potentials
     i = pots[0] - pots[1]
     i *= g
-    if edges is None:
-        flow = np.bincount(core.runs[1], np.add.reduceat(i, core.runs[0]), n)
-    else:
-        flow = np.bincount(ends[1], i, n)
+    flow = np.bincount(ends[1], i, n)
     flow -= np.bincount(ends[0], i, n)
     rail_v, ohmic = x[core.rail_node[rails]], clamp == 0.0
     rail_i = np.where(ohmic, (rail_volts - rail_v) * rail_g, clamp)
@@ -860,7 +851,8 @@ def _finish_solution(asm, volts, sources, clamp):
     injection[asm.reg_nodes] += sources
     # net current into each node, over the full edge set, so the check is
     # independent of the elimination
-    edge_i, rail_i, kcl_residual = _balance(core, volts, None, asm.g, slice(None), asm.rail_volts,
+    every = slice(None)
+    edge_i, rail_i, kcl_residual = _balance(core, volts, every, asm.g, every, asm.rail_volts,
                                             asm.rail_g, clamp, asm.free, injection)
     currents = edge_i[: len(core.cell_row)]
     miss = np.abs(currents[asm.reg_cells] - asm.reg_targets)
