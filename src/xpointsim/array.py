@@ -121,8 +121,7 @@ class CrossbarArray:
     ``resistances`` and ``critical_currents`` follow the cells in index
     order, which is also the network's branch order, and ``conductances``
     the core's edges, branches then wires. ``store`` keeps the resistances
-    and conductances live, shown read-only, and records the cells it stores
-    in ``flips`` while a write's solver holds that set there.
+    and conductances live, shown read-only.
     """
 
     def __init__(
@@ -182,7 +181,7 @@ class CrossbarArray:
         # every data cell starts parallel
         self._states = np.zeros(word.size, dtype=bool)
         self._resistances = np.repeat([self._r_data[0], r_ref], [word.size, len(cell_row) - word.size])
-        self.changed_words, self.changed, self.flips = np.zeros(m_words, dtype=bool), False, None
+        self.changed_words, self.changed = np.zeros(m_words, dtype=bool), False
         i_c = critical_current(self.params), critical_current(self.ref_params)
         self.critical_currents = np.repeat(i_c, [word.size, len(cell_row) - word.size])
         self.core = NodalCore(
@@ -279,15 +278,13 @@ class CrossbarArray:
 
     def store(self, cells, values):
         """Set data ``cells`` to ``values`` (True antiparallel): their branch
-        resistances and conductances follow in place, their words are marked
-        changed, and they join ``flips`` if a write's solver holds it."""
+        resistances and conductances follow in place, and their words are
+        marked changed."""
         cells = np.asarray(cells)
         self._states[cells] = values
         ap = self._states[cells]
         self._resistances[cells], self._conductances[cells] = self._r_pair.take(ap), self._g_pair.take(ap)
         self.changed_words[cells // self.n_bits] = self.changed = True
-        if self.flips is not None:
-            self.flips.update(cells.reshape(-1).tolist())
 
     # -- network extraction ---------------------------------------------
 

@@ -59,9 +59,9 @@ The phases of one write differ only at a few nodes: the write's reach, the
 terminals of the driven cells' lines and, with wires, the cells' own two
 chain nodes. A :class:`WriteSolver` stands in for the full solve through
 every solve of one write. Its first solve is a full one that also solves a
-unit injection at each reach node. The array tells the solver which cells
-it changed since that base, and the solver compares only the rail vector,
-two entries per row, with the base's. A later solve whose flipped cells and
+unit injection at each reach node. The solver keeps the array's states at
+that base and finds the cells changed since in one compare of the states;
+of the drive it compares only the rail vector, two entries per row. A later solve whose flipped cells and
 moved rails lie within the reach is the base's Woodbury correction (W. W.
 Hager, SIAM Review 31(2), 1989): a flipped cell is a dipole, a rail change
 of the selected row one place, a source a combination of the unit columns.
@@ -490,10 +490,10 @@ class WriteSolver:
     The write's reach is the terminals of the cells' lines and the cells'
     own two nodes (the terminals themselves without wires). A call that
     finds no base solves its drive and a unit injection at each reach node
-    in full, and that is the base. The array's :meth:`store` records in
-    ``flips`` each cell it changes, and the solver empties it when it takes
-    a base. A later call whose flipped cells and rail vector (two entries
-    per row) differ from the base's at reach nodes only is the base's
+    in full, and that is the base; the solver keeps the array's states with
+    it. A later call whose flipped cells, the states that differ from the
+    base's, and rail vector (two entries per row) differ from the base's at
+    reach nodes only is the base's
     Woodbury correction (W. W. Hager, SIAM Review 31(2), 1989): a flipped
     cell is a dipole, a rail change of the selected row one place. Every
     further right-hand side, a source's unit injection at a reach node, is a
@@ -504,6 +504,7 @@ class WriteSolver:
     """
 
     def __init__(self, array, cells):
+        self.array = array
         core = self.core = array.core
         nodes = np.concatenate([core.cell_row[cells], core.cell_col[cells]])
         self.place = np.full(core.n_nodes, -1)  # each node's place in the reach, or -1
@@ -512,7 +513,6 @@ class WriteSolver:
         # eliminated nodes first: the kept ones' unit columns, last, cost the fill nothing
         self.reach = np.concatenate([reach[core.is_elim[reach]], reach[~core.is_elim[reach]]])
         self.place[self.reach] = np.arange(len(self.reach))
-        self.flips = array.flips = set()
         self.base, self.corrected = None, False
 
     def __call__(self, asm, ohmic_g, clamp):
@@ -529,8 +529,8 @@ class WriteSolver:
         coef = np.zeros((len(self.reach), 1 + len(units)))
         coef[units, np.arange(1, 1 + len(units))] = 1.0  # the sources' unit injections
         if self.base is None or not self._corrected(asm.g, stamps, coef):
-            self.flips.clear()
-            self.base = (asm.g.copy(), stamps, _solve_full(asm, ohmic_g, clamp, self.reach))
+            states = self.array.states.copy()
+            self.base = (asm.g.copy(), states, stamps, _solve_full(asm, ohmic_g, clamp, self.reach))
             coef[:, 0] = 0.0
         # the base's drive plus its unit responses weighted by coef
         base = self.base[-1]
@@ -545,10 +545,8 @@ class WriteSolver:
         as the base's correction; False where a change leaves the reach or
         the correction is singular."""
         core, place, reach = self.core, self.place, self.reach
-        g0, stamps0, base = self.base
-        flips = np.fromiter(self.flips, np.intp, len(self.flips))
-        flips.sort()
-        edges = flips[g[flips] != g0[flips]]
+        g0, states0, stamps0, base = self.base
+        edges = (self.array.states != states0).nonzero()[0]
         ab = place[core.ends[:, edges]]  # each changed edge's two places in the reach
         ds, dd = stamps - stamps0
         shunts, moved = ds.nonzero()[0], dd.nonzero()[0]  # the rows whose stamps changed

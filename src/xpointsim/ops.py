@@ -455,29 +455,26 @@ def write_word(array, req, drive=None):
     # every phase selects the word's row and drives some of these of its
     # cells: the drive is bound once, to the array's live branches, through
     # the network module's build_network as the read base's is, and the
-    # solver learns the cells each flip changes from the array's store
+    # solver finds the cells each flip changed in the array's states
     asm = network.build_network(array.to_network({}, select_word(array, req.word_addr, "1")))
     asm.resistance, asm.g = array.resistances, array.conductances
     solve = WriteSolver(array, req.word_addr * array.n_bits + np.asarray(bits, dtype=np.intp))
-    try:
-        if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
-            for j in bits:
-                phase = req.data[j]
+    if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
+        for j in bits:
+            phase = req.data[j]
+            _run_phase(
+                array, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, [j],
+                drive.setup_time_s, solve, asm,
+            )
+    else:
+        setup = drive.setup_time_s
+        for phase in "01":
+            targets = [j for j in bits if req.data[j] == phase]
+            if targets:
                 _run_phase(
-                    array, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, [j],
-                    drive.setup_time_s, solve, asm,
+                    array, trace, f"phase-{phase}", req.word_addr, phase, targets, setup, solve, asm
                 )
-        else:
-            setup = drive.setup_time_s
-            for phase in "01":
-                targets = [j for j in bits if req.data[j] == phase]
-                if targets:
-                    _run_phase(
-                        array, trace, f"phase-{phase}", req.word_addr, phase, targets, setup, solve, asm
-                    )
-                    setup = 0.0  # phase-1 reuses the word selection of phase-0
-    finally:
-        array.flips = None
+                setup = 0.0  # phase-1 reuses the word selection of phase-0
     _verify_written(array, req)
     return trace.finish()
 
