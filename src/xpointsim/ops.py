@@ -385,16 +385,14 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve, asm)
                 f"{label}: insufficient drive, {stuck} never reaches its switching threshold"
             )
 
-        # the step lasts until the first flip is due; its group, the flips due
-        # within the regulation's spread of it, completes in it too, each cell
-        # its own delay. The cells flip in index order
-        dt, due = _group(flips, array.critical_currents)
+        # every destabilised cell advances by the step; the flips of the
+        # first's group complete in it, in cell-index order
+        dt = _step_time(flips, array.critical_currents)
         trace.t += dt
-        for remaining, k, i in flips:
+        for _remaining, k, i in flips:
             state = MtjState.AP if array.states[k] else MtjState.P
             new, progress[k] = switching_step(
-                state, progress.get(k, 0.0), i, array.params,
-                remaining * (1.0 + 1e-12) if remaining <= due else dt, array.dynamics,
+                state, progress.get(k, 0.0), i, array.params, dt, array.dynamics
             )
             if new is not state:
                 array.store(k, new is MtjState.AP)
@@ -404,12 +402,16 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve, asm)
     trace.close_phase(phase_sources, phase_supply, overhead)
 
 
-def _group(flips, critical_currents):
+def _step_time(flips, critical_currents):
     """How long a step of ``flips``, each (remaining time, cell, current),
     lasts: until the first is due, with a margin that carries its progress
-    past 1.0; and the latest remaining time of the first's group."""
+    past 1.0, or, if its group (the flips due within ``_GROUP_TOL`` of it,
+    scaled by the delay's sensitivity to its current) reaches past that,
+    until the group's last is due, with the same margin."""
     first, k, i = min(flips)
-    return first * (1.0 + 1e-12), first * (1.0 + _GROUP_TOL * abs(i) / (abs(i) - critical_currents[k]))
+    due = first * (1.0 + _GROUP_TOL * abs(i) / (abs(i) - critical_currents[k]))
+    dt, last = first * (1.0 + 1e-12), max(r for r, _, _ in flips if r <= due)
+    return dt if last <= dt else last * (1.0 + 1e-12)
 
 
 def _verify_written(array, req):

@@ -363,10 +363,11 @@ def test_random_writes_at_the_design_point_take_one_solve_per_phase(monkeypatch)
     # a phase's addressed cells carry the write current to within the
     # regulation's tolerance, so they flip as one group: 20 random parallel
     # writes to a scrambled 64x1024 array solve once per phase, each writes
-    # its word, and no other cell changes
+    # its word, and no other cell changes. Flipping only the cells due within
+    # 1e-12 of the first, some of these phases took a second or third solve
     arr = fresh(64, 1024)
     rng = np.random.default_rng(1)
-    arr.store(np.arange(arr.states.size), rng.random(arr.states.size) < 0.5)
+    arr.store(np.arange(arr.states.size), rng.integers(0, 2, arr.states.size).astype(bool))
     solves, solve = [], ops.solve_network
     monkeypatch.setattr(ops, "solve_network", lambda *a: solves.append(1) or solve(*a))
     for _ in range(20):
@@ -381,15 +382,22 @@ def test_random_writes_at_the_design_point_take_one_solve_per_phase(monkeypatch)
 
 
 def test_flips_within_the_regulation_spread_are_one_group():
-    # a step lasts until its first flip is due; remaining times 1e-11 apart,
-    # as regulation rounding leaves them, are in its group and a flip 1e-6
-    # later is not. The bound follows the delay's sensitivity to its current,
-    # 1.3 / 0.3 times the doubled tolerance at 1.3x overdrive: 8e-10 apart
-    # still groups, 1e-9 does not
+    # a step lasts until its first flip is due, with a margin that carries
+    # that flip past its delay; remaining times 1e-11 apart, as regulation
+    # rounding leaves them, are in its group, and the step lasts until the
+    # last of them is due; a flip 1e-6 later is not. The bound follows the
+    # delay's sensitivity to its current, 1.3 / 0.3 times the doubled
+    # tolerance at 1.3x overdrive: 8e-10 apart still groups, 1e-9 does not
     i_c = critical_current(MtjParams())
     i, limits = -1.3 * i_c, np.full(16, i_c)
-    dt, due = ops._group([(1.0 + 1e-6, 12, i), (1.0, 5, i), (1.0 + 1e-11, 9, i)], limits)
-    assert dt == 1.0 + 1e-12 and 1.0 + 8e-10 < due < 1.0 + 1e-9
+
+    def step(*later):
+        return ops._step_time([(r, 9 + j, i) for j, r in enumerate(later)] + [(1.0, 5, i)], limits)
+
+    assert step() == step(1.0 + 1e-6) == step(1.0 + 5e-13) == 1.0 + 1e-12
+    assert step(1.0 + 1e-6, 1.0 + 1e-11) == (1.0 + 1e-11) * (1.0 + 1e-12)
+    assert step(1.0 + 8e-10) == (1.0 + 8e-10) * (1.0 + 1e-12)
+    assert step(1.0 + 1e-9) == 1.0 + 1e-12
 
 
 # -- reading -----------------------------------------------------------------
