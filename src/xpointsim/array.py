@@ -49,6 +49,7 @@ from .device import (
     MtjState,
     SwitchingParams,
     TransistorModel,
+    _write_current,
     critical_current,
     mtj_resistance,
     reference_params,
@@ -159,7 +160,7 @@ class CrossbarArray:
             if transistor is not None
             else TransistorModel.default_for(self.params, v_dd=v_dd, overdrive=write_overdrive)
         )
-        self.write_current = write_overdrive * critical_current(self.params)
+        self.write_current = _write_current(self.params, write_overdrive)
         self.row_driver_model, self.ref_params, self._r_data, r_ref = _checked_models(
             self.params, self.cell_transistor, n_bits, balanced, line_resistance
         )

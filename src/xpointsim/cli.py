@@ -46,7 +46,7 @@ from .config import (
     default_config,
     parse_config,
 )
-from .device import MtjState, critical_current, mtj_resistance, switching_delay
+from .device import MtjState, _write_current, critical_current, mtj_resistance, switching_delay
 from .errors import (
     ConfigError,
     InvariantError,
@@ -221,7 +221,7 @@ def _cmd_analyze(cfg, args):
     dynamics = build_dynamics(cfg)
     drive = build_drive(cfg)
     n, m = cfg.array.n_bits, cfg.array.m_words
-    i_write = cfg.drive.write_overdrive * critical_current(params)
+    i_write = _write_current(params, cfg.drive.write_overdrive)
     tau = switching_delay(i_write, params, dynamics)
     (row,) = _sweep(cfg, [n], [m])
     setup = drive.setup_time_s

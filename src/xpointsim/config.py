@@ -67,7 +67,7 @@ import math
 from dataclasses import dataclass
 
 from .array import CrossbarArray, _checked_models
-from .device import MtjParams, SwitchingParams, TransistorModel, critical_current
+from .device import MtjParams, SwitchingParams, TransistorModel, _write_current
 from .errors import ConfigError, ParameterError
 from .ops import DriveConfig, WriteMode
 from .perf import ArchitectureConfig
@@ -343,7 +343,7 @@ def _cross_validate(cfg, flagged):
     ):
         section = "device"
         try:
-            if not cfg.drive.write_overdrive * critical_current(build_device(cfg)) > 0.0:
+            if not _write_current(build_device(cfg), cfg.drive.write_overdrive) > 0.0:
                 section = "drive"  # refused before a switch is sized for it
                 raise ParameterError(f"write_overdrive: no write current: "
                                      f"{cfg.drive.write_overdrive:g}x threshold is 0 A")

@@ -118,6 +118,11 @@ def critical_current(params):
     return params.jc0_a_cm2 * params.surface_nm2 * 1e-14  # 1 nm^2 = 1e-14 cm^2
 
 
+def _write_current(params, overdrive):
+    """The write current: ``overdrive`` times the threshold current."""
+    return overdrive * critical_current(params)
+
+
 @dataclass(frozen=True)
 class SwitchingParams:
     """Dynamic constants for the precessional switching-delay model.
@@ -252,7 +257,7 @@ class TransistorModel:
         Saturation is set at twice the write current so normal operation
         stays in the ohmic region.
         """
-        i_write = overdrive * critical_current(params)
+        i_write = _write_current(params, overdrive)
         sized = {"r_off": 1e9, "i_sat": 2.0 * i_write}
         if "r_on" not in fixed:
             _require(

@@ -36,7 +36,7 @@ other row takes the network's idle driver, and with none its rails are
 open (infinite resistance), so they carry no current and anchor nothing.
 
 Transistor saturation makes the system piecewise linear. The solver
-iterates on the set of saturated switches (``_saturate``): solve, clamp any
+iterates on the set of saturated switches (``_settle``): solve, clamp any
 switch whose ohmic current exceeds its saturation limit (``_clamps``),
 replace it with a fixed injection, and repeat until the set is stable.
 
@@ -55,21 +55,21 @@ cells its flips released (:meth:`AssembledNetwork.keep`). The drive solves
 the array's live conductances, which the array's one writer updates in
 place at the cells it changes.
 
-The phases of one write differ only at a few nodes: the write's reach, the
-terminals of the driven cells' lines and, with wires, the cells' own two
-chain nodes. A :class:`WriteSolver` stands in for the full solve through
-every solve of one write. Its first solve is a full one that also solves a
-unit injection at each reach node. The solver keeps the array's states at
-that base and finds the cells changed since in one compare of the states;
-of the drive it compares only the rail vector, two entries per row. A later solve whose flipped cells and
-moved rails lie within the reach is the base's Woodbury correction (W. W.
-Hager, SIAM Review 31(2), 1989): a flipped cell is a dipole, a rail change
-of the selected row one place, a source a combination of the unit columns.
-A change beyond the reach, such as a disturbed cell of another word,
-re-bases with a full solve. A corrected solution runs the same saturation
-loop, regulated transfer and checks (KCL over every edge and node,
-regulation, overflow) as a full one; one that fails a check is solved again
-in full, and that result or error stands.
+The phases of one write, and the wired reads of one stored state, differ
+from one drive only at a few nodes, the reach: a write's is the terminals
+of its cells' lines and, with wires, the cells' own two chain nodes; a wired
+read's is every row terminal. A :class:`BaseSolver` solves the first drive
+in full, with a unit injection at each reach node, and keeps that base with
+the drive's edge conductances, pins and rail stamps (two entries per row). A
+later drive with the same pins whose changed edges and stamps lie within the
+reach is the base's Woodbury correction (W. W. Hager, SIAM Review 31(2),
+1989) at the places the change touches: a changed edge is a dipole, a row's
+rail change one place, a source a combination of the unit columns. Any other
+change, such as a disturbed cell of another word, re-bases with a full
+solve. A corrected solution runs the same saturation loop, regulated
+transfer and checks (KCL over every edge and node, regulation, overflow) as
+a full one; one that fails a check is solved again in full, and that result
+or error stands.
 
 With ``line_resistance > 0`` every line is expanded into a chain of nodes,
 one per crossing, joined by the per-segment wire resistance. Crossing
@@ -89,7 +89,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -103,13 +103,13 @@ from .errors import (
 )
 
 __all__ = [
+    "BaseSolver",
     "CrossbarNetwork",
     "LineBias",
     "NetworkSolution",
     "NodalCore",
     "ReadBase",
     "RowDriver",
-    "WriteSolver",
     "build_network",
     "equivalent_resistance",
     "solve_network",
@@ -374,8 +374,10 @@ class NodalCore:
 
         ``g`` holds the edge conductances, ``shunt`` a conductance to 0 V
         at each eliminated node, ``rhs_e`` and ``rhs_k`` the currents
-        injected at the eliminated and kept nodes. The ``fixed`` nodes sit
-        at their ``volts`` in column 0 and at 0 V in the rest.
+        injected at the eliminated and kept nodes; the solve overwrites
+        ``rhs_e``, and ``rhs_k`` may hold fewer columns, the rest injecting
+        no kept node. The ``fixed`` nodes sit at their ``volts`` in column 0
+        and at 0 V in the rest.
         """
         in_e = self.is_elim[fixed]
         pin_e, pin_k = self.slot[fixed[in_e]], self.slot[fixed[~in_e]]
@@ -386,8 +388,8 @@ class NodalCore:
             raise SingularNetworkError("nodal matrix is singular: a row pivot is zero or not finite")
         inv_d = 1.0 / d
         inv_d[pin_e] = 0.0
-        # y = b_E / D, or a pinned node's volts
-        y = rhs_e * inv_d[:, None]
+        # y = b_E / D, or a pinned node's volts, in the place of rhs_e
+        y = np.multiply(rhs_e, inv_d[:, None], out=rhs_e)
         y[pin_e, 0] = volts[in_e]
         x = np.zeros((self.n_nodes, y.shape[1]))
         x[self.kept[pin_k], 0] = volts[~in_e]
@@ -434,7 +436,7 @@ class NodalCore:
             upper += w_t[:-1, :p] @ w_d[:-1, :, p:]
             lower += w_t[:-1, p:] @ w_d[:-1, :, :p]
             b_live[1:] += w_t[:-1, p:] @ rows[:-1, :, 1:]
-        b.reshape(-1, cols)[self.pack] += rhs_k
+        b.reshape(-1, cols)[self.pack, : rhs_k.shape[1]] += rhs_k
         if len(pin_k):
             # a pinned node is a symmetric Dirichlet row: its coupling
             # -S_KP x_P goes to the right-hand side (x_P is 0 V at the
@@ -484,31 +486,16 @@ def _sweep(diag, lower, system):
     return x
 
 
-class WriteSolver:
-    """:func:`_solve_full` for the phases of one write of ``array``'s branches ``cells``.
+class BaseSolver:
+    """:func:`_solve_full` for drives that differ from its base only at ``nodes`` of
+    ``core``, its reach, as the module docstring sets out. A call that injects a plain
+    current or regulates a line beyond the reach is solved in full. A correction sets
+    ``corrected``, which :func:`solve_network` clears."""
 
-    The write's reach is the terminals of the cells' lines and the cells'
-    own two nodes (the terminals themselves without wires). A call that
-    finds no base solves its drive and a unit injection at each reach node
-    in full, and that is the base; the solver keeps the array's states with
-    it. A later call whose flipped cells, the states that differ from the
-    base's, and rail vector (two entries per row) differ from the base's at
-    reach nodes only is the base's
-    Woodbury correction (W. W. Hager, SIAM Review 31(2), 1989): a flipped
-    cell is a dipole, a rail change of the selected row one place. Every
-    further right-hand side, a source's unit injection at a reach node, is a
-    combination of the base's columns. Any other change, or a singular
-    correction, re-bases. A call that pins nodes, injects a plain current or
-    regulates a line beyond the reach is solved in full. A correction sets
-    ``corrected``, which :func:`solve_network` clears.
-    """
-
-    def __init__(self, array, cells):
-        self.array = array
-        core = self.core = array.core
-        nodes = np.concatenate([core.cell_row[cells], core.cell_col[cells]])
+    def __init__(self, core, nodes):
+        self.core = core
         self.place = np.full(core.n_nodes, -1)  # each node's place in the reach, or -1
-        self.place[core.terminal[core.node_line[nodes]]] = self.place[nodes] = 0
+        self.place[nodes] = 0
         reach = np.flatnonzero(self.place == 0)
         # eliminated nodes first: the kept ones' unit columns, last, cost the fill nothing
         self.reach = np.concatenate([reach[core.is_elim[reach]], reach[~core.is_elim[reach]]])
@@ -517,7 +504,7 @@ class WriteSolver:
 
     def __call__(self, asm, ohmic_g, clamp):
         units = self.place[asm.reg_nodes]
-        if len(asm.fixed) or asm.currents or (units < 0).any():
+        if asm.currents or (units < 0).any():
             return _solve_full(asm, ohmic_g, clamp)
         # each rail's ohmic conductance and its drive; a row's two sum into the
         # shunt and the drive its rails stamp at its terminal
@@ -526,52 +513,62 @@ class WriteSolver:
         np.multiply(ohmic_g, asm.rail_volts, out=rails[1])
         rails[1] += clamp
         stamps = rails[:, ::2] + rails[:, 1::2]
-        coef = np.zeros((len(self.reach), 1 + len(units)))
-        coef[units, np.arange(1, 1 + len(units))] = 1.0  # the sources' unit injections
-        if self.base is None or not self._corrected(asm.g, stamps, coef):
-            states = self.array.states.copy()
-            self.base = (asm.g.copy(), states, stamps, _solve_full(asm, ohmic_g, clamp, self.reach))
-            coef[:, 0] = 0.0
-        # the base's drive plus its unit responses weighted by coef
-        base = self.base[-1]
-        x = base[:, 1:] @ coef
+        pins = asm.fixed.tobytes(), asm.fixed_volts.tobytes()
+        weights = self.base is not None and self._corrected(asm.g, pins, stamps, units)
+        if not weights:
+            self.base = (asm.g.copy(), pins, stamps, _solve_full(asm, ohmic_g, clamp, self.reach))
+            weights = 1 + units, np.eye(len(units), 1 + len(units), 1)  # the sources' unit columns
+        # the base's drive plus its columns cols weighted by w
+        (cols, w), base = weights, self.base[-1]
+        x = base[:, cols] @ w
         x[:, 0] += base[:, 0]
         return x
 
-    def _corrected(self, g, stamps, coef):
-        """Turn ``coef``, the unit injections of a drive's sources, into the
-        weights of the base's unit responses that solve the drive of edge
-        conductances ``g`` and row ``stamps`` (each row's shunt, then drive)
-        as the base's correction; False where a change leaves the reach or
-        the correction is singular."""
-        core, place, reach = self.core, self.place, self.reach
-        g0, states0, stamps0, base = self.base
-        edges = (self.array.states != states0).nonzero()[0]
+    def _corrected(self, g, pins, stamps, units):
+        """The base's unit-response columns ``cols`` and their weights ``w`` that solve, as
+        the base's correction, the drive of edge conductances ``g``, pinned nodes and volts
+        ``pins`` and row ``stamps`` (each row's shunt, then drive): one column for it, then
+        one per unit injection at places ``units``. None where the pins differ, a change
+        leaves the reach or the correction is singular."""
+        core, place = self.core, self.place
+        g0, pins0, stamps0, base = self.base
+        edges = (g != g0).nonzero()[0]
         ab = place[core.ends[:, edges]]  # each changed edge's two places in the reach
         ds, dd = stamps - stamps0
         shunts, moved = ds.nonzero()[0], dd.nonzero()[0]  # the rows whose stamps changed
         ds, dd, shunts, moved = ds[shunts], dd[moved], place[core.terminal[shunts]], place[core.terminal[moved]]
-        if min(ab.min(initial=0), shunts.min(initial=0), moved.min(initial=0)) < 0:
-            return False
-        coef[moved, 0] = dd
+        touched = np.concatenate([units, moved, shunts, ab.ravel()])
+        if pins != pins0 or touched.min(initial=0) < 0:
+            return None
+        # the places a weight may be nonzero at, numbered from 0 in reach order
+        local = np.zeros(len(self.reach), dtype=np.intp)
+        local[touched] = 1
+        act = local.nonzero()[0]
+        m, cols = len(act), 1 + act
+        local[act] = np.arange(m)
+        w = np.zeros((m, 1 + len(units)))
+        w[local[units], np.arange(1, 1 + len(units))] = 1.0
+        w[local[moved], 0] = dd
         if len(edges) or len(shunts):
-            # the change C of the nodal matrix within the reach moves the
-            # solution by -Z (I + C Z_U)^-1 C x_U, x_U the reach's potentials
-            # of the base's solution for the drive: a flipped edge stamps dg
-            # at (a, a), (b, b) and -dg at (a, b), (b, a), a shunt ds at (s, s)
-            m, dg = len(reach), g[edges] - g0[edges]
+            # the change C of the nodal matrix at places act moves the solution
+            # by -Z (I + C Z_a)^-1 C x_a, Z the base's unit responses there and
+            # x_a the potentials there of the base's solution for the drive: a
+            # changed edge stamps dg at (a, a), (b, b) and -dg at (a, b), (b, a),
+            # a shunt ds at (s, s)
+            ab, shunts, dg = local[ab], local[shunts], g[edges] - g0[edges]
             stamp_at = (ab[[0, 1, 0, 1]] * m + ab[[0, 1, 1, 0]]).ravel()
             c = np.bincount(np.concatenate([stamp_at, shunts * (m + 1)]),
                             np.concatenate([(dg * _DIPOLE).ravel(), ds]), m * m).reshape(m, m)
-            z = base[reach, 1:]
-            x_u = z @ coef
-            x_u[:, 0] += base[reach, 0]
+            rows = base[self.reach[act]]
+            z = rows[:, cols]
+            x_a = z @ w
+            x_a[:, 0] += rows[:, 0]
             try:
-                coef -= np.linalg.solve(np.eye(m) + c @ z, c @ x_u)
+                w -= np.linalg.solve(np.eye(m) + c @ z, c @ x_a)
             except np.linalg.LinAlgError:
-                return False
+                return None
         self.corrected = True
-        return True
+        return cols, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -719,13 +716,14 @@ def _solve_full(asm, ohmic_g, clamp, units=None):
     injection at node ``units[j]``, by default at regulated line j."""
     core, ne = asm.core, len(asm.core.elim)
     units = asm.reg_nodes if units is None else units
-    rhs = np.zeros((core.n_nodes, 1 + len(units)))
-    rhs[:, 0] = asm.injection
-    rhs[units, 1 + np.arange(len(units))] = 1.0
-    rhs_e = rhs[core.elim]
+    at, kept = 1 + np.arange(len(units)), ~core.is_elim[units]
+    rhs_e = np.zeros((ne, 1 + len(units)))
+    rhs_k = np.zeros((len(core.kept), at[kept].max(initial=0) + 1))  # to the last unit at a kept node
+    rhs_e[:, 0], rhs_k[:, 0] = asm.injection[core.elim], asm.injection[core.kept]
     rhs_e[:, 0] += np.bincount(core.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
+    rhs_e[core.slot[units[~kept]], at[~kept]] = rhs_k[core.slot[units[kept]], at[kept]] = 1.0
     shunt = np.bincount(core.rail_slot, ohmic_g, ne)
-    return core.solve(asm.g, shunt, rhs_e, rhs[core.kept], asm.fixed, asm.fixed_volts)
+    return core.solve(asm.g, shunt, rhs_e, rhs_k, asm.fixed, asm.fixed_volts)
 
 
 def _solve_linear(asm, clamp, solve):
@@ -755,22 +753,6 @@ def _clamps(i_lin, isat):
     return np.where(np.abs(i_lin) > isat * _CLAMP_SLACK, np.copysign(isat, i_lin), 0.0)
 
 
-def _saturate(clamp, step, isat):
-    """The result of ``step`` and the saturated set it settles at, from ``clamp`` on: ``step(clamp)``
-    solves one set, returning its result and each rail's ohmic current for :func:`_clamps`."""
-    seen = set()
-    for _ in range(_MAX_CLAMP_ITERATIONS):
-        result, i_lin = step(clamp)
-        proposal = _clamps(i_lin, isat)
-        if (proposal == clamp).all():
-            return result, clamp
-        if proposal.tobytes() in seen:
-            raise ConvergenceError(_OSCILLATES)
-        seen.add(proposal.tobytes())
-        clamp = proposal
-    raise ConvergenceError("saturation iteration exceeded the step limit")
-
-
 # potentials that overflow float range are named by _finish_solution as a
 # SimulationError, so numpy's own warnings about them stay quiet
 @np.errstate(over="ignore", invalid="ignore")
@@ -778,7 +760,7 @@ def solve_network(net, solve=None):
     """Solve a CrossbarNetwork, or a drive :func:`build_network` bound, iterating
     transistor saturation to a fixed point.
 
-    ``solve``, a :class:`WriteSolver`, stands in for the full solve; when a
+    ``solve``, a :class:`BaseSolver`, stands in for the full solve; when a
     solution it corrected fails a check, the network is solved again in
     full, and that result or error stands, and it re-bases next.
     """
@@ -795,10 +777,19 @@ def solve_network(net, solve=None):
 
 
 def _settle(asm, solve):
-    """The checked solution at the saturated set the solves of ``solve`` settle at."""
-    step = partial(_solve_linear, asm, solve=solve)
-    (volts, sources), clamp = _saturate(np.zeros(len(asm.rail_g)), step, asm.rail_isat)
-    return _finish_solution(asm, volts, sources, clamp)
+    """The checked solution at the saturated set the solves of ``solve`` settle at, from none
+    saturated on: each set is solved, and the next is the one :func:`_clamps` proposes."""
+    clamp, seen = np.zeros(len(asm.rail_g)), set()
+    for _ in range(_MAX_CLAMP_ITERATIONS):
+        (volts, sources), i_lin = _solve_linear(asm, clamp, solve)
+        proposal = _clamps(i_lin, asm.rail_isat)
+        if (proposal == clamp).all():
+            return _finish_solution(asm, volts, sources, clamp)
+        if proposal.tobytes() in seen:
+            raise ConvergenceError(_OSCILLATES)
+        seen.add(proposal.tobytes())
+        clamp = proposal
+    raise ConvergenceError("saturation iteration exceeded the step limit")
 
 
 def _balance(core, x, edges, g, rails, rail_volts, rail_g, clamp, nodes, injection=None):
@@ -916,26 +907,32 @@ class NetworkSolution:
 class ReadBase:
     """``net`` (every column at a voltage, every row idle) solved once, and reads as
     corrections of it at the rows they ground, by index, through ``net.idle`` with its
-    pull-down on (W. W. Hager, SIAM Review 31(2), 1989). An injection at row terminal r
-    moves every node by ``resp[:, r]`` with wires. Without, only its own, by ``z[r]``:
-    a read is its rows read alone, and the first read after a full solve enters every
-    row in ``table``; a row re-solved in place is entered again when read. ``solve`` is
-    :func:`solve_network`; a column's current is what its cells draw, as a voltage
-    source's there. No current may reach ``limits``."""
+    pull-down on (W. W. Hager, SIAM Review 31(2), 1989). With wires a :class:`BaseSolver`
+    whose reach is every row terminal solves the idle drive once per stored state, and
+    a read solves that drive with its rows' rails on the selector through the same
+    solver. Without, an injection at row terminal r moves only its own node, by
+    ``z[r]``: a read is its rows read alone, and the first read after a full solve
+    enters every row in ``table``; a row re-solved in place is entered again when read.
+    A column's current is what its cells draw, as a voltage source's there. No current
+    may reach ``limits``."""
 
-    def __init__(self, net, limits, solve=solve_network):
+    def __init__(self, net, limits):
         asm = self.asm = build_network(net)
         core = self.core = net.core
-        self.net, self.limits, self.full_solve = net, limits, solve
+        self.limits = limits
         n_rows = len(core.rows)
         self.rails = np.arange(2 * n_rows).reshape(n_rows, 2)
         self.rail_g = asm.rail_g
         # the one selector every read grounds its rows through: pull-up, then pull-down
-        self.sel_r, self.sel_isat = np.array(_rail_pair(replace(net.idle, nmos_on=True))).T
+        self.selector = np.array(_rail_pair(replace(net.idle, nmos_on=True)))
+        self.sel_r, self.sel_isat = self.selector.T
         # no potential leaves the span of the drives, nor a rail current its reach
         span = np.ptp(np.concatenate([asm.rail_volts, asm.fixed_volts]))
         self.settled = bool((span * self.rail_g <= asm.rail_isat * _CLAMP_SLACK).all())
         self.wired = len(asm.fixed) < len(core.kept)  # some kept node is free
+        if self.wired:  # the idle rails a read restores, and the solver of its drives
+            self.idle = asm.rails.copy(), asm.rail_g.copy()
+            self.solver, self.base = BaseSolver(core, core.terminal[:n_rows]), None
         self.free = np.flatnonzero(asm.free)
         self.edges = np.arange(len(core.edge_a))
         # each row's cells in cell order, and the column of every cell
@@ -963,23 +960,20 @@ class ReadBase:
             self.table["ok"][rows] = False  # entered again when read
             return
         self.table["ok"] = False  # the next read enters every row
-        self.g = _conductances(resistance, core.wire_r)
-        clamp = np.zeros(len(self.rail_g))
-        if not (self.wired and self.settled):
-            volts = self.full_solve(replace(self.net, resistance=resistance)).volts
-            clamp = _clamps((asm.rail_volts - volts[core.rail_node]) * self.rail_g, asm.rail_isat)
+        asm.resistance, asm.g = resistance, _conductances(resistance, core.wire_r)
+        self.g = asm.g
+        if self.wired:  # the idle drive from a fresh base, which reads correct
+            self.solver.base = None
+            self._limit(solve_network(asm, self.solver).currents, self.edges[: len(core.cell_row)])
+            self.base = self.solver.base
+            return
+        volts = solve_network(asm).volts
+        clamp = _clamps((asm.rail_volts - volts[core.rail_node]) * self.rail_g, asm.rail_isat)
         self.clamp, self.ohmic_g = clamp, np.where(clamp == 0.0, self.rail_g, 0.0)
-        ne, terminals = len(core.elim), core.terminal[: len(core.rows)]
+        ne = len(core.elim)
         self.shunt = np.bincount(core.rail_slot, self.ohmic_g, ne)
         self.rhs = np.bincount(core.rail_slot, self.ohmic_g * asm.rail_volts + clamp, ne)
-        if self.wired:
-            rhs_e = np.zeros((ne, 1 + len(terminals)))  # then a unit injection per row terminal
-            rhs_e[:, 0], rhs_e[core.slot[terminals], 1 + np.arange(len(terminals))] = self.rhs, 1.0
-            x = core.solve(self.g, self.shunt, rhs_e, 0.0, asm.fixed, asm.fixed_volts)
-            volts, self.resp = x[:, 0], x[:, 1:]
-            self.z = self.resp[terminals]  # row terminal by row terminal
-        else:
-            self.z = self._rows(np.arange(len(terminals)), volts)[0]
+        self.z = self._rows(np.arange(len(core.rows)), volts)[0]
         self.volts, rails = volts, self.rails.ravel()
         self.edge_i = self._checked(volts, self.edges, self.free, rails, self.rail_g, clamp)
         self.sources = np.bincount(self.cell_col, self.edge_i[: len(core.cell_row)], len(core.cols))
@@ -1002,12 +996,14 @@ class ReadBase:
         volts = self.asm.rail_volts[rails]
         i = _balance(core, x, edges, self.g[edges], rails, volts, rail_g, clamp, nodes)[0]
         cells = edges[: len(core.cell_row)]
-        for k in np.flatnonzero(np.abs(i[: len(cells)]) >= self.limits[cells])[:1].tolist():
-            raise ReadDisturbError(
-                f"read current {abs(i[k]) * 1e6:.1f} uA reaches the switching "
-                f"threshold of {core.tag(cells[k])}"
-            )
+        self._limit(i[: len(cells)], cells)
         return i
+
+    def _limit(self, i, cells):
+        """Raise for the first of ``cells`` whose current ``i`` reaches its limit."""
+        for k in np.flatnonzero(np.abs(i) >= self.limits[cells])[:1].tolist():
+            raise ReadDisturbError(f"read current {abs(i[k]) * 1e6:.1f} uA reaches the switching "
+                                   f"threshold of {self.core.tag(cells[k])}")
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow is named
     def read(self, rows):
@@ -1015,29 +1011,16 @@ class ReadBase:
         core, asm, rows = self.core, self.asm, np.asarray(rows, dtype=np.intp)
         if not self.wired:
             return self._look_up(rows)
-        # every row terminal may leave the base
-        sel, rails = self.rails[rows], self.rails.ravel()
-        g, isat = self.rail_g.copy(), asm.rail_isat.copy()
-        g[sel], isat[sel] = 1.0 / self.sel_r, self.sel_isat
-        base_g, base_c, volts, z = self.ohmic_g, self.clamp, asm.rail_volts, self.z
-        v0, clamp = self.volts[core.terminal[: len(core.rows)]], base_c.copy()
-        clamp[sel] = 0.0
-
-        def step(clamp):
-            # a row stamping dg, dc over the base injects u = alpha - beta v, v = v0 + z u
-            dg, dc = np.where(clamp == 0.0, g, 0.0) - base_g, clamp - base_c
-            alpha, beta = (dg * volts + dc).reshape(-1, 2).sum(axis=1), dg.reshape(-1, 2).sum(axis=1)
-            act = np.flatnonzero((alpha != 0.0) | (beta != 0.0))
-            lhs = np.eye(len(act)) + beta[act, None] * z[act][:, act]
-            u = np.linalg.solve(lhs, alpha[act] - beta[act] * v0[act])
-            return (act, u), (volts - np.repeat(v0 + z[:, act] @ u, 2)) * g
-
-        (act, u), clamp = _saturate(clamp, step, isat)
-        i = self._checked(self.volts + self.resp[:, act] @ u, self.edges, self.free, rails, g, clamp)
-        cells = self.edges[: len(core.cell_row)]
-        delta = i[: len(cells)] - self.edge_i[cells]
-        sources = self.sources + np.bincount(self.cell_col[cells], delta, len(self.sources))
-        return sources, self.cell_col[self.row_cells[rows]]
+        if self.solver.base is not self.base:  # a fallback or a re-base dropped the idle base
+            self.solve(asm.resistance)
+        sel = self.rails[rows]
+        asm.rails[rows], asm.rail_g[sel] = self.selector, 1.0 / self.sel_r
+        try:
+            currents = solve_network(asm, self.solver).currents
+        finally:
+            asm.rails[rows], asm.rail_g[sel] = self.idle[0][rows], self.idle[1][sel]
+        self._limit(currents, self.edges[: len(core.cell_row)])
+        return np.bincount(self.cell_col, currents, len(core.cols)), self.cell_col[self.row_cells[rows]]
 
     def _look_up(self, rows):
         """The read of ``rows`` without wires, from their entries in ``table``."""

@@ -49,9 +49,10 @@ Reads differ only at the two rows they ground, which a read names by
 index: the word's row and the reference row of its parity. The array
 caches a :class:`~xpointsim.network.ReadBase`, the read drive with every
 row idle, solved and checked (KCL, read disturb) once per stored state and
-``v_read``. With wires a read corrects it at its two rows and checks what
-moves; without, each row's read is its own, and a read looks up its two
-rows' reads. A read that senses bits other than the stored ones raises
+``v_read``. With wires a read is the correction at its two rows through
+the :class:`~xpointsim.network.BaseSolver` a write's phases use too;
+without, each row's read is its own, and a read looks up its two rows'
+reads. A read that senses bits other than the stored ones raises
 :class:`~xpointsim.errors.MisreadError`, naming the first wrong cell: a
 misread is never returned as a bit string.
 
@@ -78,7 +79,7 @@ from .errors import (
     WriteFailureError,
 )
 from . import network
-from .network import _REG_TOL, LineBias, ReadBase, RowDriver, WriteSolver, solve_network
+from .network import _REG_TOL, BaseSolver, LineBias, ReadBase, RowDriver, solve_network
 
 __all__ = [
     "DriveConfig",
@@ -334,7 +335,7 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve, asm)
     ``asm`` is the write's drive, bound once: the phase selects its row's
     rail pair and binds its sources on it, and each step keeps on only the
     sources of cells still pending. ``solve`` is the write's
-    :class:`~xpointsim.network.WriteSolver`, which every solve of the phase
+    :class:`~xpointsim.network.BaseSolver`, which every solve of the phase
     passes to :func:`~xpointsim.network.solve_network` with ``asm``.
     """
     trace.open_phase(label, setup_s)
@@ -437,6 +438,13 @@ def _read_before_write(array, drive, trace, word_addr):
     return sense.bits
 
 
+def _write_reach(array, cells):
+    """The reach of a write of branches ``cells``: their two nodes and their lines' terminals."""
+    core = array.core
+    nodes = np.concatenate([core.cell_row[cells], core.cell_col[cells]])
+    return np.concatenate([nodes, core.terminal[core.node_line[nodes]]])
+
+
 def write_word(array, req, drive=None):
     """Write one word with the protocol ``req.mode`` names.
 
@@ -457,10 +465,11 @@ def write_word(array, req, drive=None):
     # every phase selects the word's row and drives some of these of its
     # cells: the drive is bound once, to the array's live branches, through
     # the network module's build_network as the read base's is, and the
-    # solver finds the cells each flip changed in the array's states
+    # solver finds the branches each flip changed in those conductances
     asm = network.build_network(array.to_network({}, select_word(array, req.word_addr, "1")))
     asm.resistance, asm.g = array.resistances, array.conductances
-    solve = WriteSolver(array, req.word_addr * array.n_bits + np.asarray(bits, dtype=np.intp))
+    cells = req.word_addr * array.n_bits + np.asarray(bits, dtype=np.intp)
+    solve = BaseSolver(array.core, _write_reach(array, cells))
     if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
         for j in bits:
             phase = req.data[j]
@@ -514,7 +523,7 @@ def _read_base(array, v_read):
     key = (v_read, array.row_driver_model)
     if cached is None or cached[0] != key:
         net = array.to_network(dict.fromkeys(array.segments, LineBias.voltage(v_read)), {})
-        cached = (key, ReadBase(net, array.critical_currents, solve_network))
+        cached = (key, ReadBase(net, array.critical_currents))
     elif array.changed:
         cached[1].solve(array.resistances, np.flatnonzero(array.changed_words))
     if array.changed:  # a base just built holds every stored word

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .array import reference_branch_resistance
-from .device import critical_current, reference_params, switching_delay
+from .device import _write_current, reference_params, switching_delay
 from .errors import ParameterError
 from .ops import halving_time, read_cycle_time
 
@@ -192,7 +192,7 @@ def sweep_to_csv(rows):
 
 
 def _sweep_point(cfg, n, m, params, dynamics, drive, overdrive, r_cell_on):
-    i_write = overdrive * critical_current(params)
+    i_write = _write_current(params, overdrive)
     tau = switching_delay(i_write, params, dynamics)
     r_ref_branch = reference_branch_resistance(reference_params(params), r_cell_on, n)
     t_half = halving_time(r_ref_branch, drive.c_load_f)

@@ -10,6 +10,7 @@ Frozen sneak-path numbers (hand-derived):
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -598,28 +599,30 @@ class TestSaturation:
         assert sol.device_currents["w0:b0"] == pytest.approx(1.2 / (R_P + 1e3), rel=1e-9)
         assert not sol.clamped
 
-    def test_saturate_settles_cycles_and_stops(self):
+    def test_settle_settles_cycles_and_stops(self, monkeypatch):
         # the one saturation iteration: a set proposed again is kept, a set
         # that flips back and forth has no consistent operating point, and a
         # binary counter over 7 rails never repeats a set in 100 steps
-        isat = np.ones(3)
-        result, clamp = network._saturate(np.zeros(3), lambda c: ("solved", np.array([3.0, -3.0, 0.5])), isat)
+        def settle(n, rail_currents):
+            # solve_network's loop over stand-in solves whose rail currents follow the set
+            step = lambda asm, clamp, solve: (("solved", clamp), rail_currents(clamp))
+            monkeypatch.setattr(network, "_solve_linear", step)
+            monkeypatch.setattr(network, "_finish_solution", lambda asm, volts, sources, clamp: (volts, clamp))
+            return network._settle(SimpleNamespace(rail_g=np.zeros(n), rail_isat=np.ones(n)), None)
+
+        result, clamp = settle(3, lambda clamp: np.array([3.0, -3.0, 0.5]))
         assert result == "solved" and clamp.tolist() == [1.0, -1.0, 0.0]
-
-        def flip(clamp):
-            return None, np.where(clamp == 0.0, 2.0, 0.0)
-
         with pytest.raises(ConvergenceError, match=f"^{network._OSCILLATES}$"):
-            network._saturate(np.zeros(2), flip, np.ones(2))
+            settle(2, lambda clamp: np.where(clamp == 0.0, 2.0, 0.0))
         steps, bits = [], np.arange(7)
 
         def count(clamp):
             steps.append(clamp)
             n = int((clamp != 0.0) @ 2**bits) + 1
-            return None, 2.0 * ((n >> bits) & 1)
+            return 2.0 * ((n >> bits) & 1)
 
         with pytest.raises(ConvergenceError, match="^saturation iteration exceeded the step limit$"):
-            network._saturate(np.zeros(7), count, np.ones(7))
+            settle(7, count)
         assert len(steps) == 100
 
 

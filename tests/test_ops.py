@@ -330,17 +330,31 @@ def test_a_cell_that_never_flips_ends_the_phase(monkeypatch):
         write_word(arr, WriteRequest(2, "0110", WriteMode.PARALLEL))
 
 
-def test_a_pinned_network_is_solved_in_full():
-    # a network that pins nodes is not a write phase: the write's solver
-    # hands it to the core and keeps no base
+def test_a_pinned_drive_is_corrected_while_its_pins_hold():
+    # a drive that pins nodes at the volts its base pins them at is the
+    # base's correction, within 1e-12 of the full solve; a drive that pins
+    # them at other volts re-bases with a full solve
     arr = fresh(4, 8)
     random_words(arr, 2)
-    net = arr.to_network(dict.fromkeys(arr.segments, LineBias.voltage(0.3)), select_word(arr, 3, "read"))
-    solver = network.WriteSolver(arr, 3 * 4 + np.arange(4))
+    solver = write_solver(arr, 3 * 4 + np.arange(4))
+
+    def read_network(volts):
+        return arr.to_network(dict.fromkeys(arr.segments, LineBias.voltage(volts)), select_word(arr, 3, "read"))
+
+    solve_network(read_network(0.3), solver)
+    first = solver.base
+    arr.store(3 * 4 + 1, not arr.states[3 * 4 + 1])
+    net = read_network(0.3)
     sol, full = solve_network(net, solver), solve_network(net)
-    assert solver.base is None and not solver.corrected
-    assert np.array_equal(sol.volts, full.volts) and np.array_equal(sol.currents, full.currents)
-    assert sol.source_currents == full.source_currents
+    assert solver.corrected and solver.base is first
+    assert relative_miss(sol.currents, full.currents) <= 1e-12
+    assert relative_miss(sol.rail_currents, full.rail_currents) <= 1e-12
+    got, want = (np.array([s.source_currents[line] for line in arr.segments]) for s in (sol, full))
+    assert relative_miss(got, want) <= 1e-12
+    net = read_network(0.25)
+    sol = solve_network(net, solver)
+    assert not solver.corrected and solver.base is not first
+    assert relative_miss(sol.currents, solve_network(net).currents) <= 1e-12
 
 
 def test_write_times_at_the_design_point_match_the_closed_form():
@@ -620,6 +634,11 @@ def test_interleaved_operations_match_a_fresh_array_each(line_resistance):
 # -- the per-write solver ---------------------------------------------------
 
 
+def write_solver(arr, cells):
+    """The solver a write of ``cells`` takes."""
+    return network.BaseSolver(arr.core, ops._write_reach(arr, cells))
+
+
 def relative_miss(got, want):
     """The largest difference of two arrays relative to the largest of ``want``."""
     return float(np.abs(got - want).max(initial=0.0) / np.abs(want).max(initial=0.0))
@@ -661,14 +680,14 @@ def test_write_phases_match_the_full_solve(monkeypatch, mode, n_bits, m_words, l
         arr = fresh(n_bits, m_words, line_resistance=line_resistance)
         for w, data in enumerate(words):
             arr.set_word(w, data)
-        monkeypatch.setattr(ops, "WriteSolver", solver_class)
+        monkeypatch.setattr(ops, "BaseSolver", solver_class)
         traces = [write_word(arr, req) for req in requests]
         return [arr.get_word(w) for w in range(m_words)], traces
 
     monkeypatch.setattr(ops, "solve_network", checked)
-    bits, traces = write_all(network.WriteSolver)
+    bits, traces = write_all(network.BaseSolver)
     monkeypatch.setattr(ops, "solve_network", solve)
-    full_bits, full_traces = write_all(lambda core, cells: None)  # every phase solved in full
+    full_bits, full_traces = write_all(lambda core, nodes: None)  # every phase solved in full
     assert any(corrected)
     assert bits == full_bits
     for trace, full in zip(traces, full_traces):
@@ -688,7 +707,7 @@ def test_a_flip_outside_the_write_re_bases(line_resistance):
     # not, and the next solve is a full one that becomes the new base
     arr = fresh(4, 8, line_resistance=line_resistance)
     random_words(arr, 3)
-    solver = network.WriteSolver(arr, 2 * 4 + np.arange(4))
+    solver = write_solver(arr, 2 * 4 + np.arange(4))
     solve_network(phase_network(arr, 2, "0", [0, 1]), solver)
     first = solver.base
     arr.store(2 * 4 + 1, not arr.states[2 * 4 + 1])
@@ -709,7 +728,7 @@ def test_a_corrupted_base_falls_back_to_the_full_solve():
     # drops the base, and its next solve re-bases
     arr = fresh(4, 8)
     random_words(arr, 4)
-    solver = network.WriteSolver(arr, 3 * 4 + np.arange(4))
+    solver = write_solver(arr, 3 * 4 + np.arange(4))
     solve_network(phase_network(arr, 3, "0", [0]), solver)
     source = arr.core.terminal[arr.core.line_index[arr.host_segment(3, 1)]]
     solver.base[-1][:, 1 + solver.place[source]] *= 1.5
@@ -943,6 +962,45 @@ def test_a_read_names_its_rows(monkeypatch, line_resistance):
     monkeypatch.setattr(network, "_rail_pair", lambda *a: calls.append("_rail_pair"))
     assert [read_word(arr, w).bits for w in range(arr.m_words)] == [arr.get_word(w) for w in range(arr.m_words)]
     assert calls == []
+
+
+def test_a_wired_scan_solves_in_full_once(monkeypatch):
+    # the idle read base is the one full solve of a wired scan, and no idle
+    # row saturates: every read is its correction at the two rows it
+    # grounds, whose systems are at most 2 x 2
+    arr = fresh(4, 16, line_resistance=1.0)
+    random_words(arr, 19)
+    on = LineBias.voltage(DriveConfig().v_read)
+    assert not solve_network(arr.to_network(dict.fromkeys(arr.segments, on), {})).clamped
+    ends, systems = [], []
+    solve_full, solve = network._solve_full, np.linalg.solve
+
+    def counted(*args):
+        x = solve_full(*args)
+        ends.append(len(systems))  # the systems solved by the end of this full solve
+        return x
+
+    monkeypatch.setattr(network, "_solve_full", counted)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: systems.append(a.shape) or solve(a, b))
+    assert [read_word(arr, w).bits for w in range(arr.m_words)] == [arr.get_word(w) for w in range(arr.m_words)]
+    (end,) = ends
+    assert len(systems) > end and max(systems[end:]) <= (2, 2)
+
+
+def test_a_wired_read_after_a_fallback_reads_as_a_fresh_array():
+    # a read corrected from a corrupted base fails the conservation check and
+    # is solved again in full, which drops the base: the next read re-solves
+    # the idle base first, so it is the read of a fresh array
+    arr, alone = fresh(4, 8, line_resistance=1.0), fresh(4, 8, line_resistance=1.0)
+    random_words(arr, 23)
+    random_words(alone, 23)
+    read_word(arr, 0)
+    base = arr.read_base[1]
+    base.solver.base[-1][:, 1:] *= 1.5
+    assert read_word(arr, 1).bits == arr.get_word(1)
+    assert base.solver.base is None
+    assert read_word(arr, 2) == read_word(alone, 2)
+    assert base.solver.base is base.base
 
 
 @pytest.mark.parametrize("line_resistance", [0.0, 1.0], ids=["bare", "wired"])
@@ -1191,6 +1249,9 @@ def test_sensing_power_solves_the_full_read_once(monkeypatch):
 
     arr = fresh()
     arr.set_word(0, "0110")
+    # the read base solves its idle drive in the network module, the serial
+    # sub-cycles in ops
+    monkeypatch.setattr(network, "solve_network", counting)
     monkeypatch.setattr(ops, "solve_network", counting)
     compare_sensing_power(arr, 0)
     # one whole-word read plus one serial sub-cycle per bit
