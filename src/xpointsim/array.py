@@ -197,6 +197,7 @@ class CrossbarArray:
             _read_only(a) for a in (self._states, self._resistances, self._conductances)
         )
         self.read_base = None  # the idle read solution ops.read_word keeps
+        self.write_solver = None  # the solver ops.write_word keeps across writes
 
     # -- addressing ----------------------------------------------------
 

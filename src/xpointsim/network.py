@@ -55,21 +55,29 @@ cells its flips released (:meth:`AssembledNetwork.keep`). The drive solves
 the array's live conductances, which the array's one writer updates in
 place at the cells it changes.
 
-The phases of one write, and the wired reads of one stored state, differ
-from one drive only at a few nodes, the reach: a write's is the terminals
-of its cells' lines and, with wires, the cells' own two chain nodes; a wired
-read's is every row terminal. A :class:`BaseSolver` solves the first drive
-in full, with a unit injection at each reach node, and keeps that base with
-the drive's edge conductances, pins and rail stamps (two entries per row). A
-later drive with the same pins whose changed edges and stamps lie within the
-reach is the base's Woodbury correction (W. W. Hager, SIAM Review 31(2),
-1989) at the places the change touches: a changed edge is a dipole, a row's
-rail change one place, a source a combination of the unit columns. Any other
-change, such as a disturbed cell of another word, re-bases with a full
-solve. A corrected solution runs the same saturation loop, regulated
-transfer and checks (KCL over every edge and node, regulation, overflow) as
-a full one; one that fails a check is solved again in full, and that result
-or error stands.
+Successive drives of one array differ at a few nodes, the reach: a write's
+phases at the terminals of its cells' lines and, with wires, the cells' own
+two chain nodes; a wired read at its two rows' terminals. A
+:class:`BaseSolver` solves its first drive in full, with a unit injection at
+each reach node, and keeps that base with the drive's edge conductances,
+pins and rail stamps (two entries per row), and the factor of its block
+elimination (:meth:`NodalCore.solve`). A later drive with the same pins is
+the base's Woodbury correction (W. W. Hager, SIAM Review 31(2), 1989) at the
+places the change touches: a changed edge is a dipole, a row's rail change
+one place, a source a combination of the unit columns. A place outside the
+reach, such as a cell of another word that a write disturbed or the cells of
+the next write, joins it first: its unit column is one more sweep through
+the kept factor (:meth:`NodalCore.units`), matrix products only. So the
+array keeps one solver for its writes and its wired read base keeps its own
+across stored states, and a base is factored again only when the pins
+differ, a check fails, a drive anchors a mesh component the base left
+floating, or the corrections that carry earlier drives' changes have spent,
+at m^3 for m places each, three times the (n_layers - 1) width^3 of the
+elimination across the layers, which a core of one layer does without: its
+writes re-base at their first solve. A corrected solution runs the same
+saturation loop, regulated transfer and checks (KCL over every edge and
+node, regulation, overflow) as a full one; one that fails a check is solved
+again in full, and that result or error stands.
 
 With ``line_resistance > 0`` every line is expanded into a chain of nodes,
 one per crossing, joined by the per-segment wire resistance. Crossing
@@ -123,6 +131,8 @@ _GATHER = 1 << 16  # potentials gathered per block of eliminated rows
 _ROOT_MAX = math.sqrt(sys.float_info.max)  # a conductance whose square overflows
 _OSCILLATES = "saturation assignment oscillates; no consistent operating point"
 _DIPOLE = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # a conductance's signs at (a, a), (b, b), (a, b), (b, a)
+_BUDGET = 3.0  # eliminations' work the corrections from one base may spend (BaseSolver)
+_STAMP_ROW, _STAMP_COL = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])  # the ends of those places
 
 
 @dataclass(frozen=True)
@@ -370,7 +380,8 @@ class NodalCore:
         return f"{self.lines[self.node_line[self.cell_row[k]]]}:{self.lines[self.node_line[self.cell_col[k]]]}"
 
     def solve(self, g, shunt, rhs_e, rhs_k, fixed, volts):
-        """Potentials of every node, one column per right-hand side.
+        """Potentials of every node, one column per right-hand side, and the
+        :class:`_Factor` that solves further unit injections (:meth:`units`).
 
         ``g`` holds the edge conductances, ``shunt`` a conductance to 0 V
         at each eliminated node, ``rhs_e`` and ``rhs_k`` the currents
@@ -391,22 +402,50 @@ class NodalCore:
         # y = b_E / D, or a pinned node's volts, in the place of rhs_e
         y = np.multiply(rhs_e, inv_d[:, None], out=rhs_e)
         y[pin_e, 0] = volts[in_e]
-        x = np.zeros((self.n_nodes, y.shape[1]))
-        x[self.kept[pin_k], 0] = volts[~in_e]
+        factor = _Factor(inv_d, lanes, self.n_layers)
+        x_k = np.zeros((len(self.kept), 1))
+        x_k[pin_k, 0] = volts[~in_e]
         if len(pin_k) < len(self.kept):  # some kept node is free
-            x[self.kept] = self._solve_kept(g, lanes, inv_d, y, rhs_k, x[self.kept, 0], pin_k)
-        # x_E = y + (W x_K) / D, a block of rows at a time so that the gather of
-        # their lanes' potentials stays in cache (np.take: a fraction of the cost of x[lane_node])
+            x_k = self._solve_kept(g, lanes, inv_d, y, rhs_k, x_k[:, 0], pin_k, factor)
+        # each column a row of one array, so that a column is contiguous
+        x = np.zeros((y.shape[1], self.n_nodes)).T
+        x[self.kept, : x_k.shape[1]] = x_k
+        return self._fill(x, y, lanes, inv_d), factor
+
+    def units(self, factor, nodes):
+        """Potentials of a unit injection at each of ``nodes``, one column each, through
+        the ``factor`` a :meth:`solve` kept: its sweep with matrix products only."""
+        k, in_e = len(nodes), self.is_elim[nodes]
+        at, e = np.arange(k), self.slot[nodes[in_e]]
+        y = np.zeros((len(self.elim), k))
+        y[e, at[in_e]] = factor.inv_d[e]
+        x = np.zeros((k, self.n_nodes)).T
+        if factor.blocks is not None:
+            # b_K + W^T y: an eliminated node's lanes carry its y to their kept ends
+            n_layers, p = self.n_layers, self.width
+            b = np.zeros((n_layers * p, k))
+            b[self.pack[self.slot[nodes[~in_e]]], at[~in_e]] = 1.0
+            np.add.at(b, (self.pack[self.slot[self.lane_node[e]]], at[in_e, None]),
+                      factor.lanes[e] * factor.inv_d[e, None])
+            if factor.free is not None:
+                b *= factor.free.reshape(-1, 1)
+            diag, upper = factor.inverse()
+            x[self.kept] = _sweep(diag, None, b.reshape(n_layers, p, k), upper).reshape(-1, k)[self.pack]
+        return self._fill(x, y, factor.lanes, factor.inv_d)
+
+    def _fill(self, x, y, lanes, inv_d):
+        """``x`` with its eliminated rows set to ``y + (W x_K) / D``, a block of rows at a
+        time so that the gather of their lanes' potentials stays in cache."""
         step = max(1, _GATHER // max(1, lanes.shape[1] * y.shape[1]))
         for rows in (slice(s, s + step) for s in range(0, len(self.elim), step)):
-            fill = np.matmul(lanes[rows, None, :], np.take(x, self.lane_node[rows], axis=0))[:, 0]
+            fill = np.matmul(lanes[rows, None, :], x[self.lane_node[rows]])[:, 0]
             x[self.elim[rows]] = y[rows] + inv_d[rows, None] * fill
         return x
 
-    def _solve_kept(self, g, lanes, inv_d, y, rhs_k, x_pinned, pin_k):
+    def _solve_kept(self, g, lanes, inv_d, y, rhs_k, x_pinned, pin_k, factor):
         """Kept potentials, one column per column of ``y`` (``b_E / D``, or a
         pinned eliminated node's volts); the kept slots ``pin_k`` are held at
-        ``x_pinned``, which is 0 V at the free nodes."""
+        ``x_pinned``, which is 0 V at the free nodes. ``factor`` keeps the blocks."""
         n_layers, p, q, span, cols = self.n_layers, self.width, self.group_rows, self.span, y.shape[1]
         g_inner = g[self.inner]
         weights = np.concatenate((g_inner, g_inner, -g_inner, -g_inner, lanes.ravel()))
@@ -428,14 +467,20 @@ class NodalCore:
         rows = np.zeros((n_layers * q, 1 + live))
         rows[self.e_pack, 0], rows[self.e_pack, 1:] = -inv_d, y[:, :live]
         rows = rows.reshape(n_layers, q, 1 + live)
+        # a few layers at a time, so that no product is a copy of a whole block array
         w_t, w_d = w.transpose(0, 2, 1), w * rows[:, :, :1]
-        diag += w_t[:, :p] @ w_d[:, :, :p]
-        b_live[:] = w_t[:, :p] @ rows[:, :, 1:]
-        if n_layers > 1:  # a group's lanes into the next layer
-            diag[1:] += w_t[:-1, p:] @ w_d[:-1, :, p:]
-            upper += w_t[:-1, :p] @ w_d[:-1, :, p:]
-            lower += w_t[:-1, p:] @ w_d[:-1, :, :p]
-            b_live[1:] += w_t[:-1, p:] @ rows[:-1, :, 1:]
+        step = max(1, _GATHER // (p * max(p, live)))
+        for at in (slice(l, l + step) for l in range(0, n_layers, step)):
+            diag[at] += w_t[at, :p] @ w_d[at, :, :p]
+            b_live[at] = w_t[at, :p] @ rows[at, :, 1:]
+        # a group's lanes into the next layer
+        for at in (slice(l, min(l + step, n_layers - 1)) for l in range(0, n_layers - 1, step)):
+            nxt = slice(at.start + 1, at.stop + 1)
+            diag[nxt] += w_t[at, p:] @ w_d[at, :, p:]
+            upper[at] += w_t[at, :p] @ w_d[at, :, p:]
+            lower[at] += w_t[at, p:] @ w_d[at, :, :p]
+            b_live[nxt] += w_t[at, p:] @ rows[at, :, 1:]
+        del w, w_t, w_d, rows  # before the sweep, which allocates the kept potentials
         b.reshape(-1, cols)[self.pack, : rhs_k.shape[1]] += rhs_k
         if len(pin_k):
             # a pinned node is a symmetric Dirichlet row: its coupling
@@ -453,8 +498,9 @@ class NodalCore:
             diag.reshape(n_layers, -1)[:, :: p + 1] += 1.0 - free[:, :, 0]
             b *= free
             b[:, :, :1] += x_p
+            factor.free = free
         try:
-            return _sweep(diag, lower, system).reshape(-1, cols)[self.pack]
+            x = _sweep(diag, lower, system).reshape(-1, cols)[self.pack]
         except np.linalg.LinAlgError as exc:
             # every node is anchored (the callers check), so a singular block
             # rounded its anchors away; when conductances whose products leave
@@ -464,47 +510,116 @@ class NodalCore:
                 nodes = np.concatenate([self.edge_a[hot], self.edge_b[hot]])
                 raise _overflowed(self, nodes, "conductance products") from exc
             raise SingularNetworkError(f"nodal matrix is singular: {exc}") from exc
+        # the pivot blocks the sweep left in diag, then the upper blocks it solved
+        blocks[n_layers : 2 * n_layers - 1] = system[:-1, :, :p]
+        factor.blocks = blocks
+        return x
 
 
-def _sweep(diag, lower, system):
+class _Factor:
+    """What :meth:`NodalCore.solve` keeps of one elimination to solve unit injections
+    later (:meth:`NodalCore.units`): each eliminated node's ``1/D`` and lanes, and with
+    a free kept node the ``blocks`` of the Schur complement's block LU, each layer's
+    pivot block, then the upper blocks solved against them, and the mask of ``free``
+    kept places when some are pinned. S is symmetric, so the lower blocks are the
+    transposed upper ones and a sweep of right-hand sides needs none of its own."""
+
+    def __init__(self, inv_d, lanes, n_layers):
+        self.inv_d, self.lanes, self.n_layers = inv_d, lanes, n_layers
+        self.blocks = self.free = None
+        self.inverted = False
+
+    def keep(self):
+        """Drop the lower blocks, which the elimination needed, to keep the rest."""
+        if self.blocks is not None:
+            self.blocks = self.blocks[: 2 * self.n_layers - 1].copy()
+
+    def inverse(self):
+        """Each layer's inverted pivot block and solved upper block, for :func:`_sweep`;
+        the pivot blocks turn to their inverses the first time."""
+        diag = self.blocks[: self.n_layers]
+        if not self.inverted:
+            diag[:] = np.linalg.inv(diag)
+            self.inverted = True
+        return diag, self.blocks[self.n_layers : 2 * self.n_layers - 1]
+
+
+def _sweep(diag, lower, system, upper=None):
     """Solve in place the block tridiagonal system of ``diag``, ``lower[l]`` (layer l + 1
     to l) and ``system[l]``, layer l's block to l + 1 then its right-hand side: S is
     positive definite, so forward block elimination and back-substitution (Golub & Van
-    Loan, *Matrix Computations*) need no pivoting across blocks."""
+    Loan, *Matrix Computations*) need no pivoting across blocks. Each layer's pivot
+    block, its diagonal block less what the layer before eliminated, overwrites
+    ``diag``. Given the ``upper`` blocks U such a sweep solved and ``diag`` the inverse
+    of each of its pivot blocks P, ``system`` holds right-hand sides only, which the
+    sweep solves with products alone: as S is symmetric, the lower block into layer l
+    times P_{l-1}^-1 is U_{l-1}^T, so layer l's right-hand side, less what the layer
+    before eliminated, is b_l - U_{l-1}^T b_{l-1}, with b_{l-1} reduced the same way."""
     p, last = diag.shape[1], len(diag) - 1
-    for l in range(last + 1):
-        a = diag[l]
-        if l:
-            done = lower[l - 1] @ system[l - 1]
-            a = a - done[:, :p]
-            system[l, :, p:] -= done[:, p:]
-        start = p if l == last else 0  # no upper block past the last layer
-        system[l, :, start:] = np.linalg.solve(a, system[l, :, start:])
-    x = system[:, :, p:]
+    if upper is None:
+        x = system[:, :, p:]
+        for l in range(last + 1):
+            if l:
+                done = lower[l - 1] @ system[l - 1]
+                diag[l] -= done[:, :p]
+                x[l] -= done[:, p:]
+            start = p if l == last else 0  # no upper block past the last layer
+            system[l, :, start:] = np.linalg.solve(diag[l], system[l, :, start:])
+        upper = system[:-1, :, :p]
+    else:
+        for l in range(1, last + 1):
+            system[l] -= upper[l - 1].T @ system[l - 1]
+        x = diag @ system
     for l in range(last - 1, -1, -1):
-        x[l] -= system[l, :, :p] @ x[l + 1]
+        x[l] -= upper[l] @ x[l + 1]
     return x
 
 
 class BaseSolver:
-    """:func:`_solve_full` for drives that differ from its base only at ``nodes`` of
-    ``core``, its reach, as the module docstring sets out. A call that injects a plain
-    current or regulates a line beyond the reach is solved in full. A correction sets
-    ``corrected``, which :func:`solve_network` clears."""
+    """:func:`_solve_full` for drives that differ from its base only at some nodes of
+    ``core``, its reach, as the module docstring sets out. The reach starts as ``nodes``
+    and grows by the unit columns of the places a drive touches outside it; a re-base
+    starts it again from ``nodes`` (:meth:`reach_to`). A call that injects a plain
+    current is solved in full. A correction sets ``corrected``, which
+    :func:`solve_network` clears."""
 
     def __init__(self, core, nodes):
         self.core = core
+        # the work a correction saves, the elimination across the layers (n_layers - 1
+        # pivot blocks of width^3, none for a core of one layer), that the corrections
+        # carrying changes of earlier drives may spend, m^3 each for the m places they
+        # touch; and the nodes the solver was last told to reach
+        self.budget, self.spent = _BUDGET * (core.n_layers - 1) * core.width**3, 0.0
+        self.wanted = np.zeros(core.n_nodes, bool)
         self.place = np.full(core.n_nodes, -1)  # each node's place in the reach, or -1
-        self.place[nodes] = 0
-        reach = np.flatnonzero(self.place == 0)
-        # eliminated nodes first: the kept ones' unit columns, last, cost the fill nothing
-        self.reach = np.concatenate([reach[core.is_elim[reach]], reach[~core.is_elim[reach]]])
-        self.place[self.reach] = np.arange(len(self.reach))
+        # each node's and each row's mesh component, numbered from 0, and each one's first
+        # row; the components some drive served anchored
+        labels, self.node_comp = np.unique(core.labels, return_inverse=True)
+        self.row_comp = self.node_comp[core.terminal[: len(core.rows)]]
+        self.first_row = np.full(len(labels), len(core.rows))
+        np.minimum.at(self.first_row, self.row_comp, np.arange(len(core.rows)))
+        self.anchored = np.zeros(len(labels), bool)
         self.base, self.corrected = None, False
+        self.reach_to(nodes)
+
+    def reach_to(self, nodes):
+        """Solve drives that differ from the base at ``nodes`` from now on: those beyond the
+        reach join it at the next correction, and a re-base starts its reach from them. The
+        next correction counts them with the places it touches, so that drives that would
+        spend the budget part-way through re-base at their first solve."""
+        self.nodes = self.ahead = nodes
+        self.wanted[:] = False
+        self.wanted[nodes] = True
+        self.renew()
+
+    def renew(self):
+        """Start a new run of drives, such as one write's phases or the reads of one stored
+        state: if its first correction touches places beyond the nodes reached to, changes
+        earlier drives left, its corrections spend the budget."""
+        self.carried = None
 
     def __call__(self, asm, ohmic_g, clamp):
-        units = self.place[asm.reg_nodes]
-        if asm.currents or (units < 0).any():
+        if asm.currents:
             return _solve_full(asm, ohmic_g, clamp)
         # each rail's ohmic conductance and its drive; a row's two sum into the
         # shunt and the drive its rails stamp at its terminal
@@ -514,55 +629,152 @@ class BaseSolver:
         rails[1] += clamp
         stamps = rails[:, ::2] + rails[:, 1::2]
         pins = asm.fixed.tobytes(), asm.fixed_volts.tobytes()
-        weights = self.base is not None and self._corrected(asm.g, pins, stamps, units)
+        weights = self.base is not None and self._corrected(asm.g, pins, stamps, asm.reg_nodes)
         if not weights:
-            self.base = (asm.g.copy(), pins, stamps, _solve_full(asm, ohmic_g, clamp, self.reach))
+            self._rebase(asm, ohmic_g, clamp, pins, stamps)
+            units = self.place[asm.reg_nodes]
             weights = 1 + units, np.eye(len(units), 1 + len(units), 1)  # the sources' unit columns
         # the base's drive plus its columns cols weighted by w
-        (cols, w), base = weights, self.base[-1]
-        x = base[:, cols] @ w
-        x[:, 0] += base[:, 0]
+        (cols, w), base = weights, self.columns
+        x = base[cols].T @ w
+        x[:, 0] += base[0]
         return x
 
-    def _corrected(self, g, pins, stamps, units):
+    def _rebase(self, asm, ohmic_g, clamp, pins, stamps):
+        """Solve the drive in full, with a unit column at each node of the reach, which
+        starts again from the nodes the solver reaches to and the regulated lines.
+
+        A mesh component that an earlier drive anchored and this one leaves floating,
+        held by rails far weaker than its strongest, is anchored in the base's matrix at
+        its first row by a rail as strong, to 0 V: a later drive that anchors it again is
+        then a correction that loses no precision, where anchoring a component that
+        floats in the base loses about the ratio of the two rails. The base's solution
+        is the drive's, the anchors removed: each moves its component alone, by its unit
+        column times ``release`` = g x_s / (1 - g z_ss) (Sherman & Morrison), x_s and
+        z_ss the anchored solution and unit response at its terminal s."""
+        core, shunt = self.core, stamps[0]
+        rows, self.floats, anchored_g = self.first_row[:0], False, ohmic_g
+        if self.budget:  # with none, no base serves another write, whose anchor may differ
+            self.strongest = strongest = shunt.max(initial=0.0)
+            held = np.zeros(len(self.anchored), bool)
+            held[self.row_comp[shunt >= strongest]] = True
+            held[self.node_comp[asm.fixed]] = True
+            self.anchored |= held
+            lone = self.anchored & ~held
+            self.floating = ~(held | self.anchored)[self.row_comp]  # by row
+            self.floats, self.in_anchored = self.floating.any(), lone[self.node_comp]
+            rows = self.first_row[lone]
+            anchored_g = ohmic_g.copy()
+            anchored_g[2 * rows + 1] += strongest
+        self.anchors, terminals = rows, core.terminal[rows]
+        place = self.place
+        place[:] = -1
+        place[self.nodes], place[asm.reg_nodes], place[terminals] = 0, 0, 0
+        # eliminated nodes first: the kept ones' unit columns, last, cost the fill nothing
+        nodes = np.flatnonzero(place == 0)
+        kept = ~core.is_elim[nodes]
+        self.reach = np.concatenate([nodes[~kept], nodes[kept]])
+        place[self.reach] = np.arange(len(self.reach))
+        self.base, self.ahead, self.spent, self.carried = None, self.ahead[:0], 0.0, False
+        x, factor = _solve_full(asm, anchored_g, clamp, self.reach)
+        factor.keep()
+        self.columns = x.T  # each column a row
+        if len(rows):
+            z = self.columns[1 + place[terminals]]
+            z_ss = z.reshape(-1)[np.arange(len(rows)) * core.n_nodes + terminals]
+            self.release = strongest * self.columns[0, terminals] / (1.0 - strongest * z_ss)
+            self.columns[0] += self.release @ z
+        self.base = [asm.g.copy(), pins, stamps, factor, x]
+
+    def _extend(self, nodes):
+        """Append the unit columns of ``nodes`` to the base, solved through its factor."""
+        x, used = self.core.units(self.base[3], nodes), 1 + len(self.reach)
+        if used + len(nodes) > len(self.columns):
+            columns = np.empty((used + len(nodes) + used // 2, self.core.n_nodes))
+            columns[:used] = self.columns[:used]
+            self.columns = columns
+        self.columns[used : used + len(nodes)] = x.T
+        self.place[nodes] = np.arange(len(self.reach), len(self.reach) + len(nodes))
+        self.reach = np.concatenate([self.reach, nodes])
+        self.base[-1] = self.columns[: used + len(nodes)].T
+
+    def _corrected(self, g, pins, stamps, reg_nodes):
         """The base's unit-response columns ``cols`` and their weights ``w`` that solve, as
         the base's correction, the drive of edge conductances ``g``, pinned nodes and volts
         ``pins`` and row ``stamps`` (each row's shunt, then drive): one column for it, then
-        one per unit injection at places ``units``. None where the pins differ, a change
-        leaves the reach or the correction is singular."""
+        one per unit injection at nodes ``reg_nodes``. The places it touches beyond the
+        reach join it first. None where the pins differ, the drive anchors a component the
+        base leaves floating, the correction would spend the solver's budget or it is
+        singular."""
         core, place = self.core, self.place
-        g0, pins0, stamps0, base = self.base
+        g0, pins0, stamps0 = self.base[:3]
+        if self.spent + len(self.ahead) ** 3 > self.budget:  # the nodes ahead alone pass it
+            return None
         edges = (g != g0).nonzero()[0]
-        ab = place[core.ends[:, edges]]  # each changed edge's two places in the reach
         ds, dd = stamps - stamps0
         shunts, moved = ds.nonzero()[0], dd.nonzero()[0]  # the rows whose stamps changed
-        ds, dd, shunts, moved = ds[shunts], dd[moved], place[core.terminal[shunts]], place[core.terminal[moved]]
-        touched = np.concatenate([units, moved, shunts, ab.ravel()])
-        if pins != pins0 or touched.min(initial=0) < 0:
+        ds, dd = ds[shunts], dd[moved]
+        if pins != pins0 or (self.floats and self.floating[shunts[ds > 0.0]].any()):
+            return None
+        # the nodes the correction touches: the units, the rows' terminals, each changed
+        # edge's two ends; a mark at each of their places, the last mark for those beyond
+        ends = core.ends[:, edges].ravel()
+        touched = np.concatenate([reg_nodes, core.terminal[moved], core.terminal[shunts], ends])
+        anchors = self.anchors
+        if len(anchors) and not self.in_anchored[touched].any():
+            anchors = anchors[:0]
+        if len(anchors):
+            # the drive changes an anchored component: the correction starts from the
+            # anchored solution and removes the anchors
+            shunts, ds = np.concatenate([shunts, anchors]), np.append(ds, np.full(len(anchors), -self.strongest))
+            touched = np.concatenate([reg_nodes, core.terminal[moved], core.terminal[shunts], ends])
+        at = place[touched]
+        if self.carried is None:
+            self.carried = not self.wanted[touched].all()
+        carried = self.carried
+        local = np.zeros(len(self.reach) + 1, dtype=np.intp)
+        local[at] = 1
+        act = local[:-1].nonzero()[0]
+        spread = len(act)
+        if local[-1] or len(self.ahead):
+            beyond = np.unique(touched[at < 0])
+            spread = len(np.union1d(touched, self.ahead)) if len(self.ahead) else len(act) + len(beyond)
+            new = np.union1d(beyond, self.nodes[place[self.nodes] < 0])
+            self.ahead = self.ahead[:0]
+            if len(new) and not (carried and self.spent + spread**3 > self.budget):
+                try:
+                    self._extend(new)
+                except np.linalg.LinAlgError:
+                    return None
+                act, at = np.concatenate([act, place[beyond]]), place[touched]
+                local = np.zeros(len(self.reach) + 1, dtype=np.intp)
+        if carried and self.spent + spread**3 > self.budget:
             return None
         # the places a weight may be nonzero at, numbered from 0 in reach order
-        local = np.zeros(len(self.reach), dtype=np.intp)
-        local[touched] = 1
-        act = local.nonzero()[0]
         m, cols = len(act), 1 + act
         local[act] = np.arange(m)
+        self.spent += carried * m**3
+        at, k, j = local[at], len(reg_nodes), len(reg_nodes) + len(moved)
+        units, moved, shunts, ab = at[:k], at[k:j], at[j : j + len(shunts)], at[j + len(shunts) :]
         w = np.zeros((m, 1 + len(units)))
-        w[local[units], np.arange(1, 1 + len(units))] = 1.0
-        w[local[moved], 0] = dd
+        w[units, np.arange(1, 1 + len(units))] = 1.0
+        w[moved, 0] = dd
+        if len(anchors):
+            w[shunts[len(shunts) - len(anchors) :], 0] -= self.release
         if len(edges) or len(shunts):
             # the change C of the nodal matrix at places act moves the solution
             # by -Z (I + C Z_a)^-1 C x_a, Z the base's unit responses there and
             # x_a the potentials there of the base's solution for the drive: a
             # changed edge stamps dg at (a, a), (b, b) and -dg at (a, b), (b, a),
             # a shunt ds at (s, s)
-            ab, shunts, dg = local[ab], local[shunts], g[edges] - g0[edges]
-            stamp_at = (ab[[0, 1, 0, 1]] * m + ab[[0, 1, 1, 0]]).ravel()
+            ab, dg = ab.reshape(2, -1), g[edges] - g0[edges]
+            stamp_at = (ab[_STAMP_ROW] * m + ab[_STAMP_COL]).ravel()
             c = np.bincount(np.concatenate([stamp_at, shunts * (m + 1)]),
                             np.concatenate([(dg * _DIPOLE).ravel(), ds]), m * m).reshape(m, m)
-            rows = base[self.reach[act]]
-            z = rows[:, cols]
+            nodes, base = self.reach[act], self.columns
+            z = base[cols[:, None], nodes].T
             x_a = z @ w
-            x_a[:, 0] += rows[:, 0]
+            x_a[:, 0] += base[0, nodes]
             try:
                 w -= np.linalg.solve(np.eye(m) + c @ z, c @ x_a)
             except np.linalg.LinAlgError:
@@ -713,9 +925,10 @@ def _check_anchored(asm):
 def _solve_full(asm, ohmic_g, clamp, units=None):
     """``asm`` solved by :meth:`NodalCore.solve` with rails of ohmic conductance
     ``ohmic_g`` and clamped currents ``clamp``: column 0 the drive, 1 + j a unit
-    injection at node ``units[j]``, by default at regulated line j."""
-    core, ne = asm.core, len(asm.core.elim)
-    units = asm.reg_nodes if units is None else units
+    injection at node ``units[j]``, by default at regulated line j. Given ``units``,
+    with the solve's :class:`_Factor`."""
+    core, ne, default = asm.core, len(asm.core.elim), units is None
+    units = asm.reg_nodes if default else units
     at, kept = 1 + np.arange(len(units)), ~core.is_elim[units]
     rhs_e = np.zeros((ne, 1 + len(units)))
     rhs_k = np.zeros((len(core.kept), at[kept].max(initial=0) + 1))  # to the last unit at a kept node
@@ -723,7 +936,8 @@ def _solve_full(asm, ohmic_g, clamp, units=None):
     rhs_e[:, 0] += np.bincount(core.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
     rhs_e[core.slot[units[~kept]], at[~kept]] = rhs_k[core.slot[units[kept]], at[kept]] = 1.0
     shunt = np.bincount(core.rail_slot, ohmic_g, ne)
-    return core.solve(asm.g, shunt, rhs_e, rhs_k, asm.fixed, asm.fixed_volts)
+    x, factor = core.solve(asm.g, shunt, rhs_e, rhs_k, asm.fixed, asm.fixed_volts)
+    return x if default else (x, factor)
 
 
 def _solve_linear(asm, clamp, solve):
@@ -908,9 +1122,9 @@ class ReadBase:
     """``net`` (every column at a voltage, every row idle) solved once, and reads as
     corrections of it at the rows they ground, by index, through ``net.idle`` with its
     pull-down on (W. W. Hager, SIAM Review 31(2), 1989). With wires a :class:`BaseSolver`
-    whose reach is every row terminal solves the idle drive once per stored state, and
-    a read solves that drive with its rows' rails on the selector through the same
-    solver. Without, an injection at row terminal r moves only its own node, by
+    whose reach is every row terminal solves the idle drive, corrected for the cells
+    each stored state changed, and a read solves that drive with its rows' rails on the
+    selector through the same solver. Without, an injection at row terminal r moves only its own node, by
     ``z[r]``: a read is its rows read alone, and the first read after a full solve
     enters every row in ``table``; a row re-solved in place is entered again when read.
     A column's current is what its cells draw, as a voltage source's there. No current
@@ -948,7 +1162,8 @@ class ReadBase:
     @np.errstate(over="ignore", invalid="ignore")  # overflow is named by _checked
     def solve(self, resistance, rows=None):
         """The base for branch ``resistance``; without wires only ``rows``, whose
-        branches changed, are re-solved, in place, where they are named."""
+        branches changed, are re-solved, in place, where they are named; with wires the
+        idle drive is corrected from the solver's base."""
         core, asm = self.core, self.asm
         if rows is not None and self.settled and not self.wired:
             edges, rails = self.row_cells[rows].ravel(), self.rails[rows].ravel()
@@ -962,8 +1177,8 @@ class ReadBase:
         self.table["ok"] = False  # the next read enters every row
         asm.resistance, asm.g = resistance, _conductances(resistance, core.wire_r)
         self.g = asm.g
-        if self.wired:  # the idle drive from a fresh base, which reads correct
-            self.solver.base = None
+        if self.wired:  # the idle drive, corrected from the solver's base
+            self.solver.renew()
             self._limit(solve_network(asm, self.solver).currents, self.edges[: len(core.cell_row)])
             self.base = self.solver.base
             return

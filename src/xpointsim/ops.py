@@ -50,9 +50,10 @@ index: the word's row and the reference row of its parity. The array
 caches a :class:`~xpointsim.network.ReadBase`, the read drive with every
 row idle, solved and checked (KCL, read disturb) once per stored state and
 ``v_read``. With wires a read is the correction at its two rows through
-the :class:`~xpointsim.network.BaseSolver` a write's phases use too;
-without, each row's read is its own, and a read looks up its two rows'
-reads. A read that senses bits other than the stored ones raises
+a :class:`~xpointsim.network.BaseSolver` of its own, which a change of the
+stored words corrects rather than solves again; without, each row's read
+is its own, and a read looks up its two rows' reads. A read that senses
+bits other than the stored ones raises
 :class:`~xpointsim.errors.MisreadError`, naming the first wrong cell: a
 misread is never returned as a bit string.
 
@@ -334,7 +335,7 @@ def _run_phase(array, trace, label, word_addr, phase, bits, setup_s, solve, asm)
 
     ``asm`` is the write's drive, bound once: the phase selects its row's
     rail pair and binds its sources on it, and each step keeps on only the
-    sources of cells still pending. ``solve`` is the write's
+    sources of cells still pending. ``solve`` is the array's write
     :class:`~xpointsim.network.BaseSolver`, which every solve of the phase
     passes to :func:`~xpointsim.network.solve_network` with ``asm``.
     """
@@ -442,7 +443,7 @@ def _write_reach(array, cells):
     """The reach of a write of branches ``cells``: their two nodes and their lines' terminals."""
     core = array.core
     nodes = np.concatenate([core.cell_row[cells], core.cell_col[cells]])
-    return np.concatenate([nodes, core.terminal[core.node_line[nodes]]])
+    return np.unique(np.concatenate([nodes, core.terminal[core.node_line[nodes]]]))
 
 
 def write_word(array, req, drive=None):
@@ -454,6 +455,11 @@ def write_word(array, req, drive=None):
     parallel modes run all '0' targets, then all '1' targets, under one
     word selection, so decode setup is charged once and the whole write
     fits in one setup plus two switching times.
+
+    The array keeps one :class:`~xpointsim.network.BaseSolver` for its
+    writes: a write reaches it to its cells' nodes and their lines'
+    terminals, and its first solve is a correction of the base an earlier
+    write left, unless that base has spent what factoring again costs.
     """
     drive = drive or DriveConfig()
     req.validate(array)
@@ -465,11 +471,16 @@ def write_word(array, req, drive=None):
     # every phase selects the word's row and drives some of these of its
     # cells: the drive is bound once, to the array's live branches, through
     # the network module's build_network as the read base's is, and the
-    # solver finds the branches each flip changed in those conductances
+    # solver finds the branches each flip, this write's or an earlier one's,
+    # changed in those conductances
     asm = network.build_network(array.to_network({}, select_word(array, req.word_addr, "1")))
     asm.resistance, asm.g = array.resistances, array.conductances
     cells = req.word_addr * array.n_bits + np.asarray(bits, dtype=np.intp)
-    solve = BaseSolver(array.core, _write_reach(array, cells))
+    solve, reach = array.write_solver, _write_reach(array, cells)
+    if solve is None:
+        solve = array.write_solver = BaseSolver(array.core, reach)
+    else:
+        solve.reach_to(reach)
     if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
         for j in bits:
             phase = req.data[j]
