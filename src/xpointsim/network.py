@@ -55,26 +55,30 @@ cells its flips released (:meth:`AssembledNetwork.keep`). The drive solves
 the array's live conductances, which the array's one writer updates in
 place at the cells it changes.
 
-Successive drives of one array differ at a few nodes, the reach: a write's
-phases at the terminals of its cells' lines and, with wires, the cells' own
-two chain nodes; a wired read at its two rows' terminals. A
-:class:`BaseSolver` solves its first drive in full, with a unit injection at
-each reach node, and keeps that base with the drive's edge conductances,
-pins and rail stamps (two entries per row), and the factor of its block
-elimination (:meth:`NodalCore.solve`). A later drive with the same pins is
-the base's Woodbury correction (W. W. Hager, SIAM Review 31(2), 1989) at the
-places the change touches: a changed edge is a dipole, a row's rail change
-one place, a source a combination of the unit columns. A place outside the
-reach, such as a cell of another word that a write disturbed or the cells of
-the next write, joins it first: its unit column is one more sweep through
-the kept factor (:meth:`NodalCore.units`), matrix products only. So the
-array keeps one solver for its writes and its wired read base keeps its own
-across stored states, and a base is factored again only when the pins
-differ, a check fails, a drive anchors a mesh component the base left
-floating, or the corrections that carry earlier drives' changes have spent,
-at m^3 for m places each, three times the (n_layers - 1) width^3 of the
-elimination across the layers, which a core of one layer does without: its
-writes re-base at their first solve. A corrected solution runs the same
+Successive drives of one array differ at a few nodes: a write's phases at
+the terminals of its cells' lines and, with wires, the cells' own two chain
+nodes; a wired read at its two rows' terminals. A :class:`BaseSolver`
+keeps a factored base: one drive solved in full with a unit injection at
+each node it was asked for, and the factor of its block elimination
+(:meth:`NodalCore.solve`), through which a unit column at any other node is
+one more sweep with matrix products only (:meth:`NodalCore.units`). A run of
+drives, such as one write's phases or the reads of one stored state, starts
+from the factored base corrected for the run's first drive: the cells that
+flipped since it was factored and the rows whose rails changed are a change
+V diag(d) V^T of the nodal matrix, one column of V per changed edge or
+shunt, and the Woodbury identity (W. W. Hager, SIAM Review 31(2), 1989)
+turns its drive and unit columns into the run's, one r x r solve for a
+change of rank r. Each later drive of the run with the same pins is the
+run's base's correction at the places it touches: a changed edge is a
+dipole, a row's rail change one place, a source a combination of the unit
+columns. A place the run's base lacks, such as a cell of another word that
+a write disturbed, joins it first, its factored column corrected alike. So
+the array keeps one solver for its writes and its wired read base keeps its
+own across stored states, and a base is factored again only when the pins
+differ, a correction fails, or the rank of the change since it was factored
+passes a bound: r^3 beyond the (n_layers - 1) width^3 of the elimination
+across the layers, which a core of one layer does without, so it factors
+again at each run with any change. A corrected solution runs the same
 saturation loop, regulated transfer and checks (KCL over every edge and
 node, regulation, overflow) as a full one; one that fails a check is solved
 again in full, and that result or error stands.
@@ -131,7 +135,7 @@ _GATHER = 1 << 16  # potentials gathered per block of eliminated rows
 _ROOT_MAX = math.sqrt(sys.float_info.max)  # a conductance whose square overflows
 _OSCILLATES = "saturation assignment oscillates; no consistent operating point"
 _DIPOLE = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # a conductance's signs at (a, a), (b, b), (a, b), (b, a)
-_BUDGET = 3.0  # eliminations' work the corrections from one base may spend (BaseSolver)
+_BOUND = 1.0  # the cube of a factored base's correction's rank may reach this many (n_layers - 1) width^3
 _STAMP_ROW, _STAMP_COL = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])  # the ends of those places
 
 
@@ -423,14 +427,14 @@ class NodalCore:
         if factor.blocks is not None:
             # b_K + W^T y: an eliminated node's lanes carry its y to their kept ends
             n_layers, p = self.n_layers, self.width
-            b = np.zeros((n_layers * p, k))
-            b[self.pack[self.slot[nodes[~in_e]]], at[~in_e]] = 1.0
-            np.add.at(b, (self.pack[self.slot[self.lane_node[e]]], at[in_e, None]),
-                      factor.lanes[e] * factor.inv_d[e, None])
+            ends = np.concatenate([self.pack[self.slot[nodes[~in_e]]] * k + at[~in_e],
+                                   (self.pack[self.slot[self.lane_node[e]]] * k + at[in_e, None]).ravel()])
+            weights = np.concatenate([np.ones(k - len(e)), (factor.lanes[e] * factor.inv_d[e, None]).ravel()])
+            b = np.bincount(ends, weights, n_layers * p * k).reshape(n_layers, p, k)
             if factor.free is not None:
-                b *= factor.free.reshape(-1, 1)
+                b *= factor.free
             diag, upper = factor.inverse()
-            x[self.kept] = _sweep(diag, None, b.reshape(n_layers, p, k), upper).reshape(-1, k)[self.pack]
+            x[self.kept] = _sweep(diag, None, b, upper).reshape(-1, k)[self.pack]
         return self._fill(x, y, factor.lanes, factor.inv_d)
 
     def _fill(self, x, y, lanes, inv_d):
@@ -568,55 +572,47 @@ def _sweep(diag, lower, system, upper=None):
         upper = system[:-1, :, :p]
     else:
         for l in range(1, last + 1):
-            system[l] -= upper[l - 1].T @ system[l - 1]
+            system[l] -= upper[l - 1].T.dot(system[l - 1])
         x = diag @ system
     for l in range(last - 1, -1, -1):
-        x[l] -= upper[l] @ x[l + 1]
+        x[l] -= upper[l].dot(x[l + 1])
     return x
 
 
 class BaseSolver:
-    """:func:`_solve_full` for drives that differ from its base only at some nodes of
-    ``core``, its reach, as the module docstring sets out. The reach starts as ``nodes``
-    and grows by the unit columns of the places a drive touches outside it; a re-base
-    starts it again from ``nodes`` (:meth:`reach_to`). A call that injects a plain
-    current is solved in full. A correction sets ``corrected``, which
+    """:func:`_solve_full` for runs of drives of ``core``, as the module docstring sets
+    out. The factored base (``root``: its edge conductances, pins, row stamps and
+    :class:`_Factor`) has a unit column at each of ``nodes``, at each node of the run it
+    was factored for and at each node a run asked for since; a run's base (``base``, its
+    columns ``base[-1]``, node j's at ``1 + place[j]``) is it corrected for the run's
+    first drive. :meth:`reach_to` starts a run and :meth:`close` ends it. A call that
+    injects a plain current is solved in full. A correction sets ``corrected``, which
     :func:`solve_network` clears."""
 
     def __init__(self, core, nodes):
         self.core = core
-        # the work a correction saves, the elimination across the layers (n_layers - 1
-        # pivot blocks of width^3, none for a core of one layer), that the corrections
-        # carrying changes of earlier drives may spend, m^3 each for the m places they
-        # touch; and the nodes the solver was last told to reach
-        self.budget, self.spent = _BUDGET * (core.n_layers - 1) * core.width**3, 0.0
-        self.wanted = np.zeros(core.n_nodes, bool)
-        self.place = np.full(core.n_nodes, -1)  # each node's place in the reach, or -1
-        # each node's and each row's mesh component, numbered from 0, and each one's first
-        # row; the components some drive served anchored
+        # the most a correction of the factored base may cost, r^3 for a change of rank r:
+        # the elimination across the layers that factoring again costs, none for a core
+        # of one layer
+        self.bound = _BOUND * (core.n_layers - 1) * core.width**3
+        # each node's and each row's mesh component, numbered from 0, and each one's first row
         labels, self.node_comp = np.unique(core.labels, return_inverse=True)
         self.row_comp = self.node_comp[core.terminal[: len(core.rows)]]
         self.first_row = np.full(len(labels), len(core.rows))
         np.minimum.at(self.first_row, self.row_comp, np.arange(len(core.rows)))
-        self.anchored = np.zeros(len(labels), bool)
-        self.base, self.corrected = None, False
+        self.root, self.corrected, self.wanted = None, False, nodes
         self.reach_to(nodes)
 
     def reach_to(self, nodes):
-        """Solve drives that differ from the base at ``nodes`` from now on: those beyond the
-        reach join it at the next correction, and a re-base starts its reach from them. The
-        next correction counts them with the places it touches, so that drives that would
-        spend the budget part-way through re-base at their first solve."""
-        self.nodes = self.ahead = nodes
-        self.wanted[:] = False
-        self.wanted[nodes] = True
-        self.renew()
+        """Start a run of drives, such as one write's phases or the reads of one stored state,
+        that differ at ``nodes``: its first solve corrects the factored base for it, with
+        their unit columns; the columns of other places join the run's base as its drives
+        touch them."""
+        self.nodes, self.base = nodes, None
 
-    def renew(self):
-        """Start a new run of drives, such as one write's phases or the reads of one stored
-        state: if its first correction touches places beyond the nodes reached to, changes
-        earlier drives left, its corrections spend the budget."""
-        self.carried = None
+    def close(self):
+        """End the run: drop its base, which only the run's drives use."""
+        self.base = self.columns = self.link = None
 
     def __call__(self, asm, ohmic_g, clamp):
         if asm.currents:
@@ -630,7 +626,9 @@ class BaseSolver:
         stamps = rails[:, ::2] + rails[:, 1::2]
         pins = asm.fixed.tobytes(), asm.fixed_volts.tobytes()
         weights = self.base is not None and self._corrected(asm.g, pins, stamps, asm.reg_nodes)
-        if not weights:
+        if weights:
+            self.corrected = True
+        else:
             self._rebase(asm, ohmic_g, clamp, pins, stamps)
             units = self.place[asm.reg_nodes]
             weights = 1 + units, np.eye(len(units), 1 + len(units), 1)  # the sources' unit columns
@@ -641,126 +639,192 @@ class BaseSolver:
         return x
 
     def _rebase(self, asm, ohmic_g, clamp, pins, stamps):
-        """Solve the drive in full, with a unit column at each node of the reach, which
-        starts again from the nodes the solver reaches to and the regulated lines.
+        """Start the run's base at this drive: the factored base corrected for it, or, where
+        the pins differ, the correction would pass the bound or is singular, a full solve
+        that becomes the factored base."""
+        self.base = None
+        root = self.bound and self.root is not None and self.root[1] == pins
+        if root and self._correct_root(asm.g, stamps, asm.reg_nodes):
+            self.corrected = True
+        elif not self._factor(asm, ohmic_g, clamp, pins, stamps):  # the run's base is the factored base
+            self.link, self.place = None, self.root_place
+            self._share()
+        elif not self._correct_root(asm.g, stamps, asm.reg_nodes, math.inf):  # less its anchors
+            raise SingularNetworkError("nodal matrix is singular without its factored base's anchors")
+        self.base = [asm.g.copy(), pins, stamps, self.columns[: self.size].T]
 
-        A mesh component that an earlier drive anchored and this one leaves floating,
-        held by rails far weaker than its strongest, is anchored in the base's matrix at
-        its first row by a rail as strong, to 0 V: a later drive that anchors it again is
-        then a correction that loses no precision, where anchoring a component that
-        floats in the base loses about the ratio of the two rails. The base's solution
-        is the drive's, the anchors removed: each moves its component alone, by its unit
-        column times ``release`` = g x_s / (1 - g z_ss) (Sherman & Morrison), x_s and
-        z_ss the anchored solution and unit response at its terminal s."""
+    def _factor(self, asm, ohmic_g, clamp, pins, stamps):
+        """Solve the drive in full, with a unit column at each of the solver's nodes and the
+        regulated lines, and keep it and its factor as the factored base; the count of its
+        anchors.
+
+        A mesh component that the drive leaves held by rails weaker than its strongest
+        alone is anchored in the factored base at its first row, by a rail as strong to
+        0 V: a later drive that holds it strongly is then a correction that loses no
+        precision, where adding a strong rail to a weakly held component loses about the
+        ratio of the two. Each correction for a drive removes the anchors it does not
+        share, as any other change of a row's shunt."""
         core, shunt = self.core, stamps[0]
-        rows, self.floats, anchored_g = self.first_row[:0], False, ohmic_g
-        if self.budget:  # with none, no base serves another write, whose anchor may differ
-            self.strongest = strongest = shunt.max(initial=0.0)
-            held = np.zeros(len(self.anchored), bool)
+        rows, anchored_g, stamps = self.first_row[:0], ohmic_g, stamps.copy()
+        if self.bound:  # with none, only the run it is factored for uses it
+            strongest = shunt.max(initial=0.0)
+            held = np.zeros(len(self.first_row), bool)
             held[self.row_comp[shunt >= strongest]] = True
             held[self.node_comp[asm.fixed]] = True
-            self.anchored |= held
-            lone = self.anchored & ~held
-            self.floating = ~(held | self.anchored)[self.row_comp]  # by row
-            self.floats, self.in_anchored = self.floating.any(), lone[self.node_comp]
-            rows = self.first_row[lone]
+            rows = self.first_row[~held]
+            rows = rows[rows < len(core.rows)]
             anchored_g = ohmic_g.copy()
             anchored_g[2 * rows + 1] += strongest
-        self.anchors, terminals = rows, core.terminal[rows]
-        place = self.place
-        place[:] = -1
-        place[self.nodes], place[asm.reg_nodes], place[terminals] = 0, 0, 0
+            stamps[0, rows] += strongest
+        reach = _distinct(np.concatenate([self.wanted, self.nodes, asm.reg_nodes, core.terminal[rows]]))
         # eliminated nodes first: the kept ones' unit columns, last, cost the fill nothing
-        nodes = np.flatnonzero(place == 0)
-        kept = ~core.is_elim[nodes]
-        self.reach = np.concatenate([nodes[~kept], nodes[kept]])
-        place[self.reach] = np.arange(len(self.reach))
-        self.base, self.ahead, self.spent, self.carried = None, self.ahead[:0], 0.0, False
-        x, factor = _solve_full(asm, anchored_g, clamp, self.reach)
+        kept = ~core.is_elim[reach]
+        reach = np.concatenate([reach[~kept], reach[kept]])
+        self.root = self.root_cols = self.columns = self.link = None  # freed before the solve allocates
+        x, factor = _solve_full(asm, anchored_g, clamp, reach)
         factor.keep()
-        self.columns = x.T  # each column a row
-        if len(rows):
-            z = self.columns[1 + place[terminals]]
-            z_ss = z.reshape(-1)[np.arange(len(rows)) * core.n_nodes + terminals]
-            self.release = strongest * self.columns[0, terminals] / (1.0 - strongest * z_ss)
-            self.columns[0] += self.release @ z
-        self.base = [asm.g.copy(), pins, stamps, factor, x]
+        self.root_place = np.full(core.n_nodes, -1)
+        self.root_place[reach] = np.arange(len(reach))
+        self.root_cols, self.root_size, self.root_reach = x.T, 1 + len(reach), reach  # each column a row
+        self.root = [asm.g.copy(), pins, stamps, factor]
+        return len(rows)
 
-    def _extend(self, nodes):
-        """Append the unit columns of ``nodes`` to the base, solved through its factor."""
-        x, used = self.core.units(self.base[3], nodes), 1 + len(self.reach)
-        if used + len(nodes) > len(self.columns):
-            columns = np.empty((used + len(nodes) + used // 2, self.core.n_nodes))
-            columns[:used] = self.columns[:used]
-            self.columns = columns
-        self.columns[used : used + len(nodes)] = x.T
-        self.place[nodes] = np.arange(len(self.reach), len(self.reach) + len(nodes))
-        self.reach = np.concatenate([self.reach, nodes])
-        self.base[-1] = self.columns[: used + len(nodes)].T
+    def _reach_root(self, nodes):
+        """Append the unit columns of those of ``nodes`` the factored base lacks, solved
+        through its factor."""
+        nodes = _distinct(nodes[self.root_place[nodes] < 0])
+        if not len(nodes):
+            return
+        x, used = self.core.units(self.root[3], nodes), self.root_size
+        self.root_cols = _grown(self.root_cols, used, len(nodes))
+        self.root_cols[used : used + len(nodes)] = x.T
+        self.root_place[nodes] = np.arange(used - 1, used - 1 + len(nodes))
+        self.root_size, self.root_reach = used + len(nodes), np.concatenate([self.root_reach, nodes])
+
+    def _correct_root(self, g, stamps, reg_nodes, bound=None):
+        """Start the run's base as the factored base's drive corrected to edge conductances
+        ``g`` and row ``stamps``, with the unit columns of the run's nodes and ``reg_nodes``
+        corrected alike, and keep what corrects the columns that join it later
+        (:meth:`_join`). False where the correction would pass the bound or is singular."""
+        core = self.core
+        g0, _, stamps0, _ = self.root
+        edges = (g != g0).nonzero()[0]
+        ds, dd = stamps - stamps0
+        shunts, moved = ds.nonzero()[0], dd.nonzero()[0]  # the rows whose stamps changed
+        a, b = core.ends[:, edges]
+        terminals, poles = core.terminal[moved], core.terminal[shunts]
+        r = len(edges) + len(shunts)
+        if r**3 > (self.bound if bound is None else bound):
+            return False
+        first = _distinct(np.concatenate([self.nodes, reg_nodes]))
+        try:
+            self._reach_root(np.concatenate([a, b, poles, terminals, first]))
+        except np.linalg.LinAlgError:
+            return False
+        if not (r or len(moved)):  # the run's base is the factored base
+            self.link, self.place = None, self.root_place
+            self._share()
+            return True
+        root, place = self.root_cols, self.root_place
+        x = root[np.concatenate([[0], 1 + place[first]])]  # the drive, then the columns of first
+        x[0] += dd[moved] @ root[1 + place[terminals]]
+        # the change of the nodal matrix is V diag(d) V^T, a column of V per changed edge
+        # (+1 at its end a, -1 at b) and per changed shunt (+1 at its pole), so it moves
+        # a solution y by -Z V (diag(1/d) + V^T Z V)^-1 V^T y, Z the factored base's unit
+        # responses; zv holds the columns of Z V as rows
+        self.place = np.full(core.n_nodes, -1)
+        heads = np.concatenate([a, poles])
+        zv = root[1 + place[heads]]
+        zv[: len(b)] -= root[1 + place[b]]
+        self.link = [heads, b, zv, None]
+        if r:
+            k = self._across(zv)
+            k[np.diag_indices(r)] += 1.0 / np.concatenate([g[edges] - g0[edges], ds[shunts]])
+            self.link[3] = k
+            try:
+                x -= self._woodbury(x) @ zv
+            except np.linalg.LinAlgError:
+                return False
+        self.place[first] = np.arange(len(first))
+        self.columns, self.size, self.reach = x, len(x), first
+        return True
+
+    def _across(self, y):
+        """V^T (:meth:`_correct_root`) of each row of ``y``: its differences across the
+        changed edges, then its values at the changed shunts' poles."""
+        heads, tails = self.link[:2]
+        vy = y[:, heads]
+        vy[:, : len(tails)] -= y[:, tails]
+        return vy
+
+    def _woodbury(self, y):
+        """The weights of the rows ``zv`` of :meth:`_correct_root`'s change that correct
+        each row of ``y``: K^-1 V^T y, K = diag(1/d) + V^T Z V. The run's first solves K;
+        its joins, as many as its drives touch new places, take its inverse, formed once."""
+        vy = self._across(y)
+        if self.base is None:
+            return np.linalg.solve(self.link[3], vy.T).T
+        if len(self.link) < 5:
+            self.link.append(np.linalg.inv(self.link[3]))
+        return vy @ self.link[4].T
+
+    def _share(self):
+        """Point the run's base at the factored base's columns, as they stand."""
+        self.columns, self.size, self.reach = self.root_cols, self.root_size, self.root_reach
+        if self.base is not None:
+            self.base[-1] = self.columns[: self.size].T
+
+    def _join(self, nodes):
+        """Append to the run's base the unit columns of ``nodes``: the factored base's,
+        corrected as its drive was (:meth:`_correct_root`)."""
+        self._reach_root(nodes)
+        if self.link is None:
+            return self._share()
+        cols = self.root_cols[1 + self.root_place[nodes]]
+        if self.link[3] is not None:
+            cols -= self._woodbury(cols) @ self.link[2]
+        used = self.size
+        self.columns = _grown(self.columns, used, len(nodes))
+        self.columns[used : used + len(nodes)] = cols
+        self.place[nodes] = np.arange(used - 1, used - 1 + len(nodes))
+        self.size, self.reach = self.size + len(nodes), np.concatenate([self.reach, nodes])
+        if self.base is not None:
+            self.base[-1] = self.columns[: self.size].T
 
     def _corrected(self, g, pins, stamps, reg_nodes):
-        """The base's unit-response columns ``cols`` and their weights ``w`` that solve, as
-        the base's correction, the drive of edge conductances ``g``, pinned nodes and volts
-        ``pins`` and row ``stamps`` (each row's shunt, then drive): one column for it, then
-        one per unit injection at nodes ``reg_nodes``. The places it touches beyond the
-        reach join it first. None where the pins differ, the drive anchors a component the
-        base leaves floating, the correction would spend the solver's budget or it is
-        singular."""
+        """The run's base's unit-response columns ``cols`` and their weights ``w`` that
+        solve, as the base's correction, the drive of edge conductances ``g``, pinned nodes
+        and volts ``pins`` and row ``stamps`` (each row's shunt, then drive): one column
+        for it, then one per unit injection at nodes ``reg_nodes``. The places it touches
+        join the base first. None where the pins differ or the correction is singular."""
         core, place = self.core, self.place
         g0, pins0, stamps0 = self.base[:3]
-        if self.spent + len(self.ahead) ** 3 > self.budget:  # the nodes ahead alone pass it
+        if pins != pins0:
             return None
         edges = (g != g0).nonzero()[0]
         ds, dd = stamps - stamps0
         shunts, moved = ds.nonzero()[0], dd.nonzero()[0]  # the rows whose stamps changed
         ds, dd = ds[shunts], dd[moved]
-        if pins != pins0 or (self.floats and self.floating[shunts[ds > 0.0]].any()):
-            return None
-        # the nodes the correction touches: the units, the rows' terminals, each changed
-        # edge's two ends; a mark at each of their places, the last mark for those beyond
-        ends = core.ends[:, edges].ravel()
-        touched = np.concatenate([reg_nodes, core.terminal[moved], core.terminal[shunts], ends])
-        anchors = self.anchors
-        if len(anchors) and not self.in_anchored[touched].any():
-            anchors = anchors[:0]
-        if len(anchors):
-            # the drive changes an anchored component: the correction starts from the
-            # anchored solution and removes the anchors
-            shunts, ds = np.concatenate([shunts, anchors]), np.append(ds, np.full(len(anchors), -self.strongest))
-            touched = np.concatenate([reg_nodes, core.terminal[moved], core.terminal[shunts], ends])
+        ab = core.ends[:, edges]
+        touched = np.concatenate([reg_nodes, core.terminal[moved], core.terminal[shunts], ab.ravel()])
         at = place[touched]
-        if self.carried is None:
-            self.carried = not self.wanted[touched].all()
-        carried = self.carried
-        local = np.zeros(len(self.reach) + 1, dtype=np.intp)
-        local[at] = 1
-        act = local[:-1].nonzero()[0]
-        spread = len(act)
-        if local[-1] or len(self.ahead):
-            beyond = np.unique(touched[at < 0])
-            spread = len(np.union1d(touched, self.ahead)) if len(self.ahead) else len(act) + len(beyond)
-            new = np.union1d(beyond, self.nodes[place[self.nodes] < 0])
-            self.ahead = self.ahead[:0]
-            if len(new) and not (carried and self.spent + spread**3 > self.budget):
-                try:
-                    self._extend(new)
-                except np.linalg.LinAlgError:
-                    return None
-                act, at = np.concatenate([act, place[beyond]]), place[touched]
-                local = np.zeros(len(self.reach) + 1, dtype=np.intp)
-        if carried and self.spent + spread**3 > self.budget:
-            return None
+        if (at < 0).any():
+            try:
+                self._join(_distinct(touched[at < 0]))
+            except np.linalg.LinAlgError:
+                return None
+            at = place[touched]
         # the places a weight may be nonzero at, numbered from 0 in reach order
+        local = np.zeros(self.size - 1, dtype=np.intp)
+        local[at] = 1
+        act = local.nonzero()[0]
         m, cols = len(act), 1 + act
         local[act] = np.arange(m)
-        self.spent += carried * m**3
         at, k, j = local[at], len(reg_nodes), len(reg_nodes) + len(moved)
         units, moved, shunts, ab = at[:k], at[k:j], at[j : j + len(shunts)], at[j + len(shunts) :]
         w = np.zeros((m, 1 + len(units)))
         w[units, np.arange(1, 1 + len(units))] = 1.0
         w[moved, 0] = dd
-        if len(anchors):
-            w[shunts[len(shunts) - len(anchors) :], 0] -= self.release
         if len(edges) or len(shunts):
             # the change C of the nodal matrix at places act moves the solution
             # by -Z (I + C Z_a)^-1 C x_a, Z the base's unit responses there and
@@ -779,8 +843,24 @@ class BaseSolver:
                 w -= np.linalg.solve(np.eye(m) + c @ z, c @ x_a)
             except np.linalg.LinAlgError:
                 return None
-        self.corrected = True
         return cols, w
+
+
+def _distinct(nodes):
+    """``nodes`` sorted, each once; ``np.unique`` would import ``numpy.ma``, about a
+    megabyte, to check for a mask."""
+    nodes = np.sort(nodes)
+    return nodes[np.diff(nodes, prepend=-1) != 0]
+
+
+def _grown(rows, used, more):
+    """``rows`` with room for ``more`` rows past its first ``used``, which it keeps: a
+    base's drive and unit columns, at most one per node."""
+    if used + more <= len(rows):
+        return rows
+    grown = np.empty((min(used + more + used // 2, 1 + rows.shape[1]), rows.shape[1]))
+    grown[:used] = rows[:used]
+    return grown
 
 
 @dataclass(frozen=True, eq=False)
@@ -976,7 +1056,8 @@ def solve_network(net, solve=None):
 
     ``solve``, a :class:`BaseSolver`, stands in for the full solve; when a
     solution it corrected fails a check, the network is solved again in
-    full, and that result or error stands, and it re-bases next.
+    full, and that result or error stands, and it drops its bases and
+    factors again next.
     """
     asm = net if isinstance(net, AssembledNetwork) else build_network(net)
     if solve is not None:
@@ -986,7 +1067,7 @@ def solve_network(net, solve=None):
         except (SimulationError, InvariantError):
             if not solve.corrected:
                 raise
-            solve.base = None
+            solve.base = solve.root = None
     return _settle(asm, _solve_full)
 
 
@@ -1122,9 +1203,11 @@ class ReadBase:
     """``net`` (every column at a voltage, every row idle) solved once, and reads as
     corrections of it at the rows they ground, by index, through ``net.idle`` with its
     pull-down on (W. W. Hager, SIAM Review 31(2), 1989). With wires a :class:`BaseSolver`
-    whose reach is every row terminal solves the idle drive, corrected for the cells
-    each stored state changed, and a read solves that drive with its rows' rails on the
-    selector through the same solver. Without, an injection at row terminal r moves only its own node, by
+    whose factored bases have every row terminal's unit column solves the idle drive of
+    each stored state as a run, its factored base corrected for the cells flipped since
+    it was factored, and a read solves that drive with its rows' rails on the selector
+    through the same run, its rows' columns joining the run's base as they are read.
+    Without, an injection at row terminal r moves only its own node, by
     ``z[r]``: a read is its rows read alone, and the first read after a full solve
     enters every row in ``table``; a row re-solved in place is entered again when read.
     A column's current is what its cells draw, as a voltage source's there. No current
@@ -1163,7 +1246,7 @@ class ReadBase:
     def solve(self, resistance, rows=None):
         """The base for branch ``resistance``; without wires only ``rows``, whose
         branches changed, are re-solved, in place, where they are named; with wires the
-        idle drive is corrected from the solver's base."""
+        idle drive starts a run of the solver, corrected from its factored base."""
         core, asm = self.core, self.asm
         if rows is not None and self.settled and not self.wired:
             edges, rails = self.row_cells[rows].ravel(), self.rails[rows].ravel()
@@ -1178,7 +1261,7 @@ class ReadBase:
         asm.resistance, asm.g = resistance, _conductances(resistance, core.wire_r)
         self.g = asm.g
         if self.wired:  # the idle drive, corrected from the solver's base
-            self.solver.renew()
+            self.solver.reach_to(core.terminal[:0])  # a read's rows join as it reads them
             self._limit(solve_network(asm, self.solver).currents, self.edges[: len(core.cell_row)])
             self.base = self.solver.base
             return

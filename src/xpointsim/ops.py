@@ -50,10 +50,10 @@ index: the word's row and the reference row of its parity. The array
 caches a :class:`~xpointsim.network.ReadBase`, the read drive with every
 row idle, solved and checked (KCL, read disturb) once per stored state and
 ``v_read``. With wires a read is the correction at its two rows through
-a :class:`~xpointsim.network.BaseSolver` of its own, which a change of the
-stored words corrects rather than solves again; without, each row's read
-is its own, and a read looks up its two rows' reads. A read that senses
-bits other than the stored ones raises
+a :class:`~xpointsim.network.BaseSolver` of its own, whose factored base a
+change of the stored words corrects rather than solves again; without,
+each row's read is its own, and a read looks up its two rows' reads. A
+read that senses bits other than the stored ones raises
 :class:`~xpointsim.errors.MisreadError`, naming the first wrong cell: a
 misread is never returned as a bit string.
 
@@ -443,7 +443,7 @@ def _write_reach(array, cells):
     """The reach of a write of branches ``cells``: their two nodes and their lines' terminals."""
     core = array.core
     nodes = np.concatenate([core.cell_row[cells], core.cell_col[cells]])
-    return np.unique(np.concatenate([nodes, core.terminal[core.node_line[nodes]]]))
+    return np.concatenate([nodes, core.terminal[core.node_line[nodes]]])
 
 
 def write_word(array, req, drive=None):
@@ -457,9 +457,10 @@ def write_word(array, req, drive=None):
     fits in one setup plus two switching times.
 
     The array keeps one :class:`~xpointsim.network.BaseSolver` for its
-    writes: a write reaches it to its cells' nodes and their lines'
-    terminals, and its first solve is a correction of the base an earlier
-    write left, unless that base has spent what factoring again costs.
+    writes, and each write is one run of it: reached to the write's cells'
+    nodes and their lines' terminals, its first solve corrects the base
+    factored for an earlier write, unless the cells flipped since pass the
+    solver's bound, and the run's base is dropped when the write returns.
     """
     drive = drive or DriveConfig()
     req.validate(array)
@@ -477,26 +478,30 @@ def write_word(array, req, drive=None):
     asm.resistance, asm.g = array.resistances, array.conductances
     cells = req.word_addr * array.n_bits + np.asarray(bits, dtype=np.intp)
     solve, reach = array.write_solver, _write_reach(array, cells)
-    if solve is None:
-        solve = array.write_solver = BaseSolver(array.core, reach)
-    else:
+    if solve is None:  # its factored bases cover the nodes each write reaches it to, no others
+        solve = array.write_solver = BaseSolver(array.core, reach[:0])
+    if solve is not None:
         solve.reach_to(reach)
-    if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
-        for j in bits:
-            phase = req.data[j]
-            _run_phase(
-                array, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, [j],
-                drive.setup_time_s, solve, asm,
-            )
-    else:
-        setup = drive.setup_time_s
-        for phase in "01":
-            targets = [j for j in bits if req.data[j] == phase]
-            if targets:
+    try:
+        if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
+            for j in bits:
+                phase = req.data[j]
                 _run_phase(
-                    array, trace, f"phase-{phase}", req.word_addr, phase, targets, setup, solve, asm
+                    array, trace, f"bit{j}-phase-{phase}", req.word_addr, phase, [j],
+                    drive.setup_time_s, solve, asm,
                 )
-                setup = 0.0  # phase-1 reuses the word selection of phase-0
+        else:
+            setup = drive.setup_time_s
+            for phase in "01":
+                targets = [j for j in bits if req.data[j] == phase]
+                if targets:
+                    _run_phase(
+                        array, trace, f"phase-{phase}", req.word_addr, phase, targets, setup, solve, asm
+                    )
+                    setup = 0.0  # phase-1 reuses the word selection of phase-0
+    finally:
+        if solve is not None:  # the factored base stays for the next write
+            solve.close()
     _verify_written(array, req)
     return trace.finish()
 
