@@ -75,10 +75,11 @@ columns. A place the run's base lacks, such as a cell of another word that
 a write disturbed, joins it first, its factored column corrected alike. So
 the array keeps one solver for its writes and its wired read base keeps its
 own across stored states, and a base is factored again only when the pins
-differ, a correction fails, or the rank of the change since it was factored
-passes a bound: r^3 beyond the (n_layers - 1) width^3 of the elimination
-across the layers, which a core of one layer does without, so it factors
-again at each run with any change. A corrected solution runs the same
+differ, a correction fails, the rank of the change since it was factored
+passes a bound, r^3 beyond the (n_layers - 1) width^3 of the elimination
+across the layers, or its unit columns would pass 32 MB. A core of one
+layer has no such elimination: its base serves one run and is dropped
+with it, and the next run factors again. A corrected solution runs the same
 saturation loop, regulated transfer and checks (KCL over every edge and
 node, regulation, overflow) as a full one; one that fails a check is solved
 again in full, and that result or error stands.
@@ -136,6 +137,7 @@ _ROOT_MAX = math.sqrt(sys.float_info.max)  # a conductance whose square overflow
 _OSCILLATES = "saturation assignment oscillates; no consistent operating point"
 _DIPOLE = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # a conductance's signs at (a, a), (b, b), (a, b), (b, a)
 _BOUND = 1.0  # the cube of a factored base's correction's rank may reach this many (n_layers - 1) width^3
+_COLUMNS = 1 << 22  # the most floats (32 MB) a factored base's columns grow to
 _STAMP_ROW, _STAMP_COL = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])  # the ends of those places
 
 
@@ -583,7 +585,8 @@ class BaseSolver:
     """:func:`_solve_full` for runs of drives of ``core``, as the module docstring sets
     out. The factored base (``root``: its edge conductances, pins, row stamps and
     :class:`_Factor`) has a unit column at each of ``nodes``, at each node of the run it
-    was factored for and at each node a run asked for since; a run's base (``base``, its
+    was factored for and at each node a run asked for since, ``limit`` rows at most with
+    its drive's unless it was factored with more; a run's base (``base``, its
     columns ``base[-1]``, node j's at ``1 + place[j]``) is it corrected for the run's
     first drive. :meth:`reach_to` starts a run and :meth:`close` ends it. A call that
     injects a plain current is solved in full. A correction sets ``corrected``, which
@@ -595,6 +598,9 @@ class BaseSolver:
         # the elimination across the layers that factoring again costs, none for a core
         # of one layer
         self.bound = _BOUND * (core.n_layers - 1) * core.width**3
+        # the most columns the factored base grows to, the drive's with them: one per
+        # node, in at most _COLUMNS floats
+        self.limit = 1 + min(core.n_nodes, _COLUMNS // core.n_nodes)
         # each node's and each row's mesh component, numbered from 0, and each one's first row
         labels, self.node_comp = np.unique(core.labels, return_inverse=True)
         self.row_comp = self.node_comp[core.terminal[: len(core.rows)]]
@@ -611,8 +617,11 @@ class BaseSolver:
         self.nodes, self.base = nodes, None
 
     def close(self):
-        """End the run: drop its base, which only the run's drives use."""
+        """End the run: drop its base, which only the run's drives use, and without a bound
+        the factored base too, which the next run factors again."""
         self.base = self.columns = self.link = None
+        if not self.bound:
+            self.root = self.root_cols = self.root_place = None
 
     def __call__(self, asm, ohmic_g, clamp):
         if asm.currents:
@@ -682,30 +691,36 @@ class BaseSolver:
         reach = np.concatenate([reach[~kept], reach[kept]])
         self.root = self.root_cols = self.columns = self.link = None  # freed before the solve allocates
         x, factor = _solve_full(asm, anchored_g, clamp, reach)
-        factor.keep()
+        if self.bound:
+            factor.keep()
         self.root_place = np.full(core.n_nodes, -1)
         self.root_place[reach] = np.arange(len(reach))
         self.root_cols, self.root_size, self.root_reach = x.T, 1 + len(reach), reach  # each column a row
         self.root = [asm.g.copy(), pins, stamps, factor]
+        self.room = max(self.limit, self.root_size)
         return len(rows)
 
     def _reach_root(self, nodes):
         """Append the unit columns of those of ``nodes`` the factored base lacks, solved
-        through its factor."""
+        through its factor; False where they would pass its limit."""
         nodes = _distinct(nodes[self.root_place[nodes] < 0])
         if not len(nodes):
-            return
+            return True
+        if self.root_size + len(nodes) > self.room:
+            return False
         x, used = self.core.units(self.root[3], nodes), self.root_size
-        self.root_cols = _grown(self.root_cols, used, len(nodes))
+        self.root_cols = _grown(self.root_cols, used, len(nodes), self.room)
         self.root_cols[used : used + len(nodes)] = x.T
         self.root_place[nodes] = np.arange(used - 1, used - 1 + len(nodes))
         self.root_size, self.root_reach = used + len(nodes), np.concatenate([self.root_reach, nodes])
+        return True
 
     def _correct_root(self, g, stamps, reg_nodes, bound=None):
         """Start the run's base as the factored base's drive corrected to edge conductances
         ``g`` and row ``stamps``, with the unit columns of the run's nodes and ``reg_nodes``
         corrected alike, and keep what corrects the columns that join it later
-        (:meth:`_join`). False where the correction would pass the bound or is singular."""
+        (:meth:`_join`). False where the correction would pass the bound, its columns the
+        limit, or it is singular."""
         core = self.core
         g0, _, stamps0, _ = self.root
         edges = (g != g0).nonzero()[0]
@@ -718,7 +733,8 @@ class BaseSolver:
             return False
         first = _distinct(np.concatenate([self.nodes, reg_nodes]))
         try:
-            self._reach_root(np.concatenate([a, b, poles, terminals, first]))
+            if not self._reach_root(np.concatenate([a, b, poles, terminals, first])):
+                return False
         except np.linalg.LinAlgError:
             return False
         if not (r or len(moved)):  # the run's base is the factored base
@@ -776,20 +792,24 @@ class BaseSolver:
 
     def _join(self, nodes):
         """Append to the run's base the unit columns of ``nodes``: the factored base's,
-        corrected as its drive was (:meth:`_correct_root`)."""
-        self._reach_root(nodes)
+        corrected as its drive was (:meth:`_correct_root`); False where they would pass
+        the factored base's limit."""
+        if not self._reach_root(nodes):
+            return False
         if self.link is None:
-            return self._share()
+            self._share()
+            return True
         cols = self.root_cols[1 + self.root_place[nodes]]
         if self.link[3] is not None:
             cols -= self._woodbury(cols) @ self.link[2]
         used = self.size
-        self.columns = _grown(self.columns, used, len(nodes))
+        self.columns = _grown(self.columns, used, len(nodes), 1 + self.core.n_nodes)
         self.columns[used : used + len(nodes)] = cols
         self.place[nodes] = np.arange(used - 1, used - 1 + len(nodes))
         self.size, self.reach = self.size + len(nodes), np.concatenate([self.reach, nodes])
         if self.base is not None:
             self.base[-1] = self.columns[: self.size].T
+        return True
 
     def _corrected(self, g, pins, stamps, reg_nodes):
         """The run's base's unit-response columns ``cols`` and their weights ``w`` that
@@ -810,7 +830,8 @@ class BaseSolver:
         at = place[touched]
         if (at < 0).any():
             try:
-                self._join(_distinct(touched[at < 0]))
+                if not self._join(_distinct(touched[at < 0])):
+                    return None
             except np.linalg.LinAlgError:
                 return None
             at = place[touched]
@@ -830,7 +851,8 @@ class BaseSolver:
             # by -Z (I + C Z_a)^-1 C x_a, Z the base's unit responses there and
             # x_a the potentials there of the base's solution for the drive: a
             # changed edge stamps dg at (a, a), (b, b) and -dg at (a, b), (b, a),
-            # a shunt ds at (s, s)
+            # a shunt ds at (s, s). The low-rank form of _correct_root is the same to
+            # rounding; this one keeps the bits a write on a fresh array had before
             ab, dg = ab.reshape(2, -1), g[edges] - g0[edges]
             stamp_at = (ab[_STAMP_ROW] * m + ab[_STAMP_COL]).ravel()
             c = np.bincount(np.concatenate([stamp_at, shunts * (m + 1)]),
@@ -853,12 +875,12 @@ def _distinct(nodes):
     return nodes[np.diff(nodes, prepend=-1) != 0]
 
 
-def _grown(rows, used, more):
-    """``rows`` with room for ``more`` rows past its first ``used``, which it keeps: a
-    base's drive and unit columns, at most one per node."""
+def _grown(rows, used, more, most):
+    """``rows`` with room for ``more`` rows past its first ``used``, which it keeps, and
+    for ``used / 2`` more, up to ``most`` rows: a base's drive and unit columns."""
     if used + more <= len(rows):
         return rows
-    grown = np.empty((min(used + more + used // 2, 1 + rows.shape[1]), rows.shape[1]))
+    grown = np.empty((min(used + more + used // 2, most), rows.shape[1]))
     grown[:used] = rows[:used]
     return grown
 

@@ -477,9 +477,10 @@ def write_word(array, req, drive=None):
     asm = network.build_network(array.to_network({}, select_word(array, req.word_addr, "1")))
     asm.resistance, asm.g = array.resistances, array.conductances
     cells = req.word_addr * array.n_bits + np.asarray(bits, dtype=np.intp)
-    solve, reach = array.write_solver, _write_reach(array, cells)
-    if solve is None:  # its factored bases cover the nodes each write reaches it to, no others
-        solve = array.write_solver = BaseSolver(array.core, reach[:0])
+    # its factored bases cover the nodes each write reaches it to, no others;
+    # a solver of None, as a test may stand in, solves every phase in full
+    reach = _write_reach(array, cells)
+    solve = array.write_solver = array.write_solver or BaseSolver(array.core, reach[:0])
     if solve is not None:
         solve.reach_to(reach)
     try:
@@ -499,8 +500,8 @@ def write_word(array, req, drive=None):
                         array, trace, f"phase-{phase}", req.word_addr, phase, targets, setup, solve, asm
                     )
                     setup = 0.0  # phase-1 reuses the word selection of phase-0
-    finally:
-        if solve is not None:  # the factored base stays for the next write
+    finally:  # the factored base stays for the next write
+        if solve is not None:
             solve.close()
     _verify_written(array, req)
     return trace.finish()
