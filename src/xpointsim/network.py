@@ -872,7 +872,10 @@ def _distinct(nodes):
     """``nodes`` sorted, each once; ``np.unique`` would import ``numpy.ma``, about a
     megabyte, to check for a mask."""
     nodes = np.sort(nodes)
-    return nodes[np.diff(nodes, prepend=-1) != 0]
+    first = np.empty(len(nodes), dtype=bool)
+    first[:1] = True
+    np.not_equal(nodes[1:], nodes[:-1], out=first[1:])
+    return nodes[first]
 
 
 def _grown(rows, used, more, most):
