@@ -69,10 +69,10 @@ V diag(d) V^T of the nodal matrix, one column of V per changed edge or
 shunt, and the Woodbury identity (W. W. Hager, SIAM Review 31(2), 1989)
 turns its drive and unit columns into the run's, one r x r solve for a
 change of rank r. Each later drive of the run with the same pins is the
-run's base's correction at the places it touches: a changed edge is a
-dipole, a row's rail change one place, a source a combination of the unit
-columns. A place the run's base lacks, such as a cell of another word that
-a write disturbed, joins it first, its factored column corrected alike. So
+run's base corrected in the same form, for the cells flipped and the shunts
+changed since the run's first drive, with the unit columns of its sources.
+A place the run's base lacks, such as a cell of another word that a write
+disturbed, joins it first, its factored column corrected alike. So
 the array keeps one solver for its writes and its wired read base keeps its
 own across stored states, and a base is factored again only when the pins
 differ, a correction fails, the rank of the change since it was factored
@@ -135,10 +135,8 @@ _REG_TOL = 1e-10
 _GATHER = 1 << 16  # potentials gathered per block of eliminated rows
 _ROOT_MAX = math.sqrt(sys.float_info.max)  # a conductance whose square overflows
 _OSCILLATES = "saturation assignment oscillates; no consistent operating point"
-_DIPOLE = np.array([[1.0], [1.0], [-1.0], [-1.0]])  # a conductance's signs at (a, a), (b, b), (a, b), (b, a)
 _BOUND = 1.0  # the cube of a factored base's correction's rank may reach this many (n_layers - 1) width^3
 _COLUMNS = 1 << 22  # the most floats (32 MB) a factored base's columns grow to
-_STAMP_ROW, _STAMP_COL = np.array([0, 1, 0, 1]), np.array([0, 1, 1, 0])  # the ends of those places
 
 
 @dataclass(frozen=True)
@@ -583,14 +581,14 @@ def _sweep(diag, lower, system, upper=None):
 
 class BaseSolver:
     """:func:`_solve_full` for runs of drives of ``core``, as the module docstring sets
-    out. The factored base (``root``: its edge conductances, pins, row stamps and
-    :class:`_Factor`) has a unit column at each of ``nodes``, at each node of the run it
-    was factored for and at each node a run asked for since, ``limit`` rows at most with
-    its drive's unless it was factored with more; a run's base (``base``, its
-    columns ``base[-1]``, node j's at ``1 + place[j]``) is it corrected for the run's
-    first drive. :meth:`reach_to` starts a run and :meth:`close` ends it. A call that
-    injects a plain current is solved in full. A correction sets ``corrected``, which
-    :func:`solve_network` clears."""
+    out. The factored base ``root``, a :class:`_Base` solved with the :class:`_Factor`
+    ``factor``, has a unit column at each of ``nodes``, at each node of the run it was
+    factored for and at each node a run asked for since, ``limit`` rows at most with its
+    drive's unless it was factored with more. A run's base ``base`` is the factored base
+    itself where the run's first drive changed nothing, else the factored base corrected
+    for the :class:`_Change` ``link``. :meth:`reach_to` starts a run and :meth:`close` ends
+    it. A call that injects a plain current is solved in full. A correction sets
+    ``corrected``, which :func:`solve_network` clears."""
 
     def __init__(self, core, nodes):
         self.core = core
@@ -606,7 +604,8 @@ class BaseSolver:
         self.row_comp = self.node_comp[core.terminal[: len(core.rows)]]
         self.first_row = np.full(len(labels), len(core.rows))
         np.minimum.at(self.first_row, self.row_comp, np.arange(len(core.rows)))
-        self.root, self.corrected, self.wanted = None, False, nodes
+        self.root = self.factor = None
+        self.corrected, self.wanted = False, nodes
         self.reach_to(nodes)
 
     def reach_to(self, nodes):
@@ -619,9 +618,9 @@ class BaseSolver:
     def close(self):
         """End the run: drop its base, which only the run's drives use, and without a bound
         the factored base too, which the next run factors again."""
-        self.base = self.columns = self.link = None
+        self.base = self.link = None
         if not self.bound:
-            self.root = self.root_cols = self.root_place = None
+            self.root = self.factor = None
 
     def __call__(self, asm, ohmic_g, clamp):
         if asm.currents:
@@ -633,34 +632,29 @@ class BaseSolver:
         np.multiply(ohmic_g, asm.rail_volts, out=rails[1])
         rails[1] += clamp
         stamps = rails[:, ::2] + rails[:, 1::2]
-        pins = asm.fixed.tobytes(), asm.fixed_volts.tobytes()
-        weights = self.base is not None and self._corrected(asm.g, pins, stamps, asm.reg_nodes)
-        if weights:
-            self.corrected = True
-        else:
+        pins, base, x = (asm.fixed.tobytes(), asm.fixed_volts.tobytes()), self.base, None
+        if base is not None and base.pins == pins:
+            x = self._corrected(base, _Change(self.core, base, asm.g, stamps), asm.reg_nodes)
+        if x is None:
             self._rebase(asm, ohmic_g, clamp, pins, stamps)
-            units = self.place[asm.reg_nodes]
-            weights = 1 + units, np.eye(len(units), 1 + len(units), 1)  # the sources' unit columns
-        # the base's drive plus its columns cols weighted by w
-        (cols, w), base = weights, self.columns
-        x = base[cols].T @ w
-        x[:, 0] += base[0]
-        return x
+            x = self.base.rows(asm.reg_nodes, drive=True)  # the drive, then the sources' columns
+        else:
+            self.corrected = True
+        return x.T
 
     def _rebase(self, asm, ohmic_g, clamp, pins, stamps):
         """Start the run's base at this drive: the factored base corrected for it, or, where
         the pins differ, the correction would pass the bound or is singular, a full solve
-        that becomes the factored base."""
+        that becomes the factored base, corrected for the removal of its anchors."""
         self.base = None
-        root = self.bound and self.root is not None and self.root[1] == pins
-        if root and self._correct_root(asm.g, stamps, asm.reg_nodes):
-            self.corrected = True
-        elif not self._factor(asm, ohmic_g, clamp, pins, stamps):  # the run's base is the factored base
-            self.link, self.place = None, self.root_place
-            self._share()
-        elif not self._correct_root(asm.g, stamps, asm.reg_nodes, math.inf):  # less its anchors
+        if self.bound and self.root is not None and self.root.pins == pins:
+            if self._start(asm.g, stamps, asm.reg_nodes, self.bound):
+                self.corrected = True
+                return
+        if not self._factor(asm, ohmic_g, clamp, pins, stamps):
+            self.base, self.link = self.root, None
+        elif not self._start(asm.g, stamps, asm.reg_nodes, math.inf):
             raise SingularNetworkError("nodal matrix is singular without its factored base's anchors")
-        self.base = [asm.g.copy(), pins, stamps, self.columns[: self.size].T]
 
     def _factor(self, asm, ohmic_g, clamp, pins, stamps):
         """Solve the drive in full, with a unit column at each of the solver's nodes and the
@@ -689,183 +683,145 @@ class BaseSolver:
         # eliminated nodes first: the kept ones' unit columns, last, cost the fill nothing
         kept = ~core.is_elim[reach]
         reach = np.concatenate([reach[~kept], reach[kept]])
-        self.root = self.root_cols = self.columns = self.link = None  # freed before the solve allocates
-        x, factor = _solve_full(asm, anchored_g, clamp, reach)
+        self.root = self.factor = self.base = self.link = None  # freed before the solve allocates
+        x, self.factor = _solve_full(asm, anchored_g, clamp, reach)
         if self.bound:
-            factor.keep()
-        self.root_place = np.full(core.n_nodes, -1)
-        self.root_place[reach] = np.arange(len(reach))
-        self.root_cols, self.root_size, self.root_reach = x.T, 1 + len(reach), reach  # each column a row
-        self.root = [asm.g.copy(), pins, stamps, factor]
-        self.room = max(self.limit, self.root_size)
+            self.factor.keep()
+        place = np.full(core.n_nodes, -1)
+        place[reach] = np.arange(len(reach))
+        self.root = _Base(asm.g.copy(), pins, stamps, x.T, place)  # each column a row
+        self.room = max(self.limit, self.root.size)
         return len(rows)
 
-    def _reach_root(self, nodes):
-        """Append the unit columns of those of ``nodes`` the factored base lacks, solved
-        through its factor; False where they would pass its limit."""
-        nodes = _distinct(nodes[self.root_place[nodes] < 0])
-        if not len(nodes):
+    def _start(self, g, stamps, reg_nodes, bound):
+        """Start the run's base as the factored base corrected to edge conductances ``g`` and
+        row ``stamps``, with the unit columns of the run's nodes and ``reg_nodes`` corrected
+        alike, and keep the change to correct the columns that join it later (:meth:`_join`).
+        False where the change's rank r passes ``bound`` by r^3, the columns the limit, or
+        the correction is singular."""
+        root, first = self.root, _distinct(np.concatenate([self.nodes, reg_nodes]))
+        change = _Change(self.core, root, g, stamps)
+        if not (len(change.d) or len(change.dd)):  # the run's base is the factored base
+            if not self._join(first):
+                return False
+            self.base, self.link = root, None
             return True
-        if self.root_size + len(nodes) > self.room:
+        x = self._corrected(root, change, first, bound)
+        if x is None:
             return False
-        x, used = self.core.units(self.root[3], nodes), self.root_size
-        self.root_cols = _grown(self.root_cols, used, len(nodes), self.room)
-        self.root_cols[used : used + len(nodes)] = x.T
-        self.root_place[nodes] = np.arange(used - 1, used - 1 + len(nodes))
-        self.root_size, self.root_reach = used + len(nodes), np.concatenate([self.root_reach, nodes])
+        place = np.full(self.core.n_nodes, -1)
+        place[first] = np.arange(len(first))
+        self.base, self.link = _Base(g.copy(), root.pins, stamps, x, place), change
         return True
 
-    def _correct_root(self, g, stamps, reg_nodes, bound=None):
-        """Start the run's base as the factored base's drive corrected to edge conductances
-        ``g`` and row ``stamps``, with the unit columns of the run's nodes and ``reg_nodes``
-        corrected alike, and keep what corrects the columns that join it later
-        (:meth:`_join`). False where the correction would pass the bound, its columns the
-        limit, or it is singular."""
-        core = self.core
-        g0, _, stamps0, _ = self.root
-        edges = (g != g0).nonzero()[0]
-        ds, dd = stamps - stamps0
-        shunts, moved = ds.nonzero()[0], dd.nonzero()[0]  # the rows whose stamps changed
-        a, b = core.ends[:, edges]
-        terminals, poles = core.terminal[moved], core.terminal[shunts]
-        r = len(edges) + len(shunts)
-        if r**3 > (self.bound if bound is None else bound):
-            return False
-        first = _distinct(np.concatenate([self.nodes, reg_nodes]))
+    def _corrected(self, base, change, nodes, bound=math.inf):
+        """The rows of ``base``'s drive and of the unit columns of ``nodes``, corrected for
+        ``change``: the drive moved at the rows it moves, then each row by the change's
+        low-rank correction. The places it touches join the run's base first. None where its
+        rank r passes ``bound`` by r^3, the columns the factored base's limit, or it is
+        singular."""
+        if len(change.d) ** 3 > bound or not self._join(np.concatenate([change.nodes, nodes])):
+            return None
+        x = base.rows(nodes, drive=True)
+        if len(change.dd):
+            x[0] += change.dd @ base.rows(change.terminals)
         try:
-            if not self._reach_root(np.concatenate([a, b, poles, terminals, first])):
-                return False
+            return change.correct(base, x)
         except np.linalg.LinAlgError:
-            return False
-        if not (r or len(moved)):  # the run's base is the factored base
-            self.link, self.place = None, self.root_place
-            self._share()
-            return True
-        root, place = self.root_cols, self.root_place
-        x = root[np.concatenate([[0], 1 + place[first]])]  # the drive, then the columns of first
-        x[0] += dd[moved] @ root[1 + place[terminals]]
-        # the change of the nodal matrix is V diag(d) V^T, a column of V per changed edge
-        # (+1 at its end a, -1 at b) and per changed shunt (+1 at its pole), so it moves
-        # a solution y by -Z V (diag(1/d) + V^T Z V)^-1 V^T y, Z the factored base's unit
-        # responses; zv holds the columns of Z V as rows
-        self.place = np.full(core.n_nodes, -1)
-        heads = np.concatenate([a, poles])
-        zv = root[1 + place[heads]]
-        zv[: len(b)] -= root[1 + place[b]]
-        self.link = [heads, b, zv, None]
-        if r:
-            k = self._across(zv)
-            k[np.diag_indices(r)] += 1.0 / np.concatenate([g[edges] - g0[edges], ds[shunts]])
-            self.link[3] = k
-            try:
-                x -= self._woodbury(x) @ zv
-            except np.linalg.LinAlgError:
-                return False
-        self.place[first] = np.arange(len(first))
-        self.columns, self.size, self.reach = x, len(x), first
-        return True
-
-    def _across(self, y):
-        """V^T (:meth:`_correct_root`) of each row of ``y``: its differences across the
-        changed edges, then its values at the changed shunts' poles."""
-        heads, tails = self.link[:2]
-        vy = y[:, heads]
-        vy[:, : len(tails)] -= y[:, tails]
-        return vy
-
-    def _woodbury(self, y):
-        """The weights of the rows ``zv`` of :meth:`_correct_root`'s change that correct
-        each row of ``y``: K^-1 V^T y, K = diag(1/d) + V^T Z V. The run's first solves K;
-        its joins, as many as its drives touch new places, take its inverse, formed once."""
-        vy = self._across(y)
-        if self.base is None:
-            return np.linalg.solve(self.link[3], vy.T).T
-        if len(self.link) < 5:
-            self.link.append(np.linalg.inv(self.link[3]))
-        return vy @ self.link[4].T
-
-    def _share(self):
-        """Point the run's base at the factored base's columns, as they stand."""
-        self.columns, self.size, self.reach = self.root_cols, self.root_size, self.root_reach
-        if self.base is not None:
-            self.base[-1] = self.columns[: self.size].T
+            return None
 
     def _join(self, nodes):
-        """Append to the run's base the unit columns of ``nodes``: the factored base's,
-        corrected as its drive was (:meth:`_correct_root`); False where they would pass
-        the factored base's limit."""
-        if not self._reach_root(nodes):
+        """Give the factored base, then the run's base, the unit columns of those of
+        ``nodes`` they lack: the factored base's through its factor, the run's those
+        corrected as its drive was (``link``); False where they would pass the factored
+        base's limit or a solve is singular."""
+        root, base = self.root, self.base
+        try:
+            if not root.append(nodes, lambda new: self.core.units(self.factor, new).T, self.room):
+                return False
+            if base is None or base is root:
+                return True
+            return base.append(nodes, lambda new: self.link.correct(root, root.rows(new)), 1 + self.core.n_nodes)
+        except np.linalg.LinAlgError:
             return False
-        if self.link is None:
-            self._share()
+
+
+class _Base:
+    """A drive of a :class:`BaseSolver`'s core solved with unit columns: its edge
+    conductances ``g``, its pins and its row ``stamps`` (each row's shunt, then drive), and
+    its columns as the rows of ``cols``, the drive's first and node j's at ``1 + place[j]``,
+    of which the first ``size`` are in use."""
+
+    def __init__(self, g, pins, stamps, cols, place):
+        self.g, self.pins, self.stamps, self.cols, self.place = g, pins, stamps, cols, place
+        self.size = len(cols)
+
+    def rows(self, nodes, drive=False):
+        """The unit columns of ``nodes``, after the drive's row with ``drive``."""
+        at = 1 + self.place[nodes]
+        return self.cols[np.concatenate([[0], at]) if drive else at]
+
+    def append(self, nodes, columns, most):
+        """Give those of ``nodes`` the base lacks their unit columns, ``columns`` of them as
+        rows; False where they would pass ``most`` rows."""
+        nodes = nodes[self.place[nodes] < 0]
+        if not len(nodes):
             return True
-        cols = self.root_cols[1 + self.root_place[nodes]]
-        if self.link[3] is not None:
-            cols -= self._woodbury(cols) @ self.link[2]
-        used = self.size
-        self.columns = _grown(self.columns, used, len(nodes), 1 + self.core.n_nodes)
-        self.columns[used : used + len(nodes)] = cols
-        self.place[nodes] = np.arange(used - 1, used - 1 + len(nodes))
-        self.size, self.reach = self.size + len(nodes), np.concatenate([self.reach, nodes])
-        if self.base is not None:
-            self.base[-1] = self.columns[: self.size].T
+        nodes = _distinct(nodes)
+        used = self.size + len(nodes)
+        if used > most:
+            return False
+        self.cols = _grown(self.cols, self.size, len(nodes), most)
+        self.cols[self.size : used] = columns(nodes)
+        self.place[nodes] = np.arange(self.size - 1, used - 1)
+        self.size = used
         return True
 
-    def _corrected(self, g, pins, stamps, reg_nodes):
-        """The run's base's unit-response columns ``cols`` and their weights ``w`` that
-        solve, as the base's correction, the drive of edge conductances ``g``, pinned nodes
-        and volts ``pins`` and row ``stamps`` (each row's shunt, then drive): one column
-        for it, then one per unit injection at nodes ``reg_nodes``. The places it touches
-        join the base first. None where the pins differ or the correction is singular."""
-        core, place = self.core, self.place
-        g0, pins0, stamps0 = self.base[:3]
-        if pins != pins0:
-            return None
-        edges = (g != g0).nonzero()[0]
-        ds, dd = stamps - stamps0
+
+class _Change:
+    """What changed from a :class:`_Base`'s drive to one of edge conductances ``g`` and row
+    ``stamps``: the nodal matrix by V diag(d) V^T, a column of V per changed edge (+1 at its
+    end a, -1 at its end b) and per changed shunt (+1 at its row's terminal), and the drive
+    by ``dd`` at the ``terminals`` of the rows whose drive moved. It moves a solution y of
+    the base's matrix by -Z V K^-1 V^T y, Z the base's unit responses and K = diag(1/d) +
+    V^T Z V (W. W. Hager, SIAM Review 31(2), 1989): a change of rank r costs one r x r
+    solve. ``nodes`` are the places the base needs columns at."""
+
+    def __init__(self, core, base, g, stamps):
+        edges = (g != base.g).nonzero()[0]
+        ds, dd = stamps - base.stamps
         shunts, moved = ds.nonzero()[0], dd.nonzero()[0]  # the rows whose stamps changed
-        ds, dd = ds[shunts], dd[moved]
-        ab = core.ends[:, edges]
-        touched = np.concatenate([reg_nodes, core.terminal[moved], core.terminal[shunts], ab.ravel()])
-        at = place[touched]
-        if (at < 0).any():
-            try:
-                if not self._join(_distinct(touched[at < 0])):
-                    return None
-            except np.linalg.LinAlgError:
-                return None
-            at = place[touched]
-        # the places a weight may be nonzero at, numbered from 0 in reach order
-        local = np.zeros(self.size - 1, dtype=np.intp)
-        local[at] = 1
-        act = local.nonzero()[0]
-        m, cols = len(act), 1 + act
-        local[act] = np.arange(m)
-        at, k, j = local[at], len(reg_nodes), len(reg_nodes) + len(moved)
-        units, moved, shunts, ab = at[:k], at[k:j], at[j : j + len(shunts)], at[j + len(shunts) :]
-        w = np.zeros((m, 1 + len(units)))
-        w[units, np.arange(1, 1 + len(units))] = 1.0
-        w[moved, 0] = dd
-        if len(edges) or len(shunts):
-            # the change C of the nodal matrix at places act moves the solution
-            # by -Z (I + C Z_a)^-1 C x_a, Z the base's unit responses there and
-            # x_a the potentials there of the base's solution for the drive: a
-            # changed edge stamps dg at (a, a), (b, b) and -dg at (a, b), (b, a),
-            # a shunt ds at (s, s). The low-rank form of _correct_root is the same to
-            # rounding; this one keeps the bits a write on a fresh array had before
-            ab, dg = ab.reshape(2, -1), g[edges] - g0[edges]
-            stamp_at = (ab[_STAMP_ROW] * m + ab[_STAMP_COL]).ravel()
-            c = np.bincount(np.concatenate([stamp_at, shunts * (m + 1)]),
-                            np.concatenate([(dg * _DIPOLE).ravel(), ds]), m * m).reshape(m, m)
-            nodes, base = self.reach[act], self.columns
-            z = base[cols[:, None], nodes].T
-            x_a = z @ w
-            x_a[:, 0] += base[0, nodes]
-            try:
-                w -= np.linalg.solve(np.eye(m) + c @ z, c @ x_a)
-            except np.linalg.LinAlgError:
-                return None
-        return cols, w
+        a, self.tails = core.ends[:, edges]
+        self.heads, self.terminals = np.concatenate([a, core.terminal[shunts]]), core.terminal[moved]
+        self.d, self.dd = np.concatenate([g[edges] - base.g[edges], ds[shunts]]), dd[moved]
+        self.nodes = np.concatenate([self.heads, self.tails, self.terminals])
+        self.zv = self.inverse = None
+
+    def across(self, y):
+        """V^T of each row of ``y``: its differences across the changed edges, then its
+        values at the changed shunts' poles."""
+        vy = y[:, self.heads]
+        vy[:, : len(self.tails)] -= y[:, self.tails]
+        return vy
+
+    def correct(self, base, y):
+        """``y``, rows of solutions of ``base``'s matrix, less Z V K^-1 V^T y. The first call
+        forms Z V (as rows) and K, and solves K; each later one, for the columns that join a
+        run's base, takes K's inverse, formed once."""
+        if not len(self.d):
+            return y
+        if self.zv is None:
+            self.zv = base.rows(self.heads)
+            self.zv[: len(self.tails)] -= base.rows(self.tails)
+            self.k = self.across(self.zv)
+            self.k[np.diag_indices(len(self.d))] += 1.0 / self.d
+            w = np.linalg.solve(self.k, self.across(y).T).T
+        else:
+            if self.inverse is None:
+                self.inverse = np.linalg.inv(self.k).T
+            w = self.across(y) @ self.inverse
+        y -= w @ self.zv
+        return y
 
 
 def _distinct(nodes):
@@ -1092,7 +1048,7 @@ def solve_network(net, solve=None):
         except (SimulationError, InvariantError):
             if not solve.corrected:
                 raise
-            solve.base = solve.root = None
+            solve.base = solve.root = solve.factor = None
     return _settle(asm, _solve_full)
 
 
@@ -1230,8 +1186,8 @@ class ReadBase:
     pull-down on (W. W. Hager, SIAM Review 31(2), 1989). With wires a :class:`BaseSolver`
     whose factored bases have every row terminal's unit column solves the idle drive of
     each stored state as a run, its factored base corrected for the cells flipped since
-    it was factored, and a read solves that drive with its rows' rails on the selector
-    through the same run, its rows' columns joining the run's base as they are read.
+    it was factored, and a read is the run's base corrected for its two rows' rails on
+    the selector, a change of rank 2, their columns joining the run's base when read.
     Without, an injection at row terminal r moves only its own node, by
     ``z[r]``: a read is its rows read alone, and the first read after a full solve
     enters every row in ``table``; a row re-solved in place is entered again when read.

@@ -477,12 +477,10 @@ def write_word(array, req, drive=None):
     asm = network.build_network(array.to_network({}, select_word(array, req.word_addr, "1")))
     asm.resistance, asm.g = array.resistances, array.conductances
     cells = req.word_addr * array.n_bits + np.asarray(bits, dtype=np.intp)
-    # its factored bases cover the nodes each write reaches it to, no others;
-    # a solver of None, as a test may stand in, solves every phase in full
+    # its factored bases cover the nodes each write reaches it to, no others
     reach = _write_reach(array, cells)
     solve = array.write_solver = array.write_solver or BaseSolver(array.core, reach[:0])
-    if solve is not None:
-        solve.reach_to(reach)
+    solve.reach_to(reach)
     try:
         if req.mode in (WriteMode.SERIAL, WriteMode.SELF_ENABLE_SERIAL):
             for j in bits:
@@ -501,8 +499,7 @@ def write_word(array, req, drive=None):
                     )
                     setup = 0.0  # phase-1 reuses the word selection of phase-0
     finally:  # the factored base stays for the next write
-        if solve is not None:
-            solve.close()
+        solve.close()
     _verify_written(array, req)
     return trace.finish()
 

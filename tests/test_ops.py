@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import refined_solve
 from xpointsim import network, ops
 from xpointsim.array import CrossbarArray
 from xpointsim.device import MtjParams, MtjState, TransistorModel, critical_current, switching_delay
@@ -740,18 +741,17 @@ def test_write_phases_match_the_full_solve(monkeypatch, mode, n_bits, m_words, l
         assert relative_miss(got, want) <= bound
         return sol
 
-    def write_all(solver_class):
+    def write_all():
         arr = fresh(n_bits, m_words, line_resistance=line_resistance)
         for w, data in enumerate(words):
             arr.set_word(w, data)
-        monkeypatch.setattr(ops, "BaseSolver", solver_class)
         traces = [write_word(arr, req) for req in requests]
         return [arr.get_word(w) for w in range(m_words)], traces
 
     monkeypatch.setattr(ops, "solve_network", checked)
-    bits, traces = write_all(network.BaseSolver)
-    monkeypatch.setattr(ops, "solve_network", solve)
-    full_bits, full_traces = write_all(lambda core, nodes: None)  # every phase solved in full
+    bits, traces = write_all()
+    monkeypatch.setattr(ops, "solve_network", lambda net, solver: solve(net))  # every phase solved in full
+    full_bits, full_traces = write_all()
     assert any(corrected)
     assert bits == full_bits
     for trace, full in zip(traces, full_traces):
@@ -788,13 +788,13 @@ def test_a_flip_outside_the_reach_extends_the_base(monkeypatch, line_resistance)
     assert solver.corrected and solver.base is first
     assert np.allclose(sol.currents, solve_network(net).currents, rtol=0.0, atol=1e-12 * arr.write_current)
     disturbed = arr.core.ends[:, 5 * 4 + 2]
-    assert (solver.place[disturbed] < 0).all()
+    assert (solver.base.place[disturbed] < 0).all()
     arr.store(5 * 4 + 2, not arr.states[5 * 4 + 2])
     net = phase_network(arr, 2, "1", [2, 3])
     full = counted_full_solves(monkeypatch)
     sol = solve_network(net, solver)
     assert solver.corrected and solver.base is first and full == []
-    assert (solver.place[disturbed] >= 0).all()
+    assert (solver.base.place[disturbed] >= 0).all()
     assert np.allclose(sol.currents, solve_network(net).currents, rtol=0.0, atol=1e-12 * arr.write_current)
 
 
@@ -823,8 +823,8 @@ def test_a_write_sequence_matches_writes_solved_in_full(monkeypatch, line_resist
         sol = solve(net, solver)
         monkeypatch.setattr(network, "_solve_full", solve_full)
         assert solver.base is not None  # no correction failed a check and fell back
-        if not any(factor is solver.root[3] for factor in bases):
-            bases.append(solver.root[3])
+        if not any(factor is solver.factor for factor in bases):
+            bases.append(solver.factor)
         want = solve(net)
         assert relative_miss(sol.currents, want.currents) <= bound
         assert relative_miss(sol.rail_currents, want.rail_currents) <= bound
@@ -860,7 +860,7 @@ def test_a_corrupted_base_falls_back_to_the_full_solve():
     solver = write_solver(arr, 3 * 4 + np.arange(4))
     solve_network(phase_network(arr, 3, "0", [0]), solver)
     source = arr.core.terminal[arr.core.line_index[arr.host_segment(3, 1)]]
-    solver.base[-1][:, 1 + solver.place[source]] *= 1.5
+    solver.base.cols[1 + solver.base.place[source]] *= 1.5
     net = phase_network(arr, 3, "1", [1])
     sol = solve_network(net, solver)
     full = solve_network(net)
@@ -868,6 +868,85 @@ def test_a_corrupted_base_falls_back_to_the_full_solve():
     assert np.array_equal(sol.volts, full.volts) and sol.source_currents == full.source_currents
     solve_network(phase_network(arr, 3, "1", [2]), solver)
     assert not solver.corrected and solver.base is not None
+
+
+@pytest.mark.parametrize("line_resistance", [0.0, 1.0], ids=["bare", "wired"])
+def test_a_correction_costs_the_rank_of_its_change(monkeypatch, line_resistance):
+    # after an earlier write, a serial write of an 8-bit word that differs in
+    # every bit: each solve of its run after the first is the run's base
+    # corrected for the cells flipped since that first solve, and no row
+    # saturates, so no rail's shunt changes. A change of rank r costs one
+    # r x r system, whatever places it touches; the only other system is
+    # the 1 x 1 regulation of the phase's one source
+    arr = fresh(8, 16, line_resistance=line_resistance)
+    random_words(arr, 31)
+    write_word(arr, WriteRequest(3, complement(arr.get_word(3)), WriteMode.PARALLEL))
+    solve, solve_linear, systems, calls = ops.solve_network, np.linalg.solve, [], []
+    full = counted_full_solves(monkeypatch)
+
+    def counted(asm, solver):
+        start, states = len(systems), arr.states.copy()
+        sol = solve(asm, solver)
+        calls.append((start, len(systems), states, sol, len(full)))
+        return sol
+
+    monkeypatch.setattr(ops, "solve_network", counted)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: systems.append(a.shape) or solve_linear(a, b))
+    write_word(arr, WriteRequest(9, complement(arr.get_word(9)), WriteMode.SERIAL))
+    (_, _, base_states, _, factored), *later = calls
+    assert len(later) >= 7
+    for start, end, states, sol, full_solves in later:
+        r = int(np.count_nonzero(states != base_states))
+        assert r >= 1 and not sol.clamped and full_solves == factored
+        assert end > start and max(systems[start:end]) <= (r, r)
+
+
+def reference_drive(asm):
+    """The components of the drive ``asm`` binds, as :func:`oracle.refined_solve` takes
+    them: every edge, every rail that conducts, to a fixed node of its own, and each
+    regulated source with its cell; the rails ohmic."""
+    core = asm.core
+    ohms = np.concatenate([asm.resistance, core.wire_r]).tolist()
+    resistors = list(zip(core.edge_a.tolist(), core.edge_b.tolist(), ohms))
+    fixed = dict(zip(asm.fixed.tolist(), asm.fixed_volts.tolist()))
+    for j, (node, r) in enumerate(zip(core.rail_node.tolist(), asm.rail_r.tolist())):
+        if math.isfinite(r):
+            resistors.append((node, ("rail", j), r))
+            fixed[("rail", j)] = float(asm.rail_volts[j])
+    regulated = {
+        node: (*core.ends[:, cell].tolist(), float(asm.resistance[cell]), amps)
+        for node, cell, amps in zip(asm.reg_nodes.tolist(), asm.reg_cells.tolist(), asm.reg_targets.tolist())
+    }
+    return resistors, fixed, regulated
+
+
+def test_the_full_wired_write_solve_matches_an_extended_precision_reference(monkeypatch):
+    # the 8x8 1 ohm/segment demo's write (all ones into the last word of the
+    # state --seed 1 scrambles), then a self-enable serial write of a word's
+    # complement: at every step the full solve's source currents are within
+    # 2e-11, relative to the largest, of the dense solve refined in extended
+    # precision, which shares no code with the package's solver
+    arr = fresh(8, 8, line_resistance=1.0)
+    rng = random.Random(1)
+    for w in range(arr.m_words):
+        arr.set_word(w, "".join("01"[rng.getrandbits(1)] for _ in range(arr.n_bits)))
+    solve, misses = ops.solve_network, []
+
+    def checked(asm, solver):
+        full = solve(asm)
+        assert not full.clamped  # the reference's rails are ohmic
+        resistors, fixed, regulated = reference_drive(asm)
+        sources = refined_solve(resistors, fixed, regulated=regulated)[1]
+        want = np.array([sources[node] for node in asm.reg_nodes.tolist()])
+        got = np.array([full.source_currents[line] for line in asm.regulated], dtype=np.longdouble)
+        misses.append(float(np.abs(got - want).max() / np.abs(want).max()))
+        return solve(asm, solver)
+
+    monkeypatch.setattr(ops, "solve_network", checked)
+    write_word(arr, WriteRequest(7, "1" * 8, WriteMode.PARALLEL))
+    write_word(arr, WriteRequest(2, complement(arr.get_word(2)), WriteMode.SELF_ENABLE_SERIAL))
+    assert len(misses) >= 9
+    assert max(misses) <= 2e-11
 
 
 def full_solve_read(arr, word, drive):
@@ -1146,7 +1225,7 @@ def test_a_wired_read_after_a_fallback_reads_as_a_fresh_array():
     random_words(alone, 23)
     read_word(arr, 0)
     base = arr.read_base[1]
-    base.solver.base[-1][:, 1:] *= 1.5
+    base.solver.base.cols[1 : base.solver.base.size] *= 1.5
     assert read_word(arr, 1).bits == arr.get_word(1)
     assert base.solver.base is None
     assert read_word(arr, 2) == read_word(alone, 2)
