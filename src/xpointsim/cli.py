@@ -35,6 +35,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import (
     build_architecture,
@@ -103,10 +105,8 @@ def _prepare_array(cfg, args):
     arr = build_array(cfg)
     rng = _rng_for(args)
     if args.seed is not None:
-        for w in range(arr.m_words):
-            arr.set_word(
-                w, "".join("01"[rng.getrandbits(1)] for _ in range(arr.n_bits))
-            )
+        cells = arr.m_words * arr.n_bits
+        arr.store(np.arange(cells), [rng.getrandbits(1) for _ in range(cells)])
     return arr, rng
 
 

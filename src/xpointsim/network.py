@@ -2,8 +2,8 @@
 
 The array is described as a bipartite mesh: word lines (rows) and bit lines
 (columns) joined by two-terminal device branches where they cross. A line
-is held by an ideal voltage source, fed by an ideal or a regulated current
-source, or (rows only) tied to the rails through a pull-up/pull-down
+is held by an ideal voltage source, fed by a regulated current source,
+or (rows only) tied to the rails through a pull-up/pull-down
 transistor pair; a line the bias does not name floats. Nodal analysis (Ho,
 Ruehli & Brennan, IEEE TCAS 1975) gives every line voltage and every
 branch current at once, which is exactly what is needed to see where
@@ -147,11 +147,11 @@ class LineBias:
     ``cell`` (its index in the core) carry ``value`` amperes.
     """
 
-    kind: str  # "voltage" | "current" | "regulated"
+    kind: str  # "voltage" | "regulated"
     value: float = 0.0
     cell: int | None = None
 
-    _KINDS = ("voltage", "current", "regulated")
+    _KINDS = ("voltage", "regulated")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -164,10 +164,6 @@ class LineBias:
     @classmethod
     def voltage(cls, volts):
         return cls(kind="voltage", value=float(volts))
-
-    @classmethod
-    def current(cls, amps):
-        return cls(kind="current", value=float(amps))
 
     @classmethod
     def regulated(cls, cell, amps):
@@ -587,8 +583,7 @@ class BaseSolver:
     drive's unless it was factored with more. A run's base ``base`` is the factored base
     itself where the run's first drive changed nothing, else the factored base corrected
     for the :class:`_Change` ``link``. :meth:`reach_to` starts a run and :meth:`close` ends
-    it. A call that injects a plain current is solved in full. A correction sets
-    ``corrected``, which :func:`solve_network` clears."""
+    it. A correction sets ``corrected``, which :func:`solve_network` clears."""
 
     def __init__(self, core, nodes):
         self.core = core
@@ -623,8 +618,6 @@ class BaseSolver:
             self.root = self.factor = None
 
     def __call__(self, asm, ohmic_g, clamp):
-        if asm.currents:
-            return _solve_full(asm, ohmic_g, clamp)
         # each rail's ohmic conductance and its drive; a row's two sum into the
         # shunt and the drive its rails stamp at its terminal
         rails = np.empty((2, len(ohmic_g)))
@@ -892,20 +885,14 @@ class AssembledNetwork:
         self.resistance = net.resistance
         fixed, volts, regulated = [], [], {}
         self.fixed_lines = []  # the line of each entry of self.fixed
-        self.currents = {}  # the plain current sources, line -> A
-        self.injection = np.zeros(core.n_nodes)  # amps from plain current sources
         for line, lb in net.bias.items():
             index = core.line_index.get(line)
             if index is None:
                 raise ParameterError(f"bias: unknown line {line!r}")
-            node = core.terminal[index]
             if lb.kind == "voltage":
                 self.fixed_lines.append(line)
-                fixed.append(node)
+                fixed.append(core.terminal[index])
                 volts.append(lb.value)
-            elif lb.kind == "current":
-                self.currents[line] = lb.value
-                self.injection[node] += lb.value
             else:
                 regulated[line] = lb
         self.fixed = np.array(fixed, dtype=np.intp)
@@ -993,8 +980,7 @@ def _solve_full(asm, ohmic_g, clamp, units=None):
     at, kept = 1 + np.arange(len(units)), ~core.is_elim[units]
     rhs_e = np.zeros((ne, 1 + len(units)))
     rhs_k = np.zeros((len(core.kept), at[kept].max(initial=0) + 1))  # to the last unit at a kept node
-    rhs_e[:, 0], rhs_k[:, 0] = asm.injection[core.elim], asm.injection[core.kept]
-    rhs_e[:, 0] += np.bincount(core.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
+    rhs_e[:, 0] = np.bincount(core.rail_slot, ohmic_g * asm.rail_volts + clamp, ne)
     rhs_e[core.slot[units[~kept]], at[~kept]] = rhs_k[core.slot[units[kept]], at[kept]] = 1.0
     shunt = np.bincount(core.rail_slot, ohmic_g, ne)
     x, factor = core.solve(asm.g, shunt, rhs_e, rhs_k, asm.fixed, asm.fixed_volts)
@@ -1109,11 +1095,11 @@ def _finish_solution(asm, volts, sources, clamp):
     # NaN of inf - inf inside the solve: no conservation check can judge
     # that solution (a NaN drive fails the check below)
     if not np.isfinite(volts).all():
-        drive = (asm.fixed_volts, asm.injection, asm.rail_volts, asm.reg_targets)
+        drive = (asm.fixed_volts, asm.rail_volts, asm.reg_targets)
         if all(np.isfinite(x).all() for x in drive):
             raise _overflowed(core, ~np.isfinite(volts))
-    injection = asm.injection.copy()
-    injection[asm.reg_nodes] += sources
+    injection = np.zeros(core.n_nodes)
+    injection[asm.reg_nodes] = sources
     # net current into each node, over the full edge set, so the check is
     # independent of the elimination
     every = slice(None)
@@ -1131,7 +1117,6 @@ def _finish_solution(asm, volts, sources, clamp):
         )
 
     source_currents = dict(zip(asm.regulated, sources.tolist()))
-    source_currents.update(asm.currents)
     if asm.fixed_lines:
         # an ideal source supplies what its line's cells and rails draw (see the module docstring)
         line, n = core.node_line, len(core.lines)
@@ -1350,8 +1335,9 @@ def equivalent_resistance(net, line_a, line_b):
     """Two-terminal resistance of the bare device mesh between two lines.
 
     Drivers and external bias are ignored: this measures the mesh itself,
-    by injecting a unit current at ``line_a`` with ``line_b`` grounded.
-    Returns ``math.inf`` when no conducting path exists.
+    by driving ``line_a`` at 1 V with ``line_b`` grounded and dividing by
+    the current its source supplies. Returns ``math.inf`` when no
+    conducting path exists.
     """
     core = net.core
     for line in (line_a, line_b):
@@ -1366,6 +1352,6 @@ def equivalent_resistance(net, line_a, line_b):
     ground = LineBias.voltage(0.0)
     bias = {line: ground for line, c in component.items() if c != component[line_a]}
     bias[line_b] = ground
-    bias[line_a] = LineBias.current(1.0)
+    bias[line_a] = LineBias.voltage(1.0)
     solution = solve_network(CrossbarNetwork(core, net.resistance, {}, bias, net.v_dd))
-    return solution.line_voltages[line_a]
+    return 1.0 / solution.source_currents[line_a]

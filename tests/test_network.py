@@ -119,8 +119,6 @@ def oracle_description(net):
     for line, lb in net.bias.items():
         if lb.kind == "voltage":
             fixed[terminal(line)] = lb.value
-        elif lb.kind == "current":
-            injected[terminal(line)] = lb.value
     return resistors, fixed, injected
 
 
@@ -167,7 +165,7 @@ def random_case(rng, wired=False, n=None):
             bias[f"b{j}"] = LineBias.voltage(0.0)
             fixed_any = True
         elif kind < 0.7:
-            bias[f"b{j}"] = LineBias.current(rng.uniform(-2e-4, 2e-4))
+            rng.uniform(-2e-4, 2e-4)  # a floating line keeps its draw, so the seeded cases do not shift
     drivers = {}
     use_transistors = rng.random() < 0.5
     for i in range(m):
@@ -431,7 +429,7 @@ class TestDriveTables:
     @pytest.mark.parametrize("line_resistance", [0.0, 3.0], ids=["bare", "wired"])
     def test_rebinding_one_core_matches_oracle(self, line_resistance):
         states = [["P", "AP", "P"], ["AP", "AP", "P"], ["P", "P", "AP"], ["AP", "P", "P"]]
-        bias = {"b0": LineBias.voltage(0.4), "b2": LineBias.current(5e-5)}
+        bias = {"b0": LineBias.voltage(0.4), "b2": LineBias.voltage(0.1)}
         core_net = grid_network(states, bias, line_resistance=line_resistance)
         for label, drivers, v_dd in self.variants():
             net = CrossbarNetwork(core_net.core, core_net.resistance, drivers, bias, v_dd)
@@ -501,8 +499,8 @@ class TestNonFiniteDrive:
     # a non-finite drive would solve to NaN currents with a NaN residual,
     # and NaN passes every check written as `value > limit`
     @pytest.mark.parametrize(
-        "bias", [lambda: LineBias.voltage(float("nan")), lambda: LineBias.current(float("inf"))],
-        ids=["nan-voltage", "inf-current"],
+        "bias", [lambda: LineBias.voltage(float("nan")), lambda: LineBias.regulated(0, float("inf"))],
+        ids=["nan-voltage", "inf-regulated"],
     )
     def test_non_finite_bias_is_rejected(self, bias):
         with pytest.raises(ParameterError, match="finite"):
@@ -519,8 +517,9 @@ class TestNonFiniteDrive:
 
 class TestBiasKinds:
     # a line the bias leaves out floats and 0 V is a voltage bias, so
-    # neither has a kind of its own
-    @pytest.mark.parametrize("kind", ["ground", "float"])
+    # neither has a kind of its own; current enters a line only through a
+    # regulated source
+    @pytest.mark.parametrize("kind", ["ground", "float", "current"])
     def test_alias_kind_is_rejected_by_name(self, kind):
         with pytest.raises(ParameterError, match=f"bias kind: unknown value '{kind}'"):
             LineBias(kind=kind)
@@ -796,7 +795,7 @@ class TestEnergyBalance:
         # w0's pull-down saturates; the clamped rail is a fixed injection
         clamped = TransistorModel(r_on=1e3, r_off=1e9, i_sat=1e-4)
         drivers = {"w0": RowDriver(clamped, nmos_on=True), "w1": RowDriver(clamped)}
-        bias = {"b0": LineBias.voltage(1.2), "b1": LineBias.current(2e-5)}
+        bias = {"b0": LineBias.voltage(1.2), "b1": LineBias.voltage(0.6)}
         net = grid_network([["P", "AP"], ["AP", "P"]], bias, drivers=drivers, line_resistance=2.0)
         sol = solve_network(net)
         assert "w0" in sol.clamped
@@ -816,9 +815,9 @@ class TestRegulatedSources:
         cells = {arr.host_segment(1, j): 4 + j for j in range(4)}  # cell k = word * n_bits + bit
         bias = {seg: LineBias.regulated(k, arr.write_current) for seg, k in cells.items()}
         sol = solve_network(arr.to_network(bias, drivers))
-        fixed_drive = {seg: LineBias.current(sol.source_currents[seg]) for seg in cells}
-        net = arr.to_network(fixed_drive, drivers)
+        net = arr.to_network({}, drivers)
         resistors, fixed, injected = oracle_description(net)
+        injected.update({(seg, 0): sol.source_currents[seg] for seg in cells})
         volts = solve_nodes(resistors, fixed, injected)
         crossings = {line: [] for line in net.core.lines}
         for row, col, _, _ in net_branches(net):
@@ -864,10 +863,3 @@ class TestSourceBookkeeping:
                 if seg in sol.source_currents:
                     drawn = sum(sol.currents[col == j].tolist())
                     assert sol.source_currents[seg] == pytest.approx(drawn, rel=1e-15, abs=0.0), seg
-
-    def test_current_bias_reports_injection(self):
-        bias = {"b0": LineBias.current(1e-4), "w0": LineBias.voltage(0.0)}
-        net = grid_network([["P"]], bias)
-        sol = solve_network(net)
-        assert sol.source_currents["b0"] == pytest.approx(1e-4)
-        assert sol.line_voltages["b0"] == pytest.approx(1e-4 * R_P, rel=1e-12)
